@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race fuzz-smoke chaos bench bench-json bench-serve bench-gate crash-matrix search-report serve-smoke fleet-smoke repro repro-full examples fmt lint vet check clean
+.PHONY: all build test test-short test-race fuzz-smoke chaos bench bench-json bench-serve bench-gate bench-smoke crash-matrix search-report serve-smoke fleet-smoke repro repro-full examples fmt lint vet check clean
 
 all: build test
 
@@ -14,8 +14,9 @@ all: build test
 # join) + the fleet smoke (3 sharded replicas, kill -9 the digest's
 # owner mid-compile, survivors must rebalance and serve byte-identical
 # adapters) + the bench gate (fresh synthesis and serving numbers vs the
-# committed baselines).
-check: lint test test-race fuzz-smoke crash-matrix serve-smoke fleet-smoke bench-gate
+# committed baselines) + the benchmark smoke (every workload of
+# BENCHMARK.json briefly, outputs checked against benchmark/golden.json).
+check: lint test test-race fuzz-smoke crash-matrix serve-smoke fleet-smoke bench-gate bench-smoke
 
 build:
 	$(GO) build ./...
@@ -105,6 +106,13 @@ fleet-smoke:
 # fails).
 bench-gate:
 	./scripts/bench_gate.sh
+
+# Benchmark smoke: every workload for 1 s, untraced and traced, on a
+# three-program slice of the corpus; every declared metric must be
+# printed and every adapter must match benchmark/golden.json. The
+# benchmark is its own module, so `go test ./...` above does not run it.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
 
 # Regenerate the paper's evaluation (Table 1 + Figures 8-16 + ablations).
 repro:

@@ -270,7 +270,8 @@ func BenchmarkSynthesizeOne(b *testing.B) {
 }
 
 // BenchmarkInterpreterFFT measures the interpreter executing a 256-point
-// corpus FFT (the evaluation's inner loop).
+// corpus FFT (the evaluation's inner loop), per run and per interpreted
+// step.
 func BenchmarkInterpreterFFT(b *testing.B) {
 	bm, err := bench.ByName("iterdit")
 	if err != nil {
@@ -284,10 +285,13 @@ func BenchmarkInterpreterFFT(b *testing.B) {
 	for i := range in {
 		in[i] = complex(float64(i%7), float64(i%5))
 	}
+	before := r.Machine.TotalCounters().Steps
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Run(in); err != nil {
 			b.Fatal(err)
 		}
 	}
+	steps := r.Machine.TotalCounters().Steps - before
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }

@@ -224,6 +224,11 @@ func main() {
 		handler = node.Handler()
 	}
 
+	// Install the signal handler before listening: once -addr-file is
+	// written or /readyz answers, a SIGTERM must drain, not kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "faccd: %v\n", err)
@@ -247,8 +252,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:

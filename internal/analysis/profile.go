@@ -129,7 +129,7 @@ func (p *Profile) ObserveInt(name string, v int64) {
 // only; floats do not drive domain checks).
 func (p *Profile) Attach(m *interp.Machine) {
 	m.Observe = func(name string, v interp.Value) {
-		if v.K == interp.VInt {
+		if v.Kind() == interp.VInt {
 			p.ObserveInt(name, v.I)
 		}
 	}

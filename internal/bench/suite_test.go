@@ -277,7 +277,7 @@ func TestUnsupportedRowPlan(t *testing.T) {
 	}
 	// Store the row pointers into the rows array.
 	for r := 0; r < nrows; r++ {
-		p := rows.P
+		p := rows.Addr()
 		p.Off += r
 		if err := m.StoreScalar(p, rowVals[r], minic.Pos{}); err != nil {
 			t.Fatal(err)

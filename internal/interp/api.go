@@ -21,10 +21,10 @@ func (m *Machine) NewArray(name string, elem *minic.Type, count int) (Value, err
 
 // SetFloatArray writes vals into the float/double array at p.
 func (m *Machine) SetFloatArray(p Value, vals []float64) error {
-	if p.K != VPointer {
+	if p.Kind() != VPointer {
 		return fmt.Errorf("interp: SetFloatArray target is not a pointer")
 	}
-	ptr := p.P
+	ptr := p.Addr()
 	for i, v := range vals {
 		cp := ptr
 		cp.Off += i
@@ -37,11 +37,11 @@ func (m *Machine) SetFloatArray(p Value, vals []float64) error {
 
 // GetFloatArray reads n float values starting at p.
 func (m *Machine) GetFloatArray(p Value, n int) ([]float64, error) {
-	if p.K != VPointer {
+	if p.Kind() != VPointer {
 		return nil, fmt.Errorf("interp: GetFloatArray source is not a pointer")
 	}
 	out := make([]float64, n)
-	ptr := p.P
+	ptr := p.Addr()
 	for i := 0; i < n; i++ {
 		cp := ptr
 		cp.Off += i
@@ -56,10 +56,10 @@ func (m *Machine) GetFloatArray(p Value, n int) ([]float64, error) {
 
 // SetComplexArray writes complex values into an array of complex cells.
 func (m *Machine) SetComplexArray(p Value, vals []complex128) error {
-	if p.K != VPointer {
+	if p.Kind() != VPointer {
 		return fmt.Errorf("interp: SetComplexArray target is not a pointer")
 	}
-	ptr := p.P
+	ptr := p.Addr()
 	for i, v := range vals {
 		cp := ptr
 		cp.Off += i
@@ -72,11 +72,11 @@ func (m *Machine) SetComplexArray(p Value, vals []complex128) error {
 
 // GetComplexArray reads n complex values starting at p.
 func (m *Machine) GetComplexArray(p Value, n int) ([]complex128, error) {
-	if p.K != VPointer {
+	if p.Kind() != VPointer {
 		return nil, fmt.Errorf("interp: GetComplexArray source is not a pointer")
 	}
 	out := make([]complex128, n)
-	ptr := p.P
+	ptr := p.Addr()
 	for i := 0; i < n; i++ {
 		cp := ptr
 		cp.Off += i
@@ -93,20 +93,20 @@ func (m *Machine) GetComplexArray(p Value, n int) ([]complex128, error) {
 // structs, using the given flattened field offsets for the real and
 // imaginary parts.
 func (m *Machine) SetStructComplexArray(p Value, vals []complex128, reOff, imOff int) error {
-	if p.K != VPointer {
+	if p.Kind() != VPointer {
 		return fmt.Errorf("interp: target is not a pointer")
 	}
-	per := FlatSize(p.P.Elem)
-	base := p.P
+	per := FlatSize(p.Addr().Elem)
+	base := p.Addr()
 	base.Elem = minic.Double
 	for i, v := range vals {
 		re := base
-		re.Off = p.P.Off + i*per + reOff
+		re.Off = int(p.I) + i*per + reOff
 		if err := m.StoreScalar(re, FloatValue(real(v), minic.Double), minic.Pos{}); err != nil {
 			return err
 		}
 		im := base
-		im.Off = p.P.Off + i*per + imOff
+		im.Off = int(p.I) + i*per + imOff
 		if err := m.StoreScalar(im, FloatValue(imag(v), minic.Double), minic.Pos{}); err != nil {
 			return err
 		}
@@ -116,22 +116,22 @@ func (m *Machine) SetStructComplexArray(p Value, vals []complex128, reOff, imOff
 
 // GetStructComplexArray reads n complex values from an array of structs.
 func (m *Machine) GetStructComplexArray(p Value, n, reOff, imOff int) ([]complex128, error) {
-	if p.K != VPointer {
+	if p.Kind() != VPointer {
 		return nil, fmt.Errorf("interp: source is not a pointer")
 	}
-	per := FlatSize(p.P.Elem)
+	per := FlatSize(p.Addr().Elem)
 	out := make([]complex128, n)
-	base := p.P
+	base := p.Addr()
 	base.Elem = minic.Double
 	for i := 0; i < n; i++ {
 		re := base
-		re.Off = p.P.Off + i*per + reOff
+		re.Off = int(p.I) + i*per + reOff
 		rv, err := m.LoadScalar(re, minic.Pos{})
 		if err != nil {
 			return nil, err
 		}
 		im := base
-		im.Off = p.P.Off + i*per + imOff
+		im.Off = int(p.I) + i*per + imOff
 		iv, err := m.LoadScalar(im, minic.Pos{})
 		if err != nil {
 			return nil, err

@@ -9,25 +9,26 @@ import (
 	"facc/internal/minic"
 )
 
-// callBuiltin dispatches a recognized library call.
-func (m *Machine) callBuiltin(fr *frame, x *minic.CallExpr) (Value, error) {
-	b := minic.Builtins[x.Builtin]
-	args := make([]Value, len(x.Args))
+// builtin compiles a recognized library call. Arguments are evaluated
+// (and converted to the parameter types) in order; the implementation is
+// chosen here, once.
+func (c *compiler) builtin(x *minic.CallExpr, pos *minic.Pos) evalFn {
+	m, name := c.m, x.Builtin
+	b := minic.Builtins[name]
+	args := make([]evalFn, len(x.Args))
 	for i, a := range x.Args {
-		v, err := m.evalExpr(fr, a)
-		if err != nil {
-			return Value{}, err
-		}
+		args[i] = c.expr(a)
 		if b != nil && !b.Variadic && i < len(b.Params) {
-			cv, err := Convert(v, b.Params[i])
-			if err != nil {
-				return Value{}, m.fault(a.NodePos(), FaultBadCast, "%s: %v", x.Builtin, err)
+			v, pt, apos := args[i], b.Params[i], posOf(a)
+			args[i] = func(fr *frame) Value {
+				cv, err := Convert(v(fr), pt)
+				if err != nil {
+					m.must(m.fault(apos, FaultBadCast, "%s: %v", name, err))
+				}
+				return cv
 			}
-			v = cv
 		}
-		args[i] = v
 	}
-	name := x.Builtin
 	// Single-precision variants share implementations; the result is
 	// rounded through float32 by FloatValue/ComplexValue.
 	base := strings.TrimSuffix(name, "f")
@@ -38,85 +39,129 @@ func (m *Machine) callBuiltin(fr *frame, x *minic.CallExpr) (Value, error) {
 		rt = minic.Float
 		crt = minic.ComplexFloat
 	}
-
 	if fn, ok := math1[base]; ok && len(args) == 1 && isF32 == (name != base) {
-		m.Counters.MathCalls++
-		return FloatValue(fn(args[0].Float()), rt), nil
+		a := args[0]
+		return func(fr *frame) Value {
+			m.step(pos)
+			v := a(fr)
+			m.Counters.MathCalls++
+			return FloatValue(fn(v.Float()), rt)
+		}
 	}
 	if fn, ok := math2[base]; ok && len(args) == 2 {
-		m.Counters.MathCalls++
-		return FloatValue(fn(args[0].Float(), args[1].Float()), rt), nil
+		a0, a1 := args[0], args[1]
+		return func(fr *frame) Value {
+			m.step(pos)
+			v0 := a0(fr)
+			v1 := a1(fr)
+			m.Counters.MathCalls++
+			return FloatValue(fn(v0.Float(), v1.Float()), rt)
+		}
 	}
+	var impl func(args []Value) Value
 	if fn, ok := cmath1[base]; ok && len(args) == 1 {
-		m.Counters.MathCalls += 2
-		return ComplexValue(fn(args[0].Complex()), crt), nil
+		impl = func(args []Value) Value {
+			m.Counters.MathCalls += 2
+			return ComplexValue(fn(args[0].Complex()), crt)
+		}
+	} else if fn, ok := cmathReal[base]; ok && len(args) == 1 {
+		impl = func(args []Value) Value {
+			m.Counters.MathCalls++
+			return FloatValue(fn(args[0].Complex()), rt)
+		}
+	} else {
+		impl = m.libcall(name, crt, pos)
 	}
-	if fn, ok := cmathReal[base]; ok && len(args) == 1 {
-		m.Counters.MathCalls++
-		return FloatValue(fn(args[0].Complex()), rt), nil
+	return func(fr *frame) Value {
+		m.step(pos)
+		vals := make([]Value, len(args))
+		for i, a := range args {
+			vals[i] = a(fr)
+		}
+		return impl(vals)
 	}
+}
 
+// libcall returns the implementation of a non-math library function.
+func (m *Machine) libcall(name string, crt *minic.Type, pos *minic.Pos) func([]Value) Value {
 	switch name {
 	case "ldexp":
-		m.Counters.MathCalls++
-		return FloatValue(math.Ldexp(args[0].Float(), int(args[1].Int())), minic.Double), nil
+		return func(args []Value) Value {
+			m.Counters.MathCalls++
+			return FloatValue(math.Ldexp(args[0].Float(), int(args[1].Int())), minic.Double)
+		}
 	case "cpow":
-		m.Counters.MathCalls += 4
-		return ComplexValue(cmplx.Pow(args[0].Complex(), args[1].Complex()), crt), nil
-	case "abs":
-		m.Counters.IntOps++
-		v := args[0].Int()
-		if v < 0 {
-			v = -v
+		return func(args []Value) Value {
+			m.Counters.MathCalls += 4
+			return ComplexValue(cmplx.Pow(args[0].Complex(), args[1].Complex()), crt)
 		}
-		return IntValue(v), nil
-	case "labs":
-		m.Counters.IntOps++
-		v := args[0].Int()
-		if v < 0 {
-			v = -v
+	case "abs", "labs":
+		mk := IntValue
+		if name == "labs" {
+			mk = LongValue
 		}
-		return LongValue(v), nil
+		return func(args []Value) Value {
+			m.Counters.IntOps++
+			v := args[0].Int()
+			if v < 0 {
+				v = -v
+			}
+			return mk(v)
+		}
 	case "malloc":
-		return m.builtinMalloc(args[0].Int(), x.Pos)
+		return func(args []Value) Value { return m.builtinMalloc(args[0].Int(), pos) }
 	case "calloc":
-		return m.builtinMalloc(args[0].Int()*args[1].Int(), x.Pos)
+		return func(args []Value) Value { return m.builtinMalloc(args[0].Int()*args[1].Int(), pos) }
 	case "realloc":
-		return m.builtinRealloc(args[0], args[1].Int(), x.Pos)
+		return func(args []Value) Value { return m.builtinRealloc(args[0], args[1].Int(), pos) }
 	case "free":
-		return VoidValue(), m.builtinFree(args[0], x.Pos)
+		return func(args []Value) Value {
+			m.builtinFree(args[0], pos)
+			return VoidValue()
+		}
 	case "memcpy", "memmove":
-		return m.builtinMemcpy(args[0], args[1], args[2].Int(), x.Pos)
+		return func(args []Value) Value { return m.builtinMemcpy(args[0], args[1], args[2].Int(), pos) }
 	case "memset":
-		return m.builtinMemset(args[0], args[1].Int(), args[2].Int(), x.Pos)
+		return func(args []Value) Value { return m.builtinMemset(args[0], args[1].Int(), args[2].Int(), pos) }
 	case "printf":
-		return m.builtinPrintf(args, x.Pos)
+		return func(args []Value) Value { return m.builtinPrintf(args, pos) }
 	case "fprintf":
-		if len(args) < 1 {
-			return IntValue(0), nil
+		return func(args []Value) Value {
+			if len(args) < 1 {
+				return IntValue(0)
+			}
+			return m.builtinPrintf(args[1:], pos)
 		}
-		return m.builtinPrintf(args[1:], x.Pos)
 	case "puts":
-		s, err := m.cString(args[0], x.Pos)
-		if err != nil {
-			return Value{}, err
+		return func(args []Value) Value {
+			s := m.cString(args[0], pos)
+			m.Out.WriteString(s)
+			m.Out.WriteByte('\n')
+			return IntValue(int64(len(s) + 1))
 		}
-		m.Out.WriteString(s)
-		m.Out.WriteByte('\n')
-		return IntValue(int64(len(s) + 1)), nil
 	case "putchar":
-		m.Out.WriteByte(byte(args[0].Int()))
-		return IntValue(args[0].Int()), nil
-	case "exit":
-		m.exitCode = int(args[0].Int())
-		return Value{}, m.fault(x.Pos, FaultExit, "exit(%d)", m.exitCode)
-	case "assert":
-		if args[0].IsZero() {
-			return Value{}, m.fault(x.Pos, FaultAssert, "assertion failed")
+		return func(args []Value) Value {
+			m.Out.WriteByte(byte(args[0].Int()))
+			return IntValue(args[0].Int())
 		}
-		return VoidValue(), nil
+	case "exit":
+		return func(args []Value) Value {
+			m.exitCode = int(args[0].Int())
+			m.must(m.fault(pos, FaultExit, "exit(%d)", m.exitCode))
+			return Value{}
+		}
+	case "assert":
+		return func(args []Value) Value {
+			if args[0].IsZero() {
+				m.must(m.fault(pos, FaultAssert, "assertion failed"))
+			}
+			return VoidValue()
+		}
 	}
-	return Value{}, m.fault(x.Pos, FaultUnsupported, "builtin %q not implemented", name)
+	return func([]Value) Value {
+		m.must(m.fault(pos, FaultUnsupported, "builtin %q not implemented", name))
+		return Value{}
+	}
 }
 
 var math1 = map[string]func(float64) float64{
@@ -145,26 +190,24 @@ var cmathReal = map[string]func(complex128) float64{
 	"carg":  func(c complex128) float64 { return cmplx.Phase(c) },
 }
 
-func (m *Machine) builtinMalloc(size int64, pos minic.Pos) (Value, error) {
+func (m *Machine) builtinMalloc(size int64, pos *minic.Pos) Value {
 	if size < 0 {
-		return Value{}, m.fault(pos, FaultOutOfBounds, "malloc of negative size %d", size)
+		m.must(m.fault(pos, FaultOutOfBounds, "malloc of negative size %d", size))
 	}
 	m.Counters.Allocs++
-	a := m.newRawAlloc(fmt.Sprintf("malloc#%d", m.nextAllocID+1), int(size))
-	return PointerValue(Pointer{Alloc: a, Elem: minic.Void}, minic.PointerTo(minic.Void)), nil
+	m.nextAllocID++
+	a := &Alloc{ID: m.nextAllocID, Name: fmt.Sprintf("malloc#%d", m.nextAllocID), RawBytes: int(size)}
+	return Value{T: voidPtr, A: a}
 }
 
-func (m *Machine) builtinRealloc(old Value, size int64, pos minic.Pos) (Value, error) {
-	nv, err := m.builtinMalloc(size, pos)
-	if err != nil {
-		return Value{}, err
-	}
-	if old.K == VPointer && !old.P.IsNull() {
-		oa := old.P.Alloc
+func (m *Machine) builtinRealloc(old Value, size int64, pos *minic.Pos) Value {
+	nv := m.builtinMalloc(size, pos)
+	if old.Kind() == VPointer && old.A != nil {
+		oa := old.A
 		if oa.Freed {
-			return Value{}, m.fault(pos, FaultUseAfterFree, "realloc of freed block")
+			m.must(m.fault(pos, FaultUseAfterFree, "realloc of freed block"))
 		}
-		na := nv.P.Alloc
+		na := nv.A
 		if oa.Cells != nil {
 			na.ElemType = oa.ElemType
 			n := len(oa.Cells)
@@ -189,128 +232,116 @@ func (m *Machine) builtinRealloc(old Value, size int64, pos minic.Pos) (Value, e
 		}
 		oa.Freed = true
 	}
-	return nv, nil
+	return nv
 }
 
-func (m *Machine) builtinFree(v Value, pos minic.Pos) error {
-	if v.K != VPointer {
-		return m.fault(pos, FaultBadPointerOp, "free of non-pointer")
+func (m *Machine) builtinFree(v Value, pos *minic.Pos) {
+	if v.Kind() != VPointer {
+		m.must(m.fault(pos, FaultBadPointerOp, "free of non-pointer"))
 	}
-	if v.P.IsNull() {
-		return nil // free(NULL) is a no-op
+	a := v.A
+	if a == nil {
+		return // free(NULL) is a no-op
 	}
-	if v.P.Alloc.Freed {
-		return m.fault(pos, FaultDoubleFree, "double free of %s", v.P.Alloc.Name)
+	if a.Freed {
+		m.must(m.fault(pos, FaultDoubleFree, "double free of %s", a.Name))
 	}
-	if v.P.Off != 0 {
-		return m.fault(pos, FaultBadPointerOp, "free of interior pointer into %s", v.P.Alloc.Name)
+	if v.I != 0 {
+		m.must(m.fault(pos, FaultBadPointerOp, "free of interior pointer into %s", a.Name))
 	}
-	v.P.Alloc.Freed = true
-	m.liveAllocs--
-	return nil
+	a.Freed = true
 }
 
-func (m *Machine) builtinMemcpy(dst, src Value, nbytes int64, pos minic.Pos) (Value, error) {
-	if dst.K != VPointer || src.K != VPointer {
-		return Value{}, m.fault(pos, FaultBadPointerOp, "memcpy of non-pointers")
-	}
-	dp, sp := dst.P, src.P
-	// Use the source view to size the copy; fall back to the destination.
-	elem := sp.Elem
-	if elem == nil || elem.Kind == minic.TVoid {
-		elem = dp.Elem
-	}
-	if elem == nil || elem.Kind == minic.TVoid || elem.Sizeof() == 0 {
-		return Value{}, m.fault(pos, FaultBadPointerOp, "memcpy through untyped pointers")
-	}
+// byteCount converts a byte count through a pointer viewing elem into a
+// cell count, faulting on untyped pointers and partial elements.
+func (m *Machine) byteCount(what string, elem *minic.Type, nbytes int64, pos *minic.Pos) int {
 	if int(nbytes)%elem.Sizeof() != 0 {
-		return Value{}, m.fault(pos, FaultBadPointerOp,
-			"memcpy of %d bytes is not a multiple of sizeof(%s)", nbytes, elem)
+		m.must(m.fault(pos, FaultBadPointerOp,
+			"%s of %d bytes is not a multiple of sizeof(%s)", what, nbytes, elem))
 	}
-	count := int(nbytes) / elem.Sizeof() * FlatSize(elem)
-	dp.Elem, sp.Elem = elem, elem
-	if err := m.checkAccess(sp, count, pos); err != nil {
-		return Value{}, err
+	return int(nbytes) / elem.Sizeof() * FlatSize(elem)
+}
+
+func untyped(t *minic.Type) bool {
+	return t == nil || t.Kind == minic.TVoid || t.Sizeof() == 0
+}
+
+func (m *Machine) builtinMemcpy(dst, src Value, nbytes int64, pos *minic.Pos) Value {
+	if dst.Kind() != VPointer || src.Kind() != VPointer {
+		m.must(m.fault(pos, FaultBadPointerOp, "memcpy of non-pointers"))
 	}
-	if err := m.checkAccess(dp, count, pos); err != nil {
-		return Value{}, err
+	// Use the source view to size the copy; fall back to the destination.
+	elem := src.ptrView()
+	if elem == nil || elem.Kind == minic.TVoid {
+		elem = dst.ptrView()
 	}
+	if untyped(elem) {
+		m.must(m.fault(pos, FaultBadPointerOp, "memcpy through untyped pointers"))
+	}
+	count := m.byteCount("memcpy", elem, nbytes, pos)
+	so, do := int(src.I), int(dst.I)
+	m.must(m.checkAccess(src.A, so, count, elem, pos))
+	m.must(m.checkAccess(dst.A, do, count, elem, pos))
 	m.Counters.Loads += int64(count)
 	m.Counters.Stores += int64(count)
 	tmp := make([]Value, count)
-	copy(tmp, sp.Alloc.Cells[sp.Off:sp.Off+count])
+	copy(tmp, src.A.Cells[so:so+count])
 	for i, v := range tmp {
-		cv, err := Convert(v, dp.Alloc.Cells[dp.Off+i].T)
+		cv, err := Convert(v, dst.A.Cells[do+i].Type())
 		if err != nil {
-			return Value{}, m.fault(pos, FaultBadCast, "memcpy: %v", err)
+			m.must(m.fault(pos, FaultBadCast, "memcpy: %v", err))
 		}
-		dp.Alloc.Cells[dp.Off+i] = cv
+		dst.A.Cells[do+i] = cv
 	}
-	return dst, nil
+	return dst
 }
 
-func (m *Machine) builtinMemset(dst Value, val, nbytes int64, pos minic.Pos) (Value, error) {
-	if dst.K != VPointer {
-		return Value{}, m.fault(pos, FaultBadPointerOp, "memset of non-pointer")
+func (m *Machine) builtinMemset(dst Value, val, nbytes int64, pos *minic.Pos) Value {
+	if dst.Kind() != VPointer {
+		m.must(m.fault(pos, FaultBadPointerOp, "memset of non-pointer"))
 	}
 	if val != 0 {
-		return Value{}, m.fault(pos, FaultUnsupported, "memset with non-zero value %d", val)
+		m.must(m.fault(pos, FaultUnsupported, "memset with non-zero value %d", val))
 	}
-	p := dst.P
-	elem := p.Elem
-	if elem == nil || elem.Kind == minic.TVoid || elem.Sizeof() == 0 {
-		return Value{}, m.fault(pos, FaultBadPointerOp, "memset through untyped pointer")
+	elem := dst.ptrView()
+	if untyped(elem) {
+		m.must(m.fault(pos, FaultBadPointerOp, "memset through untyped pointer"))
 	}
-	if int(nbytes)%elem.Sizeof() != 0 {
-		return Value{}, m.fault(pos, FaultBadPointerOp,
-			"memset of %d bytes is not a multiple of sizeof(%s)", nbytes, elem)
-	}
-	count := int(nbytes) / elem.Sizeof() * FlatSize(elem)
-	if err := m.checkAccess(p, count, pos); err != nil {
-		return Value{}, err
-	}
+	count := m.byteCount("memset", elem, nbytes, pos)
+	off := int(dst.I)
+	m.must(m.checkAccess(dst.A, off, count, elem, pos))
 	m.Counters.Stores += int64(count)
-	for i := 0; i < count; i++ {
-		cell := &p.Alloc.Cells[p.Off+i]
-		*cell = zeroValue(cell.T)
+	for i := off; i < off+count; i++ {
+		dst.A.Cells[i] = zeroValue(dst.A.Cells[i].Type())
 	}
-	return dst, nil
+	return dst
 }
 
 // cString reads a NUL-terminated string through a char pointer.
-func (m *Machine) cString(v Value, pos minic.Pos) (string, error) {
-	if v.K != VPointer {
-		return "", m.fault(pos, FaultBadPointerOp, "expected string pointer")
+func (m *Machine) cString(v Value, pos *minic.Pos) string {
+	if v.Kind() != VPointer {
+		m.must(m.fault(pos, FaultBadPointerOp, "expected string pointer"))
 	}
 	var b strings.Builder
-	p := v.P
-	p.Elem = minic.Char
-	for {
-		cv, err := m.LoadScalar(p, pos)
-		if err != nil {
-			return "", err
-		}
+	for off := int(v.I); ; off++ {
+		cv := m.load(v.A, off, minic.Char, pos)
 		if cv.I == 0 {
-			return b.String(), nil
+			return b.String()
 		}
 		b.WriteByte(byte(cv.I))
-		p.Off++
 		if b.Len() > 1<<20 {
-			return "", m.fault(pos, FaultOutOfBounds, "unterminated string")
+			m.must(m.fault(pos, FaultOutOfBounds, "unterminated string"))
 		}
 	}
 }
 
 // builtinPrintf implements the printf subset the corpus uses:
 // %d %i %u %ld %lu %f %lf %g %e %c %s %x %% with optional width/precision.
-func (m *Machine) builtinPrintf(args []Value, pos minic.Pos) (Value, error) {
+func (m *Machine) builtinPrintf(args []Value, pos *minic.Pos) Value {
 	if len(args) == 0 {
-		return IntValue(0), nil
+		return IntValue(0)
 	}
-	format, err := m.cString(args[0], pos)
-	if err != nil {
-		return Value{}, err
-	}
+	format := m.cString(args[0], pos)
 	rest := args[1:]
 	argi := 0
 	nextArg := func() (Value, bool) {
@@ -369,10 +400,7 @@ func (m *Machine) builtinPrintf(args []Value, pos minic.Pos) (Value, error) {
 		case 's':
 			v, ok := nextArg()
 			if ok {
-				s, err := m.cString(v, pos)
-				if err != nil {
-					return Value{}, err
-				}
+				s := m.cString(v, pos)
 				fmt.Fprintf(&out, strings.Replace(goSpec, "s", "s", 1), s)
 			}
 		case 'p':
@@ -384,7 +412,7 @@ func (m *Machine) builtinPrintf(args []Value, pos minic.Pos) (Value, error) {
 		i = j + 1
 	}
 	m.Out.WriteString(out.String())
-	return IntValue(int64(out.Len())), nil
+	return IntValue(int64(out.Len()))
 }
 
 // Output returns everything the program printed so far.

@@ -146,3 +146,40 @@ func TestCancellationFaultUnwrapsToContextError(t *testing.T) {
 		t.Fatalf("cancelled run still took %d steps (stride %d)", m.Counters.Steps, ctxPollStride)
 	}
 }
+
+// TestFaultUnwindingLeavesMachineReusable faults deep in a recursion,
+// mid-way through pushing a call's arguments, then runs normally: the
+// depth and argument stack a run unwinds through must be restored.
+func TestFaultUnwindingLeavesMachineReusable(t *testing.T) {
+	m := fuelMachine(t)
+	m.MaxDepth = 50
+	for i := 0; i < 3; i++ {
+		if _, err := m.CallNamed("recurse", []Value{IntValue(0)}); FaultOf(err) != FaultStackOverflow {
+			t.Fatalf("run %d: err = %v, want stack-overflow", i, err)
+		}
+		if m.depth != 0 || len(m.args) != 0 {
+			t.Fatalf("run %d: depth %d, %d stacked args after a fault", i, m.depth, len(m.args))
+		}
+	}
+	if v, err := m.CallNamed("work", []Value{IntValue(10)}); err != nil || v.Int() != 45 {
+		t.Fatalf("work(10) after faults = %v, %v", v, err)
+	}
+}
+
+// TestGoPanicIsNotAFault checks that a panic that is not an interpreter
+// fault (here from the Observe hook) leaves Call as a panic, so the
+// synthesis engine's panic shield still sees it.
+func TestGoPanicIsNotAFault(t *testing.T) {
+	m := fuelMachine(t)
+	m.Observe = func(string, Value) { panic("hook") }
+	defer func() {
+		if r := recover(); r != "hook" {
+			t.Fatalf("recovered %v, want the hook's panic", r)
+		}
+		if m.depth != 0 {
+			t.Fatalf("depth %d after a panic", m.depth)
+		}
+	}()
+	m.CallNamed("work", []Value{IntValue(3)})
+	t.Fatal("Call returned after a panic in the Observe hook")
+}

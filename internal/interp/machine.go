@@ -168,11 +168,14 @@ type Machine struct {
 	// default) keeps the step path free of context checks.
 	Ctx context.Context
 
-	globals     map[*minic.VarDecl]Pointer
-	funcs       map[string]*minic.FuncDecl
+	funcs       map[string]*function          // by name, definitions first
+	byDecl      map[*minic.FuncDecl]*function // every declaration
+	statics     map[*minic.VarDecl]*static    // globals and static locals
+	frames      []*frame                      // frame pool, indexed by depth
+	args        []Value                       // argument stack
 	nextAllocID int
-	liveAllocs  int
 	steps       int64
+	nextCheck   int64 // step count at which step takes its slow path
 	depth       int
 	exitCode    int
 }
@@ -184,49 +187,55 @@ const (
 )
 
 // ctxPollStride is how many interpreter steps run between context checks.
-// A step costs on the order of 100ns, so 1024 steps bound cancellation
-// latency to roughly 0.1ms while keeping Ctx.Err off the hot path.
+// A step costs a few tens of nanoseconds, so 1024 steps bound cancellation
+// latency well under 0.1ms while keeping Ctx.Err off the hot path.
 const ctxPollStride = 1024
 
-type ctrl int
+// faultPanic carries an interpretation error up the Go stack to the
+// Call or NewMachine that started the run.
+type faultPanic struct{ err error }
 
-const (
-	ctrlNone ctrl = iota
-	ctrlBreak
-	ctrlContinue
-	ctrlReturn
-)
-
-type frame struct {
-	fn     *minic.FuncDecl
-	locals map[*minic.VarDecl]Pointer
-	ret    Value
-}
-
-// NewMachine builds a machine for f and evaluates global initializers.
-// f must have been checked with minic.Check.
+// NewMachine builds a machine for f: it compiles every function to
+// closures and evaluates global initializers. f must have been checked
+// with minic.Check.
 func NewMachine(f *minic.File) (*Machine, error) {
 	m := &Machine{
 		File:     f,
 		MaxSteps: DefaultMaxSteps,
 		MaxDepth: DefaultMaxDepth,
-		globals:  map[*minic.VarDecl]Pointer{},
-		funcs:    map[string]*minic.FuncDecl{},
+		funcs:    map[string]*function{},
+		byDecl:   map[*minic.FuncDecl]*function{},
+		statics:  map[*minic.VarDecl]*static{},
 	}
 	for _, fn := range f.Funcs {
-		if prev, ok := m.funcs[fn.Name]; !ok || prev.Body == nil {
-			m.funcs[fn.Name] = fn
+		cf := &function{decl: fn}
+		m.byDecl[fn] = cf
+		if prev, ok := m.funcs[fn.Name]; !ok || prev.decl.Body == nil {
+			m.funcs[fn.Name] = cf
 		}
 	}
-	gf := &frame{locals: map[*minic.VarDecl]Pointer{}}
 	for _, g := range f.Globals {
-		p, err := m.allocVar(gf, g)
-		if err != nil {
-			return nil, err
-		}
-		m.globals[g] = p
+		m.statics[g] = &static{}
+	}
+	for _, cf := range m.byDecl {
+		m.compileFunc(cf)
+	}
+	if err := m.initGlobals(); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// initGlobals allocates the globals in order and runs their initializers.
+func (m *Machine) initGlobals() (err error) {
+	defer m.recoverFault(m.depth, len(m.args), &err)
+	m.resetCheck()
+	c := &compiler{m: m}
+	fr := m.pushFrame(0)
+	for _, g := range m.File.Globals {
+		m.statics[g].a = c.declare(g)(fr)
+	}
+	return nil
 }
 
 // Reset clears counters, output and fuel so the machine can run another
@@ -247,381 +256,103 @@ func (m *Machine) TotalCounters() Counters {
 	return t
 }
 
-func (m *Machine) fault(pos minic.Pos, kind FaultKind, format string, args ...any) error {
+func (m *Machine) fault(pos *minic.Pos, kind FaultKind, format string, args ...any) error {
 	return m.faultCause(pos, kind, nil, format, args...)
 }
 
 // faultCause raises a fault wrapping an underlying error, so callers can
 // classify with errors.Is/As through the RuntimeError.
-func (m *Machine) faultCause(pos minic.Pos, kind FaultKind, cause error, format string, args ...any) error {
+func (m *Machine) faultCause(pos *minic.Pos, kind FaultKind, cause error, format string, args ...any) error {
 	if m.Obs != nil {
 		m.Obs.Counter("interp.faults").Inc()
 		m.Obs.Counter("interp.faults." + kind.String()).Inc()
 	}
-	return &RuntimeError{Kind: kind, Pos: pos, Msg: fmt.Sprintf(format, args...), Err: cause}
+	return &RuntimeError{Kind: kind, Pos: *pos, Msg: fmt.Sprintf(format, args...), Err: cause}
 }
 
-func (m *Machine) step(pos minic.Pos) error {
+// must unwinds the current run with err, if non-nil.
+func (m *Machine) must(err error) {
+	if err != nil {
+		panic(faultPanic{err})
+	}
+}
+
+// recoverFault, deferred by the entry points, turns an unwinding fault
+// into *errp. Either way it restores the call depth and argument stack
+// the run started with; any panic other than a fault is a bug in the
+// interpreter and keeps unwinding.
+func (m *Machine) recoverFault(depth, nargs int, errp *error) {
+	if r := recover(); r != nil {
+		m.depth, m.args = depth, m.args[:nargs]
+		fp, ok := r.(faultPanic)
+		if !ok {
+			panic(r)
+		}
+		*errp = fp.err
+	}
+}
+
+// fuel returns the step limit.
+func (m *Machine) fuel() int64 {
+	if m.MaxSteps == 0 {
+		return DefaultMaxSteps
+	}
+	return m.MaxSteps
+}
+
+// resetCheck schedules step's next slow path: the first step past the
+// fuel limit or, with a context, the next poll.
+func (m *Machine) resetCheck() {
+	m.nextCheck = m.fuel() + 1
+	if m.Ctx != nil {
+		if poll := (m.steps/ctxPollStride + 1) * ctxPollStride; poll < m.nextCheck {
+			m.nextCheck = poll
+		}
+	}
+}
+
+// step counts one executed statement, expression or loop back-edge.
+func (m *Machine) step(pos *minic.Pos) {
 	m.steps++
 	m.Counters.Steps++
-	max := m.MaxSteps
-	if max == 0 {
-		max = DefaultMaxSteps
+	if m.steps >= m.nextCheck {
+		m.stepSlow(pos)
 	}
-	if m.steps > max {
-		return m.fault(pos, FaultFuelExhausted, "step limit %d exceeded", max)
+}
+
+func (m *Machine) stepSlow(pos *minic.Pos) {
+	if max := m.fuel(); m.steps > max {
+		m.must(m.fault(pos, FaultFuelExhausted, "step limit %d exceeded", max))
 	}
 	if m.Ctx != nil && m.steps%ctxPollStride == 0 {
 		if err := m.Ctx.Err(); err != nil {
-			return m.faultCause(pos, FaultCancelled, err,
-				"interpretation cancelled: %v", err)
+			m.must(m.faultCause(pos, FaultCancelled, err,
+				"interpretation cancelled: %v", err))
 		}
 	}
-	return nil
+	m.resetCheck()
 }
 
 // CallNamed invokes the named function with the given argument values.
 func (m *Machine) CallNamed(name string, args []Value) (Value, error) {
-	fn, ok := m.funcs[name]
-	if !ok || fn.Body == nil {
+	cf, ok := m.funcs[name]
+	if !ok || cf.decl.Body == nil {
 		return Value{}, fmt.Errorf("interp: no function %q", name)
 	}
-	return m.Call(fn, args)
+	return m.Call(cf.decl, args)
 }
 
 // Call invokes fn with args (converted to parameter types).
-func (m *Machine) Call(fn *minic.FuncDecl, args []Value) (Value, error) {
-	maxDepth := m.MaxDepth
-	if maxDepth == 0 {
-		maxDepth = DefaultMaxDepth
+func (m *Machine) Call(fn *minic.FuncDecl, args []Value) (ret Value, err error) {
+	cf := m.byDecl[fn]
+	if cf == nil {
+		cf = &function{decl: fn}
+		m.byDecl[fn] = cf
+		m.compileFunc(cf)
 	}
-	if m.depth >= maxDepth {
-		return Value{}, m.fault(fn.Pos, FaultStackOverflow,
-			"call depth %d exceeded in %s", maxDepth, fn.Name)
-	}
-	if len(args) != len(fn.Params) {
-		return Value{}, fmt.Errorf("interp: %s expects %d args, got %d",
-			fn.Name, len(fn.Params), len(args))
-	}
-	if fn.Body == nil {
-		// A prototype (extern declaration) carries no body to execute.
-		return Value{}, m.fault(fn.Pos, FaultUnsupported,
-			"call to %s, which is declared but not defined", fn.Name)
-	}
-	m.depth++
-	defer func() { m.depth-- }()
-	m.Counters.Calls++
-
-	fr := &frame{fn: fn, locals: map[*minic.VarDecl]Pointer{}}
-	for i, prm := range fn.Params {
-		av, err := Convert(args[i], prm.Type)
-		if err != nil {
-			return Value{}, m.fault(fn.Pos, FaultBadCast, "argument %d to %s: %v", i+1, fn.Name, err)
-		}
-		// Value profiling observes parameter values too — the paper's
-		// profiling environment records what each call site passes.
-		if m.Observe != nil && av.K == VInt {
-			m.Observe(prm.Name, av)
-		}
-		p := Pointer{Alloc: m.NewAlloc(prm.Name, prm.Type, 1), Elem: prm.Type}
-		if err := m.StoreObject(p, prm.Type, av, fn.Pos); err != nil {
-			return Value{}, err
-		}
-		fr.locals[prm] = p
-	}
-	c, err := m.execStmt(fr, fn.Body)
-	if err != nil {
-		return Value{}, err
-	}
-	if c == ctrlReturn {
-		return fr.ret, nil
-	}
-	return VoidValue(), nil
-}
-
-// allocVar allocates storage for a declaration and runs its initializer.
-func (m *Machine) allocVar(fr *frame, v *minic.VarDecl) (Pointer, error) {
-	t := v.Type
-	var a *Alloc
-	switch {
-	case t.Kind == minic.TArray && t.ArrayLen >= 0:
-		a = m.NewAlloc(v.Name, t.Elem, t.ArrayLen)
-	case t.Kind == minic.TArray && t.ArrayLenExpr != nil:
-		n, err := m.evalExpr(fr, t.ArrayLenExpr)
-		if err != nil {
-			return Pointer{}, err
-		}
-		if n.Int() < 0 {
-			return Pointer{}, m.fault(v.Pos, FaultOutOfBounds, "negative VLA length %d", n.Int())
-		}
-		if FlatSize(t.Elem) == 0 {
-			return Pointer{}, m.fault(v.Pos, FaultUnsupported, "VLA of dynamically sized element")
-		}
-		a = m.NewAlloc(v.Name, t.Elem, int(n.Int()))
-	case t.Kind == minic.TArray:
-		// Incomplete array with no initializer-completed length.
-		return Pointer{}, m.fault(v.Pos, FaultUnsupported, "array %q has unknown length", v.Name)
-	default:
-		a = m.NewAlloc(v.Name, t, 1)
-	}
-	m.Counters.Allocs++
-	p := Pointer{Alloc: a, Elem: t}
-	if v.Init != nil {
-		if err := m.runInit(fr, p, t, v.Init, v); err != nil {
-			return Pointer{}, err
-		}
-	}
-	return p, nil
-}
-
-// runInit stores an initializer (scalar or brace list) into storage at p.
-func (m *Machine) runInit(fr *frame, p Pointer, t *minic.Type, init minic.Expr, v *minic.VarDecl) error {
-	il, isList := init.(*minic.InitListExpr)
-	if !isList {
-		val, err := m.evalExpr(fr, init)
-		if err != nil {
-			return err
-		}
-		if v != nil && m.Observe != nil && val.K != VStruct && val.K != VVoid {
-			m.Observe(v.Name, val)
-		}
-		return m.StoreObject(p, t.Decay(), val, init.NodePos())
-	}
-	switch t.Kind {
-	case minic.TArray:
-		per := FlatSize(t.Elem)
-		for i, item := range il.Items {
-			ep := Pointer{Alloc: p.Alloc, Off: p.Off + i*per, Elem: t.Elem}
-			if err := m.runInit(fr, ep, t.Elem, item, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	case minic.TStruct:
-		for i, item := range il.Items {
-			ft := t.Fields[i].Type
-			fp := Pointer{Alloc: p.Alloc, Off: p.Off + fieldOffset(t, i), Elem: ft}
-			if err := m.runInit(fr, fp, ft, item, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		if len(il.Items) == 1 {
-			return m.runInit(fr, p, t, il.Items[0], v)
-		}
-		return m.fault(il.Pos, FaultBadCast, "scalar initializer list for %s", t)
-	}
-}
-
-// ---- Statements ----
-
-func (m *Machine) execStmt(fr *frame, s minic.Stmt) (ctrl, error) {
-	if s == nil {
-		return ctrlNone, nil
-	}
-	if err := m.step(s.NodePos()); err != nil {
-		return ctrlNone, err
-	}
-	switch st := s.(type) {
-	case *minic.ExprStmt:
-		_, err := m.evalExpr(fr, st.X)
-		return ctrlNone, err
-	case *minic.DeclStmt:
-		for _, d := range st.Decls {
-			// Function-scoped statics allocate and initialize once and
-			// persist across calls (C semantics).
-			if d.Storage == minic.SCStatic {
-				if p, ok := m.globals[d]; ok {
-					fr.locals[d] = p
-					continue
-				}
-				p, err := m.allocVar(fr, d)
-				if err != nil {
-					return ctrlNone, err
-				}
-				m.globals[d] = p
-				fr.locals[d] = p
-				continue
-			}
-			p, err := m.allocVar(fr, d)
-			if err != nil {
-				return ctrlNone, err
-			}
-			fr.locals[d] = p
-		}
-		return ctrlNone, nil
-	case *minic.BlockStmt:
-		for _, sub := range st.List {
-			c, err := m.execStmt(fr, sub)
-			if err != nil || c != ctrlNone {
-				return c, err
-			}
-		}
-		return ctrlNone, nil
-	case *minic.IfStmt:
-		cond, err := m.evalExpr(fr, st.Cond)
-		if err != nil {
-			return ctrlNone, err
-		}
-		m.Counters.Branches++
-		if !cond.IsZero() {
-			return m.execStmt(fr, st.Then)
-		}
-		return m.execStmt(fr, st.Else)
-	case *minic.ForStmt:
-		if st.Init != nil {
-			if _, err := m.execStmt(fr, st.Init); err != nil {
-				return ctrlNone, err
-			}
-		}
-		for {
-			if st.Cond != nil {
-				cond, err := m.evalExpr(fr, st.Cond)
-				if err != nil {
-					return ctrlNone, err
-				}
-				m.Counters.Branches++
-				if cond.IsZero() {
-					return ctrlNone, nil
-				}
-			}
-			c, err := m.execStmt(fr, st.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if c == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if c == ctrlReturn {
-				return c, nil
-			}
-			if st.Post != nil {
-				if _, err := m.evalExpr(fr, st.Post); err != nil {
-					return ctrlNone, err
-				}
-			}
-			if err := m.step(st.Pos); err != nil {
-				return ctrlNone, err
-			}
-		}
-	case *minic.WhileStmt:
-		if st.Do {
-			for {
-				c, err := m.execStmt(fr, st.Body)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if c == ctrlBreak {
-					return ctrlNone, nil
-				}
-				if c == ctrlReturn {
-					return c, nil
-				}
-				cond, err := m.evalExpr(fr, st.Cond)
-				if err != nil {
-					return ctrlNone, err
-				}
-				m.Counters.Branches++
-				if cond.IsZero() {
-					return ctrlNone, nil
-				}
-				if err := m.step(st.Pos); err != nil {
-					return ctrlNone, err
-				}
-			}
-		}
-		for {
-			cond, err := m.evalExpr(fr, st.Cond)
-			if err != nil {
-				return ctrlNone, err
-			}
-			m.Counters.Branches++
-			if cond.IsZero() {
-				return ctrlNone, nil
-			}
-			c, err := m.execStmt(fr, st.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if c == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if c == ctrlReturn {
-				return c, nil
-			}
-			if err := m.step(st.Pos); err != nil {
-				return ctrlNone, err
-			}
-		}
-	case *minic.SwitchStmt:
-		tag, err := m.evalExpr(fr, st.Tag)
-		if err != nil {
-			return ctrlNone, err
-		}
-		m.Counters.Branches++
-		match := -1
-		for i, cc := range st.Cases {
-			if cc.IsDefault {
-				continue
-			}
-			cv, err := m.evalExpr(fr, cc.Value)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if cv.Int() == tag.Int() {
-				match = i
-				break
-			}
-		}
-		if match < 0 {
-			for i, cc := range st.Cases {
-				if cc.IsDefault {
-					match = i
-					break
-				}
-			}
-		}
-		if match < 0 {
-			return ctrlNone, nil
-		}
-		// Fall through subsequent cases until break/return.
-		for i := match; i < len(st.Cases); i++ {
-			for _, sub := range st.Cases[i].Body {
-				c, err := m.execStmt(fr, sub)
-				if err != nil {
-					return ctrlNone, err
-				}
-				switch c {
-				case ctrlBreak:
-					return ctrlNone, nil
-				case ctrlReturn, ctrlContinue:
-					return c, nil
-				}
-			}
-		}
-		return ctrlNone, nil
-	case *minic.BreakStmt:
-		return ctrlBreak, nil
-	case *minic.ContinueStmt:
-		return ctrlContinue, nil
-	case *minic.ReturnStmt:
-		if st.Value != nil {
-			v, err := m.evalExpr(fr, st.Value)
-			if err != nil {
-				return ctrlNone, err
-			}
-			rt := fr.fn.Type.Ret
-			cv, err := Convert(v, rt.Decay())
-			if err != nil {
-				return ctrlNone, m.fault(st.Pos, FaultBadCast, "return: %v", err)
-			}
-			fr.ret = cv
-		} else {
-			fr.ret = VoidValue()
-		}
-		return ctrlReturn, nil
-	default:
-		return ctrlNone, m.fault(s.NodePos(), FaultUnsupported, "statement %T", s)
-	}
+	base := len(m.args)
+	defer m.recoverFault(m.depth, base, &err)
+	m.resetCheck()
+	m.args = append(m.args, args...)
+	return m.invoke(cf, base), nil
 }

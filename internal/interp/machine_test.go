@@ -526,7 +526,7 @@ int f(int n) {
 }`)
 	seen := map[string][]int64{}
 	m.Observe = func(name string, v Value) {
-		if v.K == VInt {
+		if v.Kind() == VInt {
 			seen[name] = append(seen[name], v.I)
 		}
 	}

@@ -21,9 +21,8 @@ type Alloc struct {
 	ElemType *minic.Type // element type the block was materialized with
 }
 
-// Pointer is a typed reference into an allocation: the allocation, a cell
-// offset, and the element type the pointer views memory as. A nil Alloc is
-// the null pointer.
+// Pointer is an address: the allocation, a cell offset, and the element
+// type the pointer views memory as. A nil Alloc is the null pointer.
 type Pointer struct {
 	Alloc *Alloc
 	Off   int // cell index
@@ -98,30 +97,31 @@ func fieldOffset(t *minic.Type, i int) int {
 	return off
 }
 
-// NewAlloc creates a typed allocation of count elements of type elem.
-func (m *Machine) NewAlloc(name string, elem *minic.Type, count int) *Alloc {
-	per := FlatSize(elem)
-	leaves := FlatLeaves(elem, nil)
+// zeroCells returns count elements' worth of zeroed cells laid out as
+// leaves (one element's leaf types).
+func zeroCells(leaves []*minic.Type, count int) []Value {
+	per := len(leaves)
 	cells := make([]Value, count*per)
 	for i := range cells {
 		cells[i] = zeroValue(leaves[i%per])
 	}
-	m.nextAllocID++
-	a := &Alloc{ID: m.nextAllocID, Name: name, Cells: cells, ElemType: elem}
-	m.liveAllocs++
-	return a
+	return cells
 }
 
-// newRawAlloc creates an untyped malloc block of the given byte size.
-func (m *Machine) newRawAlloc(name string, bytes int) *Alloc {
+// NewAlloc creates a typed allocation of count elements of type elem.
+func (m *Machine) NewAlloc(name string, elem *minic.Type, count int) *Alloc {
+	return m.newAlloc(name, elem, FlatLeaves(elem, nil), count)
+}
+
+// newAlloc is NewAlloc with elem's leaves precomputed.
+func (m *Machine) newAlloc(name string, elem *minic.Type, leaves []*minic.Type, count int) *Alloc {
 	m.nextAllocID++
-	m.liveAllocs++
-	return &Alloc{ID: m.nextAllocID, Name: name, RawBytes: bytes}
+	return &Alloc{ID: m.nextAllocID, Name: name, Cells: zeroCells(leaves, count), ElemType: elem}
 }
 
 // materialize gives an untyped malloc block its element type on first
 // typed use. Re-materializing with an incompatible type is a fault.
-func (m *Machine) materialize(a *Alloc, elem *minic.Type, pos minic.Pos) error {
+func (m *Machine) materialize(a *Alloc, elem *minic.Type, pos *minic.Pos) error {
 	if a.Cells != nil || a.ElemType != nil {
 		if a.ElemType != nil && !a.ElemType.Same(elem) {
 			// Permit views that keep the same scalar leaf type, e.g.
@@ -140,44 +140,79 @@ func (m *Machine) materialize(a *Alloc, elem *minic.Type, pos minic.Pos) error {
 	if size <= 0 {
 		return m.fault(pos, FaultBadCast, "cannot materialize block as %s", elem)
 	}
-	count := a.RawBytes / size
-	per := FlatSize(elem)
-	leaves := FlatLeaves(elem, nil)
-	cells := make([]Value, count*per)
-	for i := range cells {
-		cells[i] = zeroValue(leaves[i%per])
-	}
-	a.Cells = cells
+	a.Cells = zeroCells(FlatLeaves(elem, nil), a.RawBytes/size)
 	a.ElemType = elem
 	return nil
 }
 
-// checkAccess validates that cells [off, off+n) of the allocation are
-// readable/writable through pointer p.
-func (m *Machine) checkAccess(p Pointer, n int, pos minic.Pos) error {
-	if p.IsNull() {
+// checkAccess validates that cells [off, off+n) of a are readable and
+// writable through a pointer viewing them as elem.
+func (m *Machine) checkAccess(a *Alloc, off, n int, elem *minic.Type, pos *minic.Pos) error {
+	if a == nil {
 		return m.fault(pos, FaultNullDeref, "null pointer dereference")
 	}
-	a := p.Alloc
 	if a.Freed {
 		return m.fault(pos, FaultUseAfterFree, "use after free of %s", a.Name)
 	}
 	if a.Cells == nil {
-		if err := m.materialize(a, p.Elem, pos); err != nil {
+		if err := m.materialize(a, elem, pos); err != nil {
 			return err
 		}
 	}
-	if p.Off < 0 || p.Off+n > len(a.Cells) {
+	if off < 0 || off+n > len(a.Cells) {
 		return m.fault(pos, FaultOutOfBounds,
 			"out-of-bounds access to %s: cells [%d,%d) of %d",
-			a.Name, p.Off, p.Off+n, len(a.Cells))
+			a.Name, off, off+n, len(a.Cells))
 	}
 	return nil
 }
 
+// access is checkAccess for compiled code: it unwinds on a fault.
+func (m *Machine) access(a *Alloc, off, n int, elem *minic.Type, pos *minic.Pos) {
+	if a == nil || a.Freed || off < 0 || off+n > len(a.Cells) {
+		m.must(m.checkAccess(a, off, n, elem, pos))
+	}
+}
+
+// load reads the cell at a[off].
+func (m *Machine) load(a *Alloc, off int, elem *minic.Type, pos *minic.Pos) Value {
+	if a == nil || a.Freed || uint(off) >= uint(len(a.Cells)) {
+		m.must(m.checkAccess(a, off, 1, elem, pos))
+	}
+	m.Counters.Loads++
+	return a.Cells[off]
+}
+
+// store converts v to the type of the cell at a[off] and writes it.
+func (m *Machine) store(a *Alloc, off int, v Value, elem *minic.Type, pos *minic.Pos) Value {
+	if a == nil || a.Freed || uint(off) >= uint(len(a.Cells)) {
+		m.must(m.checkAccess(a, off, 1, elem, pos))
+	}
+	cell := &a.Cells[off]
+	cv, err := Convert(v, cell.Type())
+	if err != nil {
+		m.must(m.fault(pos, FaultBadCast, "store: %v", err))
+	}
+	m.Counters.Stores++
+	*cell = cv
+	return cv
+}
+
+// copyCells copies n cells from src[soff:] to dst[doff:] as one struct
+// store: the destination is checked and n stores are counted (the source
+// was checked and counted when it was evaluated).
+func (m *Machine) copyCells(dst *Alloc, doff int, src Value, n int, elem *minic.Type, pos *minic.Pos) {
+	if src.Kind() != VStruct || (src.T != elem && FlatSize(src.T) != n) {
+		m.must(m.fault(pos, FaultBadCast, "struct store size mismatch"))
+	}
+	m.access(dst, doff, n, elem, pos)
+	m.Counters.Stores += int64(n)
+	copy(dst.Cells[doff:doff+n], src.A.Cells[src.I:int(src.I)+n])
+}
+
 // LoadScalar reads the single cell at p.
 func (m *Machine) LoadScalar(p Pointer, pos minic.Pos) (Value, error) {
-	if err := m.checkAccess(p, 1, pos); err != nil {
+	if err := m.checkAccess(p.Alloc, p.Off, 1, p.Elem, &pos); err != nil {
 		return Value{}, err
 	}
 	m.Counters.Loads++
@@ -186,49 +221,16 @@ func (m *Machine) LoadScalar(p Pointer, pos minic.Pos) (Value, error) {
 
 // StoreScalar writes v (converted to the cell's type) at p.
 func (m *Machine) StoreScalar(p Pointer, v Value, pos minic.Pos) error {
-	if err := m.checkAccess(p, 1, pos); err != nil {
+	if err := m.checkAccess(p.Alloc, p.Off, 1, p.Elem, &pos); err != nil {
 		return err
 	}
 	cell := &p.Alloc.Cells[p.Off]
-	cv, err := Convert(v, cell.T)
+	cv, err := Convert(v, cell.Type())
 	if err != nil {
-		return m.fault(pos, FaultBadCast, "store: %v", err)
+		return m.fault(&pos, FaultBadCast, "store: %v", err)
 	}
 	m.Counters.Stores++
 	*cell = cv
-	return nil
-}
-
-// LoadObject reads an object of type t (possibly a struct) at p.
-func (m *Machine) LoadObject(p Pointer, t *minic.Type, pos minic.Pos) (Value, error) {
-	n := FlatSize(t)
-	if t.Kind != minic.TStruct {
-		return m.LoadScalar(p, pos)
-	}
-	if err := m.checkAccess(p, n, pos); err != nil {
-		return Value{}, err
-	}
-	m.Counters.Loads += int64(n)
-	fields := make([]Value, n)
-	copy(fields, p.Alloc.Cells[p.Off:p.Off+n])
-	return Value{K: VStruct, T: t, Fields: fields}, nil
-}
-
-// StoreObject writes an object of type t at p. Struct stores copy all
-// leaves; scalar stores convert.
-func (m *Machine) StoreObject(p Pointer, t *minic.Type, v Value, pos minic.Pos) error {
-	if t.Kind != minic.TStruct {
-		return m.StoreScalar(p, v, pos)
-	}
-	n := FlatSize(t)
-	if v.K != VStruct || len(v.Fields) != n {
-		return m.fault(pos, FaultBadCast, "struct store size mismatch")
-	}
-	if err := m.checkAccess(p, n, pos); err != nil {
-		return err
-	}
-	m.Counters.Stores += int64(n)
-	copy(p.Alloc.Cells[p.Off:p.Off+n], v.Fields)
 	return nil
 }
 
@@ -237,24 +239,14 @@ func PointerAdd(p Pointer, delta int64) Pointer {
 	if p.IsNull() {
 		return p
 	}
-	step := FlatSize(p.Elem)
-	if step == 0 {
-		step = 1
-	}
-	p.Off += int(delta) * step
+	p.Off += int(delta) * elemStep(p.Elem)
 	return p
 }
 
-// pointerDiff returns the element distance between two pointers into the
-// same allocation.
-func (m *Machine) pointerDiff(a, b Pointer, pos minic.Pos) (int64, error) {
-	if a.Alloc != b.Alloc {
-		return 0, m.fault(pos, FaultBadPointerOp,
-			"difference of pointers into different allocations")
+// elemStep is the cell stride of a pointer viewing elem (1 for void).
+func elemStep(elem *minic.Type) int {
+	if step := FlatSize(elem); step != 0 {
+		return step
 	}
-	step := FlatSize(a.Elem)
-	if step == 0 {
-		step = 1
-	}
-	return int64((a.Off - b.Off) / step), nil
+	return 1
 }

@@ -209,7 +209,7 @@ void sort_it(int* a, int n) {
 		}
 		sum := 0
 		for i, v := range vals {
-			p := arr.P
+			p := arr.Addr()
 			p.Off = i
 			if err := m.StoreScalar(p, IntValue(int64(v)), minic.Pos{}); err != nil {
 				return false
@@ -222,7 +222,7 @@ void sort_it(int* a, int n) {
 		prev := int64(math.MinInt64)
 		outSum := 0
 		for i := range vals {
-			p := arr.P
+			p := arr.Addr()
 			p.Off = i
 			v, err := m.LoadScalar(p, minic.Pos{})
 			if err != nil {

@@ -13,8 +13,8 @@ unsigned int wrap(unsigned int a, unsigned int b) { return a + b; }
 unsigned int shift(unsigned int a) { return a >> 1; }
 `)
 	v, err := m.CallNamed("wrap", []Value{
-		{K: VInt, T: minic.UInt, I: 4294967295},
-		{K: VInt, T: minic.UInt, I: 2},
+		{T: minic.UInt, I: 4294967295},
+		{T: minic.UInt, I: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ unsigned int shift(unsigned int a) { return a >> 1; }
 		t.Errorf("0xFFFFFFFF + 2 = %d, want 1 (uint32 wrap)", v.Int())
 	}
 	// Unsigned right shift must be logical, not arithmetic.
-	v, err = m.CallNamed("shift", []Value{{K: VInt, T: minic.UInt, I: 0x80000000}})
+	v, err = m.CallNamed("shift", []Value{{T: minic.UInt, I: 0x80000000}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -658,11 +658,11 @@ func runUser(m *interp.Machine, fn *minic.FuncDecl, cand *binding.Candidate,
 			if prm.Name == cand.Length.Param {
 				v = tc.UserLen
 			}
-			args[i] = interp.Value{K: interp.VInt, T: pt, I: v}
+			args[i] = interp.Value{T: pt, I: v}
 		case pt.IsFloat():
 			args[i] = interp.FloatValue(0, pt)
 		default:
-			args[i] = interp.Value{K: interp.VInt, T: minic.Int}
+			args[i] = interp.IntValue(0)
 		}
 	}
 
@@ -680,7 +680,7 @@ func runUser(m *interp.Machine, fn *minic.FuncDecl, cand *binding.Candidate,
 		return nil, nil, err
 	}
 	var retConst *int64
-	if fn.Type.Ret.Kind != minic.TVoid && ret.K == interp.VInt {
+	if fn.Type.Ret.Kind != minic.TVoid && ret.Kind() == interp.VInt {
 		v := ret.I
 		retConst = &v
 	}
