@@ -62,27 +62,89 @@ type compiler struct {
 	m         *Machine
 	ret       *minic.Type // decayed return type of the function compiled
 	locals    map[*minic.VarDecl]*local
-	addressed map[*minic.VarDecl]bool
+	addressed map[*minic.VarDecl]bool // see addressTaken
 	nslots    int
 }
 
-// compileFunc compiles cf's body. The first pass finds the locals whose
-// address is taken; the second pass, knowing them, builds the closures.
+// compileFunc compiles cf's body.
 func (m *Machine) compileFunc(cf *function) {
 	fn := cf.decl
 	if fn.Body == nil {
 		return
 	}
-	addressed := map[*minic.VarDecl]bool{}
-	for pass := 0; pass < 2; pass++ {
-		c := &compiler{m: m, ret: fn.Type.Ret.Decay(),
-			locals: map[*minic.VarDecl]*local{}, addressed: addressed}
-		cf.params = cf.params[:0]
-		for i := range fn.Params {
-			cf.params = append(cf.params, c.param(fn, i))
+	c := &compiler{m: m, ret: fn.Type.Ret.Decay(),
+		locals: map[*minic.VarDecl]*local{}, addressed: map[*minic.VarDecl]bool{}}
+	addressTaken(fn.Body, c.addressed)
+	for i := range fn.Params {
+		cf.params = append(cf.params, c.param(fn, i))
+	}
+	cf.body = c.stmt(fn.Body)
+	cf.nslots = c.nslots
+}
+
+// addressTaken records in set every variable that an & expression under
+// n takes the address of, whole or in part: those need an allocation of
+// their own rather than frame slots.
+func addressTaken(n minic.Node, set map[*minic.VarDecl]bool) {
+	walk := func(ns ...minic.Node) {
+		for _, k := range ns {
+			addressTaken(k, set)
 		}
-		cf.body = c.stmt(fn.Body)
-		cf.nslots = c.nslots
+	}
+	switch x := n.(type) {
+	case *minic.UnaryExpr:
+		if d := lvalueRoot(x.X); x.Op == minic.Amp && d != nil {
+			set[d] = true
+		}
+		walk(x.X)
+	case *minic.BinaryExpr:
+		walk(x.L, x.R)
+	case *minic.AssignExpr:
+		walk(x.L, x.R)
+	case *minic.CommaExpr:
+		walk(x.L, x.R)
+	case *minic.CondExpr:
+		walk(x.Cond, x.Then, x.Else)
+	case *minic.CallExpr:
+		for _, a := range x.Args {
+			walk(a)
+		}
+	case *minic.IndexExpr:
+		walk(x.X, x.Index)
+	case *minic.MemberExpr:
+		walk(x.X)
+	case *minic.CastExpr:
+		walk(x.X)
+	case *minic.InitListExpr:
+		for _, item := range x.Items {
+			walk(item)
+		}
+	case *minic.ExprStmt:
+		walk(x.X)
+	case *minic.DeclStmt:
+		for _, d := range x.Decls {
+			walk(d.Type.ArrayLenExpr, d.Init)
+		}
+	case *minic.BlockStmt:
+		for _, sub := range x.List {
+			walk(sub)
+		}
+	case *minic.IfStmt:
+		walk(x.Cond, x.Then, x.Else)
+	case *minic.ForStmt:
+		walk(x.Init, x.Cond, x.Post, x.Body)
+	case *minic.WhileStmt:
+		walk(x.Cond, x.Body)
+	case *minic.SwitchStmt:
+		walk(x.Tag)
+		for _, cc := range x.Cases {
+			walk(cc.Value)
+			for _, sub := range cc.Body {
+				walk(sub)
+			}
+		}
+	case *minic.ReturnStmt:
+		walk(x.Value)
 	}
 }
 

@@ -240,19 +240,12 @@ func (c *compiler) addr(e minic.Expr) (addrFn, *minic.Type) {
 	case *minic.IndexExpr:
 		base, index := c.expr(x.X), c.expr(x.Index)
 		elem := x.ResultType()
-		if step := FlatSize(elem); step != 0 {
-			return func(fr *frame) (*Alloc, int) {
-				b := base(fr)
-				if b.Kind() != VPointer {
-					m.must(m.fault(pos, FaultBadPointerOp, "index of non-pointer value"))
-				}
-				i := index(fr)
-				m.Counters.IntOps++
-				return b.A, int(b.I) + int(i.Int())*step
-			}, elem
+		step := FlatSize(elem)
+		var size func(*frame) int
+		if step == 0 {
+			// VLA row: compute the dynamic flat size.
+			size = c.dynFlatSize(elem, pos)
 		}
-		// VLA row: compute the dynamic flat size.
-		size := c.dynFlatSize(elem, pos)
 		return func(fr *frame) (*Alloc, int) {
 			b := base(fr)
 			if b.Kind() != VPointer {
@@ -260,7 +253,11 @@ func (c *compiler) addr(e minic.Expr) (addrFn, *minic.Type) {
 			}
 			i := index(fr)
 			m.Counters.IntOps++
-			return b.A, int(b.I) + int(i.Int())*size(fr)
+			s := step
+			if s == 0 {
+				s = size(fr)
+			}
+			return b.A, int(b.I) + int(i.Int())*s
 		}, elem
 	case *minic.MemberExpr:
 		if x.Arrow {
@@ -361,8 +358,10 @@ func (c *compiler) unary(x *minic.UnaryExpr, pos *minic.Pos) evalFn {
 	m, rt := c.m, x.ResultType()
 	switch x.Op {
 	case minic.Amp:
-		if d := lvalueRoot(x.X); d != nil {
-			c.addressed[d] = true
+		if l := c.locals[lvalueRoot(x.X)]; l != nil && !l.alloc {
+			// Only an & that addressTaken cannot see, inside a type's
+			// array length, gets here.
+			return c.fail(pos, FaultUnsupported, "address of a local taken inside a type")
 		}
 		addr, _ := c.addr(x.X)
 		return func(fr *frame) Value {

@@ -35,7 +35,8 @@ func iterditRunner(t testing.TB) (*bench.Runner, []complex128) {
 }
 
 // TestIterditAllocs bounds the Go allocations of one 256-point iterdit
-// run. The tree-walking interpreter this package replaced made 25,062.
+// run: locals live in frame slots and struct copies move cells, so a run
+// allocates little beyond the program's own arrays.
 func TestIterditAllocs(t *testing.T) {
 	r, in := iterditRunner(t)
 	allocs := testing.AllocsPerRun(5, func() {
