@@ -234,15 +234,6 @@ func (m *Machine) StoreScalar(p Pointer, v Value, pos minic.Pos) error {
 	return nil
 }
 
-// PointerAdd advances p by delta elements of its view type.
-func PointerAdd(p Pointer, delta int64) Pointer {
-	if p.IsNull() {
-		return p
-	}
-	p.Off += int(delta) * elemStep(p.Elem)
-	return p
-}
-
 // elemStep is the cell stride of a pointer viewing elem (1 for void).
 func elemStep(elem *minic.Type) int {
 	if step := FlatSize(elem); step != 0 {
