@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -533,6 +534,44 @@ int f(int n) {
 	callInt(t, m, "f", 3)
 	if got := seen["x"]; len(got) != 4 || got[3] != 4 {
 		t.Errorf("observed x = %v", got)
+	}
+}
+
+// TestObserveOrder pins what value profiling sees, in order: integer
+// parameters, every scalar initializer before conversion to the declared
+// type, and assignments to named variables after it; not stores through
+// pointers or fields, increments, or struct copies.
+func TestObserveOrder(t *testing.T) {
+	m := run(t, `
+typedef struct { double re; double im; } cpx;
+int g(int k) { return k + 1; }
+double f(int n, double s) {
+    double d = n;
+    int x = 2.75;
+    int y = {7};
+    int *p = &x;
+    cpx a;
+    cpx b;
+    a.re = s;
+    b = a;
+    x = d * 2;
+    y += g(n);
+    *p = 9;
+    x++;
+    return d + x + y + b.re;
+}`)
+	var seen []string
+	m.Observe = func(name string, v Value) {
+		seen = append(seen, fmt.Sprintf("%s=%s:%s", name, v, v.Type()))
+	}
+	v, err := m.CallNamed("f", []Value{IntValue(3), FloatValue(1.5, minic.Double)})
+	if err != nil || v.Float() != 25.5 {
+		t.Fatalf("f(3, 1.5) = %v, %v; want 25.5", v, err)
+	}
+	want := []string{"n=3:int", "d=3:int", "x=2.75:double", "y=7:int",
+		"p=&x[0]:int*", "x=6:int", "k=3:int", "y=11:int"}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Errorf("observed %q\nwant     %q", seen, want)
 	}
 }
 
