@@ -83,10 +83,15 @@ func runCandidates(ctx context.Context, fn *minic.FuncDecl,
 	// expected to cost in interpreter work. Computed once, before any
 	// worker runs, from (seed, candidate, profile) only — never from run
 	// history — so every process, at every worker count, orders its
-	// speculation identically.
-	costs := make([]int64, len(cands))
-	for i, c := range cands {
-		costs[i] = iogen.EstimateCost(opts.Seed, c, profile, opts.NumTests)
+	// speculation identically. A single worker never speculates: every
+	// candidate before the frontier is decided whenever it picks, so it
+	// needs no costs.
+	var costs []int64
+	if workers > 1 {
+		costs = make([]int64, len(cands))
+		for i, c := range cands {
+			costs[i] = iogen.EstimateCost(opts.Seed, c, profile, opts.NumTests)
+		}
 	}
 
 	outcomes := make([]candOutcome, len(cands))
@@ -115,12 +120,12 @@ func runCandidates(ctx context.Context, fn *minic.FuncDecl,
 			if first < 0 {
 				first = j
 			}
-			if cheapest < 0 || costs[j] < costs[cheapest] {
+			if costs != nil && (cheapest < 0 || costs[j] < costs[cheapest]) {
 				cheapest = j
 			}
 		}
-		if first < 0 {
-			return -1
+		if first < 0 || costs == nil {
+			return first
 		}
 		// Frontier rule: when every index below the lowest undispatched
 		// candidate is decided, that candidate is the search frontier —
