@@ -295,3 +295,53 @@ func BenchmarkInterpreterFFT(b *testing.B) {
 	steps := r.Machine.TotalCounters().Steps - before
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }
+
+// BenchmarkInterpCorpus measures the interpreter over the whole corpus:
+// one op runs each of the programs that have a driver once, at the
+// largest of n = 256, 64 and 16 the program supports, and the benchmark
+// reports time per interpreted step and Go allocations per op.
+func BenchmarkInterpCorpus(b *testing.B) {
+	type run struct {
+		r  *bench.Runner
+		in []complex128
+	}
+	var runs []run
+	for _, bm := range bench.Suite() {
+		if len(bm.Driver) == 0 {
+			continue
+		}
+		n := 0
+		for _, size := range []int{256, 64, 16} {
+			if bm.SupportsSize(size) {
+				n = size
+				break
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		r, err := bench.NewRunner(bm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in := make([]complex128, n)
+		for i := range in {
+			in[i] = complex(float64(i%7), float64(i%5))
+		}
+		runs = append(runs, run{r, in})
+	}
+	var steps int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, x := range runs {
+			x.r.Machine.Reset()
+			if _, err := x.r.Run(x.in); err != nil {
+				b.Fatal(err)
+			}
+			steps += x.r.Machine.Counters.Steps
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	b.ReportMetric(float64(len(runs)), "programs")
+}

@@ -174,8 +174,7 @@ type Machine struct {
 	frames      []*frame                      // frame pool, indexed by depth
 	args        []Value                       // argument stack
 	nextAllocID int
-	steps       int64
-	nextCheck   int64 // step count at which step takes its slow path
+	nextCheck   int64 // Counters.Steps at which step takes its slow path
 	depth       int
 	exitCode    int
 }
@@ -245,7 +244,6 @@ func (m *Machine) Reset() {
 	m.Totals.Add(m.Counters)
 	m.Counters = Counters{}
 	m.Out.Reset()
-	m.steps = 0
 }
 
 // TotalCounters returns the machine-lifetime operation counters: every
@@ -305,26 +303,26 @@ func (m *Machine) fuel() int64 {
 func (m *Machine) resetCheck() {
 	m.nextCheck = m.fuel() + 1
 	if m.Ctx != nil {
-		if poll := (m.steps/ctxPollStride + 1) * ctxPollStride; poll < m.nextCheck {
+		if poll := (m.Counters.Steps/ctxPollStride + 1) * ctxPollStride; poll < m.nextCheck {
 			m.nextCheck = poll
 		}
 	}
 }
 
 // step counts one executed statement, expression or loop back-edge.
+// Counters.Steps is also the fuel gauge: Reset zeroes both.
 func (m *Machine) step(pos *minic.Pos) {
-	m.steps++
 	m.Counters.Steps++
-	if m.steps >= m.nextCheck {
+	if m.Counters.Steps >= m.nextCheck {
 		m.stepSlow(pos)
 	}
 }
 
 func (m *Machine) stepSlow(pos *minic.Pos) {
-	if max := m.fuel(); m.steps > max {
+	if max := m.fuel(); m.Counters.Steps > max {
 		m.must(m.fault(pos, FaultFuelExhausted, "step limit %d exceeded", max))
 	}
-	if m.Ctx != nil && m.steps%ctxPollStride == 0 {
+	if m.Ctx != nil && m.Counters.Steps%ctxPollStride == 0 {
 		if err := m.Ctx.Err(); err != nil {
 			m.must(m.faultCause(pos, FaultCancelled, err,
 				"interpretation cancelled: %v", err))
