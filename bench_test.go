@@ -11,7 +11,9 @@ package facc_test
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"facc/internal/accel"
@@ -21,6 +23,7 @@ import (
 	"facc/internal/core"
 	"facc/internal/eval"
 	"facc/internal/minic"
+	"facc/internal/obs"
 	"facc/internal/synth"
 )
 
@@ -240,32 +243,54 @@ func BenchmarkAblationIOTests(b *testing.B) {
 	}
 }
 
-// BenchmarkSynthesizeOne measures end-to-end adapter synthesis for a
-// mid-size corpus program on each target.
+// BenchmarkSynthesizeOne measures end-to-end adapter synthesis of one
+// (program, target) pair, with the CLI's 10 IO tests per candidate, at
+// one worker and at GOMAXPROCS workers. Beside ns/op it reports the IO
+// tests started and the interpreter steps spent per op, read from a
+// trace registry: at more than one worker both count the cases run past
+// a kill. iterdit's first candidate wins on every target; bigmixed on
+// ffta tests three candidates, two of which die.
 func BenchmarkSynthesizeOne(b *testing.B) {
-	bm, err := bench.ByName("iterdit")
-	if err != nil {
-		b.Fatal(err)
+	workers := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		workers = append(workers, n)
 	}
-	for _, target := range []string{"ffta", "powerquad", "fftw"} {
-		target := target
-		b.Run(target, func(b *testing.B) {
-			spec, _ := accel.SpecByName(target)
-			for i := 0; i < b.N; i++ {
-				f, err := minic.ParseAndCheck(bm.File, bm.Source())
-				if err != nil {
-					b.Fatal(err)
+	for _, p := range []struct{ prog, target string }{
+		{"iterdit", "ffta"}, {"iterdit", "powerquad"}, {"iterdit", "fftw"},
+		{"bigmixed", "ffta"},
+	} {
+		bm, err := bench.ByName(p.prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec, err := accel.SpecByName(p.target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range workers {
+			b.Run(fmt.Sprintf("%s/%s/w=%d", p.prog, p.target, w), func(b *testing.B) {
+				tr := obs.New()
+				sp := tr.Span("bench")
+				for i := 0; i < b.N; i++ {
+					f, err := minic.ParseAndCheck(bm.File, bm.Source())
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := synth.Synthesize(context.Background(), f, f.Func(bm.Entry), spec,
+						core.BuildProfile(bm.ProfileValues), synth.Options{Workers: w, Obs: sp})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Adapter == nil {
+						b.Fatal("no adapter")
+					}
 				}
-				res, err := synth.Synthesize(context.Background(), f, f.Func(bm.Entry), spec,
-					core.BuildProfile(bm.ProfileValues), synth.Options{NumTests: 4})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Adapter == nil {
-					b.Fatal("no adapter")
-				}
-			}
-		})
+				sp.End()
+				c := tr.Metrics().Counters()
+				b.ReportMetric(float64(c["synth.tests_run"])/float64(b.N), "tests/op")
+				b.ReportMetric(float64(c["interp.steps"])/float64(b.N), "steps/op")
+			})
+		}
 	}
 }
 

@@ -1,14 +1,16 @@
 package facc
 
-// Determinism regression: parallel candidate fuzzing must be externally
-// unobservable. Compiling the whole supported corpus with Workers=1 and
-// Workers=8 must yield byte-identical adapters and an identical provenance
-// journal (the winner, its verdicts, and every event up to it — only the
-// oracle cache-stats event may differ, since speculative work is real
-// work). This is the contract that lets -j default to GOMAXPROCS.
+// Determinism regression: running a candidate's IO cases in parallel must
+// be externally unobservable. Compiling the whole supported corpus with
+// Workers=1 and Workers=8 must yield byte-identical adapters and an
+// identical provenance journal (the winner, its verdicts, and every event
+// up to it — only the oracle cache-stats event may differ, since cases
+// run past a kill are real work). This is the contract that lets -j
+// default to GOMAXPROCS.
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"facc/internal/bench"
@@ -17,8 +19,8 @@ import (
 
 // journalKey renders a journal event for cross-worker-count comparison:
 // Seq is re-derived from the filtered position (oracle cache-stats events
-// are dropped — their hit/miss split legitimately reflects speculative
-// candidates), AtUs is wall-clock and excluded.
+// are dropped — their hit/miss split legitimately reflects cases run past
+// a kill), AtUs is wall-clock and excluded.
 func journalKey(events []obs.JournalEvent) []string {
 	var keys []string
 	for _, ev := range events {
@@ -108,7 +110,7 @@ func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // fateKey projects a journal down to candidate fates: which candidates
-// were emitted, pruned, fuzz-killed, superseded, survived and accepted —
+// were emitted, pruned, fuzz-killed, survived and accepted —
 // with the case-level attribution (test count at death, counterexample,
 // detail) removed. Counterexample replay exists precisely to kill losers
 // at an *earlier* discriminating case, so those fields legitimately vary
@@ -142,29 +144,51 @@ func fateKey(events []obs.JournalEvent) []string {
 //   - candidate fates: identical across ALL cells. Only the case-level
 //     kill attribution (which discriminating case, after how many
 //     tests) may differ under replay — that difference is the speedup.
+//   - the search record: within each pool configuration, the kill
+//     events (every field but Steps, which counts oracle misses and so
+//     depends on which cases ran past an earlier kill) and the funnels
+//     are identical across worker counts, and so are the entries of a
+//     pool primed at Workers=8 and one primed at Workers=1 (timestamps
+//     aside): a case run past its candidate's kill is never recorded.
 func TestSynthesisDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("matrix compiles the whole corpus seven times; skipped in -short")
+		t.Skip("matrix compiles the whole corpus eight times; skipped in -short")
 	}
 
 	// Prime a pool the way a long-lived -cex-pool file accumulates: one
-	// sequential corpus pass recording every kill live.
-	primed := NewCexPool()
-	for _, bm := range bench.SupportedSuite() {
-		for _, target := range differentialTargets {
-			if _, err := Compile(bm.File, bm.Source(), target, Options{
-				Entry:         bm.Entry,
-				ProfileValues: bm.ProfileValues,
-				NumTests:      4,
-				Workers:       1,
-				Cex:           primed,
-			}); err != nil {
-				t.Fatalf("priming %s/%s: %v", bm.Name, target, err)
+	// corpus pass recording every kill live.
+	prime := func(workers int) *CexPool {
+		pool := NewCexPool()
+		for _, bm := range bench.SupportedSuite() {
+			for _, target := range differentialTargets {
+				if _, err := Compile(bm.File, bm.Source(), target, Options{
+					Entry:         bm.Entry,
+					ProfileValues: bm.ProfileValues,
+					NumTests:      4,
+					Workers:       workers,
+					Cex:           pool,
+				}); err != nil {
+					t.Fatalf("priming %s/%s workers=%d: %v", bm.Name, target, workers, err)
+				}
 			}
 		}
+		return pool
 	}
+	primed := prime(1)
 	if primed.Len() == 0 {
 		t.Fatal("priming recorded no counterexamples; the replay cells would be vacuous")
+	}
+	poolKey := func(p *CexPool) []string {
+		var keys []string
+		for _, e := range p.Entries() {
+			e.FirstSeenUnix, e.LastUsefulUnix = 0, 0
+			keys = append(keys, fmt.Sprintf("%+v", e))
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	if w1, w8 := poolKey(primed), poolKey(prime(8)); fmt.Sprint(w1) != fmt.Sprint(w8) {
+		t.Errorf("pool primed at workers=8 differs from workers=1:\n  workers=1: %v\n  workers=8: %v", w1, w8)
 	}
 
 	type outcome struct {
@@ -176,9 +200,15 @@ func TestSynthesisDeterminismMatrix(t *testing.T) {
 	}
 	// pool returns a fresh Options.Cex per compile so every cell's
 	// compiles see identical pool state at entry (live recording during
-	// one compile must not leak into the next cell's comparison).
-	compileAll := func(workers int, pool func() *CexPool) map[string]outcome {
+	// one compile must not leak into the next cell's comparison). Each
+	// cell records into one kill table.
+	type cellOut struct {
+		out   map[string]outcome
+		kills *KillTable
+	}
+	compileAll := func(workers int, pool func() *CexPool) cellOut {
 		out := map[string]outcome{}
+		kills := NewKillTable()
 		for _, bm := range bench.SupportedSuite() {
 			for _, target := range differentialTargets {
 				j := obs.NewJournal()
@@ -188,6 +218,7 @@ func TestSynthesisDeterminismMatrix(t *testing.T) {
 					NumTests:      4,
 					Workers:       workers,
 					Journal:       j,
+					Kills:         kills,
 					Cex:           pool(),
 				})
 				if err != nil {
@@ -203,7 +234,7 @@ func TestSynthesisDeterminismMatrix(t *testing.T) {
 				out[bm.Name+"/"+target] = o
 			}
 		}
-		return out
+		return cellOut{out: out, kills: kills}
 	}
 
 	noPool := func() *CexPool { return nil }
@@ -211,7 +242,7 @@ func TestSynthesisDeterminismMatrix(t *testing.T) {
 	primedPool := func() *CexPool { return primed.Clone() }
 	cells := []struct {
 		name string
-		out  map[string]outcome
+		cellOut
 	}{
 		{"w1/no-pool", compileAll(1, noPool)},
 		{"w8/no-pool", compileAll(8, noPool)},
@@ -282,6 +313,30 @@ func TestSynthesisDeterminismMatrix(t *testing.T) {
 	sameJournals(cells[2].name, cells[2].out, cells[3].name, cells[3].out) // empty:   w1 == w8
 	sameJournals(cells[4].name, cells[4].out, cells[5].name, cells[5].out) // replay:  w1 == w8
 	sameJournals(cells[0].name, cells[0].out, cells[2].name, cells[2].out) // empty rank == fresh order
+
+	// Kill events and funnels: identical across worker counts per pool
+	// config.
+	for c := 0; c < len(cells); c += 2 {
+		w1, w8 := cells[c], cells[c+1]
+		e1, e8 := w1.kills.Events(), w8.kills.Events()
+		if len(e1) == 0 {
+			t.Errorf("%s: no kill events; the check is vacuous", w1.name)
+		}
+		if len(e1) != len(e8) {
+			t.Errorf("%s: %d kill events, %s has %d", w8.name, len(e8), w1.name, len(e1))
+		}
+		for i := 0; i < len(e1) && i < len(e8); i++ {
+			a, b := e1[i], e8[i]
+			a.Steps, b.Steps = 0, 0
+			if a != b {
+				t.Errorf("%s kill event %d differs from %s:\n  %+v\n  %+v", w8.name, i, w1.name, b, a)
+				break
+			}
+		}
+		if f1, f8 := fmt.Sprint(w1.kills.Funnels()), fmt.Sprint(w8.kills.Funnels()); f1 != f8 {
+			t.Errorf("%s funnels differ from %s:\n  %s\n  %s", w8.name, w1.name, f8, f1)
+		}
+	}
 
 	t.Logf("matrix verified: %d outcomes x %d cells (%d accepted adapters, %d primed counterexamples)",
 		len(base), len(cells), accepted, primed.Len())

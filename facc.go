@@ -71,13 +71,15 @@ type Options struct {
 	Classifier *Classifier
 	// NumTests overrides the IO examples per candidate (default 10).
 	NumTests int
-	// Workers bounds candidate-level parallelism inside generate-and-test:
-	// up to Workers binding candidates are fuzzed concurrently, sharing a
-	// memoized reference oracle (the user program's outputs are interpreted
-	// once per distinct test case and reused across candidates). The
-	// generated adapter, the Result counts and the journal verdicts are
-	// deterministic — identical for every Workers value. 0 (the default)
-	// means GOMAXPROCS; 1 forces fully sequential search.
+	// Workers bounds case-level parallelism inside generate-and-test:
+	// candidates are tested one at a time, and the current candidate's IO
+	// cases run on up to Workers goroutines, each reference run going
+	// through a memoized oracle (the user program's outputs are
+	// interpreted once per distinct test case and reused across
+	// candidates). The generated adapter, the Result counts, the journal
+	// verdicts and the kill events are deterministic — identical for
+	// every Workers value. 0 (the default) means GOMAXPROCS; 1 runs every
+	// case inline, in sequence.
 	Workers int
 	// Tolerance overrides the comparison tolerance (default 2e-3,
 	// norm-scaled).
@@ -103,7 +105,7 @@ type Options struct {
 	// Ledger, when non-nil, charges every interpreter test, interpreter
 	// step and oracle lookup to a (function, candidate, target, verdict)
 	// account, separating useful work (the winner) from speculative waste
-	// (superseded/killed losers) and shared work (oracle hits). Render
+	// (killed losers) and shared work (oracle hits). Render
 	// with Ledger.WriteCostReport (`facc -explain -costs`) or roll up via
 	// Ledger.Summary. Nil (the default) costs nothing on the hot path.
 	Ledger *Ledger
@@ -111,7 +113,7 @@ type Options struct {
 	// non-survivor candidate's kill event — the discriminating IO case
 	// (seed, case index), interpreter steps at death, mismatch kind and
 	// binding family — plus the generated → pre-filtered → dispatched →
-	// killed/superseded → survivor search funnel. Render with
+	// killed/survived → winner search funnel. Render with
 	// KillTable.WriteSearchReport (`facc -search-report`) or persist the
 	// discriminating inputs across runs via obs.CexPool (`-cex-pool`).
 	// Nil (the default) costs nothing on the verdict path.

@@ -34,7 +34,7 @@ type LedgerEntry struct {
 	Target    string `json:"target"`
 	Candidate string `json:"candidate"`
 	// Verdict is the candidate's final fuzz outcome ("winner",
-	// "survived", "superseded", "behavior-mismatch", ...). Last write
+	// "survived", "behavior-mismatch", ...). Last write
 	// wins: the synthesis engine overrides the winning candidate's
 	// "survived" with "winner" once the deterministic search resolves.
 	Verdict string `json:"verdict"`
@@ -214,7 +214,7 @@ type TargetCost struct {
 	UsefulTests int64 `json:"useful_tests"`
 	UsefulSteps int64 `json:"useful_steps"`
 
-	// Speculative work: charged to superseded/killed/failed candidates.
+	// Speculative work: charged to killed/failed candidates.
 	SpeculativeTests int64 `json:"speculative_tests"`
 	SpeculativeSteps int64 `json:"speculative_steps"`
 

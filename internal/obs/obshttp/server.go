@@ -79,15 +79,13 @@ type Status struct {
 	CandidateTimeouts int64  `json:"candidate_timeouts"`
 	BreakerState      string `json:"breaker_state,omitempty"`
 
-	// Parallel synthesis: reference-oracle cache effectiveness and how
-	// many candidate workers are fuzzing right now. OraclePerTarget
-	// splits the blended rate per accelerator target (the ROADMAP's
-	// ">50% cross-target hit rate" goal is measured per target).
+	// Reference-oracle cache effectiveness. OraclePerTarget splits the
+	// blended rate per accelerator target (the ROADMAP's ">50%
+	// cross-target hit rate" goal is measured per target).
 	OracleHits      int64                  `json:"oracle_hits"`
 	OracleMisses    int64                  `json:"oracle_misses"`
 	OracleHitRate   float64                `json:"oracle_hit_rate"`
 	OraclePerTarget map[string]OracleStats `json:"oracle_per_target,omitempty"`
-	PoolBusy        int64                  `json:"pool_busy"`
 
 	JournalEvents int `json:"journal_events"`
 
@@ -317,7 +315,6 @@ func (s *Server) BuildStatus() Status {
 	if !s.Kills.Empty() {
 		st.Search = s.Kills.Summary()
 	}
-	st.PoolBusy = int64(st.Gauges["synth.pool_busy"])
 	if cap, ok := st.Gauges["serve.queue_capacity"]; ok {
 		st.Serve = &ServeStatus{
 			QueueDepth:       int64(st.Gauges["serve.queue_depth"]),

@@ -10,8 +10,7 @@ func sampleKills() *KillTable {
 	k := NewKillTable()
 	k.AddGenerated("fft", "ffta", 10)
 	k.AddPreFiltered("fft", "ffta", 4)
-	k.AddDispatched("fft", "ffta", 6)
-	k.AddSuperseded("fft", "ffta", 1)
+	k.AddDispatched("fft", "ffta", 5)
 	k.AddSurvived("fft", "ffta", 1)
 	k.AddWinner("fft", "ffta", 1)
 	// Case 0 kills two distinct binding families; case 1 kills one.
@@ -35,13 +34,13 @@ func TestKillTableSummary(t *testing.T) {
 	if sum == nil {
 		t.Fatal("nil summary for populated table")
 	}
-	if sum.Generated != 10 || sum.PreFiltered != 4 || sum.Dispatched != 6 {
-		t.Errorf("funnel head = %d/%d/%d, want 10/4/6",
+	if sum.Generated != 10 || sum.PreFiltered != 4 || sum.Dispatched != 5 {
+		t.Errorf("funnel head = %d/%d/%d, want 10/4/5",
 			sum.Generated, sum.PreFiltered, sum.Dispatched)
 	}
-	if sum.Killed != 4 || sum.Superseded != 1 || sum.Survived != 1 || sum.Winners != 1 {
-		t.Errorf("funnel tail = %d/%d/%d/%d, want 4/1/1/1",
-			sum.Killed, sum.Superseded, sum.Survived, sum.Winners)
+	if sum.Killed != 4 || sum.Survived != 1 || sum.Winners != 1 {
+		t.Errorf("funnel tail = %d/%d/%d, want 4/1/1",
+			sum.Killed, sum.Survived, sum.Winners)
 	}
 	if sum.MultiFamilyCases != 1 {
 		t.Errorf("MultiFamilyCases = %d, want 1 (case 0 killed famA and famB)",
@@ -128,7 +127,6 @@ func TestNilKillTableZeroAllocs(t *testing.T) {
 		k.AddGenerated("fft", "ffta", 1)
 		k.AddPreFiltered("fft", "ffta", 1)
 		k.AddDispatched("fft", "ffta", 1)
-		k.AddSuperseded("fft", "ffta", 1)
 		k.AddSurvived("fft", "ffta", 1)
 		k.AddWinner("fft", "ffta", 1)
 		k.Scoped("trace")
@@ -145,7 +143,7 @@ func TestWriteSearchReport(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"search funnel: 10 generated, 4 pre-filtered, 6 dispatched, 4 killed, 1 superseded, 1 survived, 1 winner(s)",
+		"search funnel: 10 generated, 4 pre-filtered, 5 dispatched, 4 killed, 1 survived, 1 winner(s)",
 		"case 0: 2 kill(s)",
 		"no single case (not-viable/timeout/panic): 1",
 		"[ffta] seed=42 n=64 case=0 — 2 kill(s) across 2 binding family(ies)",

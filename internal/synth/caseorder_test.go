@@ -52,7 +52,7 @@ func refMachine(t *testing.T, f *minic.File) *interp.Machine {
 	return m
 }
 
-func runCase(m *interp.Machine, fn *minic.FuncDecl, cand *binding.Candidate, tc iogen.Case) caseRun {
+func refRun(m *interp.Machine, fn *minic.FuncDecl, cand *binding.Candidate, tc iogen.Case) caseRun {
 	out, ret, err := runUser(m, fn, cand, tc)
 	var r caseRun
 	if err != nil {
@@ -128,15 +128,15 @@ func TestCaseOrderIndependent(t *testing.T) {
 				fwd := make([]caseRun, len(tcs))
 				m := refMachine(t, f)
 				for i, tc := range tcs {
-					fwd[i] = runCase(m, fn, cand, tc)
+					fwd[i] = refRun(m, fn, cand, tc)
 				}
 				rev := make([]caseRun, len(tcs))
 				m = refMachine(t, f)
 				for i := len(tcs) - 1; i >= 0; i-- {
-					rev[i] = runCase(m, fn, cand, tcs[i])
+					rev[i] = refRun(m, fn, cand, tcs[i])
 				}
 				for i, tc := range tcs {
-					fresh := runCase(refMachine(t, f), fn, cand, tc)
+					fresh := refRun(refMachine(t, f), fn, cand, tc)
 					if !fwd[i].equal(rev[i]) || !fwd[i].equal(fresh) {
 						t.Errorf("%s/%s %s case %d depends on the cases run before it:\n"+
 							"  replay order: ret %q fault %q\n  reverse order: ret %q fault %q\n"+

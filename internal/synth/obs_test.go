@@ -80,10 +80,8 @@ func TestSynthesizeWithObsSpan(t *testing.T) {
 	}
 	tr := obs.New()
 	root := tr.Span("synthesize")
-	// Workers: 1 — the span-count assertion (one fuzz span per tested
-	// candidate) only holds without speculative parallel candidates.
 	res, err := Synthesize(context.Background(), f, f.Func("fft"), accel.NewFFTA(), pow2Profile("n"),
-		Options{NumTests: 4, Obs: root, Workers: 1})
+		Options{NumTests: 4, Obs: root})
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +133,6 @@ func TestNilKillTableZeroAllocsOnVerdictPath(t *testing.T) {
 		recordKill(Options{}, "fft", nil, nil, -1, 0, "behavior-mismatch", "")
 		k.AddDispatched("fft", "ffta", 1)
 		k.AddSurvived("fft", "ffta", 1)
-		k.AddSuperseded("fft", "ffta", 1)
 		k.AddWinner("fft", "ffta", 1)
 	})
 	if allocs != 0 {
@@ -178,8 +175,8 @@ func TestSynthesizeKillAttribution(t *testing.T) {
 		t.Errorf("generated (%d) < dispatched (%d): funnel head lost hypotheses",
 			sum.Generated, sum.Dispatched)
 	}
-	// ExhaustAll + Workers=1: nothing superseded, so every dispatched
-	// candidate either survived or died with a kill event.
+	// Every dispatched candidate either survived or died with a kill
+	// event.
 	if got := sum.Killed + sum.Survived; got != sum.Dispatched {
 		t.Errorf("killed (%d) + survived (%d) != dispatched (%d)",
 			sum.Killed, sum.Survived, sum.Dispatched)

@@ -133,6 +133,7 @@ type oracle struct {
 	led *obs.Ledger
 
 	machines chan *interp.Machine // tokens; nil = build lazily on first use
+	workers  int                  // the machine bound: cases run concurrently
 
 	cache *OracleCache
 
@@ -168,6 +169,7 @@ func newOracle(f *minic.File, fn *minic.FuncDecl, target string, workers int,
 		reg:      reg,
 		led:      led,
 		machines: make(chan *interp.Machine, workers),
+		workers:  workers,
 		cache:    shared,
 	}
 	if reg != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // eventSig renders the deterministic fields of a journal event — everything
-// except Seq-adjacent timing. The parallel pool promises these match a
+// except Seq-adjacent timing. Parallel cases promise these match a
 // sequential run byte for byte.
 func eventSig(ev obs.JournalEvent) string {
 	return fmt.Sprintf("%d|%s|%s|%s|%s|%s|%d|%s|%s", ev.Seq, ev.Kind,
@@ -22,7 +22,7 @@ func eventSig(ev obs.JournalEvent) string {
 }
 
 // journalSigs drops the oracle-stats event (its hit/miss split legitimately
-// varies with speculative work) and renders the rest.
+// varies with the cases run past a kill) and renders the rest.
 func journalSigs(j *obs.Journal) []string {
 	var out []string
 	for _, ev := range j.Events() {
@@ -51,8 +51,9 @@ func synthAtWorkers(t *testing.T, src, entry string, spec *accel.Spec,
 }
 
 // TestPoolDeterministicAcrossWorkers is the core guarantee of the parallel
-// engine: for every worker count, the Result counts, the winning binding,
-// and the journaled verdict stream are identical to the sequential run.
+// case runner: for every worker count, the Result counts, the winning
+// binding, and the journaled verdict stream are identical to the
+// sequential run.
 func TestPoolDeterministicAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -111,33 +112,84 @@ func TestPoolDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPoolNoSpuriousTimeouts: a candidate cancelled because an earlier one
-// already won must be discarded as "superseded", not misclassified as a
-// timeout (which would pollute robustness metrics and provenance).
-func TestPoolNoSpuriousTimeouts(t *testing.T) {
-	f, err := minic.ParseAndCheck("t.c", dirFlagSrc)
+// slowTailSrc wraps radix2Struct's FFT. At n=64, the size of every
+// candidate's first case, it spins briefly and then corrupts the result,
+// so every candidate dies at that case. At larger n it spins for millions
+// of steps first, so at Workers>1 those cases are still running when the
+// first case kills their candidate, and must be cancelled.
+const slowTailSrc = radix2Struct + `
+void spin_fft(cpx* x, int n) {
+    int spin = 20000;
+    if (n > 64) {
+        spin = 2000000;
+    }
+    double acc = 0.0;
+    for (int i = 0; i < spin; i++) {
+        acc = acc + 1.0;
+    }
+    fft(x, n);
+    if (n == 64) {
+        x[1].re = x[1].re + acc;
+    }
+}`
+
+// TestCasesPastAKillAreDropped: a case cancelled because an earlier case
+// already killed its candidate is dropped — it yields no "timeout" (or
+// "cancelled") verdict, no kill event and no journal line — and it is cut
+// short rather than run to completion.
+func TestCasesPastAKillAreDropped(t *testing.T) {
+	f, err := minic.ParseAndCheck("t.c", slowTailSrc)
 	if err != nil {
 		t.Fatalf("frontend: %v", err)
 	}
-	for run := 0; run < 5; run++ {
+	search := func(workers int) (map[string]int64, []obs.KillEvent, []string, *Result) {
 		tr := obs.New()
 		sp := tr.Span("synthesize")
 		j := obs.NewJournal()
-		_, err := Synthesize(context.Background(), f, f.Func("fft_dir"),
-			accel.NewFFTWLib(), pow2Profile("n", 16, 32, 64),
-			Options{NumTests: 4, Workers: 8, Obs: sp, Journal: j})
+		kills := obs.NewKillTable()
+		res, err := Synthesize(context.Background(), f, f.Func("spin_fft"),
+			accel.NewFFTA(), pow2Profile("n", 64, 128, 256, 512),
+			Options{NumTests: 4, Workers: workers, Obs: sp, Journal: j, Kills: kills})
 		sp.End()
 		if err != nil {
-			t.Fatalf("synthesize: %v", err)
+			t.Fatalf("synthesize (workers=%d): %v", workers, err)
 		}
-		if got := tr.Metrics().Counters()["synth.candidate_timeouts"]; got != 0 {
+		return tr.Metrics().Counters(), kills.Events(), journalSigs(j), res
+	}
+	_, seqKills, seqJournal, seq := search(1)
+	if seq.Tested == 0 || len(seqKills) != seq.Tested {
+		t.Fatalf("workers=1: %d tested, %d kills (%s); want every tested candidate killed",
+			seq.Tested, len(seqKills), seq.FailReason)
+	}
+	pastKill := false
+	for run := 0; run < 5; run++ {
+		c, kills, journal, res := search(4)
+		if got := c["synth.candidate_timeouts"]; got != 0 {
 			t.Fatalf("run %d: %d candidate timeouts with no timeout configured", run, got)
 		}
-		for _, ev := range j.Events() {
-			if ev.Kind == obs.KindFuzz && (ev.Outcome == "timeout" || ev.Outcome == "superseded") {
-				t.Fatalf("run %d: %q verdict leaked into the journal", run, ev.Outcome)
+		if res.Tested != seq.Tested {
+			t.Fatalf("run %d: %d tested, workers=1 tested %d", run, res.Tested, seq.Tested)
+		}
+		if fmt.Sprint(journal) != fmt.Sprint(seqJournal) {
+			t.Fatalf("run %d: journal differs from workers=1:\n%v\nvs\n%v", run, journal, seqJournal)
+		}
+		for i, ev := range kills {
+			want := seqKills[i]
+			ev.Steps, want.Steps = 0, 0
+			if ev != want {
+				t.Fatalf("run %d: kill event %d = %+v, workers=1 recorded %+v", run, i, ev, want)
 			}
 		}
+		// A slow case run to the end costs about 16M steps.
+		if steps := c["interp.steps"]; steps > 5_000_000 {
+			t.Fatalf("run %d: %d interp steps: the cases past the kill ran to completion", run, steps)
+		}
+		if c["synth.tests_run"] > int64(res.Tested) {
+			pastKill = true
+		}
+	}
+	if !pastKill {
+		t.Error("no run started a case past its candidate's kill; the check is vacuous")
 	}
 }
 

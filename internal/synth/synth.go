@@ -11,9 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"facc/internal/accel"
@@ -66,18 +69,19 @@ type Options struct {
 	// on — one hung candidate costs one candidate, not the compile. Zero
 	// disables the per-candidate budget.
 	CandidateTimeout time.Duration
-	// StopAtFirst stops at the first surviving candidate (default true
-	// behavior is used when false too — survivors are still counted only
-	// among tested candidates when this is set).
+	// ExhaustAll tests every candidate instead of stopping at the first
+	// survivor; Result.Survivors then counts all of them, and the first
+	// survivor in enumeration order is still the adapter.
 	ExhaustAll bool
-	// Workers bounds candidate-level parallelism: up to Workers binding
-	// candidates are fuzz-tested concurrently, sharing one reference-
-	// oracle cache. 0 (the default) means GOMAXPROCS; 1 is fully
-	// sequential. The Result, the generated adapter and the journaled
-	// verdicts are deterministic — identical for every Workers value —
-	// because the pool resolves candidates in enumeration order (see
-	// pool.go); only metrics counters and span counts reflect the extra
-	// speculative work.
+	// Workers bounds case-level parallelism: candidates are tested one at
+	// a time in enumeration order, and the current candidate's IO cases
+	// run on up to Workers goroutines, each on a pooled interpreter
+	// machine. 0 (the default) means GOMAXPROCS; 1 runs every case
+	// inline on the candidate's goroutine. The per-case results are
+	// resolved in replay order, so the Result, the adapter, the journal,
+	// the kill table and the counterexample pool are identical for every
+	// Workers value; only metrics, the ledger and the oracle's hit/miss
+	// split count the cases run past a kill.
 	Workers int
 	// Obs is the enclosing pipeline span: analysis, binding enumeration,
 	// per-candidate fuzzing and range-check synthesis report as children
@@ -100,11 +104,10 @@ type Options struct {
 	// non-survivor's death attributed to the discriminating IO case
 	// (seed, case index, interp steps at death, mismatch kind, binding
 	// family) as an obs.KillEvent, plus the per-(function, target)
-	// search funnel. Like the ledger — and unlike the journal — it
-	// records speculative parallel work as it happens, because wasted
-	// kills are the search-economics signal it exists to measure. Every
-	// call site guards with a nil check before rendering keys, so nil
-	// (the default) allocates nothing on the verdict path.
+	// search funnel. Like the journal it records what a sequential run
+	// decides, whatever Workers is. Every call site guards with a nil
+	// check before rendering keys, so nil (the default) allocates
+	// nothing on the verdict path.
 	Kills *obs.KillTable
 	// Oracle, when non-nil, is a shared reference-run cache: its keys
 	// are target-independent (see OracleCache), so one cache handed to
@@ -201,11 +204,32 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 	// reorder this run's own cases, so replay order — and the journal —
 	// is a pure function of the pool state at entry.
 	replay := opts.Cex.ReplayRank()
-	winner, tested, survivors, err := runCandidates(ctx, fn, cands, profile, opts, orc, replay, workers)
-	if err != nil {
-		return nil, err
+	var winner *Adapter
+	for i, cand := range cands {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("synth: %s: %w", fn.Name, err)
+		}
+		var fsp *obs.Span
+		if opts.Obs != nil {
+			fsp = opts.Obs.Child("fuzz").Str("binding", cand.Key()).Int("candidate", int64(i+1))
+		}
+		ad, err := evalCandidate(ctx, fn, cand, profile, opts, fsp, orc, replay)
+		fsp.End()
+		if err != nil {
+			return nil, err
+		}
+		res.Tested++
+		if ad == nil {
+			continue
+		}
+		res.Survivors++
+		if winner == nil {
+			winner = ad
+		}
+		if !opts.ExhaustAll {
+			break
+		}
 	}
-	res.Tested, res.Survivors = tested, survivors
 	if hits, misses, rate := orc.stats(); opts.Journal != nil && hits+misses > 0 {
 		opts.Journal.Record(obs.JournalEvent{Kind: obs.KindOracle,
 			Function: fn.Name,
@@ -385,20 +409,17 @@ func replayOrder(cases []iogen.Case, replay map[string]int, seed int64) []int {
 
 // evalCandidate runs one candidate's fuzz evaluation inside the fault
 // boundary: a per-candidate deadline (opts.CandidateTimeout) and a panic
-// shield. A candidate that times out or panics is rejected — journaled
-// with a "timeout"/"panic" verdict — and synthesis continues; only a
-// cancellation of the enclosing runCtx aborts the whole run. candCtx is
-// the pool's per-candidate context (== runCtx when sequential): when it
-// was cancelled with cause errSuperseded, an earlier candidate already
-// won and the verdict is returned as errSuperseded for the pool to
-// discard, rather than being misclassified as a timeout.
-func evalCandidate(runCtx, candCtx context.Context, fn *minic.FuncDecl,
+// shield. A candidate that times out or panics — in any of its case
+// goroutines — is rejected, journaled with a "timeout"/"panic" verdict,
+// and synthesis continues; only a cancellation of the enclosing runCtx
+// aborts the whole run.
+func evalCandidate(runCtx context.Context, fn *minic.FuncDecl,
 	cand *binding.Candidate, profile *analysis.Profile, opts Options,
 	sp *obs.Span, orc *oracle, replay map[string]int) (ad *Adapter, err error) {
-	cctx := candCtx
+	cctx := runCtx
 	if opts.CandidateTimeout > 0 {
 		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(candCtx, opts.CandidateTimeout)
+		cctx, cancel = context.WithTimeout(runCtx, opts.CandidateTimeout)
 		defer cancel()
 	}
 	defer func() {
@@ -419,23 +440,10 @@ func evalCandidate(runCtx, candCtx context.Context, fn *minic.FuncDecl,
 		}
 	}()
 	ad, err = testCandidate(cctx, fn, cand, profile, opts, sp, orc, replay)
-	if err != nil && (interp.FaultOf(err) == interp.FaultCancelled ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+	if err != nil && cancelled(err) {
 		if cerr := runCtx.Err(); cerr != nil {
 			// The compilation itself was cancelled — propagate.
 			return nil, fmt.Errorf("synth: %s: %w", fn.Name, cerr)
-		}
-		if errors.Is(context.Cause(candCtx), errSuperseded) {
-			// An earlier candidate survived while this one was running;
-			// its outcome is discarded from the journal, but the ledger
-			// keeps the account — superseded work is exactly the
-			// speculative waste it exists to measure.
-			sp.Str("outcome", "superseded")
-			if opts.Ledger != nil {
-				opts.Ledger.SetVerdict(fn.Name, cand.Spec.Name, cand.Key(), "superseded")
-			}
-			opts.Kills.AddSuperseded(fn.Name, cand.Spec.Name, 1)
-			return nil, errSuperseded
 		}
 		// Only the per-candidate budget expired: reject this candidate.
 		sp.Str("outcome", "timeout")
@@ -454,10 +462,16 @@ func evalCandidate(runCtx, candCtx context.Context, fn *minic.FuncDecl,
 
 // testCandidate fuzz-tests one binding candidate. It returns a validated
 // adapter, or nil when the candidate is behaviorally wrong or faults; a
-// FaultCancelled interpreter error propagates so evalCandidate can
-// distinguish a candidate timeout from a compilation cancel. sp (may be
-// nil) receives test-count/outcome attributes; reference executions run
-// on orc's shared machine pool, which attributes interpreter counters.
+// cancellation propagates so evalCandidate can distinguish a candidate
+// timeout from a compilation cancel. sp (may be nil) receives
+// test-count/outcome attributes; reference executions run on orc's
+// shared machine pool, which attributes interpreter counters.
+//
+// At Workers=1 each case runs inline, in replay order. Otherwise the
+// cases run on a caseFan. Either way this goroutine resolves the
+// results one at a time in replay order, so the case that decides the
+// candidate's fate is the one a sequential run meets, and the cases
+// after it are dropped unseen.
 func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	cand *binding.Candidate, profile *analysis.Profile, opts Options,
 	sp *obs.Span, orc *oracle, replay map[string]int) (*Adapter, error) {
@@ -476,75 +490,85 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	cases := gen.Cases(opts.NumTests)
 	order := replayOrder(cases, replay, opts.Seed)
 
-	// All post-behavioral sketches start alive; each case prunes.
-	alive := behave.Sketches()
+	// started counts the cases begun, including those a fan ran past
+	// the deciding one. The metrics and the ledger are charged with it on
+	// every exit path: it is the work this candidate cost.
+	started := 0
+	var fan *caseFan
+	if sp != nil || opts.Ledger != nil {
+		defer func() {
+			if sp != nil {
+				sp.Int("tests", int64(started))
+				m := sp.Metrics()
+				m.Counter("synth.tests_run").Add(int64(started))
+				m.Histogram("synth.tests_per_candidate", obs.CountBuckets).
+					Observe(float64(started))
+			}
+			if opts.Ledger != nil {
+				opts.Ledger.ChargeTests(fn.Name, cand.Spec.Name, cand.Key(), int64(started))
+			}
+		}()
+	}
+	if w := min(orc.workers, len(order)); w > 1 {
+		fan = startCases(ctx, cand, cases, order, orc, opts.Tolerance, w)
+		defer func() { started = fan.stop() }() // runs before the charge above
+	}
 
-	ran := 0
-	if sp != nil {
-		defer func() {
-			sp.Int("tests", int64(ran))
-			m := sp.Metrics()
-			m.Counter("synth.tests_run").Add(int64(ran))
-			m.Histogram("synth.tests_per_candidate", obs.CountBuckets).
-				Observe(float64(ran))
-		}()
-	}
-	if opts.Ledger != nil {
-		// Charged on every exit path — a candidate killed mid-case still
-		// pays for the cases it ran; that is the speculative waste the
-		// ledger measures.
-		defer func() {
-			opts.Ledger.ChargeTests(fn.Name, cand.Spec.Name, cand.Key(), int64(ran))
-		}()
-	}
+	// All post-behavioral sketches start alive; each case prunes.
+	alive := allSketches
 
 	var returnVals []int64
 	var returnCases []int // original case index per returnVals entry (kill sinks only)
 	sawReturn := false
 	var steps int64 // interp steps this candidate paid, so far
 
-	for _, caseIdx := range order {
+	for pos, caseIdx := range order {
 		tc := cases[caseIdx]
-		// Accelerator retries/backoff can dominate a case under fault
-		// injection, so honor the deadline between cases too, not just
-		// inside the interpreter.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("synth: candidate evaluation cancelled: %w", err)
+		var r caseResult
+		if fan != nil {
+			r = fan.wait(pos)
+		} else {
+			// Accelerator retries/backoff can dominate a case under fault
+			// injection, so honor the deadline between cases too, not just
+			// inside the interpreter.
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("synth: candidate evaluation cancelled: %w", err)
+			}
+			started++
+			r = runCase(ctx, cand, tc, caseIdx, orc, alive, opts.Tolerance)
 		}
-		ran++
-		userOut, retVal, ranSteps, runErr := orc.run(ctx, cand, tc, caseIdx)
-		steps += ranSteps
-		if runErr != nil {
-			if interp.FaultOf(runErr) == interp.FaultCancelled {
+		ran := pos + 1
+		steps += r.steps
+		if r.err != nil {
+			if cancelled(r.err) {
 				// Deadline/cancel, not evidence against the binding —
 				// let evalCandidate classify it.
-				return nil, runErr
+				return nil, r.err
 			}
 			// Interpreter fault (OOB, etc.) — wrong binding.
-			sp.Str("outcome", "fault").Str("fault", interp.FaultOf(runErr).String())
+			sp.Str("outcome", "fault").Str("fault", interp.FaultOf(r.err).String())
 			if opts.Journal != nil || opts.Ledger != nil {
 				cex := ""
 				if opts.Journal != nil {
 					cex = renderCase(tc)
 				}
 				verdict(opts, fn.Name, cand, "fault", ran, cex,
-					interp.FaultOf(runErr).String())
+					interp.FaultOf(r.err).String())
 			}
 			if killSinks(opts) {
 				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
-					interp.FaultOf(runErr).String(), "")
+					interp.FaultOf(r.err).String(), "")
 			}
 			return nil, nil
 		}
-		if retVal != nil {
+		if r.ret != nil {
 			sawReturn = true
-			returnVals = append(returnVals, *retVal)
+			returnVals = append(returnVals, *r.ret)
 			if killSinks(opts) {
 				returnCases = append(returnCases, caseIdx)
 			}
 		}
-		accelOut, err := runAccel(cand, tc)
-		if err != nil {
+		if r.accelErr != nil {
 			// The accelerator rejected the input (should not happen for
 			// generated cases); treat as candidate failure.
 			sp.Str("outcome", "domain-error")
@@ -553,24 +577,19 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 				if opts.Journal != nil {
 					cex = renderCase(tc)
 				}
-				verdict(opts, fn.Name, cand, "domain-error", ran, cex, err.Error())
+				verdict(opts, fn.Name, cand, "domain-error", ran, cex, r.accelErr.Error())
 			}
 			if killSinks(opts) {
 				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
-					"domain-error", err.Error())
+					"domain-error", r.accelErr.Error())
 			}
 			return nil, nil
 		}
-		var next []behave.PostOp
-		for _, op := range alive {
-			patched := append([]complex128(nil), accelOut...)
-			op.Apply(patched)
-			if vectorsClose(userOut, patched, opts.Tolerance) {
-				next = append(next, op)
-			}
+		alive &= r.match
+		if fan != nil {
+			fan.alive.Store(alive)
 		}
-		alive = next
-		if len(alive) == 0 {
+		if alive == 0 {
 			sp.Str("outcome", "behavior-mismatch")
 			if opts.Journal != nil || opts.Ledger != nil {
 				cex := ""
@@ -591,7 +610,7 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	ad := &Adapter{
 		FuncName:    fn.Name,
 		Cand:        cand,
-		Post:        alive[0], // identity-first canonical order
+		Post:        sketches[bits.TrailingZeros32(alive)], // identity-first canonical order
 		TestsPassed: len(cases),
 	}
 	if cand.ReturnIgnored && sawReturn {
@@ -601,7 +620,7 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 				// Return value depends on input; cannot reproduce.
 				sp.Str("outcome", "return-mismatch")
 				if opts.Journal != nil || opts.Ledger != nil {
-					verdict(opts, fn.Name, cand, "return-mismatch", ran, "",
+					verdict(opts, fn.Name, cand, "return-mismatch", len(order), "",
 						fmt.Sprintf("return value varies across inputs (%d vs %d)", c, v))
 				}
 				if killSinks(opts) {
@@ -620,6 +639,181 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	verdict(opts, fn.Name, cand, "survived", len(cases), "", "")
 	opts.Kills.AddSurvived(fn.Name, cand.Spec.Name, 1)
 	return ad, nil
+}
+
+// cancelled reports whether err is a deadline or cancellation rather
+// than evidence against a binding.
+func cancelled(err error) bool {
+	return interp.FaultOf(err) == interp.FaultCancelled ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// sketches are the post-behavioral sketches in canonical order; a
+// uint32 mask with bit k set stands for a set holding sketches[k].
+var (
+	sketches    = behave.Sketches()
+	allSketches = uint32(1)<<len(sketches) - 1
+)
+
+// caseResult is one IO case's outcome, computed where the case ran.
+type caseResult struct {
+	ret      *int64
+	steps    int64  // interp steps the reference run paid (0 on an oracle hit)
+	err      error  // reference-run fault or cancellation
+	accelErr error  // the device model rejected the input
+	match    uint32 // sketches that reproduce the user output
+	panicked any    // recovered in a case goroutine, re-raised by caseFan.wait
+}
+
+// runCase runs one IO case: the reference run through the oracle, the
+// device-model run, and the comparison of the user output with each
+// sketch in alive applied to the device output.
+func runCase(ctx context.Context, cand *binding.Candidate, tc iogen.Case, caseIdx int,
+	orc *oracle, alive uint32, tol float64) (r caseResult) {
+	var userOut []complex128
+	userOut, r.ret, r.steps, r.err = orc.run(ctx, cand, tc, caseIdx)
+	if r.err != nil {
+		return r
+	}
+	accelOut, err := runAccel(cand, tc)
+	if err != nil {
+		r.accelErr = err
+		return r
+	}
+	patched := make([]complex128, len(accelOut))
+	for k, op := range sketches {
+		if alive&(1<<k) == 0 {
+			continue
+		}
+		copy(patched, accelOut)
+		op.Apply(patched)
+		if vectorsClose(userOut, patched, tol) {
+			r.match |= 1 << k
+		}
+	}
+	return r
+}
+
+// final reports whether r ends its candidate's test once resolution
+// reaches it: a fault or cancellation, a rejected input, a panic, or no
+// sketch of alive (the set as resolved so far, or any superset of the
+// set resolution will hold) that reproduces the user output.
+func (r *caseResult) final(alive uint32) bool {
+	return r.err != nil || r.accelErr != nil || r.panicked != nil || r.match&alive == 0
+}
+
+// caseFan runs one candidate's IO cases on several goroutines. Each
+// worker claims the next case in replay order and runs all of it
+// (runCase) under a context of its own. A case that will end its
+// candidate's test if resolution reaches it makes every case after it
+// moot, so its worker cancels those at once and no later case is
+// claimed; resolution need not catch up first. The candidate's goroutine
+// collects the results in replay order with wait, and stop cancels
+// whatever is still in flight and waits for the workers, so no dropped
+// case outlives its candidate.
+type caseFan struct {
+	ctx     context.Context // the candidate's
+	results []caseResult
+	ready   chan int // positions whose result is written
+	have    []bool   // positions received from ready (wait's goroutine only)
+	// alive is the candidate's sketch set as last resolved. It only
+	// shrinks, so a case compares only these sketches and judges
+	// finality against them.
+	alive atomic.Uint32
+	wg    sync.WaitGroup
+
+	mu      sync.Mutex
+	next    int                  // the next position to claim
+	limit   int                  // no position past it is claimed
+	cancels []context.CancelFunc // per in-flight position
+	started int                  // cases begun: the work done
+}
+
+func startCases(ctx context.Context, cand *binding.Candidate, cases []iogen.Case,
+	order []int, orc *oracle, tol float64, workers int) *caseFan {
+	f := &caseFan{ctx: ctx, results: make([]caseResult, len(order)),
+		ready: make(chan int, len(order)), have: make([]bool, len(order)),
+		limit: len(order) - 1, cancels: make([]context.CancelFunc, len(order))}
+	f.alive.Store(allSketches)
+	f.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go f.work(cand, cases, order, orc, tol)
+	}
+	return f
+}
+
+func (f *caseFan) work(cand *binding.Candidate, cases []iogen.Case, order []int,
+	orc *oracle, tol float64) {
+	defer f.wg.Done()
+	for {
+		f.mu.Lock()
+		pos := f.next
+		if pos > f.limit {
+			f.mu.Unlock()
+			return
+		}
+		f.next++
+		f.started++
+		ctx, cancel := context.WithCancel(f.ctx)
+		f.cancels[pos] = cancel
+		f.mu.Unlock()
+
+		r := f.run(ctx, cand, cases[order[pos]], order[pos], orc, tol)
+		cancel()
+
+		f.mu.Lock()
+		f.cancels[pos] = nil
+		if pos < f.limit && r.final(f.alive.Load()) {
+			f.limit = pos
+			for _, c := range f.cancels[pos+1:] {
+				if c != nil {
+					c()
+				}
+			}
+		}
+		f.mu.Unlock()
+		f.results[pos] = r
+		f.ready <- pos
+	}
+}
+
+// run is runCase with a panic recovered into the result.
+func (f *caseFan) run(ctx context.Context, cand *binding.Candidate, tc iogen.Case,
+	caseIdx int, orc *oracle, tol float64) (r caseResult) {
+	defer func() {
+		if p := recover(); p != nil {
+			r = caseResult{panicked: p}
+		}
+	}()
+	return runCase(ctx, cand, tc, caseIdx, orc, f.alive.Load(), tol)
+}
+
+// wait returns the result at replay position pos. A panic recovered in
+// the case's goroutine is raised again here, on the candidate's
+// goroutine, where evalCandidate's shield turns it into a verdict.
+func (f *caseFan) wait(pos int) caseResult {
+	for !f.have[pos] {
+		f.have[<-f.ready] = true
+	}
+	if p := f.results[pos].panicked; p != nil {
+		panic(p)
+	}
+	return f.results[pos]
+}
+
+// stop cancels the cases still in flight, claims no more, and waits for
+// the workers. It returns the number of cases begun.
+func (f *caseFan) stop() int {
+	f.mu.Lock()
+	f.limit = -1
+	for _, c := range f.cancels {
+		if c != nil {
+			c()
+		}
+	}
+	f.mu.Unlock()
+	f.wg.Wait()
+	return f.started
 }
 
 // runUser executes the user function under the candidate's interpretation

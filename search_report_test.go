@@ -13,7 +13,7 @@ import (
 // first candidate survives and wins. Workers=1 and the fixed fuzz seed
 // make this byte-stable; if it drifts, kill-attribution semantics
 // changed.
-const searchReportGolden = `search funnel: 8 generated, 4 pre-filtered, 3 dispatched, 2 killed, 0 superseded, 1 survived, 1 winner(s)
+const searchReportGolden = `search funnel: 8 generated, 4 pre-filtered, 3 dispatched, 2 killed, 1 survived, 1 winner(s)
 
 kill depth (0-based case index at death):
   case 0: 2 kill(s)
