@@ -133,22 +133,31 @@ func runCrashMatrix(ctx context.Context, benchOut, crashDir string) error {
 }
 
 // runServeBench saturates an in-process faccd-style compile service and
-// reports latency quantiles plus shed/dedup/cache counts; -bench-out
-// additionally writes the BENCH_serve.json artifact.
+// a three-replica fleet, eval.ServeBenchRuns times each, and reports
+// every run's latency quantiles plus shed/dedup/cache counts; -bench-out
+// additionally writes the BENCH_serve.json artifact, the runs folded by
+// eval.MergeServeRuns.
 func runServeBench(ctx context.Context, benchOut string) error {
-	fmt.Fprintf(os.Stderr, "faccbench: serving benchmark (saturating an in-process faccd)...\n")
-	rep, err := eval.ServeBench(ctx, eval.ServeBenchConfig{})
-	if err != nil {
-		return err
+	var runs []*eval.ServeBenchReport
+	for i := 1; i <= eval.ServeBenchRuns; i++ {
+		fmt.Fprintf(os.Stderr, "faccbench: serving benchmark, run %d of %d (saturating an in-process faccd)...\n",
+			i, eval.ServeBenchRuns)
+		rep, err := eval.ServeBench(ctx, eval.ServeBenchConfig{})
+		if err != nil {
+			return err
+		}
+		rep.WriteText(os.Stdout)
+		fmt.Fprintf(os.Stderr, "faccbench: fleet chaos benchmark, run %d of %d (3 replicas, kill + lossy partition)...\n",
+			i, eval.ServeBenchRuns)
+		fleetRep, err := eval.FleetBench(ctx, eval.FleetBenchConfig{})
+		if err != nil {
+			return err
+		}
+		fleetRep.WriteText(os.Stdout)
+		rep.Fleet = fleetRep
+		runs = append(runs, rep)
 	}
-	rep.WriteText(os.Stdout)
-	fmt.Fprintf(os.Stderr, "faccbench: fleet chaos benchmark (3 replicas, kill + lossy partition)...\n")
-	fleetRep, err := eval.FleetBench(ctx, eval.FleetBenchConfig{})
-	if err != nil {
-		return err
-	}
-	fleetRep.WriteText(os.Stdout)
-	rep.Fleet = fleetRep
+	rep := eval.MergeServeRuns(runs)
 	if benchOut != "" {
 		out, err := os.Create(benchOut)
 		if err != nil {

@@ -96,3 +96,64 @@ func TestBenchGate(t *testing.T) {
 		t.Error("empty gate config did not error")
 	}
 }
+
+// TestMergedServeRunsGateEveryRun: the serving artifact folds three runs.
+// One run that breaks a verdict fails the gate although the other two
+// are clean, and one slow run does not: the timing checks read the
+// median run.
+func TestMergedServeRunsGateEveryRun(t *testing.T) {
+	dir := t.TempDir()
+	run := func(p99 float64) *ServeBenchReport {
+		return &ServeBenchReport{WallSeconds: 1, LatencyMsP99: p99, Completed: 48,
+			AdaptersConsistent: true,
+			Fleet: &FleetBenchReport{Requests: 36, Completed: 36, WallSeconds: 1,
+				LatencyMsP99: p99, RebalanceMs: 1, RebalanceBudgetMs: 160,
+				Failovers: 5, AdaptersConsistent: true}}
+	}
+	basePath := writeArtifact(t, dir, "base_serve.json", run(20))
+	gate := func(name string, runs ...*ServeBenchReport) *GateReport {
+		t.Helper()
+		rep, err := BenchGate(GateConfig{BaselineServe: basePath,
+			FreshServe: writeArtifact(t, dir, name+".json", MergeServeRuns(runs))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	if rep := gate("slow-run", run(20), run(90), run(21)); !rep.OK() {
+		t.Fatalf("one slow run of three failed the gate: %+v", rep.Checks)
+	}
+	if rep := gate("slow-median", run(30), run(90), run(21)); rep.OK() {
+		t.Fatalf("a median p99 of 30 ms against 20 passed the gate: %+v", rep.Checks)
+	}
+
+	for _, bad := range []struct {
+		check string
+		spoil func(*ServeBenchReport)
+	}{
+		{"serve.fleet.acked_dropped", func(r *ServeBenchReport) { r.Fleet.AckedDropped = 1 }},
+		{"serve.fleet.adapters_consistent", func(r *ServeBenchReport) { r.Fleet.AdaptersConsistent = false }},
+		{"serve.fleet.completed_frac", func(r *ServeBenchReport) { r.Fleet.Completed = 35 }},
+		{"serve.fleet.rebalance_ms", func(r *ServeBenchReport) { r.Fleet.RebalanceMs = 400 }},
+		{"serve.fleet.failovers", func(r *ServeBenchReport) { r.Fleet.Failovers = 0 }},
+	} {
+		spoilt := run(20)
+		bad.spoil(spoilt)
+		rep := gate(bad.check, run(20), spoilt, run(20))
+		failed := false
+		for _, c := range rep.Checks {
+			failed = failed || (c.Name == bad.check && !c.OK)
+		}
+		if !failed {
+			t.Errorf("one bad run of three did not fail %s: %+v", bad.check, rep.Checks)
+		}
+	}
+
+	bad := run(20)
+	bad.AdaptersConsistent, bad.Failed = false, 2
+	if m := MergeServeRuns([]*ServeBenchReport{run(20), bad, run(20)}); m.AdaptersConsistent || m.Failed != 2 {
+		t.Errorf("merged serve verdicts = consistent %v, failed %d; want false, 2",
+			m.AdaptersConsistent, m.Failed)
+	}
+}

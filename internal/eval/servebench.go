@@ -94,6 +94,58 @@ type ServeBenchReport struct {
 	Fleet *FleetBenchReport `json:"fleet,omitempty"`
 }
 
+// ServeBenchRuns is how many serving and fleet runs one BENCH_serve.json
+// artifact folds together (see MergeServeRuns).
+const ServeBenchRuns = 3
+
+// MergeServeRuns folds repeated runs of the serving benchmark, each with
+// its fleet block, into the one artifact the bench gate reads. A verdict
+// must hold in every run, so each verdict field takes the worst run's
+// value: adapters are consistent only if every run's were; failed,
+// acked_dropped and rebalance_ms take the maximum; completed and
+// failovers the minimum. Each timing field the gate reads — wall time
+// and p99 latency, for the server and for the fleet — takes the median
+// of the runs, so one noisy run neither fails the gate nor hides a
+// regression. Every other field comes from the run with the median
+// server wall time. The runs must all carry a fleet block or none.
+func MergeServeRuns(runs []*ServeBenchReport) *ServeBenchReport {
+	byWall := append([]*ServeBenchReport(nil), runs...)
+	sort.Slice(byWall, func(i, j int) bool { return byWall[i].WallSeconds < byWall[j].WallSeconds })
+	out := *byWall[len(byWall)/2]
+	median := func(field func(*ServeBenchReport) float64) float64 {
+		vals := make([]float64, len(runs))
+		for i, r := range runs {
+			vals[i] = field(r)
+		}
+		sort.Float64s(vals)
+		return vals[len(vals)/2]
+	}
+	out.WallSeconds = median(func(r *ServeBenchReport) float64 { return r.WallSeconds })
+	out.LatencyMsP99 = median(func(r *ServeBenchReport) float64 { return r.LatencyMsP99 })
+	for _, r := range runs {
+		out.AdaptersConsistent = out.AdaptersConsistent && r.AdaptersConsistent
+		out.Failed = max(out.Failed, r.Failed)
+		out.Completed = min(out.Completed, r.Completed)
+	}
+	if out.Fleet == nil {
+		return &out
+	}
+	fleet := *out.Fleet
+	fleet.WallSeconds = median(func(r *ServeBenchReport) float64 { return r.Fleet.WallSeconds })
+	fleet.LatencyMsP99 = median(func(r *ServeBenchReport) float64 { return r.Fleet.LatencyMsP99 })
+	for _, r := range runs {
+		f := r.Fleet
+		fleet.AdaptersConsistent = fleet.AdaptersConsistent && f.AdaptersConsistent
+		fleet.Failed = max(fleet.Failed, f.Failed)
+		fleet.AckedDropped = max(fleet.AckedDropped, f.AckedDropped)
+		fleet.RebalanceMs = max(fleet.RebalanceMs, f.RebalanceMs)
+		fleet.Completed = min(fleet.Completed, f.Completed)
+		fleet.Failovers = min(fleet.Failovers, f.Failovers)
+	}
+	out.Fleet = &fleet
+	return &out
+}
+
 // ServeBench stands up a real faccd-style server (full pipeline, real
 // store) on a loopback listener and saturates it: Concurrency clients
 // replay Requests compile requests spread over Variants distinct
