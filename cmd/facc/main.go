@@ -19,11 +19,11 @@
 // writes the synthesis provenance journal as JSONL; -explain renders it as
 // a human-readable "why was / wasn't this adapter synthesised" report;
 // -costs prints the synthesis cost ledger — how much interpreter work went
-// to the winning candidate (useful) versus superseded or killed losers
-// (speculative) and how much the oracle shared across duplicates, per
-// target, with the waste ratio; -search-report prints the search
-// observatory — the candidate funnel (generated → pre-filtered →
-// dispatched → killed/superseded/survived), the kill-depth distribution,
+// to the winning candidate (useful) versus killed losers, including cases
+// started past a kill (speculative), and how much the oracle shared across
+// duplicates, per target, with the waste ratio; -search-report prints the
+// search observatory — the candidate funnel (generated → pre-filtered →
+// dispatched → killed/survived → winner), the kill-depth distribution,
 // and the IO cases that discriminated the most binding families;
 // -cex-pool persists those discriminating inputs across runs in a
 // crash-safe JSONL counterexample pool, ranked by how many binding

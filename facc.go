@@ -73,7 +73,8 @@ type Options struct {
 	NumTests int
 	// Workers bounds case-level parallelism inside generate-and-test:
 	// candidates are tested one at a time, and the current candidate's IO
-	// cases run on up to Workers goroutines, each reference run going
+	// cases run on up to Workers goroutines (never more than GOMAXPROCS),
+	// each reference run going
 	// through a memoized oracle (the user program's outputs are
 	// interpreted once per distinct test case and reused across
 	// candidates). The generated adapter, the Result counts, the journal

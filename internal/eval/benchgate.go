@@ -103,15 +103,14 @@ func BenchGate(cfg GateConfig) (*GateReport, error) {
 				float64(base.Search.Killed), fk)
 		}
 		// ROADMAP targets promoted to floors on the fresh artifact.
-		// Speedup: parallel candidate search must not be a slowdown.
-		// Strict ≥1.0 needs real cores and is absolute there (no
-		// baseline drift can relax it). On a GOMAXPROCS=1 host the
-		// Workers=N run executes a superset of the Workers=1 work on
-		// one core: the winner's cost plus whatever its losing rivals
-		// burned before cancellation, which the oracle only partly
-		// refunds (reference runs share; accelerator-side runs cannot).
-		// That speculation overhead is real and noisy (its volume
-		// depends on where cancellation lands), so the serialized gate
+		// Speedup: running a candidate's cases in parallel must not be
+		// a slowdown. Strict ≥1.0 needs real cores and is absolute
+		// there (no baseline drift can relax it). On a GOMAXPROCS=1
+		// host the Workers=N run executes a superset of the Workers=1
+		// work on one core: every case Workers=1 runs, plus the cases
+		// a loser started past its kill before cancellation. That
+		// overhead is real and noisy (its volume depends on where
+		// cancellation lands), so the serialized gate
 		// is relative like the wall-time gates: the fresh ratio must
 		// not fall more than the tolerance below the committed
 		// baseline's, with 1/(1+2·tol) as the backstop when the

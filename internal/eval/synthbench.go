@@ -65,9 +65,10 @@ type SynthBenchRunTarget struct {
 
 // SynthBenchExhaustive measures oracle-cache effectiveness with every
 // candidate tested (ExhaustAll), where reference-run sharing is the
-// norm rather than a speculation side effect. Functions with a single
-// surviving hypothesis can never hit the cache, so the headline number
-// is the hit rate restricted to multi-candidate functions.
+// norm rather than an accident of where the search stops. Functions
+// with a single surviving hypothesis can never hit the cache, so the
+// headline number is the hit rate restricted to multi-candidate
+// functions.
 type SynthBenchExhaustive struct {
 	Workers          int     `json:"workers"`
 	WallSeconds      float64 `json:"wall_seconds"`
@@ -159,7 +160,7 @@ type SynthBenchReport struct {
 // SynthBench compiles the supported corpus once per worker count and
 // measures the synthesis engine: wall-clock, fuzz throughput and
 // reference-oracle cache effectiveness. File-level compilation is kept
-// sequential so candidate-level parallelism is the only variable.
+// sequential so case-level parallelism is the only variable.
 // kills, when non-nil, receives the first (sequential) run's kill
 // attribution — pass the CLI's shared table so -search-report and
 // -cex-pool observe the same events as the report's search section; nil

@@ -46,9 +46,10 @@ type Flags struct {
 	CandidateTimeout time.Duration
 	Faults           string
 
-	// Workers (-j, RegisterSynth binaries only) bounds candidate-level
-	// parallelism inside generate-and-test. 0 = GOMAXPROCS; results are
-	// deterministic regardless of the value.
+	// Workers (-j, RegisterSynth binaries only) bounds case-level
+	// parallelism inside generate-and-test: how many of a candidate's IO
+	// cases run at once. 0 = GOMAXPROCS; results are deterministic
+	// regardless of the value.
 	Workers int
 
 	prog     string
@@ -96,7 +97,7 @@ func RegisterSynth(fs *flag.FlagSet, prog string) *Flags {
 	fs.StringVar(&f.Faults, "faults", "",
 		`inject accelerator faults for chaos testing: a preset (flaky, lossy, slow, chaos) or rates like "error=0.3,corrupt=0.01,latency=0.1,seed=7" (implies retry+breaker hardening)`)
 	fs.IntVar(&f.Workers, "j", 0,
-		"fuzz up to this many binding candidates in parallel; 0 = GOMAXPROCS, 1 = sequential (the result is deterministic either way)")
+		"run up to this many of a binding candidate's IO cases in parallel; 0 = GOMAXPROCS, 1 = sequential (the result is deterministic either way)")
 	return f
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"facc/internal/accel"
@@ -188,7 +189,7 @@ func TestCasesPastAKillAreDropped(t *testing.T) {
 			pastKill = true
 		}
 	}
-	if !pastKill {
+	if !pastKill && runtime.GOMAXPROCS(0) > 1 {
 		t.Error("no run started a case past its candidate's kill; the check is vacuous")
 	}
 }

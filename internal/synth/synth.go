@@ -75,9 +75,9 @@ type Options struct {
 	ExhaustAll bool
 	// Workers bounds case-level parallelism: candidates are tested one at
 	// a time in enumeration order, and the current candidate's IO cases
-	// run on up to Workers goroutines, each on a pooled interpreter
-	// machine. 0 (the default) means GOMAXPROCS; 1 runs every case
-	// inline on the candidate's goroutine. The per-case results are
+	// run on up to Workers goroutines — never more than GOMAXPROCS — each
+	// on a pooled interpreter machine. 0 (the default) means GOMAXPROCS;
+	// 1 runs every case inline on the candidate's goroutine. The per-case results are
 	// resolved in replay order, so the Result, the adapter, the journal,
 	// the kill table and the counterexample pool are identical for every
 	// Workers value; only metrics, the ledger and the oracle's hit/miss
@@ -190,9 +190,11 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 		res.FailReason = "interface-incompatibility"
 		return res, nil
 	}
+	// A case goroutine past GOMAXPROCS would add an interpreter machine,
+	// not parallelism.
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
+		workers = procs
 	}
 	var reg *obs.Registry
 	if opts.Obs != nil {
