@@ -134,11 +134,11 @@ void spin_fft(cpx* x, int n) {
     }
 }`
 
-// TestCasesPastAKillAreDropped: a case cancelled because an earlier case
+// TestPoolNoSpuriousTimeouts: a case cancelled because an earlier case
 // already killed its candidate is dropped — it yields no "timeout" (or
 // "cancelled") verdict, no kill event and no journal line — and it is cut
 // short rather than run to completion.
-func TestCasesPastAKillAreDropped(t *testing.T) {
+func TestPoolNoSpuriousTimeouts(t *testing.T) {
 	f, err := minic.ParseAndCheck("t.c", slowTailSrc)
 	if err != nil {
 		t.Fatalf("frontend: %v", err)

@@ -716,7 +716,7 @@ func (r *caseResult) final(alive uint32) bool {
 type caseFan struct {
 	ctx     context.Context // the candidate's
 	results []caseResult
-	ready   chan int // positions whose result is written
+	ready   chan int // positions whose result is written; one slot each, so no send blocks
 	have    []bool   // positions received from ready (wait's goroutine only)
 	// alive is the candidate's sketch set as last resolved. It only
 	// shrinks, so a case compares only these sketches and judges
