@@ -77,11 +77,11 @@ type Options struct {
 	// a time in enumeration order, and the current candidate's IO cases
 	// run on up to Workers goroutines — never more than GOMAXPROCS — each
 	// on a pooled interpreter machine. 0 (the default) means GOMAXPROCS;
-	// 1 runs every case inline on the candidate's goroutine. The per-case results are
-	// resolved in replay order, so the Result, the adapter, the journal,
-	// the kill table and the counterexample pool are identical for every
-	// Workers value; only metrics, the ledger and the oracle's hit/miss
-	// split count the cases run past a kill.
+	// 1 runs every case inline on the candidate's goroutine. The per-case
+	// results are resolved in replay order, so the Result, the adapter,
+	// the journal, the kill table and the counterexample pool are
+	// identical for every Workers value; only metrics, the ledger and the
+	// oracle's hit/miss split count the cases run past a kill.
 	Workers int
 	// Obs is the enclosing pipeline span: analysis, binding enumeration,
 	// per-candidate fuzzing and range-check synthesis report as children
