@@ -138,7 +138,11 @@ func TestMergedServeRunsGateEveryRun(t *testing.T) {
 		{"serve.fleet.rebalance_ms", func(r *ServeBenchReport) { r.Fleet.RebalanceMs = 400 }},
 		{"serve.fleet.failovers", func(r *ServeBenchReport) { r.Fleet.Failovers = 0 }},
 	} {
+		// The spoilt run is the fastest, so the merged record's other
+		// fields come from a clean run and only the fold can carry the
+		// bad verdict.
 		spoilt := run(20)
+		spoilt.WallSeconds = 0.5
 		bad.spoil(spoilt)
 		rep := gate(bad.check, run(20), spoilt, run(20))
 		failed := false
@@ -151,6 +155,7 @@ func TestMergedServeRunsGateEveryRun(t *testing.T) {
 	}
 
 	bad := run(20)
+	bad.WallSeconds = 0.5
 	bad.AdaptersConsistent, bad.Failed = false, 2
 	if m := MergeServeRuns([]*ServeBenchReport{run(20), bad, run(20)}); m.AdaptersConsistent || m.Failed != 2 {
 		t.Errorf("merged serve verdicts = consistent %v, failed %d; want false, 2",
