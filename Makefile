@@ -57,9 +57,12 @@ crash-matrix:
 chaos:
 	$(GO) test -race -timeout 120s -run 'Chaos|FaultInject|Injector|Retry|Breaker|Harden|Panic|Fuel|StackOverflow|Cancel' ./...
 
-# One testing.B benchmark per paper table/figure plus ablations.
+# One testing.B benchmark per paper table/figure plus ablations, then the
+# per-layer benchmarks of input generation (fresh vs memoized draws) and
+# the device models.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/iogen ./internal/accel
 
 # Synthesis-engine regression numbers (corpus wall-clock, fuzz
 # throughput, oracle hit rate at Workers=1 vs GOMAXPROCS, and the search

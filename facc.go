@@ -136,8 +136,11 @@ type Options struct {
 	// depend on which accelerator we bind to), so one cache passed to
 	// compiles of the same source against ffta, powerquad and fftw
 	// interprets each distinct reference run once and shares it across
-	// all three. Nil (the default) gives each compile a private cache —
-	// candidates within one compile still share.
+	// all three. The cache also holds the generated test inputs behind
+	// those runs, so the later compiles reuse the first one's draws
+	// instead of generating them again. Nil (the default) gives each
+	// compile a private cache — candidates within one compile still
+	// share.
 	Oracle *OracleCache
 
 	// Deadline bounds the whole compilation's wall clock: past it the

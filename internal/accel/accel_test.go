@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -228,3 +229,25 @@ func TestCalibrationShape(t *testing.T) {
 		t.Errorf("FFTA speedup for typical radix-2 counters = %.1fx, outside sane band", ratio)
 	}
 }
+
+// BenchmarkSpecRun times one device-model run of each target at the two
+// sizes generate-and-test draws most (n=64 and n=256), forward.
+func BenchmarkSpecRun(b *testing.B) {
+	for _, spec := range Specs() {
+		for _, n := range []int{64, 256} {
+			in := randComplex(rand.New(rand.NewSource(int64(n))), n)
+			b.Run(fmt.Sprintf("%s/n=%d", spec.Name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out, err := spec.Run(in, fft.Forward)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchOut = out
+				}
+			})
+		}
+	}
+}
+
+var benchOut []complex128

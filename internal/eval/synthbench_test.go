@@ -28,6 +28,9 @@ func TestSynthBenchSmoke(t *testing.T) {
 	if !rep.AdaptersIdentical {
 		t.Error("adapters differ between Workers=1 and Workers=2")
 	}
+	if rep.Speedup <= 0 {
+		t.Errorf("speedup = %v, want the median of %d positive per-round ratios", rep.Speedup, speedPairs)
+	}
 	ex := rep.Exhaustive
 	if ex == nil {
 		t.Fatal("no exhaustive pass in report")

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"sync"
 )
 
 // Direction selects the transform sign convention.
@@ -83,6 +84,29 @@ func twiddles(n int, dir Direction) []complex128 {
 	return w
 }
 
+// twiddleCache holds one twiddle table per (power-of-two n, direction),
+// each filled by twiddles on first use.
+type twiddleCache [2][64]struct {
+	once sync.Once
+	w    []complex128
+}
+
+// table returns twiddles(n, dir) for a power-of-two n, computing it once.
+// Every caller gets the same slice and must not write it.
+func (c *twiddleCache) table(n int, dir Direction) []complex128 {
+	d := 0
+	if dir == Inverse {
+		d = 1
+	}
+	t := &c[d][Log2(n)]
+	t.once.Do(func() { t.w = twiddles(n, dir) })
+	return t.w
+}
+
+// sharedTwiddles serves every radix-2 transform in the process, so the
+// device models do not rebuild a table per run.
+var sharedTwiddles twiddleCache
+
 // Radix2 computes an in-place iterative radix-2 FFT. len(x) must be a
 // power of two. No normalization is applied in either direction.
 func Radix2(x []complex128, dir Direction) error {
@@ -93,8 +117,15 @@ func Radix2(x []complex128, dir Direction) error {
 	if n <= 1 {
 		return nil
 	}
+	radix2(x, sharedTwiddles.table(n, dir))
+	return nil
+}
+
+// radix2 is the iterative butterfly kernel over a power-of-two x ≥ 2
+// points, with w = twiddles(len(x), dir) for the transform's direction.
+func radix2(x, w []complex128) {
+	n := len(x)
 	BitReverse(x)
-	w := twiddles(n, dir)
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
 		step := n / size
@@ -108,7 +139,6 @@ func Radix2(x []complex128, dir Direction) error {
 			}
 		}
 	}
-	return nil
 }
 
 // Recursive computes an out-of-place recursive (Cooley-Tukey) FFT for

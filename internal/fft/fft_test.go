@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -408,4 +409,67 @@ func BenchmarkBluestein_1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Bluestein(in, Forward)
 	}
+}
+
+// TestTwiddleTableMatchesFresh checks that every cached twiddle table
+// equals a fresh twiddles call bit for bit, for both directions and every
+// power of two up to 65536, when several goroutines make the first use of
+// each table at once, and that they all get the one shared table.
+func TestTwiddleTableMatchesFresh(t *testing.T) {
+	const maxLog = 16
+	var c twiddleCache
+	dirs := []Direction{Forward, Inverse}
+	const goroutines = 8
+	got := make([][2][maxLog + 1][]complex128, goroutines)
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			// Each goroutine walks the sizes from a different start, so
+			// first uses collide on different tables.
+			for i := 0; i <= maxLog; i++ {
+				k := (i + g) % (maxLog + 1)
+				for d, dir := range dirs {
+					got[g][d][k] = c.table(1<<k, dir)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for d, dir := range dirs {
+		for k := 0; k <= maxLog; k++ {
+			n := 1 << k
+			want := twiddles(n, dir)
+			for g := 0; g < goroutines; g++ {
+				w := got[g][d][k]
+				if len(w) != len(want) {
+					t.Fatalf("%v n=%d: table has %d entries, want %d", dir, n, len(w), len(want))
+				}
+				if len(w) > 0 && &w[0] != &got[0][d][k][0] {
+					t.Errorf("%v n=%d: goroutines %d and 0 got different tables", dir, n, g)
+				}
+				if !sameBits(w, want) {
+					t.Fatalf("%v n=%d: cached table differs from a fresh twiddles call", dir, n)
+				}
+			}
+			if !sameBits(sharedTwiddles.table(n, dir), want) {
+				t.Errorf("%v n=%d: the process-wide table differs from a fresh twiddles call", dir, n)
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same IEEE-754 bits.
+func sameBits(a, b []complex128) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return false
+		}
+	}
+	return true
 }

@@ -6,8 +6,9 @@ import (
 	"math/cmplx"
 )
 
-// Plan is a prepared transform, mirroring FFTW's plan-based API: twiddle
-// tables are computed once at planning time and reused across executions.
+// Plan is a prepared transform, mirroring FFTW's plan-based API: the
+// twiddle table is fetched at planning time (from the table Radix2 uses,
+// built once per size and direction) and reused across executions.
 // This is the interface surface FACC targets when compiling to the
 // "optimized software library" backend — deliberately wider than the
 // hardware APIs (direction, normalization, in-place flags), which is why
@@ -31,20 +32,13 @@ func NewPlan(n int, dir Direction) (*Plan, error) {
 	switch {
 	case IsPowerOfTwo(n):
 		p.algorithm = "radix2"
-		p.tw = twiddles(maxInt(n, 2), dir)
+		p.tw = sharedTwiddles.table(max(n, 2), dir)
 	case HasSmallFactors(n):
 		p.algorithm = "mixed-radix"
 	default:
 		p.algorithm = "bluestein"
 	}
 	return p, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Algorithm returns the kernel the plan selected.
@@ -73,23 +67,8 @@ func (p *Plan) Execute(in, out []complex128) error {
 
 // radix2Planned is the iterative kernel using the precomputed table.
 func (p *Plan) radix2Planned(x []complex128) {
-	n := p.N
-	if n <= 1 {
-		return
-	}
-	BitReverse(x)
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		step := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				tw := p.tw[k*step]
-				u := x[start+k]
-				v := x[start+k+half] * tw
-				x[start+k] = u + v
-				x[start+k+half] = u - v
-			}
-		}
+	if p.N > 1 {
+		radix2(x, p.tw)
 	}
 }
 

@@ -4,6 +4,13 @@
 // range, biased toward small sizes that run quickly; length variables are
 // assigned before the arrays they measure (the topological order the paper
 // describes); scalar flags honor pins and direction maps.
+//
+// Every draw is a pure function of its stream key, so a Memo keeps each
+// distinct draw once and hands it to every generator built on it:
+// signals by (root seed, accelerator length, case index), size and
+// scalar draws by (derived seed, bound). Synthesis builds its generators
+// on the memo of its oracle cache, so the candidates and targets sharing
+// that cache share their draws; New builds a generator on a private memo.
 package iogen
 
 import (
@@ -12,6 +19,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"facc/internal/accel"
 	"facc/internal/analysis"
@@ -35,7 +43,10 @@ type Case struct {
 // Randomness is derived, not shared: every draw comes from a sub-seed that
 // is a pure function of (root seed, stream label, case index), so case i is
 // the same regardless of how many other cases, candidates or goroutines
-// draw around it. Two streams exist:
+// draw around it. The generator makes its draws through its Memo, which
+// keeps each one under its stream's key (see Memo), so a draw another
+// generator on the same memo already made is not made again. Two streams
+// exist:
 //
 //   - the signal stream is keyed on (root seed, accelerator length, case
 //     index) only — candidates that agree on the user-visible shape of a
@@ -51,23 +62,105 @@ type Case struct {
 //     draw identical scalars — the property that lets the reference
 //     oracle share one entry across all three targets.
 type Generator struct {
+	memo     *Memo
 	rootSeed int64
 	candSeed int64
+	refSig   string
 	cand     *binding.Candidate
 	prof     *analysis.Profile
 	sizes    []int64 // accelerator lengths to draw from, ascending
 }
 
-// New builds a generator. profile may be nil.
+// New builds a generator on a private memo. profile may be nil.
 func New(seed int64, cand *binding.Candidate, profile *analysis.Profile) *Generator {
+	return NewMemo().Generator(seed, cand, profile)
+}
+
+// Generator builds a generator for cand that draws through m, so its
+// cases reuse every draw a generator on m made before. Its cases equal
+// those of New(seed, cand, profile). profile may be nil.
+func (m *Memo) Generator(seed int64, cand *binding.Candidate, profile *analysis.Profile) *Generator {
+	ref := RefSig(cand)
 	g := &Generator{
+		memo:     m,
 		rootSeed: seed,
-		candSeed: DeriveSeed(seed, "cand:"+RefSig(cand)),
+		candSeed: DeriveSeed(seed, "cand:"+ref),
+		refSig:   ref,
 		cand:     cand,
 		prof:     profile,
 	}
 	g.sizes = g.candidateSizes()
 	return g
+}
+
+// RefSig returns RefSig of the generator's candidate, computed once.
+func (g *Generator) RefSig() string { return g.refSig }
+
+// Memo keeps generated draws so each distinct draw is made once, however
+// many generators ask for it. A draw is a pure function of its key, so a
+// kept draw is exactly what a fresh one would be:
+//
+//   - a signal is kept by (root seed, accelerator length, case index),
+//     the signal stream's own key;
+//   - a size or scalar draw is kept by (derived seed, bound): the
+//     DeriveSeed of its stream label and case index, and the n of the
+//     Intn(n) it draws.
+//
+// Every caller drawing one signal gets the same slice, which consumers
+// must treat as read-only. A Memo is safe for concurrent use. It holds
+// everything drawn through it for as long as it lives, so it should live
+// no longer than the work that shares it.
+type Memo struct {
+	mu      sync.Mutex
+	signals map[signalKey][]complex128
+	ints    map[intKey]int
+}
+
+type signalKey struct {
+	seed, n, caseIdx int64
+}
+
+type intKey struct {
+	seed  int64
+	bound int
+}
+
+// NewMemo returns an empty memo.
+func NewMemo() *Memo {
+	return &Memo{signals: map[signalKey][]complex128{}, ints: map[intKey]int{}}
+}
+
+// signal returns the n-point signal of case caseIdx under root seed.
+func (m *Memo) signal(seed int64, n, caseIdx int) []complex128 {
+	return kept(&m.mu, m.signals, signalKey{seed, int64(n), int64(caseIdx)},
+		func() []complex128 { return drawSignal(seed, n, caseIdx) })
+}
+
+// intn returns rand.New(rand.NewSource(seed)).Intn(bound): the one draw a
+// size or scalar stream makes.
+func (m *Memo) intn(seed int64, bound int) int {
+	return kept(&m.mu, m.ints, intKey{seed, bound},
+		func() int { return rand.New(rand.NewSource(seed)).Intn(bound) })
+}
+
+// kept returns the value table holds for k under mu, drawing it on first
+// use. The draw runs outside the lock; when two callers race on one key,
+// the first value stored wins, so every caller gets the same one.
+func kept[K comparable, V any](mu *sync.Mutex, table map[K]V, k K, draw func() V) V {
+	mu.Lock()
+	v, ok := table[k]
+	mu.Unlock()
+	if ok {
+		return v
+	}
+	v = draw()
+	mu.Lock()
+	defer mu.Unlock()
+	if prev, ok := table[k]; ok {
+		return prev
+	}
+	table[k] = v
+	return v
 }
 
 // DeriveSeed hashes a root seed with a stream label (plus optional indices)
@@ -209,11 +302,6 @@ func CaseDigest(c Case) string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// caseRng returns the rand stream for one (stream label, case index) draw.
-func caseRng(seed int64, label string, idx ...int64) *rand.Rand {
-	return rand.New(rand.NewSource(DeriveSeed(seed, label, idx...)))
-}
-
 // candidateSizes computes the accelerator lengths to test, smallest first
 // (the paper's bias toward small, fast examples).
 func (g *Generator) candidateSizes() []int64 {
@@ -315,7 +403,7 @@ func (g *Generator) Case(i int) Case {
 	if i < len(g.sizes) {
 		an = g.sizes[i]
 	} else {
-		an = g.sizes[caseRng(g.candSeed, "size", int64(i)).Intn(len(g.sizes))]
+		an = g.sizes[g.memo.intn(DeriveSeed(g.candSeed, "size", int64(i)), len(g.sizes))]
 	}
 	c := Case{AccelLen: an, Scalars: map[string]int64{}}
 	// Invert the conversion to get the user-level value.
@@ -326,7 +414,7 @@ func (g *Generator) Case(i int) Case {
 		c.UserLen = an
 	}
 	g.fillScalars(&c, i)
-	c.Input = g.signal(int(an), i)
+	c.Input = g.memo.signal(g.rootSeed, int(an), i)
 	return c
 }
 
@@ -351,12 +439,12 @@ func (g *Generator) fillScalars(c *Case, caseIdx int) {
 		}
 		// Keyed per parameter name so the drawn value does not depend on
 		// the iteration order of the free set.
-		rng := caseRng(g.candSeed, "scalar:"+name, int64(caseIdx))
+		seed := DeriveSeed(g.candSeed, "scalar:"+name, int64(caseIdx))
 		if r := g.profOf(name); r != nil && r.Distinct() != nil {
 			vals := r.Distinct()
-			c.Scalars[name] = vals[rng.Intn(len(vals))]
+			c.Scalars[name] = vals[g.memo.intn(seed, len(vals))]
 		} else {
-			c.Scalars[name] = int64(rng.Intn(7)) - 1
+			c.Scalars[name] = int64(g.memo.intn(seed, 7)) - 1
 		}
 	}
 }
@@ -368,12 +456,12 @@ func (g *Generator) profOf(name string) *analysis.Range {
 	return g.prof.Range(name)
 }
 
-// signal draws the random complex test vector for case caseIdx. Keyed on
-// the root seed plus (length, case index) only — deliberately candidate-
+// drawSignal draws the random complex test vector for case caseIdx. Keyed
+// on the root seed plus (length, case index) only — deliberately candidate-
 // independent, so every candidate asking for an n-point case i feeds the
 // user program the same signal and the oracle can share the reference run.
-func (g *Generator) signal(n, caseIdx int) []complex128 {
-	rng := caseRng(g.rootSeed, "signal", int64(n), int64(caseIdx))
+func drawSignal(seed int64, n, caseIdx int) []complex128 {
+	rng := rand.New(rand.NewSource(DeriveSeed(seed, "signal", int64(n), int64(caseIdx))))
 	out := make([]complex128, n)
 	for i := range out {
 		out[i] = complex(rng.NormFloat64(), rng.NormFloat64())

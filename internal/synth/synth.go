@@ -113,9 +113,11 @@ type Options struct {
 	// are target-independent (see OracleCache), so one cache handed to
 	// the ffta, powerquad and fftw compiles of the same program
 	// interprets each distinct user-side run once instead of three
-	// times. Nil builds a private per-call cache — today's semantics,
-	// no sharing. Sharing never changes results: an entry's value is a
-	// pure function of its key.
+	// times. It also holds the generated test inputs (every candidate's
+	// generator draws through its iogen.Memo), so those compiles draw
+	// each input once. Nil builds a private per-call cache, shared only
+	// by this call's candidates. Sharing never changes results: an
+	// entry's value, and a kept draw, is a pure function of its key.
 	Oracle *OracleCache
 	// Cex, when non-nil, makes search counterexample-guided, in both
 	// directions. Read side: the pool's ranking is snapshotted once per
@@ -478,7 +480,7 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	cand *binding.Candidate, profile *analysis.Profile, opts Options,
 	sp *obs.Span, orc *oracle, replay map[string]int) (*Adapter, error) {
 	opts.Kills.AddDispatched(fn.Name, cand.Spec.Name, 1)
-	gen := iogen.New(opts.Seed, cand, profile)
+	gen := orc.cache.memo.Generator(opts.Seed, cand, profile)
 	if !gen.Viable() {
 		sp.Str("outcome", "not-viable")
 		verdict(opts, fn.Name, cand, "not-viable", 0, "",
@@ -490,6 +492,7 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 		return nil, nil
 	}
 	cases := gen.Cases(opts.NumTests)
+	ref := gen.RefSig()
 	order := replayOrder(cases, replay, opts.Seed)
 
 	// started counts the cases begun, including those a fan ran past
@@ -512,7 +515,7 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 		}()
 	}
 	if w := min(orc.workers, len(order)); w > 1 {
-		fan = startCases(ctx, cand, cases, order, orc, opts.Tolerance, w)
+		fan = startCases(ctx, cand, ref, cases, order, orc, opts.Tolerance, w)
 		defer func() { started = fan.stop() }() // runs before the charge above
 	}
 
@@ -537,7 +540,7 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 				return nil, fmt.Errorf("synth: candidate evaluation cancelled: %w", err)
 			}
 			started++
-			r = runCase(ctx, cand, tc, caseIdx, orc, alive, opts.Tolerance)
+			r = runCase(ctx, cand, ref, tc, orc, alive, opts.Tolerance)
 		}
 		ran := pos + 1
 		steps += r.steps
@@ -667,13 +670,15 @@ type caseResult struct {
 	panicked any    // recovered in a case goroutine, re-raised by caseFan.wait
 }
 
-// runCase runs one IO case: the reference run through the oracle, the
-// device-model run, and the comparison of the user output with each
-// sketch in alive applied to the device output.
-func runCase(ctx context.Context, cand *binding.Candidate, tc iogen.Case, caseIdx int,
+// runCase runs one IO case of cand, whose iogen.RefSig is ref: the
+// reference run through the oracle, the device-model run, and the
+// comparison of the user output with each sketch in alive applied to the
+// device output. tc.Input is shared through the oracle cache's memo, so
+// nothing here writes it.
+func runCase(ctx context.Context, cand *binding.Candidate, ref string, tc iogen.Case,
 	orc *oracle, alive uint32, tol float64) (r caseResult) {
 	var userOut []complex128
-	userOut, r.ret, r.steps, r.err = orc.run(ctx, cand, tc, caseIdx)
+	userOut, r.ret, r.steps, r.err = orc.run(ctx, cand, ref, tc)
 	if r.err != nil {
 		return r
 	}
@@ -731,7 +736,7 @@ type caseFan struct {
 	started int                  // cases begun: the work done
 }
 
-func startCases(ctx context.Context, cand *binding.Candidate, cases []iogen.Case,
+func startCases(ctx context.Context, cand *binding.Candidate, ref string, cases []iogen.Case,
 	order []int, orc *oracle, tol float64, workers int) *caseFan {
 	f := &caseFan{ctx: ctx, results: make([]caseResult, len(order)),
 		ready: make(chan int, len(order)), have: make([]bool, len(order)),
@@ -739,12 +744,12 @@ func startCases(ctx context.Context, cand *binding.Candidate, cases []iogen.Case
 	f.alive.Store(allSketches)
 	f.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go f.work(cand, cases, order, orc, tol)
+		go f.work(cand, ref, cases, order, orc, tol)
 	}
 	return f
 }
 
-func (f *caseFan) work(cand *binding.Candidate, cases []iogen.Case, order []int,
+func (f *caseFan) work(cand *binding.Candidate, ref string, cases []iogen.Case, order []int,
 	orc *oracle, tol float64) {
 	defer f.wg.Done()
 	for {
@@ -760,7 +765,7 @@ func (f *caseFan) work(cand *binding.Candidate, cases []iogen.Case, order []int,
 		f.cancels[pos] = cancel
 		f.mu.Unlock()
 
-		r := f.run(ctx, cand, cases[order[pos]], order[pos], orc, tol)
+		r := f.run(ctx, cand, ref, cases[order[pos]], orc, tol)
 		cancel()
 
 		f.mu.Lock()
@@ -780,14 +785,14 @@ func (f *caseFan) work(cand *binding.Candidate, cases []iogen.Case, order []int,
 }
 
 // run is runCase with a panic recovered into the result.
-func (f *caseFan) run(ctx context.Context, cand *binding.Candidate, tc iogen.Case,
-	caseIdx int, orc *oracle, tol float64) (r caseResult) {
+func (f *caseFan) run(ctx context.Context, cand *binding.Candidate, ref string, tc iogen.Case,
+	orc *oracle, tol float64) (r caseResult) {
 	defer func() {
 		if p := recover(); p != nil {
 			r = caseResult{panicked: p}
 		}
 	}()
-	return runCase(ctx, cand, tc, caseIdx, orc, f.alive.Load(), tol)
+	return runCase(ctx, cand, ref, tc, orc, f.alive.Load(), tol)
 }
 
 // wait returns the result at replay position pos. A panic recovered in
