@@ -57,9 +57,10 @@ crash-matrix:
 chaos:
 	$(GO) test -race -timeout 120s -run 'Chaos|FaultInject|Injector|Retry|Breaker|Harden|Panic|Fuel|StackOverflow|Cancel' ./...
 
-# One testing.B benchmark per paper table/figure plus ablations, then the
-# per-layer benchmarks of input generation (fresh vs memoized draws) and
-# the device models.
+# One testing.B benchmark per paper table/figure plus ablations and the
+# fixed cost of an oracle-hit compile (BenchmarkCompileOracleHit), then
+# the per-layer benchmarks of input generation and case digests (fresh
+# vs memoized) and the device models.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/iogen ./internal/accel

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"testing"
 
+	"facc"
 	"facc/internal/accel"
 	"facc/internal/analysis"
 	"facc/internal/bench"
@@ -290,6 +291,35 @@ func BenchmarkSynthesizeOne(b *testing.B) {
 				b.ReportMetric(float64(c["synth.tests_run"])/float64(b.N), "tests/op")
 				b.ReportMetric(float64(c["interp.steps"])/float64(b.N), "steps/op")
 			})
+		}
+	}
+}
+
+// BenchmarkCompileOracleHit measures the fixed cost of a compile whose
+// reference runs are all oracle hits: iterdit's powerquad target,
+// compiled through the library at one worker on a fresh cache that its
+// ffta compile warmed, as a program's later targets run in the
+// library-warm benchmark. The warming compile is not timed.
+func BenchmarkCompileOracleHit(b *testing.B) {
+	bm, err := bench.ByName("iterdit")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := facc.Options{Entry: bm.Entry, ProfileValues: bm.ProfileValues, Workers: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		opts.Oracle = facc.NewOracleCache()
+		if _, err := facc.Compile(bm.File, bm.Source(), facc.TargetFFTA, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := facc.Compile(bm.File, bm.Source(), facc.TargetPowerQuad, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.OK() {
+			b.Fatalf("no adapter: %s", res.FailReason())
 		}
 	}
 }

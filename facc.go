@@ -137,10 +137,13 @@ type Options struct {
 	// compiles of the same source against ffta, powerquad and fftw
 	// interprets each distinct reference run once and shares it across
 	// all three. The cache also holds the generated test inputs behind
-	// those runs, so the later compiles reuse the first one's draws
-	// instead of generating them again. Nil (the default) gives each
-	// compile a private cache — candidates within one compile still
-	// share.
+	// those runs and their case digests, the checked file of each source,
+	// and each function's analysis facts and file digest, so the later
+	// compiles reuse the first one's work instead of parsing, checking,
+	// analysing, drawing and hashing again. Compiles sharing a cache
+	// share one *minic.File per source (Result.Raw().File), which is
+	// read-only. Nil (the default) gives each compile a private cache —
+	// candidates within one compile still share.
 	Oracle *OracleCache
 
 	// Deadline bounds the whole compilation's wall clock: past it the
@@ -213,8 +216,9 @@ type CexPool = obs.CexPool
 // Options.Cex (or load a persisted one with obs.LoadCexPool).
 func NewCexPool() *CexPool { return obs.NewCexPool() }
 
-// OracleCache is the shared target-independent reference-oracle cache;
-// see Options.Oracle.
+// OracleCache is the shared cache of a program's target-independent
+// compile work: reference runs, test inputs and their digests, the
+// checked file and per-function facts; see Options.Oracle.
 type OracleCache = synth.OracleCache
 
 // NewOracleCache returns an empty oracle cache to pass via

@@ -2,6 +2,7 @@ package facc
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,6 +148,75 @@ func TestCorpusCompilesToAllTargets(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestSharedCacheCompiles pins what sharing an oracle cache shares and
+// what it must not change. Per corpus program, six goroutines compile it
+// at once on one cache, two per target, as eval.CompileAll's workers do:
+// every compile must get the same *minic.File, that file must print as a
+// fresh parse of the source does after all of them, and every adapter
+// and fail reason must equal a compile's on a private cache.
+func TestSharedCacheCompiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the corpus three times over; skipped in -short")
+	}
+	targets := []string{TargetFFTA, TargetPowerQuad, TargetFFTW}
+	outcome := func(res *Result) string {
+		if res.OK() {
+			return res.AdapterC()
+		}
+		return "failed: " + res.FailReason()
+	}
+	for _, bm := range bench.Suite() {
+		opts := Options{Entry: bm.Entry, ProfileValues: bm.ProfileValues, NumTests: 4}
+		want := map[string]string{}
+		for _, target := range targets {
+			res, err := Compile(bm.File, bm.Source(), target, opts)
+			if err != nil {
+				t.Fatalf("%s/%s on a private cache: %v", bm.Name, target, err)
+			}
+			want[target] = outcome(res)
+		}
+		fresh, err := minic.ParseAndCheck(bm.File, bm.Source())
+		if err != nil {
+			t.Fatalf("%s: %v", bm.Name, err)
+		}
+		printed := minic.PrintFile(fresh)
+
+		opts.Oracle = NewOracleCache()
+		results := make([]*Result, 2*len(targets))
+		var wg sync.WaitGroup
+		wg.Add(len(results))
+		for i := range results {
+			go func(i int) {
+				defer wg.Done()
+				res, err := Compile(bm.File, bm.Source(), targets[i%len(targets)], opts)
+				if err != nil {
+					t.Errorf("%s/%s on the shared cache: %v", bm.Name, targets[i%len(targets)], err)
+					return
+				}
+				results[i] = res
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		shared := results[0].Raw().File
+		for i, res := range results {
+			target := targets[i%len(targets)]
+			if res.Raw().File != shared {
+				t.Errorf("%s/%s: compile %d got its own *minic.File", bm.Name, target, i)
+			}
+			if got := outcome(res); got != want[target] {
+				t.Errorf("%s/%s: shared-cache outcome differs from a private cache's:\n%s\nwant:\n%s",
+					bm.Name, target, got, want[target])
+			}
+		}
+		if minic.PrintFile(shared) != printed {
+			t.Errorf("%s: the shared file no longer prints as its source parses", bm.Name)
+		}
 	}
 }
 

@@ -128,7 +128,9 @@ type FunctionResult struct {
 // Compilation is the outcome of compiling one translation unit to one
 // target.
 type Compilation struct {
-	Target    *accel.Spec
+	Target *accel.Spec
+	// File is the checked file, shared with every compile on the same
+	// oracle cache: read-only.
 	File      *minic.File
 	Functions []*FunctionResult
 	Elapsed   time.Duration
@@ -189,33 +191,30 @@ func BuildProfile(values map[string][]int64) *analysis.Profile {
 }
 
 // CompileSource parses, checks and compiles MiniC source against a
-// target. ctx (nil means Background) cancels the pipeline between and
-// inside candidate evaluations.
+// target. The checked file comes from opts.Synth.Oracle, or from a
+// private cache made for this compile and handed down to synthesis, so
+// compiles sharing a cache parse and check a source once and share one
+// read-only *minic.File (Compilation.File). ctx (nil means Background)
+// cancels the pipeline between and inside candidate evaluations.
 func CompileSource(ctx context.Context, name, src string, spec *accel.Spec, opts Options) (*Compilation, error) {
-	fsp := opts.Trace.Span("frontend").Str("file", name)
-	psp := fsp.Child("parse")
-	f, err := minic.Parse(name, src)
-	psp.End()
-	if err != nil {
-		fsp.End()
-		return nil, err
+	if opts.Synth.Oracle == nil {
+		opts.Synth.Oracle = synth.NewOracleCache()
 	}
-	tsp := fsp.Child("typecheck")
-	err = minic.Check(f)
-	tsp.End()
+	fsp := opts.Trace.Span("frontend").Str("file", name)
+	f, err := opts.Synth.Oracle.File(name, src, fsp)
 	fsp.End()
 	if err != nil {
 		return nil, err
 	}
-	return CompileFile(ctx, f, spec, opts)
+	return compileFile(ctx, f, spec, opts)
 }
 
-// CompileFile runs the pipeline on a checked file. All stage timings —
+// compileFile runs the pipeline on a checked file. All stage timings —
 // including the Elapsed fields of the result — derive from tracer spans;
 // when opts.Trace is nil a private tracer supplies them, and the per-test
 // hot path inside synth runs uninstrumented. ctx (nil means Background)
 // cancels the pipeline; the error then wraps ctx.Err().
-func CompileFile(ctx context.Context, f *minic.File, spec *accel.Spec, opts Options) (*Compilation, error) {
+func compileFile(ctx context.Context, f *minic.File, spec *accel.Spec, opts Options) (*Compilation, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -7,6 +7,7 @@ import (
 
 	"facc/internal/accel"
 	"facc/internal/minic"
+	"facc/internal/obs"
 	"facc/internal/synth"
 )
 
@@ -261,5 +262,50 @@ func TestIntegratedUnitFailsWithNothingCompiled(t *testing.T) {
 	}
 	if _, err := comp.IntegratedUnit(); err == nil {
 		t.Error("expected error for empty compilation")
+	}
+}
+
+// TestCompileSourceFrontendOncePerCache: compiles sharing an oracle cache
+// parse and check a source once. The first compile records parse and
+// typecheck spans under its frontend span; the second records neither,
+// marks its frontend span cached, and gets the same file. A parse error
+// is kept the same way.
+func TestCompileSourceFrontendOncePerCache(t *testing.T) {
+	tr := obs.New()
+	opts := Options{Entry: "spectrum", Trace: tr,
+		ProfileValues: map[string][]int64{"n": {16, 32}},
+		Synth:         synth.Options{NumTests: 3, Oracle: synth.NewOracleCache()}}
+	var files []*minic.File
+	for _, spec := range []*accel.Spec{accel.NewPowerQuad(), accel.NewFFTWLib()} {
+		comp, err := CompileSource(context.Background(), "t.c", dftSrc, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, comp.File)
+	}
+	if files[0] != files[1] {
+		t.Error("the second compile on the cache got its own *minic.File")
+	}
+	front := tr.Find("frontend")
+	if len(front) != 2 || len(tr.Find("parse")) != 1 || len(tr.Find("typecheck")) != 1 {
+		t.Fatalf("%d frontend, %d parse, %d typecheck spans; want 2, 1, 1",
+			len(front), len(tr.Find("parse")), len(tr.Find("typecheck")))
+	}
+	if front[0].Attr("cached") != nil || front[1].Attr("cached") != "true" {
+		t.Errorf("cached attributes %v, %v; want none, then true",
+			front[0].Attr("cached"), front[1].Attr("cached"))
+	}
+
+	bad := "void f( {"
+	var errs []error
+	for i := 0; i < 2; i++ {
+		_, err := CompileSource(context.Background(), "bad.c", bad, accel.NewFFTA(), opts)
+		if err == nil {
+			t.Fatal("a parse error compiled")
+		}
+		errs = append(errs, err)
+	}
+	if errs[0] != errs[1] || len(tr.Find("parse")) != 2 {
+		t.Errorf("the parse error was not kept: %v, %v, %d parse spans", errs[0], errs[1], len(tr.Find("parse")))
 	}
 }

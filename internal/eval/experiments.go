@@ -129,11 +129,7 @@ func compileOne(ctx context.Context, target string, b *bench.Benchmark, numTests
 	if err != nil {
 		return nil, err
 	}
-	f, err := minic.ParseAndCheck(b.File, b.Source())
-	if err != nil {
-		return nil, err
-	}
-	comp, err := core.CompileFile(ctx, f, spec, core.Options{
+	comp, err := core.CompileSource(ctx, b.File, b.Source(), spec, core.Options{
 		Entry:         b.Entry,
 		ProfileValues: b.ProfileValues,
 		Trace:         tr,

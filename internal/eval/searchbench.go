@@ -12,7 +12,6 @@ import (
 	"facc/internal/accel"
 	"facc/internal/bench"
 	"facc/internal/core"
-	"facc/internal/minic"
 	"facc/internal/obs"
 	"facc/internal/synth"
 )
@@ -38,11 +37,7 @@ func SearchBench(ctx context.Context, targets []string, numTests int, kills *obs
 			return err
 		}
 		for _, b := range bench.SupportedSuite() {
-			f, err := minic.ParseAndCheck(b.File, b.Source())
-			if err != nil {
-				return err
-			}
-			if _, err := core.CompileFile(ctx, f, spec, core.Options{
+			if _, err := core.CompileSource(ctx, b.File, b.Source(), spec, core.Options{
 				Entry:         b.Entry,
 				ProfileValues: b.ProfileValues,
 				Kills:         kills,

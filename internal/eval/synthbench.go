@@ -13,7 +13,6 @@ import (
 	"facc/internal/accel"
 	"facc/internal/bench"
 	"facc/internal/core"
-	"facc/internal/minic"
 	"facc/internal/obs"
 	"facc/internal/synth"
 )
@@ -202,11 +201,7 @@ func SynthBench(ctx context.Context, targets []string, numTests int, workerCount
 			return nil, err
 		}
 		for _, b := range bench.SupportedSuite() {
-			f, err := minic.ParseAndCheck(b.File, b.Source())
-			if err != nil {
-				return nil, err
-			}
-			if _, err := core.CompileFile(ctx, f, spec, core.Options{
+			if _, err := core.CompileSource(ctx, b.File, b.Source(), spec, core.Options{
 				Entry:         b.Entry,
 				ProfileValues: b.ProfileValues,
 				Synth:         synth.Options{NumTests: numTests, Workers: 1, Cex: pool},
@@ -309,11 +304,7 @@ func synthBenchRun(ctx context.Context, targets []string, numTests, workers int,
 			return SynthBenchRun{}, nil, err
 		}
 		for _, b := range bench.SupportedSuite() {
-			f, err := minic.ParseAndCheck(b.File, b.Source())
-			if err != nil {
-				return SynthBenchRun{}, nil, err
-			}
-			comp, err := core.CompileFile(ctx, f, spec, core.Options{
+			comp, err := core.CompileSource(ctx, b.File, b.Source(), spec, core.Options{
 				Entry:         b.Entry,
 				ProfileValues: b.ProfileValues,
 				Trace:         tr,
@@ -399,12 +390,8 @@ func synthBenchExhaustive(ctx context.Context, targets []string, numTests, worke
 				return nil, err
 			}
 			tgt := &perTgt[i]
-			f, err := minic.ParseAndCheck(b.File, b.Source())
-			if err != nil {
-				return nil, err
-			}
 			j := obs.NewJournal()
-			if _, err := core.CompileFile(ctx, f, spec, core.Options{
+			if _, err := core.CompileSource(ctx, b.File, b.Source(), spec, core.Options{
 				Entry:         b.Entry,
 				ProfileValues: b.ProfileValues,
 				Trace:         tr,

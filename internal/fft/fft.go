@@ -245,18 +245,31 @@ func mixedRecurse(in []complex128, dir Direction) []complex128 {
 		}
 		subs[q] = mixedRecurse(sub, dir)
 	}
-	s := dir.sign()
+	w := keptTable(&mixedTables, tableKey{n, dir}, (r-1)*(n-1)+1,
+		func() []complex128 { return mixedTwiddles(n, r, dir) })
 	out := make([]complex128, n)
 	// Combine: X[k] = Σ_q W_n^{qk} · Sub_q[k mod m]
 	for k := 0; k < n; k++ {
 		var sum complex128
 		for q := 0; q < r; q++ {
-			angle := s * 2 * math.Pi * float64(q*k) / float64(n)
-			sum += cmplx.Exp(complex(0, angle)) * subs[q][k%m]
+			sum += w[q*k] * subs[q][k%m]
 		}
 		out[k] = sum
 	}
 	return out
+}
+
+// mixedTwiddles returns the factors a radix-r combine step of length n
+// multiplies by, indexed by the unreduced product q·k of its terms:
+// w[j] = exp(s·2πi·j/n) for j ≤ (r−1)(n−1).
+func mixedTwiddles(n, r int, dir Direction) []complex128 {
+	s := dir.sign()
+	w := make([]complex128, (r-1)*(n-1)+1)
+	for j := range w {
+		angle := s * 2 * math.Pi * float64(j) / float64(n)
+		w[j] = cmplx.Exp(complex(0, angle))
+	}
+	return w
 }
 
 // Bluestein computes an FFT of arbitrary length n via the chirp-z
@@ -268,8 +281,40 @@ func Bluestein(in []complex128, dir Direction) []complex128 {
 		copy(out, in)
 		return out
 	}
+	m := 1
+	for m < 2*n-1 {
+		m <<= 1
+	}
+	t := keptTable(&chirpTables, tableKey{n, dir}, n+m,
+		func() *chirpTable { return newChirpTable(n, m, dir) })
+	a := make([]complex128, m)
+	for k := 0; k < n; k++ {
+		a[k] = in[k] * t.chirp[k]
+	}
+	// Convolve via power-of-two FFTs.
+	_ = Radix2(a, Forward)
+	for i := range a {
+		a[i] *= t.b[i]
+	}
+	_ = Radix2(a, Inverse)
+	out := make([]complex128, n)
+	scale := complex(1/float64(m), 0)
+	for k := 0; k < n; k++ {
+		out[k] = a[k] * scale * t.chirp[k]
+	}
+	return out
+}
+
+// chirpTable is what Bluestein's algorithm needs for one length n and
+// direction besides the input: the chirp, and the forward transform of
+// the length-m convolution kernel built from it.
+type chirpTable struct {
+	chirp []complex128 // exp(s·πi k²/n) for k < n
+	b     []complex128
+}
+
+func newChirpTable(n, m int, dir Direction) *chirpTable {
 	s := dir.sign()
-	// chirp[k] = exp(s·πi k²/n)
 	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		// k² mod 2n avoids precision loss for large k.
@@ -277,32 +322,48 @@ func Bluestein(in []complex128, dir Direction) []complex128 {
 		angle := s * math.Pi * float64(k2) / float64(n)
 		chirp[k] = cmplx.Exp(complex(0, angle))
 	}
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	a := make([]complex128, m)
 	b := make([]complex128, m)
 	for k := 0; k < n; k++ {
-		a[k] = in[k] * chirp[k]
 		b[k] = cmplx.Conj(chirp[k])
 	}
 	for k := 1; k < n; k++ {
 		b[m-k] = cmplx.Conj(chirp[k])
 	}
-	// Convolve via power-of-two FFTs.
-	_ = Radix2(a, Forward)
 	_ = Radix2(b, Forward)
-	for i := range a {
-		a[i] *= b[i]
+	return &chirpTable{chirp: chirp, b: b}
+}
+
+// maxKeptTable caps the entries (complex128 values) of a kept
+// mixed-radix or Bluestein table. Lengths come from users (fftw's MaxN
+// is 2^24, and faccd takes profile sizes from requests), so a larger
+// table is built for its call and dropped. Under the cap only 165 smooth
+// lengths and 406 Bluestein lengths have tables, so even all of them, in
+// both directions, would hold 16 MiB.
+const maxKeptTable = 1 << 11
+
+// tableKey names a kept table: a transform length and direction.
+type tableKey struct {
+	n   int
+	dir Direction
+}
+
+// The kept non-power-of-two tables: tableKey → []complex128 from
+// mixedTwiddles, and tableKey → *chirpTable.
+var mixedTables, chirpTables sync.Map
+
+// keptTable returns the table tables keeps for key, building it on first
+// use, or builds it for this call alone when it has more than
+// maxKeptTable entries. When first uses race, the first table stored
+// wins, so every caller gets the same one and must not write it.
+func keptTable[T any](tables *sync.Map, key tableKey, entries int, build func() T) T {
+	if entries > maxKeptTable {
+		return build()
 	}
-	_ = Radix2(a, Inverse)
-	out := make([]complex128, n)
-	scale := complex(1/float64(m), 0)
-	for k := 0; k < n; k++ {
-		out[k] = a[k] * scale * chirp[k]
+	if v, ok := tables.Load(key); ok {
+		return v.(T)
 	}
-	return out
+	v, _ := tables.LoadOrStore(key, build())
+	return v.(T)
 }
 
 // Normalize divides x by len(x) in place (the conventional inverse-FFT

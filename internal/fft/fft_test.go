@@ -2,6 +2,7 @@ package fft
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"sync"
 	"testing"
@@ -472,4 +473,137 @@ func sameBits(a, b []complex128) bool {
 		}
 	}
 	return true
+}
+
+// TestKeptTablesMatchFresh checks MixedRadix, whose non-power-of-two
+// lengths take their twiddles and chirps from kept tables, against the
+// same algorithms computing every factor per call (freshMixed and
+// freshBluestein below), bit for bit, in both directions. Several
+// goroutines make the first use of each table at once. 2100 and 1031
+// need tables over maxKeptTable entries, which are built per call and
+// never kept.
+func TestKeptTablesMatchFresh(t *testing.T) {
+	for _, tables := range []*sync.Map{&mixedTables, &chirpTables} {
+		tables.Range(func(k, _ any) bool { tables.Delete(k); return true })
+	}
+	sizes := []int{12, 20, 27, 60, 100, 101, 240, 2100, 1031}
+	dirs := []Direction{Forward, Inverse}
+	rng := rand.New(rand.NewSource(9))
+	inputs := make([][]complex128, len(sizes))
+	want := make([][2][]complex128, len(sizes))
+	for i, n := range sizes {
+		inputs[i] = randComplex(rng, n)
+		for d, dir := range dirs {
+			if HasSmallFactors(n) {
+				want[i][d] = freshMixed(inputs[i], dir)
+			} else {
+				want[i][d] = freshBluestein(inputs[i], dir)
+			}
+		}
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for j := range sizes {
+				i := (j + g) % len(sizes)
+				for d, dir := range dirs {
+					if got := MixedRadix(inputs[i], dir); !sameBits(got, want[i][d]) {
+						t.Errorf("goroutine %d, n=%d %v: kept tables give different bits", g, sizes[i], dir)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, dir := range dirs {
+		if _, ok := mixedTables.Load(tableKey{2100, dir}); ok {
+			t.Errorf("n=2100 %v: a table over the cap was kept", dir)
+		}
+		if _, ok := chirpTables.Load(tableKey{1031, dir}); ok {
+			t.Errorf("n=1031 %v: a chirp table over the cap was kept", dir)
+		}
+		if _, ok := mixedTables.Load(tableKey{240, dir}); !ok {
+			t.Errorf("n=240 %v: no table kept", dir)
+		}
+		if _, ok := chirpTables.Load(tableKey{101, dir}); !ok {
+			t.Errorf("n=101 %v: no chirp table kept", dir)
+		}
+	}
+}
+
+// freshMixed is MixedRadix for a smooth non-power-of-two length with
+// every twiddle computed where it is used.
+func freshMixed(in []complex128, dir Direction) []complex128 {
+	n := len(in)
+	if n == 1 {
+		return []complex128{in[0]}
+	}
+	r := 0
+	for _, p := range smallPrimes {
+		if n%p == 0 {
+			r = p
+			break
+		}
+	}
+	m := n / r
+	subs := make([][]complex128, r)
+	for q := 0; q < r; q++ {
+		sub := make([]complex128, m)
+		for i := 0; i < m; i++ {
+			sub[i] = in[i*r+q]
+		}
+		subs[q] = freshMixed(sub, dir)
+	}
+	s := dir.sign()
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for q := 0; q < r; q++ {
+			angle := s * 2 * math.Pi * float64(q*k) / float64(n)
+			sum += cmplx.Exp(complex(0, angle)) * subs[q][k%m]
+		}
+		out[k] = sum
+	}
+	return out
+}
+
+// freshBluestein is Bluestein building its chirp and transforming its
+// kernel on every call.
+func freshBluestein(in []complex128, dir Direction) []complex128 {
+	n := len(in)
+	s := dir.sign()
+	chirp := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		k2 := (int64(k) * int64(k)) % int64(2*n)
+		angle := s * math.Pi * float64(k2) / float64(n)
+		chirp[k] = cmplx.Exp(complex(0, angle))
+	}
+	m := 1
+	for m < 2*n-1 {
+		m <<= 1
+	}
+	a := make([]complex128, m)
+	b := make([]complex128, m)
+	for k := 0; k < n; k++ {
+		a[k] = in[k] * chirp[k]
+		b[k] = cmplx.Conj(chirp[k])
+	}
+	for k := 1; k < n; k++ {
+		b[m-k] = cmplx.Conj(chirp[k])
+	}
+	_ = Radix2(a, Forward)
+	_ = Radix2(b, Forward)
+	for i := range a {
+		a[i] *= b[i]
+	}
+	_ = Radix2(a, Inverse)
+	out := make([]complex128, n)
+	scale := complex(1/float64(m), 0)
+	for k := 0; k < n; k++ {
+		out[k] = a[k] * scale * chirp[k]
+	}
+	return out
 }

@@ -182,7 +182,18 @@ var math2 = map[string]func(float64, float64) float64{
 }
 
 var cmath1 = map[string]func(complex128) complex128{
-	"cexp": cmplx.Exp, "csqrt": cmplx.Sqrt, "conj": cmplx.Conj,
+	"cexp": cexp, "csqrt": cmplx.Sqrt, "conj": cmplx.Conj,
+}
+
+// cexp is cmplx.Exp, bit for bit. The twiddle factors FFT code computes
+// are cexp of an imaginary argument, where cmplx.Exp would scale
+// Sincos's result by math.Exp(±0) = 1; that step is skipped.
+func cexp(x complex128) complex128 {
+	if real(x) == 0 {
+		s, c := math.Sincos(imag(x))
+		return complex(c, s)
+	}
+	return cmplx.Exp(x)
 }
 
 var cmathReal = map[string]func(complex128) float64{

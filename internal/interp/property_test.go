@@ -2,6 +2,8 @@ package interp
 
 import (
 	"math"
+	"math/cmplx"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -180,6 +182,35 @@ double complex cm(double complex a, double complex b) { return a * b; }
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the interpreter's cexp is cmplx.Exp bit for bit. Imaginary
+// parts are drawn as raw bit patterns, so NaN payloads, infinities,
+// subnormals and every magnitude occur, beside the special values
+// themselves; the real part is each zero (the shortcut) or a few others.
+func TestPropertyCexpMatchesCmplxExp(t *testing.T) {
+	ims := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64,
+		-math.MaxFloat64, math.Pi, -2 * math.Pi / 3, 1e300, 1e-300}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200_000; i++ {
+		ims = append(ims, math.Float64frombits(rng.Uint64()))
+	}
+	res := []float64{0, math.Copysign(0, -1), 1, -0.5, math.Inf(-1), math.NaN()}
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	for _, re := range res {
+		for _, im := range ims {
+			x := complex(re, im)
+			if got, want := cexp(x), cmplx.Exp(x); !same(got, want) {
+				t.Fatalf("cexp(%v [im bits %#x]) = %v, cmplx.Exp gives %v",
+					x, math.Float64bits(im), got, want)
+			}
+		}
 	}
 }
 

@@ -8,9 +8,10 @@
 // Every draw is a pure function of its stream key, so a Memo keeps each
 // distinct draw once and hands it to every generator built on it:
 // signals by (root seed, accelerator length, case index), size and
-// scalar draws by (derived seed, bound). Synthesis builds its generators
-// on the memo of its oracle cache, so the candidates and targets sharing
-// that cache share their draws; New builds a generator on a private memo.
+// scalar draws by (derived seed, bound). It also keeps the CaseDigest of
+// each drawn case. Synthesis builds its generators on the memo of its
+// oracle cache, so the candidates and targets sharing that cache share
+// their draws and digests; New builds a generator on a private memo.
 package iogen
 
 import (
@@ -34,8 +35,13 @@ type Case struct {
 	AccelLen int64
 	// Scalars assigns every non-length integer parameter.
 	Scalars map[string]int64
-	// Input is the complex test signal.
+	// Input is the complex test signal. A generated case's Input is the
+	// memo's slice for its signal key: read-only, and never replaced.
 	Input []complex128
+
+	// signal is the memo key Input was drawn under; its n is 0 for a case
+	// not drawn through a memo, such as a literal.
+	signal signalKey
 }
 
 // Generator produces test cases for one candidate.
@@ -106,14 +112,16 @@ func (g *Generator) RefSig() string { return g.refSig }
 //     DeriveSeed of its stream label and case index, and the n of the
 //     Intn(n) it draws.
 //
-// Every caller drawing one signal gets the same slice, which consumers
-// must treat as read-only. A Memo is safe for concurrent use. It holds
-// everything drawn through it for as long as it lives, so it should live
-// no longer than the work that shares it.
+// It also keeps the CaseDigest of every drawn case it is asked for (see
+// Memo.CaseDigest). Every caller drawing one signal gets the same slice,
+// which consumers must treat as read-only. A Memo is safe for concurrent
+// use. It holds everything drawn through it for as long as it lives, so
+// it should live no longer than the work that shares it.
 type Memo struct {
 	mu      sync.Mutex
 	signals map[signalKey][]complex128
 	ints    map[intKey]int
+	digests map[digestKey]string
 }
 
 type signalKey struct {
@@ -125,9 +133,34 @@ type intKey struct {
 	bound int
 }
 
+// digestKey fixes every byte CaseDigest hashes: prefix is the hash state
+// after the case's lengths and sorted scalars, and signal fixes the
+// input bits hashed after them.
+type digestKey struct {
+	prefix uint64
+	signal signalKey
+}
+
 // NewMemo returns an empty memo.
 func NewMemo() *Memo {
-	return &Memo{signals: map[signalKey][]complex128{}, ints: map[intKey]int{}}
+	return &Memo{signals: map[signalKey][]complex128{}, ints: map[intKey]int{},
+		digests: map[digestKey]string{}}
+}
+
+// CaseDigest returns CaseDigest(c). A case drawn through a memo (this
+// one or another) has its digest kept by (the hash state after its
+// lengths and scalars, the key its signal was drawn under): FNV-1a's
+// final value depends only on that state and the bytes still to hash,
+// and the key fixes those bytes, so equal keys give equal digests with
+// no collision assumption. A case not drawn through a memo is hashed in
+// full.
+func (m *Memo) CaseDigest(c Case) string {
+	h := digestPrefix(c)
+	if c.signal.n == 0 {
+		return digestInput(h, c.Input)
+	}
+	return kept(&m.mu, m.digests, digestKey{h, c.signal},
+		func() string { return digestInput(h, c.Input) })
 }
 
 // signal returns the n-point signal of case caseIdx under root seed.
@@ -266,33 +299,44 @@ func CaseSig(seed, accelLen int64, caseIdx int) string {
 // different fuzz seeds — which draw different signals — can never
 // collide.
 func CaseDigest(c Case) string {
-	h := uint64(14695981039346656037)
-	mix8 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v >> (8 * uint(i)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	mixs := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	mix8(uint64(c.UserLen))
-	mix8(uint64(c.AccelLen))
+	return digestInput(digestPrefix(c), c.Input)
+}
+
+// digestPrefix returns CaseDigest's FNV-1a state after both lengths and
+// the sorted scalars.
+func digestPrefix(c Case) uint64 {
+	h := fnv8(14695981039346656037, uint64(c.UserLen))
+	h = fnv8(h, uint64(c.AccelLen))
 	names := make([]string, 0, len(c.Scalars))
 	for k := range c.Scalars {
 		names = append(names, k)
 	}
 	sort.Strings(names)
 	for _, k := range names {
-		mixs(k)
-		mix8(uint64(c.Scalars[k]))
+		for i := 0; i < len(k); i++ {
+			h ^= uint64(k[i])
+			h *= 1099511628211
+		}
+		h = fnv8(h, uint64(c.Scalars[k]))
 	}
-	for _, v := range c.Input {
-		mix8(math.Float64bits(real(v)))
-		mix8(math.Float64bits(imag(v)))
+	return h
+}
+
+// fnv8 feeds v's eight little-endian bytes to the FNV-1a state h.
+func fnv8(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v >> (8 * uint(i)) & 0xff
+		h *= 1099511628211
+	}
+	return h
+}
+
+// digestInput finishes CaseDigest from the state h: it hashes the
+// input's bits, then applies the splitmix64 finalizer.
+func digestInput(h uint64, input []complex128) string {
+	for _, v := range input {
+		h = fnv8(h, math.Float64bits(real(v)))
+		h = fnv8(h, math.Float64bits(imag(v)))
 	}
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -414,6 +458,7 @@ func (g *Generator) Case(i int) Case {
 		c.UserLen = an
 	}
 	g.fillScalars(&c, i)
+	c.signal = signalKey{g.rootSeed, an, int64(i)}
 	c.Input = g.memo.signal(g.rootSeed, int(an), i)
 	return c
 }

@@ -86,7 +86,9 @@ func sameCase(got, want iogen.Case) string {
 // TestMemoMatchesFresh draws cases 0..9 of every enumerated candidate of
 // every (program, target) pair twice: from a fresh generator, and from a
 // generator on one memo the program's three targets share. The cases
-// must agree, and every draw of one signal must hand out one slice.
+// must agree, every draw of one signal must hand out one slice, and the
+// memo's case digest must equal CaseDigest's, whether the memo computes
+// or keeps it.
 func TestMemoMatchesFresh(t *testing.T) {
 	candidates := 0
 	for _, p := range corpusPrograms(t) {
@@ -113,6 +115,12 @@ func TestMemoMatchesFresh(t *testing.T) {
 				got, want := g.Case(i), fresh.Case(i)
 				if d := sameCase(got, want); d != "" {
 					t.Errorf("%s %s case %d: memoized and fresh draws differ: %s", p.name, cand.Key(), i, d)
+				}
+				for pass := 0; pass < 2; pass++ {
+					if d, w := memo.CaseDigest(got), iogen.CaseDigest(want); d != w {
+						t.Errorf("%s %s case %d pass %d: memoized digest %s, CaseDigest %s",
+							p.name, cand.Key(), i, pass, d, w)
+					}
 				}
 				k := sigKey{got.AccelLen, i}
 				if first, ok := shared[k]; !ok {
@@ -166,11 +174,42 @@ func TestMemoConcurrentMatchesFresh(t *testing.T) {
 					if d := sameCase(got, jb.want[i]); d != "" {
 						t.Errorf("goroutine %d, %s case %d: %s", w, jb.name, i, d)
 					}
+					if d, want := memo.CaseDigest(got), iogen.CaseDigest(jb.want[i]); d != want {
+						t.Errorf("goroutine %d, %s case %d: memoized digest %s, CaseDigest %s", w, jb.name, i, d, want)
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestMemoDigestsLiteralCases: a case not drawn through a memo is hashed
+// in full, so it never takes the digest a drawn case with the same
+// lengths and scalars left in the memo.
+func TestMemoDigestsLiteralCases(t *testing.T) {
+	cand := &binding.Candidate{Spec: accel.NewFFTA(),
+		Length:     binding.LengthBinding{Param: "n", Conv: binding.ConvIdentity},
+		FreeParams: []string{"flag"}}
+	memo := iogen.NewMemo()
+	drawn := memo.Generator(memoSeed, cand, nil).Case(0)
+	if d, want := memo.CaseDigest(drawn), iogen.CaseDigest(drawn); d != want {
+		t.Fatalf("drawn case: memoized digest %s, CaseDigest %s", d, want)
+	}
+	same := iogen.Case{UserLen: drawn.UserLen, AccelLen: drawn.AccelLen,
+		Scalars: drawn.Scalars, Input: append([]complex128(nil), drawn.Input...)}
+	if d, want := memo.CaseDigest(same), iogen.CaseDigest(drawn); d != want {
+		t.Errorf("literal copy of a drawn case: digest %s, want %s", d, want)
+	}
+	other := same
+	other.Input = append([]complex128(nil), same.Input...)
+	other.Input[len(other.Input)-1] += 1
+	if d, want := memo.CaseDigest(other), iogen.CaseDigest(other); d != want {
+		t.Errorf("literal case with another signal: digest %s, want %s", d, want)
+	}
+	if memo.CaseDigest(other) == memo.CaseDigest(drawn) {
+		t.Error("a literal case with another signal took the drawn case's digest")
+	}
 }
 
 // BenchmarkCases draws the 10 cases of one corpus candidate (bigmixed on
@@ -179,23 +218,7 @@ func TestMemoConcurrentMatchesFresh(t *testing.T) {
 // a memo that already holds them, as a program's second and third target
 // find it.
 func BenchmarkCases(b *testing.B) {
-	var cand *binding.Candidate
-	var prof *analysis.Profile
-	for _, p := range corpusPrograms(b) {
-		if p.name != "bigmixed" {
-			continue
-		}
-		prof = p.prof
-		for _, c := range p.cands {
-			if c.Spec.Name == "ffta" && len(c.FreeParams) > 0 {
-				cand = c
-				break
-			}
-		}
-	}
-	if cand == nil {
-		b.Fatal("no bigmixed/ffta candidate with a free scalar")
-	}
+	cand, prof := benchCandidate(b)
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -214,3 +237,51 @@ func BenchmarkCases(b *testing.B) {
 }
 
 var benchCases []iogen.Case
+
+// benchCandidate returns bigmixed's first ffta candidate with a free
+// scalar, and its profile.
+func benchCandidate(b *testing.B) (*binding.Candidate, *analysis.Profile) {
+	for _, p := range corpusPrograms(b) {
+		if p.name != "bigmixed" {
+			continue
+		}
+		for _, c := range p.cands {
+			if c.Spec.Name == "ffta" && len(c.FreeParams) > 0 {
+				return c, p.prof
+			}
+		}
+	}
+	b.Fatal("no bigmixed/ffta candidate with a free scalar")
+	return nil, nil
+}
+
+// BenchmarkCaseDigest digests the 10 cases of the candidate BenchmarkCases
+// draws: in full with CaseDigest, and through a memo that already keeps
+// them, as a program's second and third target find it.
+func BenchmarkCaseDigest(b *testing.B) {
+	cand, prof := benchCandidate(b)
+	memo := iogen.NewMemo()
+	cases := memo.Generator(memoSeed, cand, prof).Cases(memoCases)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, c := range cases {
+				benchDigest = iogen.CaseDigest(c)
+			}
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		for _, c := range cases {
+			memo.CaseDigest(c)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, c := range cases {
+				benchDigest = memo.CaseDigest(c)
+			}
+		}
+	})
+}
+
+var benchDigest string

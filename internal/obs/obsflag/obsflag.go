@@ -166,19 +166,31 @@ func (f *Flags) WithTrace(ctx context.Context) (context.Context, string) {
 // SIGTERM, so a ^C or an orchestrator's stop request winds the pipeline
 // down through its normal cancellation points and the binary still
 // flushes -trace/-metrics/-journal output via Finish instead of dying
-// with partial files. A second signal kills the process immediately (the
-// handler is uninstalled after the first). Call the returned stop
-// function when signal handling should end.
+// with partial files. The first signal prints one notice to stderr; a
+// second kills the process immediately (the handler is uninstalled after
+// the first). Call the returned stop function when signal handling
+// should end: it cancels the context, prints nothing, and returns once
+// the handler is uninstalled.
 func (f *Flags) WithSignals(ctx context.Context) (context.Context, context.CancelFunc) {
-	sctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	sctx, cancel := context.WithCancel(ctx)
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	done := make(chan struct{})
 	go func() {
-		<-sctx.Done()
-		if ctx.Err() == nil && sctx.Err() != nil {
+		defer close(done)
+		select {
+		case <-sigs:
+			signal.Stop(sigs)
 			fmt.Fprintf(os.Stderr, "%s: interrupt: finishing up (^C again to kill)\n", f.prog)
+			cancel()
+		case <-sctx.Done():
+			signal.Stop(sigs)
 		}
-		stop()
 	}()
-	return sctx, stop
+	return sctx, func() {
+		cancel()
+		<-done
+	}
 }
 
 // FlushOnSignal installs a handler for binaries whose work is not yet

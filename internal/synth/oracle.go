@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"facc/internal/analysis"
 	"facc/internal/binding"
 	"facc/internal/interp"
 	"facc/internal/iogen"
@@ -13,16 +14,26 @@ import (
 	"facc/internal/obs"
 )
 
-// OracleCache memoizes the reference side of generate-and-test: the user
-// program's output for one test case, and the generated test inputs
-// behind those runs. Binding enumeration multiplies
-// candidates along accelerator-side axes — direction constants, flags
-// specializations, and the *target itself* — that the user program
-// cannot observe, so those candidates would re-interpret the same MiniC
-// function on the same inputs once each. The cache computes each
-// distinct user-side run once and shares it.
+// OracleCache keeps the target-independent work of the compiles that
+// share it, so each step is done once however many targets and
+// candidates ask for it:
 //
-// The key is target-independent by construction:
+//   - the reference side of generate-and-test: the user program's output
+//     for one test case;
+//   - the generated test inputs behind those runs, and each drawn case's
+//     iogen.CaseDigest (its iogen.Memo);
+//   - the checked *minic.File of each (file name, source), or the error
+//     parsing or checking it (File);
+//   - per function, its analysis.FuncInfo and its FileDigest.
+//
+// Binding enumeration multiplies candidates along accelerator-side
+// axes — direction constants, flags specializations, and the *target
+// itself* — that the user program cannot observe, so those candidates
+// would re-interpret the same MiniC function on the same inputs once
+// each. The cache computes each distinct user-side run once and shares
+// it.
+//
+// The key of a reference run is target-independent by construction:
 //
 //	fn=<file/function digest>|<iogen.RefSig(cand)>|io=<iogen.CaseDigest(case)>
 //
@@ -44,18 +55,24 @@ import (
 // the like is fine; interpreter machines keep their globals across runs
 // precisely so such caches stay warm).
 //
-// The cache also carries an iogen.Memo: every candidate's generator is
-// built on it, so a case drawn for one candidate or target is not drawn
-// again for the next (signals by root seed, length and case index; size
-// and scalar draws by derived seed and bound). The memo holds only the
-// inputs generated by the compiles sharing this cache and lives as long
-// as the cache does.
+// Every candidate's generator is built on the cache's memo, so a case
+// drawn for one candidate or target is not drawn again for the next
+// (signals by root seed, length and case index; size and scalar draws by
+// derived seed and bound), and its digest is not hashed again.
+//
+// Compiles sharing a cache share one *minic.File per source (the
+// Compilation's File) and one *analysis.FuncInfo per function, from
+// several goroutines at once, so both are read-only once checked.
+// Everything the cache holds lives exactly as long as the cache; nothing
+// is evicted, so a cache should live no longer than the work sharing it.
 //
 // A nil *OracleCache is not usable; Synthesize builds a private one
 // when Options.Oracle is unset, so sharing is strictly opt-in.
 type OracleCache struct {
 	mu      sync.Mutex
 	entries map[string]*oracleEntry
+	files   map[fileKey]*fileEntry
+	funcs   map[*minic.FuncDecl]*funcEntry
 	memo    *iogen.Memo
 
 	hits, misses atomic.Int64
@@ -64,19 +81,93 @@ type OracleCache struct {
 // NewOracleCache returns an empty cache, ready to be shared across
 // Synthesize calls and targets via Options.Oracle.
 func NewOracleCache() *OracleCache {
-	return &OracleCache{entries: map[string]*oracleEntry{}, memo: iogen.NewMemo()}
+	return &OracleCache{entries: map[string]*oracleEntry{}, files: map[fileKey]*fileEntry{},
+		funcs: map[*minic.FuncDecl]*funcEntry{}, memo: iogen.NewMemo()}
 }
 
-// entry returns the slot for key, creating it on first sight.
-func (c *OracleCache) entry(key string) *oracleEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[key]
+// slot returns table's entry for k under mu, adding an empty one on
+// first sight.
+func slot[K comparable, V any](mu *sync.Mutex, table map[K]*V, k K) *V {
+	mu.Lock()
+	defer mu.Unlock()
+	e := table[k]
 	if e == nil {
-		e = &oracleEntry{}
-		c.entries[key] = e
+		e = new(V)
+		table[k] = e
 	}
 	return e
+}
+
+type fileKey struct{ name, src string }
+
+// fileEntry is one source's frontend result. Like oracleEntry it is
+// guarded by its own mutex, so a frontend that panics leaves it unset.
+type fileEntry struct {
+	mu   sync.Mutex
+	done bool
+	f    *minic.File
+	err  error
+}
+
+// File parses and checks src, named name, once per cache: every caller
+// gets the same *minic.File, or the same parse or check error. The file
+// is shared by every compile on the cache and must not be written. sp
+// (nil-safe) is the caller's frontend span: the call that parses records
+// its parse and typecheck spans under it, and a call served from the
+// cache marks it cached instead.
+func (c *OracleCache) File(name, src string, sp *obs.Span) (*minic.File, error) {
+	e := slot(&c.mu, c.files, fileKey{name, src})
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.done {
+		sp.Str("cached", "true")
+		return e.f, e.err
+	}
+	psp := sp.Child("parse")
+	f, err := minic.Parse(name, src)
+	psp.End()
+	if err == nil {
+		tsp := sp.Child("typecheck")
+		err = minic.Check(f)
+		tsp.End()
+	}
+	if err != nil {
+		f = nil
+	}
+	e.f, e.err, e.done = f, err, true
+	return f, err
+}
+
+// funcEntry is what synthesis derives from one checked function alone,
+// each part computed on first use under the entry's mutex.
+type funcEntry struct {
+	mu     sync.Mutex
+	info   *analysis.FuncInfo
+	digest string
+}
+
+// funcInfo returns analysis.AnalyzeFunc(f, fn), computed once per
+// function; fn belongs to f.
+func (c *OracleCache) funcInfo(f *minic.File, fn *minic.FuncDecl) *analysis.FuncInfo {
+	e := slot(&c.mu, c.funcs, fn)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.info == nil {
+		e.info = analysis.AnalyzeFunc(f, fn)
+	}
+	return e.info
+}
+
+// fileDigest returns FileDigest(f, fn.Name), computed once per function;
+// fn belongs to f.
+func (c *OracleCache) fileDigest(f *minic.File, fn *minic.FuncDecl) string {
+	e := slot(&c.mu, c.funcs, fn)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.digest == "" {
+		e.digest = FileDigest(f, fn.Name)
+	}
+	return e.digest
 }
 
 // Stats reports cache-wide effectiveness over every lookup this cache
@@ -92,7 +183,8 @@ func (c *OracleCache) Stats() (hits, misses int64, rate float64) {
 // FileDigest canonicalizes a parsed file to its printed form and hashes
 // it with the function name — the scope prefix of oracle keys. Two
 // parses of the same source digest equal, so re-parsed copies of one
-// program (eval compiles each benchmark once per target) share entries.
+// program share entries. Synthesis computes it once per function and
+// cache.
 func FileDigest(f *minic.File, fn string) string {
 	src := minic.PrintFile(f)
 	h := uint64(14695981039346656037)
@@ -115,9 +207,10 @@ func FileDigest(f *minic.File, fn string) string {
 }
 
 // oracleKey builds the full target-independent cache key for one
-// (candidate, case) reference run; ref is the candidate's iogen.RefSig.
-func oracleKey(fileKey, ref string, tc iogen.Case) string {
-	return "fn=" + fileKey + "|" + ref + "|io=" + iogen.CaseDigest(tc)
+// (candidate, case) reference run; ref is the candidate's iogen.RefSig
+// and caseDigest the case's iogen.CaseDigest.
+func oracleKey(fileKey, ref, caseDigest string) string {
+	return "fn=" + fileKey + "|" + ref + "|io=" + caseDigest
 }
 
 // oracle is one Synthesize call's view of the cache: it owns the
@@ -168,13 +261,10 @@ type oracleEntry struct {
 
 func newOracle(f *minic.File, fn *minic.FuncDecl, target string, workers int,
 	reg *obs.Registry, led *obs.Ledger, shared *OracleCache) *oracle {
-	if shared == nil {
-		shared = NewOracleCache()
-	}
 	o := &oracle{
 		f:        f,
 		fn:       fn,
-		fileKey:  FileDigest(f, fn.Name),
+		fileKey:  shared.fileDigest(f, fn),
 		reg:      reg,
 		led:      led,
 		machines: make(chan *interp.Machine, workers),
@@ -226,7 +316,7 @@ func (o *oracle) acquire(ctx context.Context) (*interp.Machine, error) {
 // for) — the "interp steps at death" the kill table attributes.
 func (o *oracle) run(ctx context.Context, cand *binding.Candidate, ref string,
 	tc iogen.Case) (out []complex128, ret *int64, steps int64, err error) {
-	e := o.cache.entry(oracleKey(o.fileKey, ref, tc))
+	e := slot(&o.cache.mu, o.cache.entries, oracleKey(o.fileKey, ref, o.cache.memo.CaseDigest(tc)))
 
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -88,9 +88,9 @@ func TestOracleKeyIdenticalAcrossTargets(t *testing.T) {
 			}
 		}
 		for caseIdx := 0; caseIdx < 4; caseIdx++ {
-			base := oracleKey(fileKey, iogen.RefSig(byTarget[0][sig]), gens[0].Case(caseIdx))
+			base := oracleKey(fileKey, iogen.RefSig(byTarget[0][sig]), iogen.CaseDigest(gens[0].Case(caseIdx)))
 			for i := 1; i < len(specs); i++ {
-				key := oracleKey(fileKey, iogen.RefSig(byTarget[i][sig]), gens[i].Case(caseIdx))
+				key := oracleKey(fileKey, iogen.RefSig(byTarget[i][sig]), iogen.CaseDigest(gens[i].Case(caseIdx)))
 				if key != base {
 					t.Errorf("case %d: key differs between %s and %s:\n  %s\n  %s",
 						caseIdx, specs[0].Name, specs[i].Name, base, key)
@@ -122,8 +122,8 @@ func TestOracleKeySeedsDoNotCollide(t *testing.T) {
 			continue
 		}
 		for caseIdx := 0; caseIdx < 4; caseIdx++ {
-			kA := oracleKey(fileKey, sig, gA.Case(caseIdx))
-			kB := oracleKey(fileKey, sig, gB.Case(caseIdx))
+			kA := oracleKey(fileKey, sig, iogen.CaseDigest(gA.Case(caseIdx)))
+			kB := oracleKey(fileKey, sig, iogen.CaseDigest(gB.Case(caseIdx)))
 			if kA == kB {
 				t.Errorf("%q case %d: seeds 424242 and 7 collide on key %s", sig, caseIdx, kA)
 			}
@@ -154,7 +154,9 @@ func TestFileDigestScopesKeys(t *testing.T) {
 // TestOracleKeyGolden pins the key scheme: any change to FileDigest,
 // RefSig, CaseDigest or the key layout shows up as a diff here, making
 // cache-scheme drift (which silently empties shared caches across
-// versions) a reviewed decision instead of an accident.
+// versions) a reviewed decision instead of an accident. The keys a
+// cache builds, from its memoized digests and file digest, are pinned
+// to the same strings.
 func TestOracleKeyGolden(t *testing.T) {
 	f, err := minic.ParseAndCheck("t.c", radix2Struct)
 	if err != nil {
@@ -169,6 +171,8 @@ func TestOracleKeyGolden(t *testing.T) {
 	}
 	cand := cands[0]
 	gen := iogen.New(424242, cand, prof)
+	cache := NewOracleCache()
+	cached := cache.memo.Generator(424242, cand, prof)
 
 	golden := []string{
 		"fn=8f129c38c19a8a84|in=struct(x,re=0,im=1) out=struct(x,re=0,im=1) len=n(n) inplace|io=886f79c1fa4442d8",
@@ -176,14 +180,20 @@ func TestOracleKeyGolden(t *testing.T) {
 		"fn=8f129c38c19a8a84|in=struct(x,re=0,im=1) out=struct(x,re=0,im=1) len=n(n) inplace|io=27fe365c388a9daf",
 	}
 	for i, want := range golden {
-		got := oracleKey(FileDigest(f, fn.Name), iogen.RefSig(cand), gen.Case(i))
+		got := oracleKey(FileDigest(f, fn.Name), iogen.RefSig(cand), iogen.CaseDigest(gen.Case(i)))
 		if got != want {
 			t.Errorf("golden key %d drifted:\n  want %s\n  got  %s", i, want, got)
+		}
+		for pass := 0; pass < 2; pass++ { // a miss, then a hit on the memo
+			got := oracleKey(cache.fileDigest(f, fn), cached.RefSig(), cache.memo.CaseDigest(cached.Case(i)))
+			if got != want {
+				t.Errorf("golden key %d from the cache, pass %d:\n  want %s\n  got  %s", i, pass, want, got)
+			}
 		}
 	}
 	// The layout is load-bearing for debuggability: fn scope first, then
 	// the user-visible candidate shape, then the case content.
-	if got := oracleKey("abc", iogen.RefSig(cand), gen.Case(0)); !strings.HasPrefix(got, "fn=abc|") ||
+	if got := oracleKey("abc", iogen.RefSig(cand), iogen.CaseDigest(gen.Case(0))); !strings.HasPrefix(got, "fn=abc|") ||
 		!strings.Contains(got, "|io=") {
 		t.Errorf("key layout drifted: %s", got)
 	}

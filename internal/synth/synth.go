@@ -113,10 +113,13 @@ type Options struct {
 	// are target-independent (see OracleCache), so one cache handed to
 	// the ffta, powerquad and fftw compiles of the same program
 	// interprets each distinct user-side run once instead of three
-	// times. It also holds the generated test inputs (every candidate's
-	// generator draws through its iogen.Memo), so those compiles draw
-	// each input once. Nil builds a private per-call cache, shared only
-	// by this call's candidates. Sharing never changes results: an
+	// times. It also holds the generated test inputs and their case
+	// digests (every candidate's generator draws through its iogen.Memo),
+	// each function's analysis.FuncInfo and FileDigest, and the checked
+	// file of each source (OracleCache.File), so those compiles do each
+	// of these steps once. Compiles sharing a cache share one read-only
+	// *minic.File per source. Nil builds a private per-call cache, shared
+	// only by this call's candidates. Sharing never changes results: an
 	// entry's value, and a kept draw, is a pure function of its key.
 	Oracle *OracleCache
 	// Cex, when non-nil, makes search counterexample-guided, in both
@@ -157,10 +160,14 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 		ctx = context.Background()
 	}
 	opts.defaults()
+	cache := opts.Oracle
+	if cache == nil {
+		cache = NewOracleCache()
+	}
 	opts.Journal.Record(obs.JournalEvent{Kind: obs.KindFunction,
 		Function: fn.Name, Detail: spec.Name})
 	asp := opts.Obs.Child("analyze")
-	fi := analysis.AnalyzeFunc(f, fn)
+	fi := cache.funcInfo(f, fn)
 	asp.End()
 	res := &Result{TestsPerRun: opts.NumTests}
 	gate := ""
@@ -202,7 +209,7 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 	if opts.Obs != nil {
 		reg = opts.Obs.Metrics()
 	}
-	orc := newOracle(f, fn, spec.Name, workers, reg, opts.Ledger, opts.Oracle)
+	orc := newOracle(f, fn, spec.Name, workers, reg, opts.Ledger, cache)
 	// One ranking snapshot per synthesis: kills recorded during this run
 	// feed the live pool (for the next function/request) but never
 	// reorder this run's own cases, so replay order — and the journal —
