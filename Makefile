@@ -60,10 +60,11 @@ chaos:
 # One testing.B benchmark per paper table/figure plus ablations and the
 # fixed cost of an oracle-hit compile (BenchmarkCompileOracleHit), then
 # the per-layer benchmarks of input generation and case digests (fresh
-# vs memoized) and the device models.
+# vs memoized), the device models, binding enumeration, and the daemon's
+# cache hit and fresh-digest compile over an HTTP round trip.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/iogen ./internal/accel
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/iogen ./internal/accel ./internal/binding ./internal/server
 
 # Synthesis-engine regression numbers (corpus wall-clock, fuzz
 # throughput, oracle hit rate at Workers=1 vs GOMAXPROCS, and the search

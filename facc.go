@@ -142,8 +142,12 @@ type Options struct {
 	// compiles reuse the first one's work instead of parsing, checking,
 	// analysing, drawing and hashing again. Compiles sharing a cache
 	// share one *minic.File per source (Result.Raw().File), which is
-	// read-only. Nil (the default) gives each compile a private cache —
-	// candidates within one compile still share.
+	// read-only. Sharing is exact for any mix of compiles — targets,
+	// tolerances, test counts, profiles, programs — so a service may hand
+	// one cache to every request; faccd does, and replaces it when
+	// OracleCache.Bytes passes its budget. Nil (the default) gives each
+	// compile a private cache — candidates within one compile still
+	// share.
 	Oracle *OracleCache
 
 	// Deadline bounds the whole compilation's wall clock: past it the
@@ -218,7 +222,8 @@ func NewCexPool() *CexPool { return obs.NewCexPool() }
 
 // OracleCache is the shared cache of a program's target-independent
 // compile work: reference runs, test inputs and their digests, the
-// checked file and per-function facts; see Options.Oracle.
+// checked file and per-function facts; see Options.Oracle. It keeps
+// everything until it is dropped; Bytes reports how much it holds.
 type OracleCache = synth.OracleCache
 
 // NewOracleCache returns an empty oracle cache to pass via

@@ -168,11 +168,24 @@ type Candidate struct {
 	// ReturnIgnored notes a non-void user return value hypothesized to be
 	// a status code independent of the transform (checked by fuzzing).
 	ReturnIgnored bool
+
+	// key is Key's value, kept by Enumerate: the candidates it returns
+	// are read-only, and synthesis names each one in every ledger charge,
+	// span, journal line and kill event it causes.
+	key string
 }
 
 // Key returns a canonical identity string (used for dedup and stable
 // ordering of generate-and-test).
 func (c *Candidate) Key() string {
+	if c.key != "" {
+		return c.key
+	}
+	return c.render()
+}
+
+// render builds the Key string from the candidate's fields.
+func (c *Candidate) render() string {
 	parts := []string{
 		"in=" + c.Input.Key(),
 		"out=" + c.Output.Key(),

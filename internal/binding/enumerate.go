@@ -20,7 +20,8 @@ type scored struct {
 // Enumerate generates all binding candidates for fn against spec, pruned
 // by constraints and heuristics. profile may be nil (no value profiling
 // environment); the search is then more conservative. Candidates are
-// returned in priority order, deduplicated.
+// returned in priority order, deduplicated, each with its Key rendered
+// once; callers must not modify them.
 func Enumerate(fi *analysis.FuncInfo, spec *accel.Spec, profile *analysis.Profile, opts Options) []*Candidate {
 	e := &enumerator{fi: fi, spec: spec, profile: profile, opts: opts}
 	e.run()
@@ -34,7 +35,8 @@ func Enumerate(fi *analysis.FuncInfo, spec *accel.Spec, profile *analysis.Profil
 	seen := map[string]bool{}
 	dups, capped := 0, 0
 	for _, s := range e.out {
-		k := s.cand.Key()
+		k := s.cand.render()
+		s.cand.key = k
 		if seen[k] {
 			dups++
 			opts.Journal.Record(obs.JournalEvent{Kind: obs.KindPruned,

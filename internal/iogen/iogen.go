@@ -116,12 +116,14 @@ func (g *Generator) RefSig() string { return g.refSig }
 // Memo.CaseDigest). Every caller drawing one signal gets the same slice,
 // which consumers must treat as read-only. A Memo is safe for concurrent
 // use. It holds everything drawn through it for as long as it lives, so
-// it should live no longer than the work that shares it.
+// it should live no longer than the work that shares it; Bytes reports
+// how much of it the signals take.
 type Memo struct {
-	mu      sync.Mutex
-	signals map[signalKey][]complex128
-	ints    map[intKey]int
-	digests map[digestKey]string
+	mu          sync.Mutex
+	signals     map[signalKey][]complex128
+	ints        map[intKey]int
+	digests     map[digestKey]string
+	signalBytes int64 // the kept signals' sample bytes, guarded by mu
 }
 
 type signalKey struct {
@@ -160,26 +162,36 @@ func (m *Memo) CaseDigest(c Case) string {
 		return digestInput(h, c.Input)
 	}
 	return kept(&m.mu, m.digests, digestKey{h, c.signal},
-		func() string { return digestInput(h, c.Input) })
+		func() string { return digestInput(h, c.Input) }, nil)
+}
+
+// Bytes returns the sample bytes of every signal the memo keeps: the
+// part of it that grows with the lengths and cases drawn through it.
+func (m *Memo) Bytes() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.signalBytes
 }
 
 // signal returns the n-point signal of case caseIdx under root seed.
 func (m *Memo) signal(seed int64, n, caseIdx int) []complex128 {
 	return kept(&m.mu, m.signals, signalKey{seed, int64(n), int64(caseIdx)},
-		func() []complex128 { return drawSignal(seed, n, caseIdx) })
+		func() []complex128 { return drawSignal(seed, n, caseIdx) },
+		func(s []complex128) { m.signalBytes += 16 * int64(len(s)) })
 }
 
 // intn returns rand.New(rand.NewSource(seed)).Intn(bound): the one draw a
 // size or scalar stream makes.
 func (m *Memo) intn(seed int64, bound int) int {
 	return kept(&m.mu, m.ints, intKey{seed, bound},
-		func() int { return rand.New(rand.NewSource(seed)).Intn(bound) })
+		func() int { return rand.New(rand.NewSource(seed)).Intn(bound) }, nil)
 }
 
 // kept returns the value table holds for k under mu, drawing it on first
 // use. The draw runs outside the lock; when two callers race on one key,
-// the first value stored wins, so every caller gets the same one.
-func kept[K comparable, V any](mu *sync.Mutex, table map[K]V, k K, draw func() V) V {
+// the first value stored wins, so every caller gets the same one. stored
+// (nil-safe) sees each value as it enters the table, under mu.
+func kept[K comparable, V any](mu *sync.Mutex, table map[K]V, k K, draw func() V, stored func(V)) V {
 	mu.Lock()
 	v, ok := table[k]
 	mu.Unlock()
@@ -193,6 +205,9 @@ func kept[K comparable, V any](mu *sync.Mutex, table map[K]V, k K, draw func() V
 		return prev
 	}
 	table[k] = v
+	if stored != nil {
+		stored(v)
+	}
 	return v
 }
 

@@ -158,10 +158,32 @@ func (l *Ledger) Entries() []LedgerEntry {
 	if l == nil {
 		return nil
 	}
+	return l.sorted(nil)
+}
+
+// TraceEntries returns the accounts booked under one trace ID, sorted —
+// a request's cost ledger, for flight records. Only the trace's own
+// accounts are copied and sorted.
+func (l *Ledger) TraceEntries(trace string) []LedgerEntry {
+	if l == nil || trace == "" {
+		return nil
+	}
+	return l.sorted(func(e *LedgerEntry) bool { return e.Trace == trace })
+}
+
+// sorted copies the accounts keep accepts (every account when keep is
+// nil), under the lock, and sorts the copies by (trace, function,
+// target, candidate).
+func (l *Ledger) sorted(keep func(*LedgerEntry) bool) []LedgerEntry {
+	var out []LedgerEntry
 	l.s.mu.Lock()
-	out := make([]LedgerEntry, 0, len(l.s.entries))
+	if keep == nil {
+		out = make([]LedgerEntry, 0, len(l.s.entries))
+	}
 	for _, e := range l.s.entries {
-		out = append(out, *e)
+		if keep == nil || keep(e) {
+			out = append(out, *e)
+		}
 	}
 	l.s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -177,21 +199,6 @@ func (l *Ledger) Entries() []LedgerEntry {
 		}
 		return a.Candidate < b.Candidate
 	})
-	return out
-}
-
-// TraceEntries returns the accounts booked under one trace ID, sorted —
-// a request's cost ledger, for flight records.
-func (l *Ledger) TraceEntries(trace string) []LedgerEntry {
-	if l == nil || trace == "" {
-		return nil
-	}
-	var out []LedgerEntry
-	for _, e := range l.Entries() {
-		if e.Trace == trace {
-			out = append(out, e)
-		}
-	}
 	return out
 }
 

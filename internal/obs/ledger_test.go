@@ -264,3 +264,39 @@ func TestNilLedgerSafe(t *testing.T) {
 		t.Errorf("nil ledger allocates %.0f per call cycle, want 0", allocs)
 	}
 }
+
+// TestTraceEntriesFiltersSorted: one trace's accounts are exactly the
+// fully sorted ledger's accounts of that trace, in the same order, on a
+// ledger shared by several traces and the root view.
+func TestTraceEntriesFiltersSorted(t *testing.T) {
+	root := NewLedger()
+	traces := []string{"t3", "t1", "", "t2"}
+	for i := 0; i < 40; i++ {
+		l := root.Scoped(traces[i%len(traces)])
+		fn := []string{"fft", "dft"}[i%2]
+		target := []string{"fftw", "ffta", "powerquad"}[i%3]
+		l.ChargeTests(fn, target, "cand"+string(rune('z'-i%26)), int64(i+1))
+		l.ChargeOracle(fn, target, "cand", i%2 == 0)
+	}
+	all := root.Entries()
+	for _, trace := range traces[:2] {
+		var want []LedgerEntry
+		for _, e := range all {
+			if e.Trace == trace {
+				want = append(want, e)
+			}
+		}
+		got := root.TraceEntries(trace)
+		if len(got) == 0 || len(got) != len(want) {
+			t.Fatalf("trace %s: %d accounts, want %d", trace, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("trace %s account %d = %+v, want %+v", trace, i, got[i], want[i])
+			}
+		}
+	}
+	if got := root.TraceEntries("absent"); got != nil {
+		t.Errorf("absent trace: %+v", got)
+	}
+}

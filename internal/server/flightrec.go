@@ -1,8 +1,10 @@
 // The SLO flight recorder: a bounded in-memory record of the requests
-// that matter when the pager goes off — the slowest and the failed —
-// each retained with its full span tree, provenance events and cost
-// ledger, joinable by trace ID to the latency exemplars in /metrics.
-// Dumped at /debug/requests.
+// that matter when the pager goes off — the slowest and the failed. A
+// finishing job offers only its identity and outcome; /debug/requests
+// joins each retained record by trace ID to its span tree, provenance
+// events, cost ledger and search record when it is read, so the job path
+// never scans the daemon's history. The trace ID also joins a record to
+// the latency exemplars in /metrics.
 package server
 
 import (
@@ -23,7 +25,8 @@ type SpanRecord struct {
 }
 
 // RequestRecord is one retained request: identity, outcome, and the three
-// trace-scoped observability streams.
+// trace-scoped observability streams, which /debug/requests fills by
+// trace ID as it reads the record.
 type RequestRecord struct {
 	Trace     string  `json:"trace"`
 	JobID     string  `json:"job_id"`

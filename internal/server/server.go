@@ -10,7 +10,10 @@
 //     (facc.CompileRequest.Digest) attach to the in-flight job instead of
 //     compiling twice.
 //   - Memoization: completed adapters are served from the crash-safe
-//     store (internal/store) without recompiling.
+//     store (internal/store) without recompiling, and every facc-backed
+//     compile shares one oracle cache, so a program's reference runs
+//     are interpreted once per daemon, not once per request (a request
+//     for another target or tolerance reuses all of them).
 //   - Budgets: every job runs under the server's base context with a
 //     per-request deadline, so one pathological source cannot pin a
 //     worker forever.
@@ -30,8 +33,10 @@
 //
 // Metrics: serve.jobs_admitted/_completed/_failed/_shed/_deduped,
 // serve.cache_hits, serve.queue_depth, serve.workers_busy,
-// serve.draining, serve.drain_hard_cancels and the serve.latency_ms
-// histogram, all visible in /status (serve block) and /metrics.
+// serve.draining, serve.drain_hard_cancels, serve.oracle_resets (shared
+// oracle caches replaced for outgrowing their budget) and the
+// serve.latency_ms histogram, all visible in /status (serve block) and
+// /metrics.
 package server
 
 import (
@@ -117,6 +122,7 @@ type Config struct {
 	SLOObjective float64
 	// Options is the standing compile configuration for the default
 	// CompileFunc (workers, candidate timeout, fault profile, hardening).
+	// Its sinks and its Oracle are replaced by the server's own.
 	Options facc.Options
 	// Compile overrides the facc-backed compile (tests).
 	Compile CompileFunc
@@ -160,6 +166,11 @@ type Server struct {
 
 	flight *FlightRecorder
 
+	// oracle is the reference-run cache every facc-backed compile
+	// shares; oracleCache replaces it once it outgrows oracleBudget.
+	oracleMu sync.Mutex
+	oracle   *facc.OracleCache
+
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -183,6 +194,12 @@ type Server struct {
 // historyCap bounds how many finished jobs stay queryable at /jobs/{id};
 // older ones are evicted so a long-lived daemon's memory stays flat.
 const historyCap = 1024
+
+// oracleBudget bounds the shared oracle cache (OracleCache.Bytes): a
+// compile that starts while the cache holds more gets a fresh one. One
+// cache holds 0.71 MB after all 75 corpus pairs, so 16 MiB keeps
+// several corpora of programs warm. A variable so tests can lower it.
+var oracleBudget int64 = 16 << 20
 
 // New builds the server and starts its worker pool.
 func New(cfg Config) *Server {
@@ -211,6 +228,7 @@ func New(cfg Config) *Server {
 		queue:  make(chan *Job, cfg.QueueDepth),
 		jobs:   map[string]*Job{},
 		active: map[string]*Job{},
+		oracle: facc.NewOracleCache(),
 	}
 	if cfg.FlightRecorder >= 0 {
 		s.flight = NewFlightRecorder(cfg.FlightRecorder)
@@ -234,7 +252,8 @@ func New(cfg Config) *Server {
 }
 
 // faccCompile is the production CompileFunc: the full pipeline with the
-// server's standing options and shared tracer/journal.
+// server's standing options, shared tracer/journal and shared oracle
+// cache.
 func (s *Server) faccCompile(ctx context.Context, req facc.CompileRequest) (CompileResult, error) {
 	opts := s.cfg.Options
 	opts.Trace = s.cfg.Tracer
@@ -242,6 +261,7 @@ func (s *Server) faccCompile(ctx context.Context, req facc.CompileRequest) (Comp
 	opts.Ledger = s.cfg.Ledger
 	opts.Kills = s.cfg.Kills
 	opts.Cex = s.cfg.Cex
+	opts.Oracle = s.oracleCache()
 	res, err := facc.CompileRequestContext(ctx, req, opts)
 	if err != nil {
 		return CompileResult{}, err
@@ -250,6 +270,21 @@ func (s *Server) faccCompile(ctx context.Context, req facc.CompileRequest) (Comp
 		return CompileResult{FailReason: res.FailReason()}, nil
 	}
 	return CompileResult{AdapterC: res.AdapterC(), Function: res.Function(), Sig: res.Sig()}, nil
+}
+
+// oracleCache returns the shared oracle cache for a compile that starts
+// now, first replacing it with an empty one when it holds more than
+// oracleBudget. A compile already running keeps the cache it started
+// with; sharing is exact, so which cache a compile gets never changes
+// its result, only how much it reinterprets.
+func (s *Server) oracleCache() *facc.OracleCache {
+	s.oracleMu.Lock()
+	defer s.oracleMu.Unlock()
+	if s.oracle.Bytes() > oracleBudget {
+		s.oracle = facc.NewOracleCache()
+		s.reg.Counter("serve.oracle_resets").Inc()
+	}
+	return s.oracle
 }
 
 // Handler returns the service mux: compile/job/health routes layered
@@ -267,13 +302,15 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleDebugRequests dumps the flight recorder: the retained slowest and
-// failed requests with their span trees, provenance and cost ledgers.
+// failed requests, each joined by trace ID to its span tree, provenance,
+// cost ledger and search record as it is read.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
 	if s.flight == nil {
 		http.Error(w, "flight recorder disabled", http.StatusNotFound)
 		return
 	}
 	slowest, failed := s.flight.Records()
+	slowest, failed = s.join(slowest), s.join(failed)
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -576,6 +613,9 @@ func (s *Server) observeSLO(job *Job, state JobState, latMs float64) {
 	if s.flight == nil {
 		return
 	}
+	// Only the job's identity and outcome are kept here; join fills the
+	// rest by trace ID when /debug/requests is read, so a job pays
+	// nothing for the daemon's recorded history.
 	s.mu.Lock()
 	rec := &RequestRecord{
 		Trace:        job.Trace,
@@ -588,14 +628,27 @@ func (s *Server) observeSLO(job *Job, state JobState, latMs float64) {
 		SLOViolation: violation,
 	}
 	s.mu.Unlock()
-	rec.Spans = spanRecords(s.cfg.Tracer.TraceSpans(job.Trace))
-	rec.Journal = s.cfg.Journal.TraceEvents(job.Trace)
-	rec.Ledger = s.cfg.Ledger.TraceEntries(job.Trace)
-	rec.Search = s.cfg.Kills.TraceSummary(job.Trace)
-	rec.Kills = s.cfg.Kills.TraceEvents(job.Trace)
 	s.flight.Observe(rec)
 	slow, failed := s.flight.Len()
 	s.reg.Gauge("serve.flight_retained").Set(float64(slow + failed))
+}
+
+// join returns copies of retained records filled with everything the
+// tracer, journal, ledger and kill table hold under each record's trace
+// ID. A trace ID that a client reused shows every event recorded under
+// it up to now.
+func (s *Server) join(recs []*RequestRecord) []*RequestRecord {
+	out := make([]*RequestRecord, len(recs))
+	for i, r := range recs {
+		rec := *r
+		rec.Spans = spanRecords(s.cfg.Tracer.TraceSpans(r.Trace))
+		rec.Journal = s.cfg.Journal.TraceEvents(r.Trace)
+		rec.Ledger = s.cfg.Ledger.TraceEntries(r.Trace)
+		rec.Search = s.cfg.Kills.TraceSummary(r.Trace)
+		rec.Kills = s.cfg.Kills.TraceEvents(r.Trace)
+		out[i] = &rec
+	}
+	return out
 }
 
 // jobJSON is the wire form of a job.

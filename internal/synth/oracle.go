@@ -62,9 +62,17 @@ import (
 //
 // Compiles sharing a cache share one *minic.File per source (the
 // Compilation's File) and one *analysis.FuncInfo per function, from
-// several goroutines at once, so both are read-only once checked.
+// several goroutines at once, so both are read-only once checked. Since
+// every value is a pure function of its key, the compiles sharing a
+// cache need not share anything else: a daemon hands one cache to every
+// request, whatever its target, tolerance or test count. The target and
+// tolerance only change how a run is compared; a larger test count adds
+// cases, and only those are new runs.
+//
 // Everything the cache holds lives exactly as long as the cache; nothing
-// is evicted, so a cache should live no longer than the work sharing it.
+// is evicted. Bytes reports what of it grows with the work: a long-lived
+// owner replaces a cache that has outgrown its budget with a fresh one,
+// and compiles still holding the old one finish on it unchanged.
 //
 // A nil *OracleCache is not usable; Synthesize builds a private one
 // when Options.Oracle is unset, so sharing is strictly opt-in.
@@ -76,6 +84,8 @@ type OracleCache struct {
 	memo    *iogen.Memo
 
 	hits, misses atomic.Int64
+	// bytes counts the stored reference outputs and cached source text.
+	bytes atomic.Int64
 }
 
 // NewOracleCache returns an empty cache, ready to be shared across
@@ -135,6 +145,7 @@ func (c *OracleCache) File(name, src string, sp *obs.Span) (*minic.File, error) 
 		f = nil
 	}
 	e.f, e.err, e.done = f, err, true
+	c.bytes.Add(int64(len(name) + len(src)))
 	return f, err
 }
 
@@ -168,6 +179,14 @@ func (c *OracleCache) fileDigest(f *minic.File, fn *minic.FuncDecl) string {
 		e.digest = FileDigest(f, fn.Name)
 	}
 	return e.digest
+}
+
+// Bytes returns what the cache holds that grows with the compiles
+// sharing it: the stored reference outputs, the memoized test signals
+// and the cached source text. Keys, parsed files and analysis facts are
+// not counted; they grow with the same programs as the source text.
+func (c *OracleCache) Bytes() int64 {
+	return c.bytes.Load() + c.memo.Bytes()
 }
 
 // Stats reports cache-wide effectiveness over every lookup this cache
@@ -374,6 +393,7 @@ func (o *oracle) run(ctx context.Context, cand *binding.Candidate, ref string,
 	}
 	e.done = true
 	e.out, e.ret, e.err = uout, uret, rerr
+	o.cache.bytes.Add(16 * int64(len(uout)))
 	return uout, uret, 0, rerr
 }
 
