@@ -37,11 +37,13 @@ test-race:
 
 # Fuzz smoke: replay the committed corpus, then a short randomized run of
 # each fuzz target (parser round-trip totality, interpreter
-# fault-not-panic, store page/WAL decoder quarantine-not-panic).
+# fault-not-panic, store page/WAL decoder quarantine-not-panic, store
+# entry record decoder strictness: accepted bytes re-encode to themselves).
 fuzz-smoke:
 	$(GO) test ./internal/minic -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/interp -run '^$$' -fuzz FuzzInterp -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzStoreDecode -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzEntryDecode -fuzztime 10s
 	$(GO) test ./internal/synth -run '^$$' -fuzz FuzzCexReplay -fuzztime 10s
 
 # Crash-point injection matrix: the adapter store is crashed at every
@@ -60,11 +62,13 @@ chaos:
 # One testing.B benchmark per paper table/figure plus ablations and the
 # fixed cost of an oracle-hit compile (BenchmarkCompileOracleHit), then
 # the per-layer benchmarks of input generation and case digests (fresh
-# vs memoized), the device models, binding enumeration, and the daemon's
-# cache hit and fresh-digest compile over an HTTP round trip.
+# vs memoized), the device models, binding enumeration, the daemon's
+# cache hit and fresh-digest compile over an HTTP round trip, and the
+# adapter store's Get and Put on a store of 3000 real-size entries
+# (BenchmarkStoreGet, BenchmarkStorePut).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/iogen ./internal/accel ./internal/binding ./internal/server
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/iogen ./internal/accel ./internal/binding ./internal/server ./internal/store
 
 # Synthesis-engine regression numbers (corpus wall-clock, fuzz
 # throughput, oracle hit rate at Workers=1 vs GOMAXPROCS, and the search

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	facc -target ffta [-entry fft] [-profile n=64,128,256] [-tests 10]
-//	     [-trace trace.json] [-metrics] [-serve :9090]
+//	     [-trace trace.json] [-metrics]
 //	     [-journal prov.jsonl] [-explain] [-costs]
 //	     [-search-report] [-cex-pool counterexamples.jsonl]
 //	     [-timeout 30s] [-candidate-timeout 50ms] [-faults error=0.3,seed=7]
@@ -13,11 +13,9 @@
 // -trace writes a Chrome trace_event file (load in chrome://tracing or
 // https://ui.perfetto.dev) with one nested span per pipeline stage down to
 // individual fuzzed candidates; -metrics prints a human-readable summary of
-// stage timings and pipeline counters to stderr; -serve exposes the live
-// observability endpoints (/metrics Prometheus exposition, /status JSON,
-// /trace download, /debug/pprof) for the duration of the run; -journal
-// writes the synthesis provenance journal as JSONL; -explain renders it as
-// a human-readable "why was / wasn't this adapter synthesised" report;
+// stage timings and pipeline counters to stderr; -journal writes the
+// synthesis provenance journal as JSONL; -explain renders it as a
+// human-readable "why was / wasn't this adapter synthesised" report;
 // -costs prints the synthesis cost ledger — how much interpreter work went
 // to the winning candidate (useful) versus killed losers, including cases
 // started past a kill (speculative), and how much the oracle shared across
@@ -35,6 +33,10 @@
 // seeded accelerator faults (transient errors, value corruption, latency
 // spikes) while hardening the execution path with retries and a circuit
 // breaker that degrades to the pure-software FFT.
+//
+// facc has no -serve: a run lasts milliseconds, too short to scrape, so
+// the live endpoints (and the HTTP server they need) are left to
+// faccbench and faccclassify, whose runs last long enough to watch.
 //
 // Exit status: 0 on success (adapter printed to stdout), 1 when no adapter
 // could be synthesized (reason printed to stderr), 2 on usage/frontend

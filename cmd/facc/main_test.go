@@ -1,7 +1,9 @@
 package main
 
 import (
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +42,25 @@ func TestParseProfileErrors(t *testing.T) {
 	for _, bad := range []string{"n", "n=abc", "n=1,x", "=1"} {
 		if _, err := parseProfile(bad); err == nil {
 			t.Errorf("%q: expected error", bad)
+		}
+	}
+}
+
+// TestFaccLinksNoHTTPServer: facc runs for milliseconds, so it has no
+// -serve and must not link net/http (nor the TLS and pprof code that
+// comes with it): loading them took nearly half of a trivial run.
+func TestFaccLinksNoHTTPServer(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go command on PATH: %v", err)
+	}
+	out, err := exec.Command(gobin, "list", "-deps", "facc/cmd/facc").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "net/http" {
+			t.Fatal("facc/cmd/facc depends on net/http")
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"facc/internal/eval"
 	"facc/internal/obs"
 	"facc/internal/obs/obsflag"
+	"facc/internal/obs/obshttp"
 )
 
 func main() {
@@ -45,9 +46,14 @@ func main() {
 	crashDir := flag.String("crash-dir", "",
 		"with -experiment crashmatrix: keep each crashed store (quarantine evidence included) under this directory for artifact upload")
 	of := obsflag.RegisterSynth(flag.CommandLine, "faccbench")
+	obshttp.RegisterFlag(flag.CommandLine, of)
 	flag.Parse()
 
 	if err := of.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "faccbench: %v\n", err)
+		os.Exit(1)
+	}
+	if err := obshttp.ServeFlags(of); err != nil {
 		fmt.Fprintf(os.Stderr, "faccbench: %v\n", err)
 		os.Exit(1)
 	}

@@ -26,6 +26,7 @@ import (
 	"facc/internal/minic"
 	"facc/internal/obs"
 	"facc/internal/obs/obsflag"
+	"facc/internal/obs/obshttp"
 )
 
 func main() {
@@ -33,9 +34,14 @@ func main() {
 	full := flag.Bool("full", false, "paper-size protocol (20/class, 10 folds)")
 	perClass := flag.Int("perclass", 12, "training instances per class for file classification")
 	of := obsflag.Register(flag.CommandLine, "faccclassify")
+	obshttp.RegisterFlag(flag.CommandLine, of)
 	flag.Parse()
 
 	if err := of.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "faccclassify: %v\n", err)
+		os.Exit(1)
+	}
+	if err := obshttp.ServeFlags(of); err != nil {
 		fmt.Fprintf(os.Stderr, "faccclassify: %v\n", err)
 		os.Exit(1)
 	}

@@ -1,9 +1,10 @@
 // Package obsflag wires the shared observability flags into the FACC
 // command-line binaries so facc, faccbench and faccclassify expose the
-// same -trace/-metrics/-serve surface (and facc/faccbench additionally
+// same -trace/-metrics surface (and facc/faccbench additionally
 // -journal/-explain plus the robustness budget flags -timeout,
 // -candidate-timeout and -faults), with one implementation of the
-// export plumbing.
+// export plumbing. The live endpoints (-serve) live in obshttp, which
+// only the binaries whose runs last long enough to watch link.
 package obsflag
 
 import (
@@ -17,15 +18,18 @@ import (
 	"time"
 
 	"facc/internal/obs"
-	"facc/internal/obs/obshttp"
 )
 
 // Flags holds the parsed observability flag values and the sinks they
 // enable. The zero value (no flags set) enables nothing: Tracer() and
 // Journal() return nil and the pipeline runs uninstrumented.
 type Flags struct {
-	TraceFile   string
-	Metrics     bool
+	TraceFile string
+	Metrics   bool
+	// Serve is the -serve address of the live endpoints, set only by
+	// binaries that register the flag with obshttp.RegisterFlag. The
+	// endpoints show every sink, so a non-empty Serve makes Tracer,
+	// Ledger and Kills non-nil.
 	Serve       string
 	JournalFile string
 	Explain     bool
@@ -61,18 +65,23 @@ type Flags struct {
 	shutdown func() error
 }
 
-// Register installs the shared tracing flags (-trace, -metrics, -serve)
-// on fs. prog names the binary in diagnostics.
+// Register installs the shared tracing flags (-trace, -metrics) on fs.
+// prog names the binary in diagnostics.
 func Register(fs *flag.FlagSet, prog string) *Flags {
 	f := &Flags{prog: prog}
 	fs.StringVar(&f.TraceFile, "trace", "",
 		"write a Chrome trace_event file of the pipeline")
 	fs.BoolVar(&f.Metrics, "metrics", false,
 		"print stage timings and pipeline counters to stderr")
-	fs.StringVar(&f.Serve, "serve", "",
-		"serve live observability endpoints (/metrics, /status, /trace, /debug/pprof) on this address, e.g. :9090")
 	return f
 }
+
+// Prog is the binary's name, for diagnostics.
+func (f *Flags) Prog() string { return f.prog }
+
+// OnFinish registers shutdown to run first in Finish: obshttp stops the
+// -serve endpoints, which live for the duration of the run, through it.
+func (f *Flags) OnFinish(shutdown func() error) { f.shutdown = shutdown }
 
 // RegisterSynth additionally installs the provenance flags (-journal,
 // -explain) and the robustness budget flags (-timeout,
@@ -211,9 +220,7 @@ func (f *Flags) FlushOnSignal() {
 	}()
 }
 
-// Start loads the counterexample pool (when -cex-pool names one) and
-// launches the observability HTTP server when -serve is set, printing
-// the bound address to stderr.
+// Start loads the counterexample pool when -cex-pool names one.
 func (f *Flags) Start() error {
 	if f.CexPoolFile != "" {
 		// Loaded read-write: Pool() hands it to synthesis, which replays
@@ -231,22 +238,13 @@ func (f *Flags) Start() error {
 		}
 		f.pool = pool
 	}
-	if f.Serve == "" {
-		return nil
-	}
-	addr, shutdown, err := obshttp.Serve(f.Serve, f.Tracer(), f.Journal(), f.Ledger(), f.Kills())
-	if err != nil {
-		return fmt.Errorf("%s: -serve %s: %w", f.prog, f.Serve, err)
-	}
-	f.shutdown = shutdown
-	fmt.Fprintf(os.Stderr, "%s: observability server on http://%s\n", f.prog, addr)
 	return nil
 }
 
-// Finish stops the server (it lives for the duration of the run) and
-// writes every requested export: the Chrome trace file, the stderr
-// summary, the JSONL journal, and the explain report. The first error is
-// returned after all exports are attempted.
+// Finish runs the OnFinish shutdown, if any, and writes every requested
+// export: the Chrome trace file, the stderr summary, the JSONL journal,
+// and the explain report. The first error is returned after all exports
+// are attempted.
 func (f *Flags) Finish() error {
 	var first error
 	keep := func(err error) {

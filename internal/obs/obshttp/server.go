@@ -17,13 +17,17 @@ package obshttp
 
 import (
 	"encoding/json"
+	"flag"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"strings"
 	"time"
 
 	"facc/internal/obs"
+	"facc/internal/obs/obsflag"
 )
 
 // Server exposes one tracer (and optionally one journal, one cost
@@ -467,6 +471,30 @@ func (s *Server) journal(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	s.Journal.WriteJSONL(w)
+}
+
+// RegisterFlag installs -serve on fs, storing the address in f.Serve.
+// Only binaries whose runs last long enough to be watched register it;
+// facc, whose run takes milliseconds, does not, and so links no HTTP
+// server.
+func RegisterFlag(fs *flag.FlagSet, f *obsflag.Flags) {
+	fs.StringVar(&f.Serve, "serve", "",
+		"serve live observability endpoints (/metrics, /status, /trace, /debug/pprof) on this address, e.g. :9090")
+}
+
+// ServeFlags starts the live endpoints over f's sinks when -serve is
+// set, printing the bound address to stderr; f.Finish stops them.
+func ServeFlags(f *obsflag.Flags) error {
+	if f.Serve == "" {
+		return nil
+	}
+	addr, shutdown, err := Serve(f.Serve, f.Tracer(), f.Journal(), f.Ledger(), f.Kills())
+	if err != nil {
+		return fmt.Errorf("%s: -serve %s: %w", f.Prog(), f.Serve, err)
+	}
+	f.OnFinish(shutdown)
+	fmt.Fprintf(os.Stderr, "%s: observability server on http://%s\n", f.Prog(), addr)
+	return nil
 }
 
 // Serve binds addr (e.g. ":9090" or "127.0.0.1:0"), serves the handler in

@@ -487,8 +487,14 @@ func TestServerCrashRecoveryEndToEnd(t *testing.T) {
 
 	// Crash: the page holding the serialized entry is damaged on disk
 	// (a torn write the checksum will catch) and the WAL gains a torn
-	// tail — a record whose durability fsync never completed.
-	corruptStoreDB(t, dir, []byte(`"adapter_c"`))
+	// tail — a record whose durability fsync never completed. The entry
+	// record keeps the adapter source unescaped, so one of its lines
+	// locates the entry's bytes.
+	const line = "accel_cfft(__acc_in, __acc_out, __len);"
+	if !strings.Contains(want, line) {
+		t.Fatalf("the adapter no longer contains the line that locates its entry: %q", line)
+	}
+	corruptStoreDB(t, dir, []byte(line))
 	wal, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)

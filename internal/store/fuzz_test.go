@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,9 +61,10 @@ func fuzzSeedCorpus() [][]byte {
 	return seeds
 }
 
-// FuzzStoreDecode throws hostile bytes at every on-disk decoder the
+// FuzzStoreDecode throws hostile bytes at the page-level decoders the
 // store trusts after a crash: page verification, node decoding, meta
-// decoding, and WAL record parsing. The contract under fuzzing is the
+// decoding, and WAL record parsing (FuzzEntryDecode covers the entry
+// records inside tree values). The contract under fuzzing is the
 // quarantine contract: hostile input yields errors (corrupt-page or
 // parse errors), never panics, and never a silently-accepted structure
 // that re-encodes differently (a wrong adapter in disguise).
@@ -123,38 +123,84 @@ func FuzzStoreDecode(f *testing.F) {
 				}
 			}
 		}
+	})
+}
 
-		// Entry-shaped view: the JSON value layer rejects hostile bytes
-		// via checksum, never by panicking.
-		var e Entry
-		if json.Unmarshal(data, &e) == nil {
-			_ = e.Checksum == e.checksum()
+// entrySeedCorpus is one valid entry record and its hostile neighbours:
+// truncated, a length that runs past the end, trailing bytes, and a
+// length with a leading zero.
+func entrySeedCorpus() [][]byte {
+	valid := sealEntry(&Entry{
+		Key: "aaaa", Target: "ffta", Function: "fft", Sig: "void fft(cpx *x, int n)",
+		AdapterC: "void fft(cpx *x, int n) {\n    /* \"quoted\" */\n    accel_cfft(x, x, n);\n}\n",
+		Trace:    "cafef00d",
+	})
+	cut := bytes.LastIndex(valid, []byte("64:"))
+	overlong := append(append(append([]byte(nil), valid[:cut]...), "65:"...), valid[cut+3:]...)
+	leadingZero := append(append([]byte{entryFormat}, "04:aaaa"...), valid[len("\x014:aaaa"):]...)
+	return [][]byte{
+		valid,
+		valid[:len(valid)/2],
+		overlong,
+		append(append([]byte(nil), valid...), 'x'),
+		leadingZero,
+	}
+}
+
+// FuzzEntryDecode throws hostile bytes at the entry record decoder. It
+// must never panic, and any value it accepts must re-encode to the same
+// bytes — a decoder that accepted two spellings of one entry could let
+// damage through unnoticed. A value that also verifies must be exactly
+// the record Put would write for its fields.
+func FuzzEntryDecode(f *testing.F) {
+	for _, seed := range entrySeedCorpus() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, payloadEnd, err := decodeEntry(data)
+		if err != nil {
+			return
+		}
+		if payloadEnd < 1 || payloadEnd > len(data) {
+			t.Fatalf("payload end %d out of range [1,%d]", payloadEnd, len(data))
+		}
+		if got := encodeEntry(&e); !bytes.Equal(got, data) {
+			t.Fatalf("accepted record re-encodes differently:\n got %q\nwant %q", got, data)
+		}
+		if _, err := openEntry(e.Key, data); err == nil {
+			if got := sealEntry(&e); !bytes.Equal(got, data) {
+				t.Fatalf("verified record differs from the one Put writes:\n got %q\nwant %q", got, data)
+			}
 		}
 	})
 }
 
-// TestGenerateFuzzCorpus writes the seed corpus into testdata so the
-// committed corpus and the in-code seeds never drift. It only rewrites
+// TestGenerateFuzzCorpus writes the seed corpora into testdata so the
+// committed corpora and the in-code seeds never drift. It only rewrites
 // files when FACC_GEN_CORPUS=1; otherwise it verifies they exist.
 func TestGenerateFuzzCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzStoreDecode")
-	seeds := fuzzSeedCorpus()
-	if os.Getenv("FACC_GEN_CORPUS") == "1" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for i, seed := range seeds {
-			body := []byte("go test fuzz v1\n[]byte(" + quoteBytes(seed) + ")\n")
-			name := filepath.Join(dir, fmtSeedName(i))
-			if err := os.WriteFile(name, body, 0o644); err != nil {
+	for target, seeds := range map[string][][]byte{
+		"FuzzStoreDecode": fuzzSeedCorpus(),
+		"FuzzEntryDecode": entrySeedCorpus(),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if os.Getenv("FACC_GEN_CORPUS") == "1" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
+			for i, seed := range seeds {
+				body := []byte("go test fuzz v1\n[]byte(" + quoteBytes(seed) + ")\n")
+				name := filepath.Join(dir, fmtSeedName(i))
+				if err := os.WriteFile(name, body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
 		}
-		return
-	}
-	des, err := os.ReadDir(dir)
-	if err != nil || len(des) < len(seeds) {
-		t.Fatalf("committed fuzz corpus missing (%d files, want >= %d): regenerate with FACC_GEN_CORPUS=1 (err=%v)", len(des), len(seeds), err)
+		des, err := os.ReadDir(dir)
+		if err != nil || len(des) < len(seeds) {
+			t.Fatalf("committed %s corpus missing (%d files, want >= %d): regenerate with FACC_GEN_CORPUS=1 (err=%v)", target, len(des), len(seeds), err)
+		}
 	}
 }
 

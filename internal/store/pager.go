@@ -39,12 +39,20 @@ const (
 	pageFreelist = 4
 	pageMeta     = 5
 
-	metaMagic   = "FACCBT01"
-	metaVersion = 1
+	metaMagic = "FACCBT01"
+	// metaVersion is the format version of the whole store. Version 2
+	// stores entries as length-prefixed records (entry.go); version 1
+	// stored them as JSON. A store at an older version is set aside whole
+	// on open (see Store.recover).
+	metaVersion = 2
 	metaSlots   = 2
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// errOlderFormat marks an intact meta slot written at an older format
+// version than this build reads.
+var errOlderFormat = errors.New("store: written at an older format version")
 
 // meta is the decoded meta page: the committed identity of the database.
 type meta struct {
@@ -257,7 +265,9 @@ func decodeMeta(buf []byte, slot uint64, pageSize int) (meta, error) {
 	if string(pl[0:8]) != metaMagic {
 		return meta{}, fmt.Errorf("store: meta slot %d: bad magic %q", slot, pl[0:8])
 	}
-	if v := binary.LittleEndian.Uint32(pl[8:12]); v != metaVersion {
+	if v := binary.LittleEndian.Uint32(pl[8:12]); v < metaVersion {
+		return meta{}, fmt.Errorf("store: meta slot %d: version %d: %w", slot, v, errOlderFormat)
+	} else if v != metaVersion {
 		return meta{}, fmt.Errorf("store: meta slot %d: version %d (want %d)", slot, v, metaVersion)
 	}
 	if ps := binary.LittleEndian.Uint32(pl[12:16]); int(ps) != pageSize {

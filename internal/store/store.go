@@ -23,6 +23,13 @@
 //     dirty page images + the new meta) with one fsync — the durability
 //     point — then a checkpoint writes the pages and the alternating
 //     meta slot. Crash mid-checkpoint? Replay rewrites the pages.
+//   - Entry records: each value is one strict length-prefixed record
+//     (entry.go). Its SHA-256 checksum covers the payload fields as one
+//     contiguous slice, so every read that serves an entry re-verifies
+//     it by hashing that slice in place.
+//   - Format version: the meta slots carry it; a store written by an
+//     older build is set aside whole (WAL and database) on open and
+//     starts empty, its adapters recompiling on first request.
 //   - Secondary indexes: by target and by user-visible signature, kept
 //     as key ranges in the same tree, so "all adapters for this target"
 //     is an index walk, not a scan.
@@ -44,16 +51,15 @@
 // store.writes, store.deletes, store.commits, store.commit_batches,
 // store.corrupt_quarantined, store.recovered_pending, store.wal_torn,
 // store.wal_resets, store.freelist_lost, store.compactions,
-// store.compact_aborted, store.io_errors, gauges store.pages,
-// store.free_pages, store.quarantined, store.snapshots, and the
-// store.breaker.* family.
+// store.compact_aborted, store.io_errors, store.format_resets, gauges
+// store.pages, store.free_pages, store.quarantined, store.snapshots, and
+// the store.breaker.* family.
 package store
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -66,44 +72,6 @@ import (
 	"facc/internal/faultinject"
 	"facc/internal/obs"
 )
-
-// Entry is one cached adapter.
-type Entry struct {
-	// Key is the content address (the request digest) the entry was
-	// stored under.
-	Key string `json:"key"`
-	// Target is the accelerator the adapter was synthesized for.
-	Target string `json:"target"`
-	// Function is the replaced user function.
-	Function string `json:"function"`
-	// Sig is the user-visible signature of the replaced function — the
-	// key of the by-signature index ("all ffta adapters for this
-	// signature" is one index walk).
-	Sig string `json:"sig,omitempty"`
-	// AdapterC is the synthesized drop-in replacement C source.
-	AdapterC string `json:"adapter_c"`
-	// Trace is the trace ID of the request whose compilation produced
-	// this adapter — the join key back to that request's spans, journal
-	// events, and cost ledger. Provenance, not part of the content
-	// address: two requests with the same digest share one entry, stamped
-	// by whichever compiled it.
-	Trace string `json:"trace,omitempty"`
-	// Checksum is the hex SHA-256 of the payload fields, written at Put
-	// time and re-verified on every Get — defense in depth above the
-	// page checksums.
-	Checksum string `json:"checksum"`
-}
-
-// checksum computes the payload checksum (everything except the checksum
-// field itself).
-func (e *Entry) checksum() string {
-	h := sha256.New()
-	for _, s := range []string{e.Key, e.Target, e.Function, e.Sig, e.AdapterC, e.Trace} {
-		fmt.Fprintf(h, "%d:", len(s))
-		h.Write([]byte(s))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // Key-space layout inside the one tree. Primary entries live under "o",
 // index entries (empty values) under "t" and "s".
@@ -195,7 +163,7 @@ func (o Options) withDefaults() Options {
 type storeOp struct {
 	kind    opKind
 	key     string // put, delete
-	value   []byte // put: marshalled Entry
+	value   []byte // put: the entry record
 	target  string // put: index keys
 	sig     string
 	page    uint64 // drop
@@ -331,17 +299,32 @@ func (s *Store) recover() error {
 	}
 	s.pg = newPager(f, s.opts.PageSize, s.opts.CachePages)
 
-	m, ok, err := s.loadMeta(f)
+	m, state, err := s.loadMeta(f)
 	if err != nil {
 		return err
 	}
-	if !ok {
-		// No valid meta in a non-trivial file: the database is beyond
-		// page-level repair. Quarantine the whole file — never guess —
-		// and start fresh; every entry recompiles.
-		if err := s.quarantineWholeDB(f); err != nil {
-			return err
+	if state != metaCurrent {
+		if state == metaOlder {
+			// Written by an older build: no value is in a format this
+			// build reads, and the WAL's page images belong to that
+			// database. Set both aside — the WAL first, so a crash in
+			// between never leaves it to be replayed onto a fresh file —
+			// and start empty; every adapter recompiles on first request.
+			s.count("store.format_resets")
+			s.setAside(s.walPath(), "wal.log")
+		} else {
+			// No valid meta in a non-trivial file: the database is
+			// beyond page-level repair. Quarantine the whole file —
+			// never guess — and start fresh; every entry recompiles.
+			s.count("store.corrupt_quarantined")
 		}
+		s.setAside(s.dbPath(), "store.db")
+		nf, err := s.vfs.Open(s.dbPath())
+		if err != nil {
+			return fmt.Errorf("store: recreating db: %w", err)
+		}
+		s.pg.retire()
+		s.pg = newPager(nf, s.opts.PageSize, s.opts.CachePages)
 		m = meta{txid: 0, root: 0, npages: metaSlots}
 		if err := s.initFreshDB(m); err != nil {
 			return err
@@ -359,36 +342,48 @@ func (s *Store) recover() error {
 	return nil
 }
 
+// metaState is what the two meta slots of a database file say about it.
+type metaState int
+
+const (
+	metaNone    metaState = iota // neither slot is valid
+	metaOlder                    // intact, but only at older format versions
+	metaCurrent                  // at least one slot is valid at this version
+)
+
 // loadMeta reads both meta slots and returns the valid one with the
-// highest txid. ok=false means neither slot is valid.
-func (s *Store) loadMeta(f faultinject.File) (meta, bool, error) {
+// highest txid.
+func (s *Store) loadMeta(f faultinject.File) (meta, metaState, error) {
 	size, err := f.Size()
 	if err != nil {
-		return meta{}, false, fmt.Errorf("store: sizing db: %w", err)
+		return meta{}, metaNone, fmt.Errorf("store: sizing db: %w", err)
 	}
 	if size == 0 {
 		m := meta{txid: 0, root: 0, npages: metaSlots}
 		if err := s.initFreshDB(m); err != nil {
-			return meta{}, false, err
+			return meta{}, metaNone, err
 		}
-		return m, true, nil
+		return m, metaCurrent, nil
 	}
 	var best meta
-	found := false
+	state := metaNone
 	for slot := uint64(0); slot < metaSlots; slot++ {
 		buf, rerr := s.pg.read(slot)
 		if rerr != nil {
 			continue
 		}
 		m, derr := decodeMeta(buf, slot, s.opts.PageSize)
+		if errors.Is(derr, errOlderFormat) && state == metaNone {
+			state = metaOlder
+		}
 		if derr != nil {
 			continue
 		}
-		if !found || m.txid > best.txid {
-			best, found = m, true
+		if state != metaCurrent || m.txid > best.txid {
+			best, state = m, metaCurrent
 		}
 	}
-	return best, found, nil
+	return best, state, nil
 }
 
 // initFreshDB writes the initial meta for an empty database.
@@ -408,22 +403,13 @@ func (s *Store) initFreshDB(m meta) error {
 	return nil
 }
 
-// quarantineWholeDB preserves an unrecoverable database file as evidence
-// and clears the way for a fresh one.
-func (s *Store) quarantineWholeDB(f faultinject.File) error {
-	s.count("store.corrupt_quarantined")
-	dst := filepath.Join(s.quarantineDir(), fmt.Sprintf("store.db.%d", time.Now().UnixNano()))
-	if err := s.vfs.Rename(s.dbPath(), dst); err != nil {
-		// Could not preserve it; a corrupt db must still not be reused.
-		s.vfs.Remove(s.dbPath())
+// setAside moves a whole store file into quarantine/ as evidence. A file
+// that cannot be moved is removed: it must not be reused either way.
+func (s *Store) setAside(path, name string) {
+	dst := filepath.Join(s.quarantineDir(), fmt.Sprintf("%s.%d", name, time.Now().UnixNano()))
+	if err := s.vfs.Rename(path, dst); err != nil {
+		s.vfs.Remove(path)
 	}
-	nf, err := s.vfs.Open(s.dbPath())
-	if err != nil {
-		return fmt.Errorf("store: recreating db: %w", err)
-	}
-	s.pg.retire()
-	s.pg = newPager(nf, s.opts.PageSize, s.opts.CachePages)
-	return nil
 }
 
 func (s *Store) openWAL() error {
@@ -583,9 +569,8 @@ func (s *Store) scanOnce() *scanProblem {
 			problem = &scanProblem{err: verr, key: k}
 			return false, nil
 		}
-		var e Entry
-		if jerr := json.Unmarshal(val, &e); jerr != nil || e.Key != k || e.Checksum != e.checksum() {
-			problem = &scanProblem{err: fmt.Errorf("store: entry %s fails its checksum", k), key: k, data: val}
+		if _, eerr := openEntry(k, val); eerr != nil {
+			problem = &scanProblem{err: fmt.Errorf("%w (key %s)", eerr, k), key: k, data: val}
 			return false, nil
 		}
 		return true, nil
@@ -745,12 +730,12 @@ func (s *Store) Get(key string) (Entry, bool) {
 			s.count("store.io_errors")
 			return err
 		}
-		if jerr := json.Unmarshal(val, &e); jerr != nil || e.Key != key || e.Checksum != e.checksum() {
+		got, err := openEntry(key, val)
+		if err != nil {
 			s.quarantineEntry(key, val)
-			e = Entry{}
 			return nil
 		}
-		found = true
+		e, found = got, true
 		return nil
 	})
 	if err != nil || !found {
@@ -781,8 +766,8 @@ func (s *Store) listByIndex(prefix []byte) []Entry {
 			}
 			return true, nil
 		}
-		var e Entry
-		if jerr := json.Unmarshal(val, &e); jerr != nil || e.Key != digest || e.Checksum != e.checksum() {
+		e, eerr := openEntry(digest, val)
+		if eerr != nil {
 			s.quarantineEntry(digest, val)
 			return true, nil
 		}
@@ -844,9 +829,8 @@ func (s *Store) Check() []string {
 			return true, nil
 		}
 		k := string(key[len(prefixPrimary):])
-		var e Entry
-		if jerr := json.Unmarshal(val, &e); jerr != nil || e.Key != k || e.Checksum != e.checksum() {
-			problems = append(problems, fmt.Sprintf("entry %s fails its checksum", k))
+		if _, eerr := openEntry(k, val); eerr != nil {
+			problems = append(problems, fmt.Sprintf("%v (key %s)", eerr, k))
 		}
 		return true, nil
 	})
@@ -910,11 +894,7 @@ func (s *Store) updateGaugesLocked() {
 // imply a torn entry is visible (Get would quarantine one).
 func (s *Store) Put(key string, e Entry) error {
 	e.Key = key
-	e.Checksum = e.checksum()
-	data, err := json.Marshal(&e)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	data := sealEntry(&e)
 	op := &storeOp{
 		kind: opPut, key: key, value: data, target: e.Target, sig: e.Sig,
 		resp: make(chan error, 1), counter: "store.writes",
@@ -1218,8 +1198,7 @@ func (s *Store) applyOnce(t *tx, op *storeOp) error {
 			return err
 		}
 		if err == nil {
-			var oe Entry
-			if json.Unmarshal(old, &oe) == nil {
+			if oe, _, derr := decodeEntry(old); derr == nil {
 				if oe.Target != "" && oe.Target != op.target {
 					if _, derr := t.delete(targetKey(oe.Target, op.key)); derr != nil {
 						return derr
@@ -1253,8 +1232,7 @@ func (s *Store) applyOnce(t *tx, op *storeOp) error {
 			return err
 		}
 		if err == nil {
-			var oe Entry
-			if json.Unmarshal(old, &oe) == nil {
+			if oe, _, derr := decodeEntry(old); derr == nil {
 				if oe.Target != "" {
 					if _, derr := t.delete(targetKey(oe.Target, op.key)); derr != nil {
 						return derr
@@ -1321,9 +1299,10 @@ func (s *Store) retireEntry(key string) {
 	}
 }
 
-// quarantineEntry contains entry-level damage (a value that decodes but
-// fails its own checksum): record the key so every Get misses until a
-// recompile overwrites it, preserve the bytes, and schedule deletion.
+// quarantineEntry contains entry-level damage (a value that fails to
+// decode, names another key or fails its own checksum): record the key
+// so every Get misses until a recompile overwrites it, preserve the
+// bytes, and schedule deletion.
 func (s *Store) quarantineEntry(key string, data []byte) {
 	s.mu.Lock()
 	if s.pendingQuar[key] {
@@ -1333,7 +1312,7 @@ func (s *Store) quarantineEntry(key string, data []byte) {
 	s.pendingQuar[key] = true
 	s.mu.Unlock()
 	s.count("store.corrupt_quarantined")
-	s.writeQuarantineFile(fmt.Sprintf("entry-%s.json", sanitizeName(key)), data)
+	s.writeQuarantineFile(fmt.Sprintf("entry-%s.bin", sanitizeName(key)), data)
 	s.submitAsync(&storeOp{kind: opDelete, key: key})
 }
 
@@ -1347,7 +1326,7 @@ func (s *Store) quarantineEntryBytes(key string, data []byte) {
 		return
 	}
 	s.count("store.corrupt_quarantined")
-	s.writeQuarantineFile(fmt.Sprintf("entry-%s.json", sanitizeName(key)), data)
+	s.writeQuarantineFile(fmt.Sprintf("entry-%s.bin", sanitizeName(key)), data)
 }
 
 func sanitizeName(s string) string {
@@ -1512,8 +1491,8 @@ func (s *Store) compactNow() error {
 		if verr != nil {
 			return true, nil // damaged value: quarantined elsewhere, not copied
 		}
-		var e Entry
-		if jerr := json.Unmarshal(val, &e); jerr != nil {
+		e, _, derr := decodeEntry(val)
+		if derr != nil {
 			return true, nil
 		}
 		k := string(key[len(prefixPrimary):])

@@ -276,8 +276,8 @@ func TestStoreVerifyOnOpenQuarantines(t *testing.T) {
 	}
 }
 
-// TestStoreEntryChecksumDefense: a value that decodes as JSON but fails
-// the entry's own checksum (page checksums bypassed — a logic bug or a
+// TestStoreEntryChecksumDefense: a record that decodes but fails the
+// entry's own checksum (page checksums bypassed — a logic bug or a
 // hostile writer) still misses and quarantines.
 func TestStoreEntryChecksumDefense(t *testing.T) {
 	dir := t.TempDir()
@@ -288,9 +288,16 @@ func TestStoreEntryChecksumDefense(t *testing.T) {
 	}
 	defer s.Close()
 	key := testKey(20)
-	// Inject a value whose embedded checksum is wrong, through the raw
-	// commit path (bypassing Put, which would fix the checksum).
-	bad := []byte(`{"key":"` + key + `","adapter_c":"void evil(){}","checksum":"00"}`)
+	// A record whose payload changed after it was sealed, injected
+	// through the raw commit path (bypassing Put, which would fix the
+	// checksum).
+	e := Entry{Key: key, Target: "ffta", AdapterC: "void good(){}"}
+	sealEntry(&e)
+	e.AdapterC = "void evil(){}"
+	bad := encodeEntry(&e)
+	if _, _, err := decodeEntry(bad); err != nil {
+		t.Fatalf("the injected record must reach the checksum comparison, but it fails to decode: %v", err)
+	}
 	if err := s.commitDirect(&storeOp{kind: opPut, key: key, value: bad}); err != nil {
 		t.Fatal(err)
 	}
@@ -299,6 +306,167 @@ func TestStoreEntryChecksumDefense(t *testing.T) {
 	}
 	if got := reg.Counters()["store.corrupt_quarantined"]; got != 1 {
 		t.Fatalf("corrupt_quarantined = %d, want 1", got)
+	}
+	q, err := os.ReadDir(filepath.Join(dir, "quarantine"))
+	if err != nil || len(q) != 1 || !strings.HasPrefix(q[0].Name(), "entry-"+key+".bin.") {
+		t.Fatalf("quarantine evidence: %v (err=%v), want one entry-%s.bin file", q, err, key)
+	}
+}
+
+// TestStoreSetsAsideOlderFormat: a store written at format version 1,
+// whose values were JSON, is set aside whole — database and WAL together
+// — and the store opens empty. The fixture in testdata/store-v1 was
+// written by the version-1 store with 512-byte pages: three Puts, a
+// Delete, then a Put whose checkpoint failed after its WAL fsync, so the
+// WAL holds a record a version-1 reopen replays.
+func TestStoreSetsAsideOlderFormat(t *testing.T) {
+	dir := t.TempDir()
+	fixture := copyV1Fixture(t, dir)
+	reg := obs.NewRegistry()
+	s, err := OpenOptions(dir, reg, Options{PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No WAL record was replayed and no old value was decoded: each
+	// would have been quarantined entry by entry, one verify round each.
+	c := reg.Counters()
+	if c["store.format_resets"] != 1 || c["store.recovered_pending"] != 0 || c["store.corrupt_quarantined"] != 0 {
+		t.Fatalf("counters after opening a version-1 store: %v", c)
+	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("Len = %d, want an empty store", n)
+	}
+	for i := 0; i < 4; i++ {
+		if _, ok := s.Get(testKey(i)); ok {
+			t.Fatalf("entry %d of the old store served", i)
+		}
+	}
+	// Both old files are evidence in quarantine/, byte for byte.
+	qdir := filepath.Join(dir, "quarantine")
+	if q, err := os.ReadDir(qdir); err != nil || len(q) != 2 {
+		t.Fatalf("quarantine holds %v (err=%v), want the old store.db and wal.log", q, err)
+	}
+	checkSetAside(t, qdir, fixture)
+
+	// The fresh store works, and survives a reopen.
+	if err := s.Put(testKey(7), testEntry(7)); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := s.Get(testKey(7)); !ok || e.AdapterC != testEntry(7).AdapterC {
+		t.Fatalf("Get after Put: ok=%v", ok)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg2 := obs.NewRegistry()
+	s2, err := OpenOptions(dir, reg2, Options{PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if e, ok := s2.Get(testKey(7)); !ok || e.AdapterC != testEntry(7).AdapterC {
+		t.Fatalf("Get after reopen: ok=%v", ok)
+	}
+	if c := reg2.Counters(); c["store.format_resets"] != 0 || c["store.corrupt_quarantined"] != 0 {
+		t.Fatalf("reopening the upgraded store: %v", c)
+	}
+	if q, _ := os.ReadDir(qdir); len(q) != 2 {
+		t.Fatalf("quarantine holds %d files after reopen, want 2", len(q))
+	}
+}
+
+// copyV1Fixture copies the version-1 store in testdata/store-v1 into dir
+// and returns its files' bytes by name.
+func copyV1Fixture(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	fixture := map[string][]byte{}
+	for _, name := range []string{"store.db", "wal.log"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "store-v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fixture[name] = b
+	}
+	return fixture
+}
+
+// checkSetAside asserts that quarantine directory qdir holds each of the
+// fixture's files byte for byte, and no entry evidence.
+func checkSetAside(t *testing.T, qdir string, fixture map[string][]byte) {
+	t.Helper()
+	q, err := os.ReadDir(qdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	for _, de := range q {
+		if strings.HasPrefix(de.Name(), "entry-") {
+			t.Fatalf("an old entry was decoded and quarantined: %s", de.Name())
+		}
+		name := de.Name()[:strings.LastIndexByte(de.Name(), '.')]
+		got, err := os.ReadFile(filepath.Join(qdir, de.Name()))
+		if err == nil && bytes.Equal(got, fixture[name]) {
+			found[name] = true
+		}
+	}
+	for name := range fixture {
+		if !found[name] {
+			t.Fatalf("quarantine %v does not hold the old %s byte for byte", q, name)
+		}
+	}
+}
+
+// TestStoreOlderFormatCrashSafe crashes the set-aside of a version-1
+// store at each of its durable operations, in each mode, and reopens:
+// whichever step the crash hit, the store must come up empty and
+// consistent with both old files preserved, no old WAL record replayed
+// and no old value decoded.
+func TestStoreOlderFormatCrashSafe(t *testing.T) {
+	probeDir := t.TempDir()
+	copyV1Fixture(t, probeDir)
+	probe := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{})
+	s, err := OpenOptions(probeDir, obs.NewRegistry(), Options{PageSize: 512, VFS: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	sites := probe.Sites()
+	if ops := faultinject.SiteOps(sites); ops["rename"] < 2 {
+		t.Fatalf("set-aside enumerated %v, want both renames among its crash sites", ops)
+	}
+	for _, site := range sites {
+		for _, mode := range faultinject.CrashModes {
+			t.Run(fmt.Sprintf("site%02d_%s_%s", site.Site, site.Op, mode), func(t *testing.T) {
+				dir := t.TempDir()
+				fixture := copyV1Fixture(t, dir)
+				vfs := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{Site: site.Site, Mode: mode})
+				if s, err := OpenOptions(dir, obs.NewRegistry(), Options{PageSize: 512, VFS: vfs}); err == nil {
+					s.Close()
+				}
+				if !vfs.Crashed() {
+					t.Fatalf("plan site %d never fired", site.Site)
+				}
+				reg := obs.NewRegistry()
+				s, err := OpenOptions(dir, reg, Options{PageSize: 512})
+				if err != nil {
+					t.Fatalf("reopen after crash: %v", err)
+				}
+				defer s.Close()
+				if n := s.Len(); n != 0 {
+					t.Fatalf("Len = %d after reopening, want an empty store", n)
+				}
+				if problems := s.Check(); len(problems) != 0 {
+					t.Fatalf("store inconsistent after reopening: %v", problems)
+				}
+				if got := reg.Counters()["store.recovered_pending"]; got != 0 {
+					t.Fatalf("recovered_pending = %d: an old WAL record was replayed", got)
+				}
+				checkSetAside(t, filepath.Join(dir, "quarantine"), fixture)
+			})
+		}
 	}
 }
 

@@ -106,10 +106,11 @@ grep -q 'drained cleanly' "$TMP/faccd.log" || { echo "serve-smoke: no clean-drai
 echo "serve-smoke: tearing the cached adapter (simulated crash mid-write)"
 DB="$TMP/store/store.db"
 [ -s "$DB" ] || { echo "serve-smoke: no store database"; exit 1; }
-# Flip bytes inside the B-tree page holding the serialized entry so its
-# checksum fails. The last occurrence of the adapter_c JSON key is the
-# live copy — earlier ones may be stale copy-on-write page versions.
-OFF=$(grep -abo '"adapter_c"' "$DB" | tail -n 1 | cut -d: -f1)
+# Flip bytes inside the page holding the serialized entry so its
+# checksum fails. The entry record keeps the adapter source unescaped, so
+# one of its lines locates it; the last occurrence is the live copy —
+# earlier ones may be stale copy-on-write page versions.
+OFF=$(grep -abo -F 'accel_cfft(__acc_in, __acc_out, __len);' "$DB" | tail -n 1 | cut -d: -f1)
 [ -n "$OFF" ] || { echo "serve-smoke: entry bytes not found in store.db"; exit 1; }
 printf '\377\377\377\377\377\377\377\377' | dd of="$DB" bs=1 seek="$OFF" conv=notrunc 2>/dev/null
 # And tear the WAL: a record whose durability fsync never completed.
