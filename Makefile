@@ -8,8 +8,8 @@ GO ?= go
 all: build test
 
 # Tier-1 gate: formatting + vet + tests + race detector + fuzz smoke +
-# the store crash matrix (a simulated crash at every page write, WAL
-# append and fsync must recover consistently) + the faccd serve smoke
+# the store crash matrix (a simulated crash at every log append, fsync,
+# truncate and rename must recover consistently) + the faccd serve smoke
 # (compile over HTTP, SIGTERM drain, crash-safe store recovery, trace-ID
 # join) + the fleet smoke (3 sharded replicas, kill -9 the digest's
 # owner mid-compile, survivors must rebalance and serve byte-identical
@@ -37,8 +37,9 @@ test-race:
 
 # Fuzz smoke: replay the committed corpus, then a short randomized run of
 # each fuzz target (parser round-trip totality, interpreter
-# fault-not-panic, store page/WAL decoder quarantine-not-panic, store
-# entry record decoder strictness: accepted bytes re-encode to themselves).
+# fault-not-panic, store log frame scanner refuse-not-panic with accepted
+# frames re-encoding to themselves, store entry record decoder
+# strictness: accepted bytes re-encode to themselves).
 fuzz-smoke:
 	$(GO) test ./internal/minic -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/interp -run '^$$' -fuzz FuzzInterp -fuzztime 10s
@@ -47,8 +48,8 @@ fuzz-smoke:
 	$(GO) test ./internal/synth -run '^$$' -fuzz FuzzCexReplay -fuzztime 10s
 
 # Crash-point injection matrix: the adapter store is crashed at every
-# durable operation (page writes, WAL appends, fsyncs, truncates, the
-# compaction rename) under clean/torn/bit-flip semantics and must
+# durable operation (log appends, fsyncs, the torn-tail truncate of a
+# restart, the compaction rename) under clean/torn/bit-flip semantics and must
 # recover to a consistent state every time. CRASH_OUT keeps the report
 # and the quarantine evidence for CI artifact upload.
 crash-matrix:
@@ -64,8 +65,8 @@ chaos:
 # the per-layer benchmarks of input generation and case digests (fresh
 # vs memoized), the device models, binding enumeration, the daemon's
 # cache hit and fresh-digest compile over an HTTP round trip, and the
-# adapter store's Get and Put on a store of 3000 real-size entries
-# (BenchmarkStoreGet, BenchmarkStorePut).
+# adapter store's Get and Put (one frame append and fsync) on a log of
+# 3000 real-size entries (BenchmarkStoreGet, BenchmarkStorePut).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/iogen ./internal/accel ./internal/binding ./internal/server ./internal/store

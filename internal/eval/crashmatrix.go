@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -17,13 +18,11 @@ import (
 
 // CrashMatrixConfig shapes the crash-point injection matrix over the
 // adapter store: one probe run enumerates every durable operation
-// (page write, WAL append, fsync, truncate, rename) a representative
-// faccd workload performs, then the workload is re-run once per
-// (site, mode) pair with a simulated crash at exactly that operation.
+// (log append, fsync, torn-tail truncate, compaction rename) a
+// representative faccd workload performs, then the workload is re-run
+// once per (site, mode) pair with a simulated crash at exactly that
+// operation.
 type CrashMatrixConfig struct {
-	// PageSize for the store under test (default 512: small pages give
-	// deep trees, overflow chains and many distinct page writes).
-	PageSize int
 	// Modes to exercise at every site (default all of
 	// faultinject.CrashModes: clean loss, torn write, bit flip).
 	Modes []faultinject.CrashMode
@@ -36,9 +35,6 @@ type CrashMatrixConfig struct {
 }
 
 func (c *CrashMatrixConfig) defaults() {
-	if c.PageSize == 0 {
-		c.PageSize = 512
-	}
 	if len(c.Modes) == 0 {
 		c.Modes = faultinject.CrashModes
 	}
@@ -53,21 +49,19 @@ type CrashRunResult struct {
 	File string `json:"file"`
 	Mode string `json:"mode"`
 
-	OK               bool   `json:"ok"`
-	Error            string `json:"error,omitempty"`
-	RecoveredPending int64  `json:"recovered_pending,omitempty"`
-	Quarantined      int64  `json:"quarantined,omitempty"`
-	WALTorn          int64  `json:"wal_torn,omitempty"`
-	Healed           int    `json:"healed,omitempty"` // entries recompiled after recovery
+	OK          bool   `json:"ok"`
+	Error       string `json:"error,omitempty"`
+	Quarantined int64  `json:"quarantined,omitempty"`
+	TornTails   int64  `json:"torn_tails,omitempty"`
+	Healed      int    `json:"healed,omitempty"` // entries recompiled after recovery
 }
 
 // CrashMatrixReport is the CRASH_MATRIX.json artifact.
 type CrashMatrixReport struct {
-	PageSize int      `json:"page_size"`
-	Sites    int      `json:"sites"`
-	Modes    []string `json:"modes"`
-	Runs     int      `json:"runs"`
-	Failed   int      `json:"failed"`
+	Sites  int      `json:"sites"`
+	Modes  []string `json:"modes"`
+	Runs   int      `json:"runs"`
+	Failed int      `json:"failed"`
 	// SiteOps counts enumerated sites by operation kind — the proof the
 	// matrix covered writes, fsyncs, truncates and renames, not just one
 	// flavor of durability.
@@ -78,25 +72,29 @@ type CrashMatrixReport struct {
 // OK reports whether every cell of the matrix recovered consistently.
 func (r *CrashMatrixReport) OK() bool { return r.Failed == 0 }
 
-// crashWorkload drives a representative faccd adapter-store life:
-// several puts (index churn included), a delete, an overwrite that
-// moves an entry between targets, a compaction, and a final put. It
-// stops at the first error — after a simulated crash everything else
-// would fail too.
-func crashWorkload(dir string, vfs faultinject.VFS, pageSize int) error {
-	st, err := store.OpenOptions(dir, obs.New().Metrics(), store.Options{
-		PageSize:         pageSize,
+// crashWorkload drives a representative faccd adapter-store life: ten
+// puts, a delete, an overwrite that moves an entry between targets, a
+// compaction, a restart over the torn tail of an append a dead process
+// left behind, and a final put. It stops at the first error — after a
+// simulated crash everything else would fail too.
+func crashWorkload(dir string, vfs faultinject.VFS) error {
+	opts := store.Options{
 		VFS:              vfs,
-		AutoCompactPages: -1,
+		AutoCompactBytes: -1,
 		// Verification runs on the post-crash reopen; during the
 		// crashing run it would only re-read what was just written.
 		DisableVerifyOnOpen: true,
-	})
+	}
+	st, err := store.OpenOptions(dir, obs.New().Metrics(), opts)
 	if err != nil {
 		return err
 	}
-	defer st.Close()
-	for i := 0; i < 4; i++ {
+	defer func() {
+		if st != nil {
+			st.Close()
+		}
+	}()
+	for i := 0; i < crashPuts; i++ {
 		if err := st.Put(crashKey(i), crashEntry(i)); err != nil {
 			return err
 		}
@@ -112,7 +110,32 @@ func crashWorkload(dir string, vfs faultinject.VFS, pageSize int) error {
 	if err := st.Compact(); err != nil {
 		return err
 	}
-	return st.Put(crashKey(5), crashEntry(5))
+	st.Close()
+	if err := tearLogTail(dir); err != nil {
+		return err
+	}
+	if st, err = store.OpenOptions(dir, obs.New().Metrics(), opts); err != nil {
+		return err
+	}
+	return st.Put(crashKey(crashPuts+1), crashEntry(crashPuts+1))
+}
+
+// crashPuts is how many entries the workload puts before its delete.
+const crashPuts = 10
+
+// tearLogTail appends bytes that no frame header accepts to the store's
+// log, outside the crash VFS: the torn tail an earlier process left when
+// it died mid-append. The reopen must cut it off.
+func tearLogTail(dir string) error {
+	f, err := os.OpenFile(filepath.Join(dir, store.LogFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write([]byte("\xff\xff\xff\x7f torn mid-append"))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func crashKey(i int) string { return fmt.Sprintf("cmkey-%04d", i) }
@@ -132,14 +155,14 @@ func crashEntry(i int) store.Entry {
 // compared against.
 func crashBaseline() map[string]store.Entry {
 	want := map[string]store.Entry{}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < crashPuts; i++ {
 		want[crashKey(i)] = crashEntry(i)
 	}
 	delete(want, crashKey(1))
 	moved := crashEntry(2)
 	moved.Target = "vfft"
 	want[crashKey(2)] = moved
-	want[crashKey(5)] = crashEntry(5)
+	want[crashKey(crashPuts+1)] = crashEntry(crashPuts + 1)
 	return want
 }
 
@@ -164,16 +187,15 @@ func RunCrashMatrix(ctx context.Context, cfg CrashMatrixConfig) (*CrashMatrixRep
 	// Probe run: no crash, enumerate the sites.
 	probeDir := root + "/probe"
 	probe := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{})
-	if err := crashWorkload(probeDir, probe, cfg.PageSize); err != nil {
+	if err := crashWorkload(probeDir, probe); err != nil {
 		return nil, fmt.Errorf("crashmatrix: probe workload: %w", err)
 	}
 	sites := probe.Sites()
 	faultinject.SortSites(sites)
 
 	rep := &CrashMatrixReport{
-		PageSize: cfg.PageSize,
-		Sites:    len(sites),
-		SiteOps:  faultinject.SiteOps(sites),
+		Sites:   len(sites),
+		SiteOps: faultinject.SiteOps(sites),
 	}
 	for _, m := range cfg.Modes {
 		rep.Modes = append(rep.Modes, m.String())
@@ -206,17 +228,14 @@ func runCrashCell(root string, site faultinject.CrashSite, mode faultinject.Cras
 
 	dir := fmt.Sprintf("%s/site%03d-%s", root, site.Site, mode)
 	vfs := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{Site: site.Site, Mode: mode})
-	werr := crashWorkload(dir, vfs, cfg.PageSize)
+	werr := crashWorkload(dir, vfs)
 	if !vfs.Crashed() {
 		return fail("planned crash at site %d never fired (workload err: %v)", site.Site, werr)
 	}
 
 	// Reboot on the real file system with full verification.
 	reg := obs.New()
-	st, err := store.OpenOptions(dir, reg.Metrics(), store.Options{
-		PageSize:         cfg.PageSize,
-		AutoCompactPages: -1,
-	})
+	st, err := store.OpenOptions(dir, reg.Metrics(), store.Options{AutoCompactBytes: -1})
 	if err != nil {
 		return fail("reopen after crash: %v", err)
 	}
@@ -226,9 +245,8 @@ func runCrashCell(root string, site faultinject.CrashSite, mode faultinject.Cras
 	}
 
 	counters := reg.Metrics().Counters()
-	res.RecoveredPending = counters["store.recovered_pending"]
 	res.Quarantined = counters["store.corrupt_quarantined"]
-	res.WALTorn = counters["store.wal_torn"]
+	res.TornTails = counters["store.torn_tails"]
 
 	// Recovery invariant: anything served is byte-identical to the
 	// no-crash baseline; anything lost recompiles to a byte-identical
@@ -274,7 +292,7 @@ func (r *CrashMatrixReport) WriteJSON(w io.Writer) error {
 // WriteText prints the human-readable matrix summary: coverage by
 // operation kind, then every failing cell (or a one-line all-clear).
 func (r *CrashMatrixReport) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "Crash-point injection matrix (page size %d)\n", r.PageSize)
+	fmt.Fprintf(w, "Crash-point injection matrix\n")
 	fmt.Fprintf(w, "  %d sites x %d modes = %d runs, %d failed\n",
 		r.Sites, len(r.Modes), r.Runs, r.Failed)
 	var ops []string
@@ -287,18 +305,18 @@ func (r *CrashMatrixReport) WriteText(w io.Writer) {
 		fmt.Fprintf(&b, " %s=%d", op, r.SiteOps[op])
 	}
 	fmt.Fprintf(w, "  site coverage:%s\n", b.String())
-	recovered, quarantined, healed := int64(0), int64(0), 0
+	torn, quarantined, healed := int64(0), int64(0), 0
 	for _, res := range r.Results {
-		recovered += res.RecoveredPending
-		quarantined += res.Quarantined + res.WALTorn
+		torn += res.TornTails
+		quarantined += res.Quarantined
 		healed += res.Healed
 		if !res.OK {
 			fmt.Fprintf(w, "  FAIL site %3d %s(%s) %s: %s\n",
 				res.Site, res.Op, res.File, res.Mode, res.Error)
 		}
 	}
-	fmt.Fprintf(w, "  WAL replays: %d pages, quarantines: %d, recompiles healed: %d\n",
-		recovered, quarantined, healed)
+	fmt.Fprintf(w, "  torn tails cut: %d, quarantines: %d, recompiles healed: %d\n",
+		torn, quarantined, healed)
 	if r.Failed == 0 {
 		fmt.Fprintf(w, "  every crash site recovered consistently\n")
 	}

@@ -166,9 +166,14 @@ func TestCompileAllAndFigures8_15_16(t *testing.T) {
 		t.Errorf("fig8 fractions wrong:\n%s", out)
 	}
 
+	private, err := CompileAllPrivate(context.Background(), []string{"ffta", "powerquad", "fftw"}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf.Reset()
-	Fig15(&buf, outcomes)
-	if !strings.Contains(buf.String(), "ffta") || !strings.Contains(buf.String(), "p100=") {
+	Fig15(&buf, private, outcomes)
+	if lines := strings.Split(strings.TrimSpace(buf.String()), "\n"); len(lines) != 5 ||
+		!strings.HasPrefix(lines[1], "ffta") || strings.Count(lines[4], "p100=") != 3 {
 		t.Errorf("fig15 output:\n%s", buf.String())
 	}
 

@@ -49,8 +49,8 @@ type VFS interface {
 	Rename(oldpath, newpath string) error
 }
 
-// File is the random-access durable file handle the store writes pages
-// and WAL records through.
+// File is the random-access durable file handle the store writes its
+// log through.
 type File interface {
 	io.ReaderAt
 	io.WriterAt

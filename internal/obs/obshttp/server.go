@@ -158,8 +158,8 @@ type ServeStatus struct {
 	StoreQuarantined int64  `json:"store_quarantined"`
 	StoreBreaker     string `json:"store_breaker_state,omitempty"`
 
-	// Store is the B-tree engine's internals; present when the paged
-	// store has published its gauges.
+	// Store is the adapter log's internals; present when the store has
+	// published its gauges.
 	Store *StoreStatus `json:"store,omitempty"`
 }
 
@@ -193,21 +193,17 @@ type FleetStatus struct {
 }
 
 // StoreStatus is the /status block for the crash-safe adapter store's
-// paged B-tree engine: page economy, MVCC snapshot pressure, group
-// commit and WAL activity, and corruption quarantines.
+// append-only log: live records and dead bytes awaiting compaction,
+// group commit activity, and recovery (torn tails cut, quarantines).
 type StoreStatus struct {
-	Pages     int64 `json:"pages"`
-	FreePages int64 `json:"free_pages"`
-	Snapshots int64 `json:"snapshots"`
+	LiveRecords int64 `json:"live_records"`
+	DeadBytes   int64 `json:"dead_bytes"`
+	LogBytes    int64 `json:"log_bytes"`
 
 	Commits       int64 `json:"commits"`
 	CommitBatches int64 `json:"commit_batches"`
 	Compactions   int64 `json:"compactions"`
-
-	RecoveredPages int64 `json:"recovered_pages"`
-	WALTorn        int64 `json:"wal_torn"`
-	WALResets      int64 `json:"wal_resets"`
-	FreelistLost   int64 `json:"freelist_lost"`
+	TornTails     int64 `json:"torn_tails"`
 
 	QuarantinedFiles int64 `json:"quarantined_files"`
 }
@@ -347,18 +343,15 @@ func (s *Server) BuildStatus() Status {
 		if g, ok := st.Gauges["store.breaker.state"]; ok {
 			st.Serve.StoreBreaker = breakerStateName(int(g))
 		}
-		if pages, ok := st.Gauges["store.pages"]; ok {
+		if live, ok := st.Gauges["store.live_records"]; ok {
 			st.Serve.Store = &StoreStatus{
-				Pages:            int64(pages),
-				FreePages:        int64(st.Gauges["store.free_pages"]),
-				Snapshots:        int64(st.Gauges["store.snapshots"]),
+				LiveRecords:      int64(live),
+				DeadBytes:        int64(st.Gauges["store.dead_bytes"]),
+				LogBytes:         int64(st.Gauges["store.log_bytes"]),
 				Commits:          st.Counters["store.commits"],
 				CommitBatches:    st.Counters["store.commit_batches"],
 				Compactions:      st.Counters["store.compactions"],
-				RecoveredPages:   st.Counters["store.recovered_pending"],
-				WALTorn:          st.Counters["store.wal_torn"],
-				WALResets:        st.Counters["store.wal_resets"],
-				FreelistLost:     st.Counters["store.freelist_lost"],
+				TornTails:        st.Counters["store.torn_tails"],
 				QuarantinedFiles: int64(st.Gauges["store.quarantined"]),
 			}
 		}

@@ -429,9 +429,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestServerCrashRecoveryEndToEnd is the ISSUE acceptance test: compile
-// a real corpus program through the daemon, tear its cached adapter on
-// disk mid-"write" (object damaged, WAL begin without commit), restart,
+// TestServerCrashRecoveryEndToEnd: compile a real corpus program through
+// the daemon, tear its cached adapter on disk mid-"write" (its frame
+// damaged, and the log ending in an append that never finished), restart,
 // and require that the store quarantines the damage, the daemon
 // recompiles, and the served adapter is byte-identical to what the
 // sequential CLI path produces.
@@ -485,22 +485,22 @@ func TestServerCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	st.Close()
 
-	// Crash: the page holding the serialized entry is damaged on disk
-	// (a torn write the checksum will catch) and the WAL gains a torn
-	// tail — a record whose durability fsync never completed. The entry
+	// Crash: the frame holding the entry's record is damaged on disk (a
+	// torn write its checksums will catch) and the log gains a torn tail
+	// — an append whose durability fsync never completed. The entry
 	// record keeps the adapter source unescaped, so one of its lines
 	// locates the entry's bytes.
 	const line = "accel_cfft(__acc_in, __acc_out, __len);"
 	if !strings.Contains(want, line) {
 		t.Fatalf("the adapter no longer contains the line that locates its entry: %q", line)
 	}
-	corruptStoreDB(t, dir, []byte(line))
-	wal, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
+	corruptStoreLog(t, dir, []byte(line))
+	log, err := os.OpenFile(filepath.Join(dir, store.LogFile), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal.Write([]byte("FWAL\xff\xff\xff\xff torn mid-append"))
-	wal.Close()
+	log.Write([]byte("\xff\xff\xff\x7f torn mid-append"))
+	log.Close()
 
 	// Restart: recovery quarantines the torn entry, the next request
 	// recompiles, and the result matches the baseline byte for byte.
@@ -540,20 +540,20 @@ func TestServerCrashRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
-// corruptStoreDB flips the bytes of the last on-disk occurrence of
-// needle inside store.db — damage the page checksum must catch. The
-// last occurrence is the live copy: earlier ones may be stale
-// copy-on-write page versions nothing references.
-func corruptStoreDB(t *testing.T, dir string, needle []byte) {
+// corruptStoreLog flips the bytes of the last on-disk occurrence of
+// needle inside the store's log — damage the frame and entry checksums
+// must catch. The last occurrence is the live copy: earlier ones may be
+// superseded frames nothing references.
+func corruptStoreLog(t *testing.T, dir string, needle []byte) {
 	t.Helper()
-	path := filepath.Join(dir, "store.db")
+	path := filepath.Join(dir, store.LogFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := bytes.LastIndex(data, needle)
 	if i < 0 {
-		t.Fatalf("store.db does not contain %q", needle)
+		t.Fatalf("%s does not contain %q", store.LogFile, needle)
 	}
 	for j := i; j < i+len(needle); j++ {
 		data[j] ^= 0xFF
@@ -584,7 +584,7 @@ func TestServerQuarantineSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
-	corruptStoreDB(t, dir, []byte("QUARANTINE-TARGET"))
+	corruptStoreLog(t, dir, []byte("QUARANTINE-TARGET"))
 
 	reg := obs.New()
 	st2, err := store.Open(dir, reg.Metrics())

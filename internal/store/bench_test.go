@@ -78,8 +78,8 @@ func openBenchStore(b *testing.B) (*Store, []string) {
 }
 
 // BenchmarkStoreGet times Get on Zipf(1.1)-drawn keys, as the
-// store-churn workload's reader draws them: hot keys stay in the page
-// cache, cold ones read their pages from the file.
+// store-churn workload's reader draws them: each Get reads its frame
+// from the file, hot ones out of the operating system's page cache.
 func BenchmarkStoreGet(b *testing.B) {
 	s, keys := openBenchStore(b)
 	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(len(keys)-1))
@@ -97,7 +97,7 @@ func BenchmarkStoreGet(b *testing.B) {
 }
 
 // BenchmarkStorePut times Put overwriting existing entries: one
-// durable commit (WAL append and fsync, checkpoint) per call.
+// durable commit (a frame append and an fsync) per call.
 func BenchmarkStorePut(b *testing.B) {
 	s, keys := openBenchStore(b)
 	b.ReportAllocs()

@@ -16,9 +16,7 @@ type Entry struct {
 	Target string
 	// Function is the replaced user function.
 	Function string
-	// Sig is the user-visible signature of the replaced function — the
-	// key of the by-signature index ("all ffta adapters for this
-	// signature" is one index walk).
+	// Sig is the user-visible signature of the replaced function.
 	Sig string
 	// AdapterC is the synthesized drop-in replacement C source.
 	AdapterC string
@@ -30,11 +28,11 @@ type Entry struct {
 	Trace string
 	// Checksum is the hex SHA-256 of the payload fields, written at Put
 	// time and re-verified on every Get — defense in depth above the
-	// page checksums.
+	// log's frame checksums.
 	Checksum string
 }
 
-// The value stored under a primary key is one entry record:
+// Each entry is stored as one record:
 //
 //	format u8 | <len>:Key | <len>:Target | <len>:Function | <len>:Sig
 //	          | <len>:AdapterC | <len>:Trace | <len>:Checksum
@@ -81,11 +79,6 @@ func appendField(buf []byte, f string) []byte {
 	return append(buf, f...)
 }
 
-// encodeEntry returns e's record with the checksum field as given.
-func encodeEntry(e *Entry) []byte {
-	return appendField(appendPayload(e), e.Checksum)
-}
-
 // sealEntry computes e's checksum, stores it in e.Checksum, and returns
 // e's record.
 func sealEntry(e *Entry) []byte {
@@ -95,64 +88,89 @@ func sealEntry(e *Entry) []byte {
 	return appendField(buf, e.Checksum)
 }
 
-// decodeEntry parses one record without verifying it. The fields are
-// substrings of a single copy of val; payloadEnd is where the checksummed
-// payload val[1:payloadEnd] ends.
-func decodeEntry(val []byte) (e Entry, payloadEnd int, err error) {
+// walkEntry checks one record's framing in place and returns where each
+// of its seven fields lies in val, without copying anything. payloadEnd
+// is where the checksummed payload val[1:payloadEnd] ends.
+func walkEntry(val []byte) (spans [7][2]int, payloadEnd int, err error) {
 	if len(val) == 0 || val[0] != entryFormat {
-		return Entry{}, 0, errEntryFormat
+		return spans, 0, errEntryFormat
 	}
-	s := string(val)
-	fields := [...]*string{&e.Key, &e.Target, &e.Function, &e.Sig, &e.AdapterC, &e.Trace, &e.Checksum}
 	off := 1
-	for i, f := range fields {
-		if i == len(fields)-1 {
+	for i := range spans {
+		if i == len(spans)-1 {
 			payloadEnd = off
 		}
 		n := 0
 		start := off
-		for ; off < len(s) && s[off] != ':'; off++ {
-			c := s[off]
+		for ; off < len(val) && val[off] != ':'; off++ {
+			c := val[off]
 			if c < '0' || c > '9' || (off > start && n == 0) {
-				return Entry{}, 0, errEntryLength // not a digit, or a leading zero
+				return spans, 0, errEntryLength // not a digit, or a leading zero
 			}
 			n = n*10 + int(c-'0')
-			if n > len(s) {
-				return Entry{}, 0, errEntryOverrun
+			if n > len(val) {
+				return spans, 0, errEntryOverrun
 			}
 		}
-		if off == start || off == len(s) {
-			return Entry{}, 0, errEntryLength // no digits, or no ':'
+		if off == start || off == len(val) {
+			return spans, 0, errEntryLength // no digits, or no ':'
 		}
 		off++
-		if n > len(s)-off {
-			return Entry{}, 0, errEntryOverrun
+		if n > len(val)-off {
+			return spans, 0, errEntryOverrun
 		}
-		*f = s[off : off+n]
+		spans[i] = [2]int{off, off + n}
 		off += n
 	}
-	if off != len(s) {
-		return Entry{}, 0, errEntryTrailing
+	if off != len(val) {
+		return spans, 0, errEntryTrailing
+	}
+	return spans, payloadEnd, nil
+}
+
+// decodeEntry parses one record without verifying it. The fields are
+// substrings of a single copy of val.
+func decodeEntry(val []byte) (e Entry, payloadEnd int, err error) {
+	spans, payloadEnd, err := walkEntry(val)
+	if err != nil {
+		return Entry{}, 0, err
+	}
+	s := string(val)
+	fields := [...]*string{&e.Key, &e.Target, &e.Function, &e.Sig, &e.AdapterC, &e.Trace, &e.Checksum}
+	for i, f := range fields {
+		*f = s[spans[i][0]:spans[i][1]]
 	}
 	return e, payloadEnd, nil
 }
 
-// openEntry decodes the record stored under key and verifies it: it must
-// parse, name key, and match its own checksum. Every read that serves or
-// vouches for an entry goes through here.
-func openEntry(key string, val []byte) (Entry, error) {
-	e, payloadEnd, err := decodeEntry(val)
+// checkEntry verifies a record in place — it must parse and match its
+// own checksum — and returns its key as a slice of val. Open indexes
+// records through it without copying them.
+func checkEntry(val []byte) ([]byte, error) {
+	spans, payloadEnd, err := walkEntry(val)
 	if err != nil {
-		return Entry{}, err
-	}
-	if e.Key != key {
-		return Entry{}, errEntryKey
+		return nil, err
 	}
 	sum := sha256.Sum256(val[1:payloadEnd])
 	var hx [2 * sha256.Size]byte
 	hex.Encode(hx[:], sum[:])
-	if string(hx[:]) != e.Checksum {
-		return Entry{}, errEntryChecksum
+	if string(hx[:]) != string(val[spans[6][0]:spans[6][1]]) {
+		return nil, errEntryChecksum
 	}
-	return e, nil
+	return val[spans[0][0]:spans[0][1]], nil
+}
+
+// openEntry decodes the record stored under key and verifies it: it must
+// parse, match its own checksum, and name key. Every read that serves an
+// entry goes through here.
+func openEntry(key string, val []byte) (Entry, error) {
+	k, err := checkEntry(val)
+	if err != nil {
+		return Entry{}, err
+	}
+	if string(k) != key {
+		return Entry{}, errEntryKey
+	}
+	e, _, err := decodeEntry(val)
+	return e, err
 }

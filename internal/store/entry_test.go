@@ -68,3 +68,8 @@ func TestEntryDecodeStrict(t *testing.T) {
 		t.Errorf("wrong checksum: err = %v", err)
 	}
 }
+
+// encodeEntry returns e's record with the checksum field as given.
+func encodeEntry(e *Entry) []byte {
+	return appendField(appendPayload(e), e.Checksum)
+}

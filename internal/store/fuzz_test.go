@@ -3,124 +3,75 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// fuzzPageSize keeps fuzz inputs small while exercising every format
-// path (header, meta payload, node items, WAL records).
-const fuzzPageSize = 256
-
-// fuzzSeedCorpus builds one valid specimen of every on-disk structure;
-// the fuzzer mutates them into hostile neighbours.
+// fuzzSeedCorpus is a few logs' worth of frames, valid and hostile:
+// the fuzzer mutates them into their neighbours.
 func fuzzSeedCorpus() [][]byte {
-	var seeds [][]byte
-
-	// A sealed leaf with an inline and a spilled item.
-	leaf := &node{typ: pageLeaf, items: []item{
-		{key: []byte("o\x00aaaa"), val: []byte(`{"key":"aaaa"}`)},
-		{key: []byte("o\x00bbbb"), ovfl: 7, ovflLen: 300, ovflCRC: 0xDEADBEEF},
-	}}
-	if buf, err := leaf.encode(fuzzPageSize, 3, 9); err == nil {
-		seeds = append(seeds, buf)
+	e := Entry{Key: "aaaa", Target: "ffta", Function: "fft", AdapterC: "void fft(cpx *x, int n) {}\n"}
+	entry := encodeFrame(sealEntry(&e))
+	tomb := encodeFrame(tombstone("aaaa"))
+	badRecord := append([]byte(nil), entry...)
+	badRecord[len(badRecord)-1] ^= 1
+	badHeader := append([]byte(nil), entry...)
+	badHeader[9] ^= 1
+	huge := make([]byte, 2*frameHeader) // a checked header claiming 2 GiB
+	binary.LittleEndian.PutUint32(huge[0:4], 1<<31)
+	binary.LittleEndian.PutUint32(huge[8:12], crc32.Checksum(huge[0:8], castagnoli))
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	return [][]byte{
+		entry,
+		cat(entry, tomb),
+		cat(entry, entry[:len(entry)/2]), // torn tail
+		cat(badRecord, tomb),             // damaged record, scan goes on
+		cat(badHeader, entry),            // damaged header ends the prefix
+		huge,
+		make([]byte, 2*frameHeader),
+		[]byte("FACCLOG1 not a frame at all"),
 	}
-	// A sealed branch.
-	branch := &node{typ: pageBranch, items: []item{
-		{key: []byte("o\x00aaaa"), child: 3},
-		{key: []byte("t\x00ffta"), child: 4},
-	}}
-	if buf, err := branch.encode(fuzzPageSize, 5, 9); err == nil {
-		seeds = append(seeds, buf)
-	}
-	// A meta page.
-	seeds = append(seeds, encodeMeta(meta{txid: 12, root: 5, npages: 9, freeHead: 8}, 0, fuzzPageSize))
-	// A freelist page.
-	_, _, fl := encodeFreelist([]uint64{3, 4, 6}, fuzzPageSize, 12, func() uint64 { return 8 })
-	for _, buf := range fl {
-		seeds = append(seeds, buf)
-	}
-	// An overflow page.
-	ov := make([]byte, fuzzPageSize)
-	copy(ov[pageHeaderSize:], []byte("spilled adapter bytes"))
-	sealPage(ov, pageOverflow, 21, 7, 9, 0)
-	seeds = append(seeds, ov)
-	// A WAL record wrapping two of the pages above.
-	pages := map[uint64][]byte{}
-	if len(seeds) >= 2 {
-		pages[3] = seeds[0]
-		pages[5] = seeds[1]
-	}
-	seeds = append(seeds, encodeWALRecord(meta{txid: 13, root: 5, npages: 9}, pages, fuzzPageSize))
-	// A truncated record and raw garbage.
-	if n := len(seeds); n > 0 {
-		last := seeds[n-1]
-		seeds = append(seeds, last[:len(last)/2])
-	}
-	seeds = append(seeds, []byte("FWAL\xff\xff\xff\xff not a record"))
-	return seeds
 }
 
-// FuzzStoreDecode throws hostile bytes at the page-level decoders the
-// store trusts after a crash: page verification, node decoding, meta
-// decoding, and WAL record parsing (FuzzEntryDecode covers the entry
-// records inside tree values). The contract under fuzzing is the
-// quarantine contract: hostile input yields errors (corrupt-page or
-// parse errors), never panics, and never a silently-accepted structure
-// that re-encodes differently (a wrong adapter in disguise).
+// FuzzStoreDecode throws hostile bytes at the frame scanner that Open
+// trusts after a crash. It must never panic. Every frame it accepts
+// must lie inside the valid prefix it reports and re-encode to exactly
+// its bytes, and the prefix must end at the input's end or at bytes the
+// scanner refused: a torn tail is reported, never served.
 func FuzzStoreDecode(f *testing.F) {
 	for _, seed := range fuzzSeedCorpus() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Page-shaped view: pad or trim to one page.
-		page := make([]byte, fuzzPageSize)
-		copy(page, data)
-
-		for _, id := range []uint64{0, 3} {
-			if err := verifyPage(page, id); err == nil {
-				// A page that passes verification must decode cleanly by
-				// type — structural garbage behind a valid checksum would
-				// mean the checksum covers too little.
-				switch typ := binary.LittleEndian.Uint16(page[4:6]); typ {
-				case pageLeaf, pageBranch:
-					n, derr := decodeNode(page, id)
-					if derr == nil {
-						// Round-trip: re-encoding a decoded node must
-						// reproduce content-identical items.
-						if buf, eerr := n.encode(fuzzPageSize, id, binary.LittleEndian.Uint64(page[16:24])); eerr == nil {
-							n2, derr2 := decodeNode(buf, id)
-							if derr2 != nil {
-								t.Fatalf("re-encoded node fails decode: %v", derr2)
-							}
-							if len(n2.items) != len(n.items) {
-								t.Fatalf("round-trip changed item count: %d != %d", len(n2.items), len(n.items))
-							}
-							for i := range n.items {
-								if !bytes.Equal(n.items[i].key, n2.items[i].key) || !bytes.Equal(n.items[i].val, n2.items[i].val) {
-									t.Fatalf("round-trip changed item %d", i)
-								}
-							}
-						}
-					}
-				case pageMeta:
-					decodeMeta(page, id, fuzzPageSize)
-				}
+		next := int64(0)
+		end, err := scanFrames(bytes.NewReader(data), 0, int64(len(data)), func(off int64, rec []byte, ok bool) {
+			if off != next {
+				t.Fatalf("frame at %d, want %d: frames must tile the prefix", off, next)
 			}
+			fr := data[off : off+frameHeader+int64(len(rec))]
+			next = off + int64(len(fr))
+			if !ok {
+				return // damaged record: the caller quarantines it
+			}
+			if got := encodeFrame(rec); !bytes.Equal(got, fr) {
+				t.Fatalf("accepted frame re-encodes differently:\n got %q\nwant %q", got, fr)
+			}
+			if rec[0] == entryFormat {
+				checkEntry(rec)
+				decodeEntry(rec)
+			}
+		})
+		if err != nil {
+			t.Fatalf("scan of an in-memory log failed: %v", err)
 		}
-
-		// WAL-shaped view: arbitrary length.
-		recs, validLen, _ := decodeWALRecords(data, fuzzPageSize)
-		if validLen < 0 || validLen > int64(len(data)) {
-			t.Fatalf("wal validLen %d out of range [0,%d]", validLen, len(data))
+		if end != next || end > int64(len(data)) {
+			t.Fatalf("valid prefix ends at %d, frames end at %d (len %d)", end, next, len(data))
 		}
-		for _, rec := range recs {
-			// Every page inside an accepted record must itself verify —
-			// replay writes these bytes straight into the database.
-			for id, img := range rec.pages {
-				if err := verifyPage(img, id); err != nil {
-					t.Fatalf("accepted WAL record carries unverified page: %v", err)
-				}
+		if rest := data[end:]; len(rest) >= frameHeader {
+			if n, ok := frameLen(rest); ok && n <= len(rest)-frameHeader {
+				t.Fatalf("prefix ends at %d before a whole frame with a valid header", end)
 			}
 		}
 	})

@@ -68,11 +68,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreManyEntries forces deep trees, splits, overflow chains and
-// free-list reuse with a small page size, across deletes and a reopen.
+// TestStoreManyEntries: puts, overwrites by tombstone and delete, and a
+// reopen that rebuilds the index from the log.
 func TestStoreManyEntries(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenOptions(dir, obs.NewRegistry(), Options{PageSize: 512})
+	s, err := Open(dir, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestStoreManyEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenOptions(dir, obs.NewRegistry(), Options{PageSize: 512})
+	s2, err := Open(dir, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,129 +118,82 @@ func TestStoreManyEntries(t *testing.T) {
 	}
 }
 
-func TestStoreIndexes(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 9; i++ {
-		e := testEntry(i)
-		if i%2 == 0 {
-			e.Target = "vfft"
-		}
-		if err := s.Put(testKey(i), e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(s.ListByTarget("vfft")); got != 5 {
-		t.Fatalf("ListByTarget(vfft) = %d, want 5", got)
-	}
-	if got := len(s.ListByTarget("ffta")); got != 4 {
-		t.Fatalf("ListByTarget(ffta) = %d, want 4", got)
-	}
-	if got := len(s.ListByTarget("nope")); got != 0 {
-		t.Fatalf("ListByTarget(nope) = %d, want 0", got)
-	}
-	// Three signatures cycle mod 3 over nine entries.
-	if got := len(s.ListBySig(testEntry(0).Sig)); got != 3 {
-		t.Fatalf("ListBySig = %d, want 3", got)
-	}
-	// Re-putting under a new target retires the old index entry.
-	moved := testEntry(0)
-	moved.Target = "ffta"
-	if err := s.Put(testKey(0), moved); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.ListByTarget("vfft")); got != 4 {
-		t.Fatalf("ListByTarget(vfft) after move = %d, want 4", got)
-	}
-	if got := len(s.ListByTarget("ffta")); got != 5 {
-		t.Fatalf("ListByTarget(ffta) after move = %d, want 5", got)
-	}
-}
-
-// corruptPageContaining flips bytes of the first page of store.db whose
-// payload contains marker, simulating media damage, and returns its page
-// number. The store must be closed.
-func corruptPageContaining(t *testing.T, dir string, pageSize int, marker string) uint64 {
+// damageRecord flips one byte of the last frame in the log whose record
+// contains marker, and returns the frame's offset. The last occurrence
+// is the live frame; earlier ones are superseded.
+func damageRecord(t *testing.T, dir, marker string) int64 {
 	t.Helper()
-	path := filepath.Join(dir, "store.db")
+	path := filepath.Join(dir, LogFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The last occurrence lives in the newest (live) page; earlier ones
-	// may be stale copy-on-write leftovers nobody reads.
 	idx := bytes.LastIndex(data, []byte(marker))
 	if idx < 0 {
-		t.Fatalf("marker %q not found in store.db", marker)
+		t.Fatalf("marker %q not found in %s", marker, LogFile)
 	}
-	data[idx] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return uint64(idx / pageSize)
-}
-
-// TestStoreQuarantinesCorruptPage: media damage under a cached entry
-// must never be served — the page is quarantined, the Get misses, and a
-// recompile heals the key.
-func TestStoreQuarantinesCorruptPage(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, obs.NewRegistry())
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{data[idx] ^ 0xFF}, int64(idx)); err != nil {
+		t.Fatal(err)
+	}
+	var off int64 = int64(len(logHeader))
+	scanFrames(bytes.NewReader(data), off, int64(len(data)), func(o int64, rec []byte, ok bool) {
+		if o <= int64(idx) {
+			off = o
+		}
+	})
+	return off
+}
+
+// TestStoreQuarantinesCorruptPage: media damage under a cached entry,
+// here a flipped byte in its frame after Open, must never be served: the
+// frame is quarantined, the Get misses, and a recompile heals the key.
+func TestStoreQuarantinesCorruptPage(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	s, err := Open(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	key := testKey(2)
 	if err := s.Put(key, testEntry(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	corruptPageContaining(t, dir, defaultPage, "adapter 2")
-
-	// Reopen WITHOUT the open-time verify so the damage is discovered on
-	// the serving path.
-	reg := obs.NewRegistry()
-	s2, err := OpenOptions(dir, reg, Options{DisableVerifyOnOpen: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if e, ok := s2.Get(key); ok {
+	damageRecord(t, dir, "adapter 2")
+	if e, ok := s.Get(key); ok {
 		t.Fatalf("corrupt entry served: %+v", e)
 	}
 	// Deterministic miss, exactly one quarantine even when hit again.
-	if _, ok := s2.Get(key); ok {
+	if _, ok := s.Get(key); ok {
 		t.Fatal("corrupt entry served on second Get")
 	}
 	if got := reg.Counters()["store.corrupt_quarantined"]; got != 1 {
 		t.Fatalf("corrupt_quarantined = %d, want 1", got)
 	}
 	q, err := os.ReadDir(filepath.Join(dir, "quarantine"))
-	if err != nil || len(q) == 0 {
-		t.Fatalf("quarantine dir: entries=%d err=%v", len(q), err)
+	if err != nil || len(q) != 1 || !strings.HasPrefix(q[0].Name(), "entry-"+key+".bin.") {
+		t.Fatalf("quarantine evidence: %v (err=%v), want one entry-%s.bin file", q, err, key)
 	}
 
 	// The key is healable: recompile-and-Put serves hits again.
-	if err := s2.Put(key, testEntry(2)); err != nil {
+	if err := s.Put(key, testEntry(2)); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := s2.Get(key); !ok || e.AdapterC != testEntry(2).AdapterC {
+	if e, ok := s.Get(key); !ok || e.AdapterC != testEntry(2).AdapterC {
 		t.Fatalf("Get after heal: ok=%v e=%+v", ok, e)
 	}
 }
 
-// TestStoreVerifyOnOpenQuarantines: the same damage found at open time
+// TestStoreVerifyOnOpenQuarantines: the same damage found by Open's scan
 // is quarantined before the store serves, and neighbours survive.
 func TestStoreVerifyOnOpenQuarantines(t *testing.T) {
 	dir := t.TempDir()
-	// Small pages: each entry's value spills to its own overflow chain,
-	// so damage is scoped to one entry.
-	s, err := OpenOptions(dir, obs.NewRegistry(), Options{PageSize: 512})
+	s, err := Open(dir, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,16 +205,20 @@ func TestStoreVerifyOnOpenQuarantines(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	corruptPageContaining(t, dir, 512, "adapter 11")
+	off := damageRecord(t, dir, "adapter 11")
 
 	reg := obs.NewRegistry()
-	s2, err := OpenOptions(dir, reg, Options{PageSize: 512})
+	s2, err := Open(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if reg.Counters()["store.corrupt_quarantined"] == 0 {
-		t.Fatal("open-time verify quarantined nothing")
+	if got := reg.Counters()["store.corrupt_quarantined"]; got != 1 {
+		t.Fatalf("corrupt_quarantined = %d, want 1", got)
+	}
+	q, _ := os.ReadDir(filepath.Join(dir, "quarantine"))
+	if len(q) != 1 || !strings.HasPrefix(q[0].Name(), fmt.Sprintf("record-%d.bin.", off)) {
+		t.Fatalf("quarantine evidence: %v, want one record-%d.bin file", q, off)
 	}
 	if problems := s2.Check(); len(problems) != 0 {
 		t.Fatalf("store inconsistent after verify: %v", problems)
@@ -272,6 +229,112 @@ func TestStoreVerifyOnOpenQuarantines(t *testing.T) {
 	for _, i := range []int{10, 12, 13} {
 		if e, ok := s2.Get(testKey(i)); !ok || e.AdapterC != testEntry(i).AdapterC {
 			t.Fatalf("neighbour %d damaged by recovery: ok=%v", i, ok)
+		}
+	}
+}
+
+// TestStoreOpensManyDamagedRecords: one scan quarantines every damaged
+// record, however many, and serves every undamaged one. (The B-tree
+// store rescanned once per damaged entry and gave up past 4,096.)
+func TestStoreOpensManyDamagedRecords(t *testing.T) {
+	dir := t.TempDir()
+	const n, damaged = 5000, 4500
+	log := []byte(logHeader)
+	for i := 0; i < n; i++ {
+		e := testEntry(i)
+		e.Key = testKey(i)
+		fr := encodeFrame(sealEntry(&e))
+		if i < damaged {
+			fr[len(fr)-1] ^= 1 // the record fails its CRC; the header holds
+		}
+		log = append(log, fr...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, LogFile), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := Open(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := reg.Counters()
+	if c["store.corrupt_quarantined"] != damaged || c["store.torn_tails"] != 0 {
+		t.Fatalf("counters = %v, want %d quarantined and no torn tail", c, damaged)
+	}
+	if got := s.Len(); got != n-damaged {
+		t.Fatalf("Len = %d, want %d", got, n-damaged)
+	}
+	for i := 0; i < n; i++ {
+		e, ok := s.Get(testKey(i))
+		if i < damaged && ok {
+			t.Fatalf("damaged entry %d served", i)
+		}
+		if i >= damaged && (!ok || e.AdapterC != testEntry(i).AdapterC) {
+			t.Fatalf("undamaged entry %d: ok=%v", i, ok)
+		}
+	}
+	if q, _ := os.ReadDir(filepath.Join(dir, "quarantine")); len(q) > 512 {
+		t.Fatalf("quarantine holds %d files, bound is 512", len(q))
+	}
+}
+
+// plantTornTail appends the first half of a frame to the log, as a
+// process that died mid-append leaves it.
+func plantTornTail(t *testing.T, dir string) {
+	t.Helper()
+	e := testEntry(99)
+	e.Key = testKey(99)
+	fr := encodeFrame(sealEntry(&e))
+	f, err := os.OpenFile(filepath.Join(dir, LogFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(fr[:len(fr)/2]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreTruncatesTornTail: the half-written frame of an interrupted
+// append is quarantined and cut off, and appends resume after the last
+// whole frame.
+func TestStoreTruncatesTornTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testKey(1), testEntry(1)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	info, _ := os.Stat(filepath.Join(dir, LogFile))
+	plantTornTail(t, dir)
+
+	reg := obs.NewRegistry()
+	s2, err := Open(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := reg.Counters(); c["store.torn_tails"] != 1 || c["store.corrupt_quarantined"] != 0 {
+		t.Fatalf("counters = %v, want one torn tail", c)
+	}
+	if after, _ := os.Stat(filepath.Join(dir, LogFile)); after.Size() != info.Size() {
+		t.Fatalf("log is %d bytes after recovery, want %d", after.Size(), info.Size())
+	}
+	if err := s2.Put(testKey(2), testEntry(2)); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3, err := Open(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	for _, i := range []int{1, 2} {
+		if e, ok := s3.Get(testKey(i)); !ok || e.AdapterC != testEntry(i).AdapterC {
+			t.Fatalf("entry %d after recovery: ok=%v", i, ok)
 		}
 	}
 }
@@ -288,9 +351,9 @@ func TestStoreEntryChecksumDefense(t *testing.T) {
 	}
 	defer s.Close()
 	key := testKey(20)
-	// A record whose payload changed after it was sealed, injected
-	// through the raw commit path (bypassing Put, which would fix the
-	// checksum).
+	// A record whose payload changed after it was sealed, appended
+	// through the committer directly (Put would fix the checksum). Its
+	// frame CRC holds: only the entry checksum can catch it.
 	e := Entry{Key: key, Target: "ffta", AdapterC: "void good(){}"}
 	sealEntry(&e)
 	e.AdapterC = "void evil(){}"
@@ -298,7 +361,7 @@ func TestStoreEntryChecksumDefense(t *testing.T) {
 	if _, _, err := decodeEntry(bad); err != nil {
 		t.Fatalf("the injected record must reach the checksum comparison, but it fails to decode: %v", err)
 	}
-	if err := s.commitDirect(&storeOp{kind: opPut, key: key, value: bad}); err != nil {
+	if err := s.submit(&storeOp{key: key, rec: bad}); err != nil {
 		t.Fatal(err)
 	}
 	if e, ok := s.Get(key); ok {
@@ -313,82 +376,88 @@ func TestStoreEntryChecksumDefense(t *testing.T) {
 	}
 }
 
-// TestStoreSetsAsideOlderFormat: a store written at format version 1,
-// whose values were JSON, is set aside whole — database and WAL together
-// — and the store opens empty. The fixture in testdata/store-v1 was
-// written by the version-1 store with 512-byte pages: three Puts, a
-// Delete, then a Put whose checkpoint failed after its WAL fsync, so the
-// WAL holds a record a version-1 reopen replays.
-func TestStoreSetsAsideOlderFormat(t *testing.T) {
-	dir := t.TempDir()
-	fixture := copyV1Fixture(t, dir)
-	reg := obs.NewRegistry()
-	s, err := OpenOptions(dir, reg, Options{PageSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No WAL record was replayed and no old value was decoded: each
-	// would have been quarantined entry by entry, one verify round each.
-	c := reg.Counters()
-	if c["store.format_resets"] != 1 || c["store.recovered_pending"] != 0 || c["store.corrupt_quarantined"] != 0 {
-		t.Fatalf("counters after opening a version-1 store: %v", c)
-	}
-	if n := s.Len(); n != 0 {
-		t.Fatalf("Len = %d, want an empty store", n)
-	}
-	for i := 0; i < 4; i++ {
-		if _, ok := s.Get(testKey(i)); ok {
-			t.Fatalf("entry %d of the old store served", i)
-		}
-	}
-	// Both old files are evidence in quarantine/, byte for byte.
-	qdir := filepath.Join(dir, "quarantine")
-	if q, err := os.ReadDir(qdir); err != nil || len(q) != 2 {
-		t.Fatalf("quarantine holds %v (err=%v), want the old store.db and wal.log", q, err)
-	}
-	checkSetAside(t, qdir, fixture)
+// olderFixtures are stores written by earlier builds, both paged
+// B-trees with 512-byte pages: three Puts, a Delete, then a Put whose
+// checkpoint failed after its WAL fsync, so each WAL holds a record its
+// own build replays on reopen. store-v1 holds JSON values, store-v2
+// length-prefixed entry records.
+var olderFixtures = []string{"store-v1", "store-v2"}
 
-	// The fresh store works, and survives a reopen.
-	if err := s.Put(testKey(7), testEntry(7)); err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := s.Get(testKey(7)); !ok || e.AdapterC != testEntry(7).AdapterC {
-		t.Fatalf("Get after Put: ok=%v", ok)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reg2 := obs.NewRegistry()
-	s2, err := OpenOptions(dir, reg2, Options{PageSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if e, ok := s2.Get(testKey(7)); !ok || e.AdapterC != testEntry(7).AdapterC {
-		t.Fatalf("Get after reopen: ok=%v", ok)
-	}
-	if c := reg2.Counters(); c["store.format_resets"] != 0 || c["store.corrupt_quarantined"] != 0 {
-		t.Fatalf("reopening the upgraded store: %v", c)
-	}
-	if q, _ := os.ReadDir(qdir); len(q) != 2 {
-		t.Fatalf("quarantine holds %d files after reopen, want 2", len(q))
+// TestStoreSetsAsideOlderFormat: an older build's store is set aside
+// whole — database and WAL together — and the store opens empty.
+func TestStoreSetsAsideOlderFormat(t *testing.T) {
+	for _, name := range olderFixtures {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			fixture := copyOlderFixture(t, dir, name)
+			reg := obs.NewRegistry()
+			s, err := Open(dir, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No old record was decoded: each would have been quarantined.
+			c := reg.Counters()
+			if c["store.format_resets"] != 1 || c["store.corrupt_quarantined"] != 0 {
+				t.Fatalf("counters after opening an older store: %v", c)
+			}
+			if n := s.Len(); n != 0 {
+				t.Fatalf("Len = %d, want an empty store", n)
+			}
+			for i := 0; i < 4; i++ {
+				if _, ok := s.Get(testKey(i)); ok {
+					t.Fatalf("entry %d of the old store served", i)
+				}
+			}
+			// Both old files are evidence in quarantine/, byte for byte.
+			qdir := filepath.Join(dir, "quarantine")
+			if q, err := os.ReadDir(qdir); err != nil || len(q) != 2 {
+				t.Fatalf("quarantine holds %v (err=%v), want the old store.db and wal.log", q, err)
+			}
+			checkSetAside(t, qdir, fixture)
+
+			// The fresh store works, and survives a reopen.
+			if err := s.Put(testKey(7), testEntry(7)); err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := s.Get(testKey(7)); !ok || e.AdapterC != testEntry(7).AdapterC {
+				t.Fatalf("Get after Put: ok=%v", ok)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reg2 := obs.NewRegistry()
+			s2, err := Open(dir, reg2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if e, ok := s2.Get(testKey(7)); !ok || e.AdapterC != testEntry(7).AdapterC {
+				t.Fatalf("Get after reopen: ok=%v", ok)
+			}
+			if c := reg2.Counters(); c["store.format_resets"] != 0 || c["store.corrupt_quarantined"] != 0 {
+				t.Fatalf("reopening the upgraded store: %v", c)
+			}
+			if q, _ := os.ReadDir(qdir); len(q) != 2 {
+				t.Fatalf("quarantine holds %d files after reopen, want 2", len(q))
+			}
+		})
 	}
 }
 
-// copyV1Fixture copies the version-1 store in testdata/store-v1 into dir
-// and returns its files' bytes by name.
-func copyV1Fixture(t *testing.T, dir string) map[string][]byte {
+// copyOlderFixture copies testdata/<name> into dir and returns its
+// files' bytes by name.
+func copyOlderFixture(t *testing.T, dir, name string) map[string][]byte {
 	t.Helper()
 	fixture := map[string][]byte{}
-	for _, name := range []string{"store.db", "wal.log"} {
-		b, err := os.ReadFile(filepath.Join("testdata", "store-v1", name))
+	for _, file := range []string{"store.db", "wal.log"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name, file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fixture[name] = b
+		fixture[file] = b
 	}
 	return fixture
 }
@@ -419,50 +488,85 @@ func checkSetAside(t *testing.T, qdir string, fixture map[string][]byte) {
 	}
 }
 
-// TestStoreOlderFormatCrashSafe crashes the set-aside of a version-1
-// store at each of its durable operations, in each mode, and reopens:
-// whichever step the crash hit, the store must come up empty and
-// consistent with both old files preserved, no old WAL record replayed
-// and no old value decoded.
-func TestStoreOlderFormatCrashSafe(t *testing.T) {
-	probeDir := t.TempDir()
-	copyV1Fixture(t, probeDir)
-	probe := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{})
-	s, err := OpenOptions(probeDir, obs.NewRegistry(), Options{PageSize: 512, VFS: probe})
+// upgradeWorkload opens an older store, makes the fresh log's first
+// Put, then reopens twice: over a torn tail, and cleanly.
+func upgradeWorkload(t *testing.T, dir string, vfs faultinject.VFS) error {
+	open := func() (*Store, error) { return OpenOptions(dir, obs.NewRegistry(), Options{VFS: vfs}) }
+	s, err := open()
 	if err != nil {
+		return err
+	}
+	err = s.Put(testKey(7), testEntry(7))
+	s.Close()
+	if err != nil {
+		return err
+	}
+	plantTornTail(t, dir)
+	for i := 0; i < 2; i++ {
+		if s, err = open(); err != nil {
+			return err
+		}
+		s.Close()
+	}
+	return nil
+}
+
+// TestStoreOlderFormatCrashSafe crashes the upgrade of an older store at
+// each of its durable operations (the two renames, the new log's first
+// writes and fsync, then a torn-tail truncate and the reopens' fsyncs),
+// in each mode, and reopens: whichever step the crash hit, the store
+// must come up consistent with both old files preserved, no old entry
+// served and the new one intact if present.
+func TestStoreOlderFormatCrashSafe(t *testing.T) {
+	for _, name := range olderFixtures {
+		cells := func(t *testing.T) { olderFormatCrashCells(t, name) }
+		if name == "store-v1" {
+			cells(t) // store-v1's cells keep their original top-level names
+		} else {
+			t.Run(name, cells)
+		}
+	}
+}
+
+func olderFormatCrashCells(t *testing.T, name string) {
+	probeDir := t.TempDir()
+	copyOlderFixture(t, probeDir, name)
+	probe := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{})
+	if err := upgradeWorkload(t, probeDir, probe); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 	sites := probe.Sites()
-	if ops := faultinject.SiteOps(sites); ops["rename"] < 2 {
-		t.Fatalf("set-aside enumerated %v, want both renames among its crash sites", ops)
+	if ops := faultinject.SiteOps(sites); ops["rename"] < 2 || ops["truncate"] < 1 {
+		t.Fatalf("upgrade enumerated %v, want both renames and a truncate among its crash sites", ops)
 	}
 	for _, site := range sites {
 		for _, mode := range faultinject.CrashModes {
 			t.Run(fmt.Sprintf("site%02d_%s_%s", site.Site, site.Op, mode), func(t *testing.T) {
 				dir := t.TempDir()
-				fixture := copyV1Fixture(t, dir)
+				fixture := copyOlderFixture(t, dir, name)
 				vfs := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{Site: site.Site, Mode: mode})
-				if s, err := OpenOptions(dir, obs.NewRegistry(), Options{PageSize: 512, VFS: vfs}); err == nil {
-					s.Close()
-				}
+				upgradeWorkload(t, dir, vfs)
 				if !vfs.Crashed() {
 					t.Fatalf("plan site %d never fired", site.Site)
 				}
-				reg := obs.NewRegistry()
-				s, err := OpenOptions(dir, reg, Options{PageSize: 512})
+				s, err := Open(dir, obs.NewRegistry())
 				if err != nil {
 					t.Fatalf("reopen after crash: %v", err)
 				}
 				defer s.Close()
-				if n := s.Len(); n != 0 {
-					t.Fatalf("Len = %d after reopening, want an empty store", n)
+				if n := s.Len(); n > 1 {
+					t.Fatalf("Len = %d after reopening, want at most the one new entry", n)
 				}
 				if problems := s.Check(); len(problems) != 0 {
 					t.Fatalf("store inconsistent after reopening: %v", problems)
 				}
-				if got := reg.Counters()["store.recovered_pending"]; got != 0 {
-					t.Fatalf("recovered_pending = %d: an old WAL record was replayed", got)
+				for i := 0; i < 4; i++ {
+					if _, ok := s.Get(testKey(i)); ok {
+						t.Fatalf("entry %d of the old store served", i)
+					}
+				}
+				if e, ok := s.Get(testKey(7)); ok && e.AdapterC != testEntry(7).AdapterC {
+					t.Fatalf("new entry served damaged: %+v", e)
 				}
 				checkSetAside(t, filepath.Join(dir, "quarantine"), fixture)
 			})
@@ -470,9 +574,8 @@ func TestStoreOlderFormatCrashSafe(t *testing.T) {
 	}
 }
 
-// TestStoreMVCCReadersDontBlockCommit is the ISSUE acceptance: snapshot
-// reads complete while a commit is held in flight at its fsync. Run
-// under -race.
+// TestStoreMVCCReadersDontBlockCommit: reads complete while a commit is
+// held in flight at its fsync. Run under -race.
 func TestStoreMVCCReadersDontBlockCommit(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, obs.NewRegistry())
@@ -488,7 +591,7 @@ func TestStoreMVCCReadersDontBlockCommit(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	s.FaultHook = func(op, path string) error {
-		if op == "db_sync" {
+		if op == "sync" {
 			once.Do(func() {
 				close(entered)
 				<-release
@@ -498,10 +601,10 @@ func TestStoreMVCCReadersDontBlockCommit(t *testing.T) {
 	}
 	putDone := make(chan error, 1)
 	go func() { putDone <- s.Put(testKey(31), testEntry(31)) }()
-	<-entered // the commit is now parked mid-checkpoint
+	<-entered // the commit is now parked before its fsync
 
-	// Readers must finish while the writer is parked: hits on the old
-	// snapshot, misses for the in-flight key.
+	// Readers must finish while the writer is parked: hits on durable
+	// entries, misses for the in-flight key.
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -509,7 +612,7 @@ func TestStoreMVCCReadersDontBlockCommit(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				if e, ok := s.Get(testKey(30)); !ok || e.AdapterC != testEntry(30).AdapterC {
-					t.Errorf("snapshot read failed during commit: ok=%v", ok)
+					t.Errorf("read failed during commit: ok=%v", ok)
 					return
 				}
 			}
@@ -520,10 +623,10 @@ func TestStoreMVCCReadersDontBlockCommit(t *testing.T) {
 	select {
 	case <-readsDone:
 	case <-time.After(10 * time.Second):
-		t.Fatal("snapshot reads blocked behind an in-flight commit")
+		t.Fatal("reads blocked behind an in-flight commit")
 	}
 	if _, ok := s.Get(testKey(31)); ok {
-		t.Fatal("uncommitted entry visible to a snapshot read")
+		t.Fatal("entry visible before its fsync")
 	}
 
 	close(release)
@@ -547,7 +650,7 @@ func TestStoreGroupCommitCoalesces(t *testing.T) {
 	hold := make(chan struct{})
 	var once sync.Once
 	s.FaultHook = func(op, path string) error {
-		if op == "wal_append" {
+		if op == "append" {
 			once.Do(func() { <-hold })
 		}
 		return nil
@@ -578,7 +681,7 @@ func TestStoreGroupCommitCoalesces(t *testing.T) {
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	s, err := OpenOptions(dir, reg, Options{PageSize: 512})
+	s, err := Open(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,13 +695,22 @@ func TestStoreCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := s.Stats().Pages
+	logSize := func() int64 {
+		info, err := os.Stat(filepath.Join(dir, LogFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	before := logSize()
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after := s.Stats().Pages
-	if after >= before {
-		t.Fatalf("compaction did not shrink the file: %d -> %d pages", before, after)
+	if after := logSize(); after >= before/4 {
+		t.Fatalf("compaction did not shrink the log: %d -> %d bytes", before, after)
+	}
+	if g := reg.Gauges(); g["store.dead_bytes"] != 0 || g["store.live_records"] != 10 {
+		t.Fatalf("gauges after compaction: %v", g)
 	}
 	if reg.Counters()["store.compactions"] != 1 {
 		t.Fatal("no compaction counted")
@@ -608,24 +720,28 @@ func TestStoreCompaction(t *testing.T) {
 			t.Fatalf("entry %d lost by compaction: ok=%v", i, ok)
 		}
 	}
+	if err := s.Put(testKey(80), testEntry(80)); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenOptions(dir, obs.NewRegistry(), Options{PageSize: 512})
+	s2, err := Open(dir, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.Len(); got != 10 {
-		t.Fatalf("Len after compaction+reopen = %d, want 10", got)
+	if got := s2.Len(); got != 11 {
+		t.Fatalf("Len after compaction+reopen = %d, want 11", got)
 	}
 }
 
-// TestStoreSnapshotSurvivesCompaction: a pinned snapshot keeps reading
-// the retired file generation after compaction replaces it.
+// TestStoreSnapshotSurvivesCompaction: Gets racing compactions return
+// correct bytes. A Get that found its frame in the old file finishes
+// reading it before compaction closes that file. Run under -race.
 func TestStoreSnapshotSurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenOptions(dir, obs.NewRegistry(), Options{PageSize: 512})
+	s, err := Open(dir, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,19 +751,41 @@ func TestStoreSnapshotSurvivesCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sp := s.acquireSnapshot()
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for j := r; ; j++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := j % 20
+				if e, ok := s.Get(testKey(i)); !ok || e.AdapterC != testEntry(i).AdapterC {
+					t.Errorf("Get %d racing a compaction: ok=%v", i, ok)
+					return
+				}
+			}
+		}(r)
 	}
-	// The snapshot still reads the old generation.
-	val, err := lookup(sp, s.opts.PageSize, sp.m.root, primaryKey(testKey(5)))
-	if err != nil || !bytes.Contains(val, []byte("adapter 5")) {
-		t.Fatalf("snapshot read after compaction: err=%v", err)
+	// Each round appends and deletes a frame, so every compaction moves
+	// the live frames to new offsets in a new file.
+	for round := 0; round < 30; round++ {
+		if err := s.Put(testKey(100+round), testEntry(100+round)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(testKey(100 + round)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sp.release()
-	if e, ok := s.Get(testKey(5)); !ok || e.AdapterC != testEntry(5).AdapterC {
-		t.Fatalf("entry lost across compaction: ok=%v", ok)
-	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestStoreQuarantineGCBounds(t *testing.T) {
@@ -773,29 +911,61 @@ type matrixExpect struct {
 	pendingDelete bool
 }
 
-// matrixWorkload drives a deterministic write mix — inserts, a replace,
-// a delete, a compaction — through the given VFS until it finishes or
-// the planned crash fires. It returns what had been acknowledged by
-// then.
-func matrixWorkload(dir string, vfs faultinject.VFS) (*matrixExpect, error) {
+// matrixKeys is how many keys the crash-matrix workload touches.
+const matrixKeys = 14
+
+// bigEntry is testEntry(n) grown so that its frame spans chunks writes
+// of the committer's append buffer: a torn write can then leave a
+// prefix of whole buffers of one frame on disk.
+func bigEntry(n, chunks int) Entry {
+	e := testEntry(n)
+	e.AdapterC += strings.Repeat("/* padding */\n", ((chunks-1)*appendBufSize+appendBufSize/2)/14)
+	return e
+}
+
+// matrixWorkload drives a deterministic write mix through the given VFS
+// until it finishes or the planned crash fires: inserts of small and
+// multi-buffer entries, replaces, deletes and a re-put, a compaction,
+// and reopens — two over a torn tail planted as a process that died
+// mid-append leaves one, and a clean one. It returns what had been
+// acknowledged by then. The steps are ordered so that the first 78
+// sites keep the operation kinds, and so the subtest names, they had
+// when the store was a paged B-tree.
+func matrixWorkload(t *testing.T, dir string, vfs faultinject.VFS) (*matrixExpect, error) {
 	exp := &matrixExpect{present: map[string]Entry{}, absent: map[string]bool{}}
-	st, err := OpenOptions(dir, obs.NewRegistry(), Options{
-		PageSize: 512, VFS: vfs, AutoCompactPages: -1, DisableVerifyOnOpen: true,
-	})
-	if err != nil {
-		return exp, err
+	var st *Store
+	open := func() error {
+		var err error
+		st, err = OpenOptions(dir, obs.NewRegistry(), Options{
+			VFS: vfs, AutoCompactBytes: -1, DisableVerifyOnOpen: true,
+		})
+		return err
 	}
-	defer st.Close()
-	step := func(key string, e Entry, put bool) error {
-		if put {
-			if err := st.Put(key, e); err != nil {
-				exp.pendingKey, exp.pendingEntry = key, e
-				return err
-			}
-			exp.present[key] = e
-			delete(exp.absent, key)
-			return nil
+	reopen := func(torn bool) error {
+		st.Close()
+		st = nil
+		if torn {
+			plantTornTail(t, dir)
 		}
+		return open()
+	}
+	defer func() {
+		if st != nil {
+			st.Close()
+		}
+	}()
+	put := func(n int, e Entry) error {
+		key := testKey(n)
+		if err := st.Put(key, e); err != nil {
+			exp.pendingKey, exp.pendingEntry = key, e
+			return err
+		}
+		exp.present[key] = e
+		delete(exp.absent, key)
+		return nil
+	}
+	del := func(n int) error {
+		key := testKey(n)
 		if err := st.Delete(key); err != nil {
 			exp.pendingKey, exp.pendingDelete = key, true
 			return err
@@ -804,24 +974,42 @@ func matrixWorkload(dir string, vfs faultinject.VFS) (*matrixExpect, error) {
 		exp.absent[key] = true
 		return nil
 	}
-	for i := 0; i < 4; i++ {
-		if err := step(testKey(i), testEntry(i), true); err != nil {
+	moved := testEntry(2)
+	moved.Target = "vfft" // a replace that shrinks the entry and moves it
+	steps := []func() error{
+		open, // 1: the new log's header
+		func() error { return put(0, testEntry(0)) },     // 2-3
+		func() error { return reopen(true) },             // 4-5: truncate, fsync
+		func() error { return put(1, testEntry(1)) },     // 6-7
+		func() error { return put(2, bigEntry(2, 2)) },   // 8-10
+		func() error { return put(3, testEntry(3)) },     // 11-12
+		func() error { return del(1) },                   // 13-14
+		func() error { return put(4, bigEntry(4, 3)) },   // 15-18
+		func() error { return put(2, moved) },            // 19-20
+		func() error { return del(4) },                   // 21-22
+		func() error { return put(5, bigEntry(5, 3)) },   // 23-26
+		func() error { return put(6, testEntry(6)) },     // 27-28
+		func() error { return del(5) },                   // 29-30
+		func() error { return put(7, bigEntry(7, 5)) },   // 31-36
+		func() error { return put(1, testEntry(1)) },     // 37-38: re-put a deleted key
+		func() error { return del(7) },                   // 39-40
+		func() error { return put(8, bigEntry(8, 4)) },   // 41-45
+		func() error { return put(9, testEntry(9)) },     // 46-47
+		func() error { return del(9) },                   // 48-49
+		func() error { return put(10, bigEntry(10, 5)) }, // 50-55
+		func() error { return del(10) },                  // 56-57
+		func() error { return put(11, bigEntry(11, 4)) }, // 58-62
+		func() error { return st.Compact() },             // 63-65: write, fsync, rename
+		func() error { return reopen(true) },             // 66-67
+		func() error { return put(12, testEntry(12)) },   // 68-69
+		func() error { return put(13, bigEntry(13, 5)) }, // 70-75
+		func() error { return del(8) },                   // 76-77
+		func() error { return reopen(false) },            // 78: fsync
+	}
+	for _, step := range steps {
+		if err := step(); err != nil {
 			return exp, err
 		}
-	}
-	if err := step(testKey(1), Entry{}, false); err != nil { // delete
-		return exp, err
-	}
-	repl := testEntry(2)
-	repl.Target = "vfft" // replace with an index move
-	if err := step(testKey(2), repl, true); err != nil {
-		return exp, err
-	}
-	if err := st.Compact(); err != nil {
-		return exp, err
-	}
-	if err := step(testKey(5), testEntry(5), true); err != nil {
-		return exp, err
 	}
 	return exp, nil
 }
@@ -838,7 +1026,7 @@ func TestStoreCrashMatrix(t *testing.T) {
 		t.Skip("crash matrix is not -short")
 	}
 	probe := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{})
-	if _, err := matrixWorkload(t.TempDir(), probe); err != nil {
+	if _, err := matrixWorkload(t, t.TempDir(), probe); err != nil {
 		t.Fatalf("probe run failed: %v", err)
 	}
 	sites := probe.Sites()
@@ -858,14 +1046,14 @@ func TestStoreCrashMatrix(t *testing.T) {
 			t.Run(fmt.Sprintf("site%03d_%s_%s", site.Site, site.Op, mode), func(t *testing.T) {
 				dir := t.TempDir()
 				vfs := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{Site: site.Site, Mode: mode})
-				exp, err := matrixWorkload(dir, vfs)
+				exp, err := matrixWorkload(t, dir, vfs)
 				if !vfs.Crashed() {
 					t.Fatalf("plan site %d never fired (err=%v)", site.Site, err)
 				}
 
 				// Reboot: recover on the real disk state the crash left.
 				reg := obs.NewRegistry()
-				st, err := OpenOptions(dir, reg, Options{PageSize: 512})
+				st, err := Open(dir, reg)
 				if err != nil {
 					t.Fatalf("reopen after crash: %v", err)
 				}
@@ -922,7 +1110,7 @@ func TestStoreCrashMatrix(t *testing.T) {
 				}
 				// Unacknowledged keys may be present (the crash hit after
 				// the durability point) — but then they must be intact.
-				for i := 0; i < 8; i++ {
+				for i := 0; i < matrixKeys; i++ {
 					key := testKey(i)
 					if _, tracked := exp.present[key]; tracked || exp.absent[key] {
 						continue
@@ -936,4 +1124,12 @@ func TestStoreCrashMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+// encodeFrame returns rec framed, as the committer appends it.
+func encodeFrame(rec []byte) []byte {
+	f := make([]byte, frameHeader+len(rec))
+	putFrameHeader(f, rec)
+	copy(f[frameHeader:], rec)
+	return f
 }

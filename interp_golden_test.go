@@ -29,7 +29,7 @@ import (
 	"facc/internal/interp"
 )
 
-var updateInterpGolden = flag.Bool("update", false, "rewrite testdata/interp_golden.json")
+var updateGolden = flag.Bool("update", false, "rewrite the root package goldens: testdata/interp_golden.json and testdata/figures_golden.txt")
 
 const interpGoldenPath = "testdata/interp_golden.json"
 
@@ -180,10 +180,10 @@ func collectKillGoldens(t *testing.T) map[string]pairGolden {
 
 func TestInterpGolden(t *testing.T) {
 	got := interpGolden{Programs: collectProgramGoldens(t)}
-	if !testing.Short() || *updateInterpGolden {
+	if !testing.Short() || *updateGolden {
 		got.Kills = collectKillGoldens(t)
 	}
-	if *updateInterpGolden {
+	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)

@@ -104,17 +104,17 @@ adapter_of "$TMP/r1" "$TMP/adapter1"
 grep -q 'drained cleanly' "$TMP/faccd.log" || { echo "serve-smoke: no clean-drain message"; cat "$TMP/faccd.log"; exit 1; }
 
 echo "serve-smoke: tearing the cached adapter (simulated crash mid-write)"
-DB="$TMP/store/store.db"
-[ -s "$DB" ] || { echo "serve-smoke: no store database"; exit 1; }
-# Flip bytes inside the page holding the serialized entry so its
-# checksum fails. The entry record keeps the adapter source unescaped, so
-# one of its lines locates it; the last occurrence is the live copy —
-# earlier ones may be stale copy-on-write page versions.
-OFF=$(grep -abo -F 'accel_cfft(__acc_in, __acc_out, __len);' "$DB" | tail -n 1 | cut -d: -f1)
-[ -n "$OFF" ] || { echo "serve-smoke: entry bytes not found in store.db"; exit 1; }
-printf '\377\377\377\377\377\377\377\377' | dd of="$DB" bs=1 seek="$OFF" conv=notrunc 2>/dev/null
-# And tear the WAL: a record whose durability fsync never completed.
-printf 'FWAL\377\377\377\377 torn mid-append' >> "$TMP/store/wal.log"
+LOG="$TMP/store/store.log"
+[ -s "$LOG" ] || { echo "serve-smoke: no store log"; exit 1; }
+# Flip bytes inside the frame holding the entry's record so its checksums
+# fail. The entry record keeps the adapter source unescaped, so one of
+# its lines locates it; the last occurrence is the live frame — earlier
+# ones may be superseded.
+OFF=$(grep -abo -F 'accel_cfft(__acc_in, __acc_out, __len);' "$LOG" | tail -n 1 | cut -d: -f1)
+[ -n "$OFF" ] || { echo "serve-smoke: entry bytes not found in store.log"; exit 1; }
+printf '\377\377\377\377\377\377\377\377' | dd of="$LOG" bs=1 seek="$OFF" conv=notrunc 2>/dev/null
+# And tear the log's tail: an append whose durability fsync never completed.
+printf '\377\377\377\177 torn mid-append' >> "$LOG"
 
 echo "serve-smoke: restarting; the store must recover"
 start_daemon
@@ -147,7 +147,8 @@ curl -fsS "http://$ADDR/journal" > "$TMP/journal.jsonl"
 grep -q "$TRACE" "$TMP/journal.jsonl" || { echo "serve-smoke: trace ID not in the journal export"; exit 1; }
 curl -fsS "http://$ADDR/debug/requests" > "$TMP/flight.json"
 grep -q "$TRACE" "$TMP/flight.json" || { echo "serve-smoke: trace ID not in /debug/requests"; cat "$TMP/flight.json"; exit 1; }
-curl -fsS "http://$ADDR/metrics" | grep -q "facc_ledger_tests_total" \
+curl -fsS "http://$ADDR/metrics" > "$TMP/metrics.txt"
+grep -q "facc_ledger_tests_total" "$TMP/metrics.txt" \
     || { echo "serve-smoke: /metrics missing the cost ledger exposition"; exit 1; }
 
 kill -TERM "$PID"
