@@ -34,9 +34,10 @@
 // (singleflight); finished adapters are memoized in a crash-safe
 // content-addressed store that survives kill -9 (an append-only log
 // whose torn tail is cut off on restart, checksum verification with
-// quarantine — a torn write is recompiled, never served); SIGTERM/SIGINT drains gracefully: admission
-// stops, queued and in-flight jobs finish up to -drain-timeout, then
-// stragglers are hard-cancelled.
+// quarantine — a torn write is recompiled, never served);
+// SIGTERM/SIGINT drains gracefully: admission stops, queued and
+// in-flight jobs finish up to -drain-timeout, then stragglers are
+// hard-cancelled.
 //
 // Fleet mode: -peers names a static table of replicas (comma-separated
 // id=url pairs; -peer-id is this replica's entry). Requests are routed

@@ -234,8 +234,7 @@ func TestStoreVerifyOnOpenQuarantines(t *testing.T) {
 }
 
 // TestStoreOpensManyDamagedRecords: one scan quarantines every damaged
-// record, however many, and serves every undamaged one. (The B-tree
-// store rescanned once per damaged entry and gave up past 4,096.)
+// record, however many, and serves every undamaged one.
 func TestStoreOpensManyDamagedRecords(t *testing.T) {
 	dir := t.TempDir()
 	const n, damaged = 5000, 4500
