@@ -124,16 +124,17 @@ type Store struct {
 	// Production leaves it nil.
 	FaultHook func(op, path string) error
 
-	// mu guards the fields below. Readers hold it shared across their
-	// ReadAt, so compaction, which swaps f under the exclusive lock,
-	// closes the old file only after them. Only the committer writes.
+	// mu guards the four fields below. Readers hold it shared across
+	// their ReadAt, so compaction, which swaps f under the exclusive
+	// lock, closes the old file only after them. The committer writes
+	// them, and a Get that quarantines a frame drops its key.
 	mu    sync.RWMutex
 	f     faultinject.File
 	index map[string]loc
 	end   int64 // end of the durable log: the next append goes here
 	dead  int64 // bytes of frames the index no longer points at
-	wbuf  []byte
 
+	wbuf      []byte // the committer's append buffer
 	closeOnce sync.Once
 	ops       chan *storeOp
 	stop      chan struct{}
@@ -155,9 +156,11 @@ func OpenOptions(dir string, reg *obs.Registry, opts Options) (*Store, error) {
 		breaker: faultinject.NewIOBreaker("store", reg),
 		index:   map[string]loc{},
 		wbuf:    make([]byte, 0, appendBufSize),
-		ops:     make(chan *storeOp, 256),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		// Room for a burst of writers to queue while a batch commits;
+		// the committer drains up to 64 of them into the next batch.
+		ops:  make(chan *storeOp, 256),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	for _, d := range []string{dir, s.quarantineDir()} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
