@@ -45,7 +45,6 @@ fuzz-smoke:
 	$(GO) test ./internal/interp -run '^$$' -fuzz FuzzInterp -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzStoreDecode -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzEntryDecode -fuzztime 10s
-	$(GO) test ./internal/synth -run '^$$' -fuzz FuzzCexReplay -fuzztime 10s
 
 # Crash-point injection matrix: the adapter store is crashed at every
 # durable operation (log appends, fsyncs, the torn-tail truncate of a
@@ -55,10 +54,11 @@ fuzz-smoke:
 crash-matrix:
 	./scripts/crash_matrix.sh
 
-# Fault-tolerance suite under the race detector: fault injection, retry,
-# circuit breaker, panic isolation, deadline/cancellation plumbing.
+# Fault-tolerance suite under the race detector: the store's circuit
+# breaker, the server's and fleet's retry handling, panic isolation,
+# interpreter fuel and stack limits, deadline/cancellation plumbing.
 chaos:
-	$(GO) test -race -timeout 120s -run 'Chaos|FaultInject|Injector|Retry|Breaker|Harden|Panic|Fuel|StackOverflow|Cancel' ./...
+	$(GO) test -race -timeout 120s -run 'Chaos|Retry|Breaker|Panic|Fuel|StackOverflow|Cancel' ./...
 
 # One testing.B benchmark per paper table/figure plus ablations and the
 # fixed cost of an oracle-hit compile (BenchmarkCompileOracleHit), then
@@ -82,10 +82,9 @@ bench-json:
 
 # Search observatory: one exhaustive sequential corpus compile with kill
 # attribution on. Prints the funnel, kill-depth distribution and top
-# discriminating inputs, and persists them into the crash-safe
-# counterexample pool (counterexamples.jsonl) for later runs.
+# discriminating inputs.
 search-report:
-	$(GO) run ./cmd/faccbench -experiment searchbench -cex-pool counterexamples.jsonl
+	$(GO) run ./cmd/faccbench -experiment searchbench
 
 # Serving benchmark: saturate an in-process faccd (shedding, dedup,
 # adapter cache) and keep the latency/robustness numbers as a JSON

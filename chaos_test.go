@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"facc/internal/obs"
 )
 
 // chaosOptions is the shared baseline: the quickstart program compiled
@@ -16,96 +14,6 @@ func chaosOptions() Options {
 	return Options{
 		ProfileValues: map[string][]int64{"n": {64, 128, 256}},
 		NumTests:      4,
-	}
-}
-
-// TestChaosConvergesUnderTransientFaults is the headline robustness
-// property: with a seeded 30% transient-fault profile on every
-// accelerator call, retries absorb the faults and synthesis converges to
-// byte-for-byte the same adapter as the fault-free run.
-func TestChaosConvergesUnderTransientFaults(t *testing.T) {
-	clean, err := Compile("fft.c", quickstartSrc, TargetFFTA, chaosOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !clean.OK() {
-		t.Fatalf("fault-free compile failed: %s", clean.FailReason())
-	}
-
-	opts := chaosOptions()
-	opts.Faults = &FaultProfile{ErrorRate: 0.3, Seed: 7}
-	tr := NewTracer()
-	opts.Trace = tr
-	faulty, err := Compile("fft.c", quickstartSrc, TargetFFTA, opts)
-	if err != nil {
-		t.Fatalf("compile under 30%% transient faults: %v", err)
-	}
-	if !faulty.OK() {
-		t.Fatalf("no adapter under faults: %s", faulty.FailReason())
-	}
-	if faulty.Function() != clean.Function() {
-		t.Fatalf("replaced %q under faults, %q without", faulty.Function(), clean.Function())
-	}
-	if faulty.AdapterC() != clean.AdapterC() {
-		t.Fatal("adapter under injected faults differs from the fault-free adapter")
-	}
-	c := tr.Metrics().Counters()
-	if c["accel.faults.injected.transient"] == 0 {
-		t.Fatal("the chaos run injected no faults; the test proved nothing")
-	}
-	if c["accel.retries"] == 0 {
-		t.Fatal("faults were injected but nothing retried")
-	}
-}
-
-// TestChaosDegradesWhenAcceleratorDies: with a 100% error rate the retry
-// budget always exhausts, the breaker opens, and the compile still
-// succeeds on the software-FFT fallback — graceful degradation, visible
-// in the metrics and the provenance journal.
-func TestChaosDegradesWhenAcceleratorDies(t *testing.T) {
-	base := chaosOptions()
-	// Enough IO tests that the accelerator is attempted past the breaker
-	// threshold (5 consecutive transient failures) before synthesis stops.
-	base.NumTests = 10
-	clean, err := Compile("fft.c", quickstartSrc, TargetFFTA, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts := base
-	opts.Faults = &FaultProfile{ErrorRate: 1, Seed: 3}
-	tr := NewTracer()
-	j := NewJournal()
-	opts.Trace = tr
-	opts.Journal = j
-	res, err := Compile("fft.c", quickstartSrc, TargetFFTA, opts)
-	if err != nil {
-		t.Fatalf("compile with a dead accelerator: %v", err)
-	}
-	if !res.OK() {
-		t.Fatalf("no adapter despite software fallback: %s", res.FailReason())
-	}
-	if res.AdapterC() != clean.AdapterC() {
-		t.Fatal("degraded compile produced a different adapter")
-	}
-	c := tr.Metrics().Counters()
-	if c["accel.degraded_runs"] == 0 {
-		t.Fatal("accel.degraded_runs = 0: the breaker never degraded")
-	}
-	if c["accel.breaker.transitions.open"] == 0 {
-		t.Fatal("the breaker never opened under 100% faults")
-	}
-	if c["accel.retry.exhausted"] == 0 {
-		t.Fatal("retry budgets never exhausted under 100% faults")
-	}
-	degraded := false
-	for _, ev := range j.Events() {
-		if ev.Kind == obs.KindDegraded && ev.Outcome == "open" {
-			degraded = true
-		}
-	}
-	if !degraded {
-		t.Fatal("journal has no degraded/open event")
 	}
 }
 

@@ -6,8 +6,7 @@
 //	facc -target ffta [-entry fft] [-profile n=64,128,256] [-tests 10]
 //	     [-trace trace.json] [-metrics]
 //	     [-journal prov.jsonl] [-explain] [-costs]
-//	     [-search-report] [-cex-pool counterexamples.jsonl]
-//	     [-timeout 30s] [-candidate-timeout 50ms] [-faults error=0.3,seed=7]
+//	     [-search-report] [-timeout 30s] [-candidate-timeout 50ms]
 //	     file.c
 //
 // -trace writes a Chrome trace_event file (load in chrome://tracing or
@@ -22,17 +21,11 @@
 // duplicates, per target, with the waste ratio; -search-report prints the
 // search observatory — the candidate funnel (generated → pre-filtered →
 // dispatched → killed/survived → winner), the kill-depth distribution,
-// and the IO cases that discriminated the most binding families;
-// -cex-pool persists those discriminating inputs across runs in a
-// crash-safe JSONL counterexample pool, ranked by how many binding
-// families each input has killed.
+// and the IO cases that discriminated the most binding families.
 //
-// Robustness: -timeout bounds the whole compilation's wall clock,
+// Robustness: -timeout bounds the whole compilation's wall clock, and
 // -candidate-timeout bounds fuzzing any one binding candidate (a hung
-// candidate costs one candidate, not the compile), and -faults injects
-// seeded accelerator faults (transient errors, value corruption, latency
-// spikes) while hardening the execution path with retries and a circuit
-// breaker that degrades to the pure-software FFT.
+// candidate costs one candidate, not the compile).
 //
 // facc has no -serve: a run lasts milliseconds, too short to scrape, so
 // the live endpoints (and the HTTP server they need) are left to
@@ -102,22 +95,6 @@ func main() {
 		Deadline:         of.Timeout,
 		CandidateTimeout: of.CandidateTimeout,
 	}
-	if of.Faults != "" {
-		fp, err := facc.ParseFaultProfile(of.Faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "facc: -faults: %v\n", err)
-			os.Exit(2)
-		}
-		opts.Faults = &fp
-	}
-	if err := of.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "facc: %v\n", err)
-		os.Exit(2)
-	}
-	// -cex-pool is read-write: Start loaded it, synthesis replays its
-	// ranked counterexamples first and records this run's kills into it
-	// live, and Finish flushes the updated pool back to disk.
-	opts.Cex = of.Pool()
 	if *classify {
 		clf, err := facc.Train(12, 1)
 		if err != nil {

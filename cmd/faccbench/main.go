@@ -49,16 +49,12 @@ func main() {
 	obshttp.RegisterFlag(flag.CommandLine, of)
 	flag.Parse()
 
-	if err := of.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "faccbench: %v\n", err)
-		os.Exit(1)
-	}
 	if err := obshttp.ServeFlags(of); err != nil {
 		fmt.Fprintf(os.Stderr, "faccbench: %v\n", err)
 		os.Exit(1)
 	}
-	if of.CandidateTimeout != 0 || of.Faults != "" {
-		fmt.Fprintf(os.Stderr, "faccbench: -candidate-timeout and -faults apply to facc only; ignoring\n")
+	if of.CandidateTimeout != 0 {
+		fmt.Fprintf(os.Stderr, "faccbench: -candidate-timeout applies to facc only; ignoring\n")
 	}
 	// SIGINT/SIGTERM cancel the run: experiments stop at the next
 	// cancellation point and the observability exports below still flush,
@@ -185,12 +181,9 @@ func runServeBench(ctx context.Context, benchOut string) error {
 // Workers=N (-j, default GOMAXPROCS): corpus wall-clock, fuzz throughput,
 // oracle cache hit-rate and cross-run adapter determinism. The summary
 // prints to stdout; -bench-out additionally writes the JSON artifact.
-// The shared kill table (non-nil under -search-report/-cex-pool/-serve)
-// receives the sequential run's kill attribution, so the pool and the
-// report see exactly the events behind the artifact's search section.
-// -cex-pool seeds the priming pass: the measured runs replay clones of
-// the primed pool, and Finish flushes the pool (priming kills included)
-// back to the file.
+// The shared kill table (non-nil under -search-report/-serve) receives
+// the sequential run's kill attribution, so the report sees exactly the
+// events behind the artifact's search section.
 func runSynthBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut string) error {
 	workers := of.Workers
 	if workers <= 0 {
@@ -201,7 +194,7 @@ func runSynthBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut s
 		counts = append(counts, workers)
 	}
 	fmt.Fprintf(os.Stderr, "faccbench: synthesis benchmark at workers=%v...\n", counts)
-	rep, err := eval.SynthBench(ctx, []string{"ffta", "powerquad", "fftw"}, tests, counts, of.Kills(), of.Pool())
+	rep, err := eval.SynthBench(ctx, []string{"ffta", "powerquad", "fftw"}, tests, counts, of.Kills())
 	if err != nil {
 		return err
 	}
@@ -228,17 +221,14 @@ func runSynthBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut s
 // kill-depth distribution and top discriminating inputs. With
 // -bench-out it merges the summary into that BENCH_synth.json's
 // "search" section (other sections are preserved; the file is created
-// with only the search section when absent). -cex-pool rides along
-// read-write: its ranked counterexamples are replayed first, kills are
-// recorded into it live, and the shared observability Finish path
-// flushes it back.
+// with only the search section when absent).
 func runSearchBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut string) error {
 	kills := of.Kills()
 	if kills == nil {
 		kills = obs.NewKillTable()
 	}
 	fmt.Fprintf(os.Stderr, "faccbench: search benchmark (sequential corpus compile, kill attribution on)...\n")
-	if err := eval.SearchBench(ctx, []string{"ffta", "powerquad", "fftw"}, tests, kills, of.Pool()); err != nil {
+	if err := eval.SearchBench(ctx, []string{"ffta", "powerquad", "fftw"}, tests, kills); err != nil {
 		return err
 	}
 	if err := kills.WriteSearchReport(os.Stdout, 10); err != nil {

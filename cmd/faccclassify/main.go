@@ -37,10 +37,6 @@ func main() {
 	obshttp.RegisterFlag(flag.CommandLine, of)
 	flag.Parse()
 
-	if err := of.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "faccclassify: %v\n", err)
-		os.Exit(1)
-	}
 	if err := obshttp.ServeFlags(of); err != nil {
 		fmt.Fprintf(os.Stderr, "faccclassify: %v\n", err)
 		os.Exit(1)

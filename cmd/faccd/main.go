@@ -1,14 +1,13 @@
 // Command faccd is the FACC compile service: a daemon that accepts MiniC
 // sources over HTTP, synthesizes accelerator adapters, and degrades
-// gracefully under load and faults instead of falling over.
+// gracefully under load instead of falling over.
 //
 // Usage:
 //
 //	faccd [-addr :8080] [-store faccd-store] [-queue 64] [-workers N]
 //	      [-request-timeout 2m] [-candidate-timeout 50ms]
-//	      [-drain-timeout 10s] [-tests 10] [-j N] [-faults chaos]
+//	      [-drain-timeout 10s] [-tests 10] [-j N]
 //	      [-slo-latency 1s] [-slo-objective 0.99] [-flight-recorder 32]
-//	      [-cex-pool counterexamples.jsonl]
 //	      [-store-quarantine-files 512] [-store-quarantine-age 168h]
 //	      [-peer-id r0 -peers r0=http://h0:8080,r1=http://h1:8080,...]
 //	      [-probe-interval 1s] [-failure-threshold 3] [-max-hops 3]
@@ -92,16 +91,12 @@ func main() {
 		"how long a SIGTERM drain waits for in-flight jobs before hard-cancelling")
 	tests := flag.Int("tests", 10, "default IO examples per candidate (requests may override)")
 	jflag := flag.Int("j", 0, "IO cases of a binding candidate run in parallel per compile (0 = GOMAXPROCS)")
-	faults := flag.String("faults", "",
-		`inject accelerator faults for chaos testing, e.g. "chaos" or "error=0.3,seed=7"`)
 	sloLatency := flag.Duration("slo-latency", time.Second,
 		"per-request latency SLO target; slower compiles count toward the burn rate")
 	sloObjective := flag.Float64("slo-objective", 0.99,
 		"fraction of requests that must meet the SLO (burn rate = violation rate / error budget)")
 	flightRec := flag.Int("flight-recorder", 32,
 		"retain this many slowest and failed requests (full span/journal/ledger) at /debug/requests; -1 disables")
-	cexPool := flag.String("cex-pool", "",
-		"persist the discriminating-input counterexample pool (crash-safe JSONL) in this file across daemon runs")
 	peerID := flag.String("peer-id", "",
 		"this replica's ID in the fleet peer table (requires -peers)")
 	peersFlag := flag.String("peers", "",
@@ -129,17 +124,6 @@ func main() {
 		NumTests:         *tests,
 		Workers:          *jflag,
 		CandidateTimeout: *candidateTimeout,
-		// A service hardens unconditionally: retries + breaker +
-		// software-FFT degradation around every accelerator call.
-		Harden: true,
-	}
-	if *faults != "" {
-		fp, err := facc.ParseFaultProfile(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faccd: -faults: %v\n", err)
-			os.Exit(1)
-		}
-		opts.Faults = &fp
 	}
 
 	tr := obs.New()
@@ -152,26 +136,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The counterexample pool survives daemon restarts: loaded before
-	// serving, wired read-write into every compile (replay-first search
-	// plus live kill recording, so it reranks mid-process), and flushed
-	// after the drain. A corrupt pool is quarantined and the daemon
-	// starts with an empty one.
-	var pool *obs.CexPool
-	if *cexPool != "" {
-		p, info, err := obs.LoadCexPool(*cexPool)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faccd: -cex-pool %s: %v\n", *cexPool, err)
-			os.Exit(1)
-		}
-		if info.Quarantined != "" {
-			fmt.Fprintf(os.Stderr, "faccd: -cex-pool %s: corrupt pool quarantined to %s; starting empty\n",
-				*cexPool, info.Quarantined)
-		}
-		pool = p
-	}
-	kills := obs.NewKillTable()
-
 	srv := server.New(server.Config{
 		QueueDepth:     *queue,
 		Workers:        *workers,
@@ -180,8 +144,7 @@ func main() {
 		Tracer:         tr,
 		Journal:        obs.NewJournal(),
 		Ledger:         obs.NewLedger(),
-		Kills:          kills,
-		Cex:            pool,
+		Kills:          obs.NewKillTable(),
 		FlightRecorder: *flightRec,
 		SLOLatency:     *sloLatency,
 		SLOObjective:   *sloObjective,
@@ -267,12 +230,6 @@ func main() {
 	hs.Shutdown(hctx)
 	if err := st.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "faccd: closing store: %v\n", err)
-	}
-	if *cexPool != "" {
-		pool.Absorb(kills, time.Now())
-		if err := pool.Flush(*cexPool); err != nil {
-			fmt.Fprintf(os.Stderr, "faccd: flushing -cex-pool: %v\n", err)
-		}
 	}
 	if drainErr != nil {
 		fmt.Fprintf(os.Stderr, "faccd: %v\n", drainErr)

@@ -37,7 +37,6 @@ import (
 	"facc/internal/bench"
 	"facc/internal/binding"
 	"facc/internal/core"
-	"facc/internal/faultinject"
 	"facc/internal/iogen"
 	"facc/internal/obs"
 	"facc/internal/synth"
@@ -115,22 +114,9 @@ type Options struct {
 	// (seed, case index), interpreter steps at death, mismatch kind and
 	// binding family — plus the generated → pre-filtered → dispatched →
 	// killed/survived → winner search funnel. Render with
-	// KillTable.WriteSearchReport (`facc -search-report`) or persist the
-	// discriminating inputs across runs via obs.CexPool (`-cex-pool`).
-	// Nil (the default) costs nothing on the verdict path.
+	// KillTable.WriteSearchReport (`facc -search-report`). Nil (the
+	// default) costs nothing on the verdict path.
 	Kills *KillTable
-	// Cex, when non-nil, is a read-write counterexample pool: synthesis
-	// replays its ranked discriminating inputs *first* — before any
-	// fresh fuzz cases — so known-lethal counterexamples kill losing
-	// candidates at the first case instead of deep into a fuzz batch,
-	// and every kill recorded during search updates the pool's ranking
-	// live (kills, family spread, last-useful time) so the next compile
-	// replays an even better-ordered pool. Persist across runs with
-	// obs.CexPool Load/Flush (`-cex-pool`). Replay only reorders each
-	// candidate's own deterministic case stream — it never injects
-	// foreign inputs — so the winning adapter is byte-identical with or
-	// without a pool. Nil (the default) costs nothing.
-	Cex *CexPool
 	// Oracle, when non-nil, is a shared reference-oracle cache. Oracle
 	// keys are target-independent (the user program's output does not
 	// depend on which accelerator we bind to), so one cache passed to
@@ -161,30 +147,6 @@ type Options struct {
 	// and synthesis moves to the next candidate — a hung candidate costs
 	// one candidate, not the compile. Zero disables the budget.
 	CandidateTimeout time.Duration
-	// Faults, when non-nil, injects accelerator faults per the profile
-	// (transient errors, value corruption, latency spikes — seeded and
-	// deterministic) and hardens the execution path with retries and a
-	// circuit breaker that degrades to the pure-software FFT. Production
-	// use leaves this nil and still gets retry+breaker via Harden; the
-	// profile exists for chaos testing the pipeline's fault tolerance.
-	Faults *FaultProfile
-	// Harden installs the retry + circuit-breaker chain around the
-	// accelerator even with no fault profile (graceful degradation for a
-	// real flaky backend). Implied by Faults != nil.
-	Harden bool
-}
-
-// FaultProfile configures injected accelerator faults for chaos testing;
-// see Options.Faults. Rates are probabilities per accelerator call.
-type FaultProfile = faultinject.Profile
-
-// ParseFaultProfile parses the -faults flag syntax — explicit rates
-// ("error=0.3,corrupt=0.01,latency=0.1,seed=7"; all keys optional) or a
-// named preset with optional overrides ("chaos", "flaky,seed=9") — into
-// a profile for Options.Faults. Unknown preset names, unknown keys,
-// duplicates and out-of-range or non-finite rates are rejected.
-func ParseFaultProfile(s string) (FaultProfile, error) {
-	return faultinject.ParseProfile(s)
 }
 
 // Tracer collects hierarchical spans and metrics across a compilation; see
@@ -212,13 +174,6 @@ type KillTable = obs.KillTable
 
 // NewKillTable returns an empty kill table to pass via Options.Kills.
 func NewKillTable() *KillTable { return obs.NewKillTable() }
-
-// CexPool is the persistent counterexample pool; see Options.Cex.
-type CexPool = obs.CexPool
-
-// NewCexPool returns an empty counterexample pool to pass via
-// Options.Cex (or load a persisted one with obs.LoadCexPool).
-func NewCexPool() *CexPool { return obs.NewCexPool() }
 
 // OracleCache is the shared cache of a program's target-independent
 // compile work: reference runs, test inputs and their digests, the
@@ -325,7 +280,7 @@ func (r *CompileRequest) Digest() string {
 
 // CompileRequestContext compiles one service request under ctx. Request
 // fields override the matching Options fields; everything else (workers,
-// budgets, hardening, tracing) comes from opts — the server's standing
+// budgets, tracing) comes from opts — the server's standing
 // configuration.
 func CompileRequestContext(ctx context.Context, req CompileRequest, opts Options) (*Result, error) {
 	if err := req.Validate(); err != nil {
@@ -363,7 +318,6 @@ func CompileContext(ctx context.Context, name, source, target string, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	hardenSpec(spec, opts)
 	comp, err := core.CompileSource(ctx, name, source, spec, core.Options{
 		Entry:         opts.Entry,
 		ProfileValues: opts.ProfileValues,
@@ -377,7 +331,6 @@ func CompileContext(ctx context.Context, name, source, target string, opts Optio
 			Tolerance:        opts.Tolerance,
 			CandidateTimeout: opts.CandidateTimeout,
 			Workers:          opts.Workers,
-			Cex:              opts.Cex,
 			Oracle:           opts.Oracle,
 			Binding:          bindingOptions(opts),
 		},
@@ -386,36 +339,6 @@ func CompileContext(ctx context.Context, name, source, target string, opts Optio
 		return nil, err
 	}
 	return &Result{c: comp}, nil
-}
-
-// hardenSpec installs the fault-tolerance chain (fault injector when a
-// profile is set, retry, circuit breaker with software-FFT degradation)
-// on the compilation's private spec instance. Breaker state changes are
-// journaled so -explain shows when and why the run degraded; counters
-// land in the tracer's registry, visible at /status and /metrics.
-func hardenSpec(spec *accel.Spec, opts Options) {
-	if opts.Faults == nil && !opts.Harden {
-		return
-	}
-	var profile FaultProfile
-	if opts.Faults != nil {
-		profile = *opts.Faults
-	}
-	var reg *obs.Registry
-	if opts.Trace != nil {
-		reg = opts.Trace.Metrics()
-	}
-	br := faultinject.Harden(spec, profile, reg)
-	if j := opts.Journal; j != nil {
-		br.OnStateChange = func(from, to faultinject.State) {
-			detail := fmt.Sprintf("accelerator breaker %s → %s", from, to)
-			if to == faultinject.Open {
-				detail += " (degrading to software FFT)"
-			}
-			j.Record(obs.JournalEvent{Kind: obs.KindDegraded,
-				Outcome: to.String(), Detail: detail})
-		}
-	}
 }
 
 func bindingOptions(opts Options) binding.Options {

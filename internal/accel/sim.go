@@ -7,27 +7,12 @@ import (
 	"facc/internal/fft"
 )
 
-// Runner executes one transform on behalf of a target — the seam where
-// fault-injection, retry and circuit-breaker decorators wrap the built-in
-// simulator (see internal/faultinject).
-type Runner interface {
-	Run(input []complex128, dir fft.Direction) ([]complex128, error)
-}
-
-// RunnerFunc adapts a function to the Runner interface.
-type RunnerFunc func(input []complex128, dir fft.Direction) ([]complex128, error)
-
-// Run calls f.
-func (f RunnerFunc) Run(input []complex128, dir fft.Direction) ([]complex128, error) {
-	return f(input, dir)
-}
-
-// Run executes the target's transform: through Exec when a decorated
-// execution chain is installed, else directly on the built-in simulator.
+// Run executes the target's transform: through Exec when a test has
+// installed one, else directly on the built-in simulator.
 func (s *Spec) Run(input []complex128, dir fft.Direction) ([]complex128, error) {
 	s.runs.Inc()
 	if s.Exec != nil {
-		return s.Exec.Run(input, dir)
+		return s.Exec(input, dir)
 	}
 	return s.Simulate(input, dir)
 }
@@ -36,9 +21,6 @@ func (s *Spec) Run(input []complex128, dir fft.Direction) ([]complex128, error) 
 // spectrum the real device would produce, including its behavioral quirks
 // (normalization, bit-reversed output). dir is the logical direction the
 // caller wants; targets without a direction parameter only do Forward.
-// This is the fault-free reference path — faultinject's circuit breaker
-// degrades to it (via the pure-software internal/fft) when the decorated
-// platform is too unhealthy to use.
 func (s *Spec) Simulate(input []complex128, dir fft.Direction) ([]complex128, error) {
 	n := len(input)
 	if !s.Supports(n) {

@@ -82,11 +82,10 @@ type Spec struct {
 	TransferPerElem float64
 
 	// Exec, when non-nil, replaces the built-in simulator as the
-	// execution backend for Run. internal/faultinject installs decorated
-	// chains here (fault injection → retry → circuit breaker) so the
-	// synthesis pipeline exercises an unreliable platform without any
-	// change to its call sites. Nil runs the simulator directly.
-	Exec Runner
+	// execution backend for Run: the seam through which a test
+	// substitutes a fake device (one that panics, say) without any change
+	// to the pipeline's call sites. Nil runs the simulator directly.
+	Exec func(input []complex128, dir fft.Direction) ([]complex128, error)
 
 	// runs counts simulator invocations when observability is attached
 	// (see Instrument); nil is a free no-op.

@@ -218,7 +218,6 @@ func FleetBench(ctx context.Context, cfg FleetBenchConfig) (*FleetBenchReport, e
 			Workers: cfg.Workers,
 			Store:   bst,
 			Tracer:  btr,
-			Options: facc.Options{Harden: true},
 			Compile: cfg.Compile,
 		})
 		bln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -275,7 +274,6 @@ func FleetBench(ctx context.Context, cfg FleetBenchConfig) (*FleetBenchReport, e
 			Workers:    cfg.Workers,
 			Store:      r.st,
 			Tracer:     r.tracer,
-			Options:    facc.Options{Harden: true},
 			Compile:    cfg.Compile,
 		})
 		r.node = fleet.New(fleet.Config{

@@ -23,11 +23,8 @@ import (
 // survives, so first-winner search records no kills at all and the
 // discriminating-input ranking would be empty. The caller owns the
 // table: render it with WriteSearchReport or summarize it for
-// BENCH_synth.json. pool, when non-nil, rides along read-write: its
-// ranked counterexamples are replayed first and every kill is recorded
-// into it live, so a -cex-pool file compounds across runs without a
-// separate absorb step.
-func SearchBench(ctx context.Context, targets []string, numTests int, kills *obs.KillTable, pool *obs.CexPool) error {
+// BENCH_synth.json.
+func SearchBench(ctx context.Context, targets []string, numTests int, kills *obs.KillTable) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -41,8 +38,7 @@ func SearchBench(ctx context.Context, targets []string, numTests int, kills *obs
 				Entry:         b.Entry,
 				ProfileValues: b.ProfileValues,
 				Kills:         kills,
-				Synth: synth.Options{NumTests: numTests, Workers: 1,
-					ExhaustAll: true, Cex: pool},
+				Synth:         synth.Options{NumTests: numTests, Workers: 1, ExhaustAll: true},
 			}); err != nil {
 				return err
 			}

@@ -9,15 +9,14 @@ import (
 // TestSearchBenchMultiFamilyPerTarget is the acceptance criterion for
 // the search observatory: on the bench corpus, every target must have
 // at least one IO case that killed candidates from more than one
-// binding family — the discriminating inputs the counterexample pool
-// exists to persist.
+// binding family, so kill events attribute each death to its family.
 func TestSearchBenchMultiFamilyPerTarget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus compile in -short mode")
 	}
 	targets := []string{"ffta", "powerquad", "fftw"}
 	kills := obs.NewKillTable()
-	if err := SearchBench(nil, targets, 3, kills, nil); err != nil {
+	if err := SearchBench(nil, targets, 3, kills); err != nil {
 		t.Fatal(err)
 	}
 	sum := kills.Summary()

@@ -178,7 +178,6 @@ func ServeBench(ctx context.Context, cfg ServeBenchConfig) (*ServeBenchReport, e
 		Workers:    cfg.Workers,
 		Store:      st,
 		Tracer:     tr,
-		Options:    facc.Options{Harden: true},
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

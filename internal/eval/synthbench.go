@@ -139,12 +139,6 @@ type SynthBenchReport struct {
 	// sequential run decides at every worker count, so one run suffices.
 	Search *obs.SearchSummary `json:"search,omitempty"`
 
-	// CexPoolEntries is the counterexample pool size after the priming
-	// pass — the ranked discriminating inputs every measured run
-	// replayed first (each run gets its own clone of this pool, so no
-	// run contaminates another's measurement).
-	CexPoolEntries int `json:"cex_pool_entries"`
-
 	// Speedup is the median over interleaved rounds of wall(first run) /
 	// wall(last run) — ≥1 when running a candidate's cases in parallel
 	// pays off. BenchGate floors it at 1.0 on multi-core hosts; on
@@ -164,20 +158,12 @@ type SynthBenchReport struct {
 // File-level compilation is kept sequential so case-level parallelism is
 // the only variable.
 // kills, when non-nil, receives the first (sequential) run's kill
-// attribution — pass the CLI's shared table so -search-report and
-// -cex-pool observe the same events as the report's search section; nil
-// gets a private table.
-//
-// pool, when non-nil (the CLI's -cex-pool), seeds the counterexample
-// replay: an unmeasured sequential priming pass first records the
-// corpus's kills into it, then every measured run replays a private
-// clone of the primed pool — identical starting state per run, and the
-// caller's pool keeps only the priming kills (flushed by the CLI's
-// Finish). nil primes a private pool, so the measured runs always
-// exercise the replay-first path. Each measured run also shares one
-// oracle cache across its targets, exactly like CompileAll, so the
-// artifact reflects cross-target reference-run sharing.
-func SynthBench(ctx context.Context, targets []string, numTests int, workerCounts []int, kills *obs.KillTable, pool *obs.CexPool) (*SynthBenchReport, error) {
+// attribution — pass the CLI's shared table so -search-report observes
+// the same events as the report's search section; nil gets a private
+// table. Each measured run shares one oracle cache across its targets,
+// exactly like CompileAll, so the artifact reflects cross-target
+// reference-run sharing.
+func SynthBench(ctx context.Context, targets []string, numTests int, workerCounts []int, kills *obs.KillTable) (*SynthBenchReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -188,29 +174,6 @@ func SynthBench(ctx context.Context, targets []string, numTests int, workerCount
 		NumTests:          numTests,
 		AdaptersIdentical: true,
 	}
-
-	// Priming pass (unmeasured): fill the pool with this corpus's
-	// discriminating inputs so the measured runs below replay a warm,
-	// ranked pool — the steady state of a long-lived -cex-pool file.
-	if pool == nil {
-		pool = obs.NewCexPool()
-	}
-	for _, target := range targets {
-		spec, err := accel.SpecByName(target)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range bench.SupportedSuite() {
-			if _, err := core.CompileSource(ctx, b.File, b.Source(), spec, core.Options{
-				Entry:         b.Entry,
-				ProfileValues: b.ProfileValues,
-				Synth:         synth.Options{NumTests: numTests, Workers: 1, Cex: pool},
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	rep.CexPoolEntries = len(pool.Entries())
 
 	// The worker counts are measured in speedPairs interleaved rounds.
 	// Each round runs every worker count once, and the order rotates
@@ -236,7 +199,7 @@ func SynthBench(ctx context.Context, targets []string, numTests int, workerCount
 				}
 				ktab = kills
 			}
-			run, adapters, err := synthBenchRun(ctx, targets, numTests, workerCounts[wi], pool, ktab)
+			run, adapters, err := synthBenchRun(ctx, targets, numTests, workerCounts[wi], ktab)
 			if err != nil {
 				return nil, err
 			}
@@ -287,14 +250,13 @@ func SynthBench(ctx context.Context, targets []string, numTests int, workerCount
 const speedPairs = 11
 
 // synthBenchRun compiles the corpus once at one worker count: every
-// target, each program's targets sharing one oracle cache, replaying a
-// private clone of pool, with kill attribution into ktab (nil for none).
+// target, each program's targets sharing one oracle cache, with kill
+// attribution into ktab (nil for none).
 // It returns the run's statistics and the adapter C per target/program.
 func synthBenchRun(ctx context.Context, targets []string, numTests, workers int,
-	pool *obs.CexPool, ktab *obs.KillTable) (SynthBenchRun, map[string]string, error) {
+	ktab *obs.KillTable) (SynthBenchRun, map[string]string, error) {
 	tr := obs.New()
 	led := obs.NewLedger()
-	cex := pool.Clone()
 	oc := synth.NewOracleCache()
 	adapters := map[string]string{}
 	start := time.Now()
@@ -310,8 +272,7 @@ func synthBenchRun(ctx context.Context, targets []string, numTests, workers int,
 				Trace:         tr,
 				Ledger:        led,
 				Kills:         ktab,
-				Synth: synth.Options{NumTests: numTests, Workers: workers,
-					Cex: cex, Oracle: oc},
+				Synth:         synth.Options{NumTests: numTests, Workers: workers, Oracle: oc},
 			})
 			if err != nil {
 				return SynthBenchRun{}, nil, err
@@ -517,9 +478,5 @@ func (r *SynthBenchReport) WriteText(w io.Writer) {
 				len(r.Targets), 100*ct.MultiCandidateHitRate, ct.Hits,
 				ct.Hits+ct.Misses, ct.MultiCandidateBenchmarks, ct.Benchmarks)
 		}
-	}
-	if r.CexPoolEntries > 0 {
-		fmt.Fprintf(w, "counterexample pool: %d primed entries replayed first by every measured run\n",
-			r.CexPoolEntries)
 	}
 }

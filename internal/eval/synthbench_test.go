@@ -10,7 +10,7 @@ import (
 // checks the report's internal consistency and JSON round trip — the full
 // configuration is exercised by `make bench-json`.
 func TestSynthBenchSmoke(t *testing.T) {
-	rep, err := SynthBench(nil, []string{"fftw"}, 2, []int{1, 2}, nil, nil)
+	rep, err := SynthBench(nil, []string{"fftw"}, 2, []int{1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSynthBenchSmoke(t *testing.T) {
 // TestSynthBenchSearchSection: the report's search section comes from
 // the sequential run and is internally consistent with it.
 func TestSynthBenchSearchSection(t *testing.T) {
-	rep, err := SynthBench(nil, []string{"fftw"}, 2, []int{1}, nil, nil)
+	rep, err := SynthBench(nil, []string{"fftw"}, 2, []int{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

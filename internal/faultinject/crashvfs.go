@@ -1,3 +1,7 @@
+// Package faultinject holds the adapter store's failure seams:
+// crash-point injection through a virtual file system (this file) and
+// the IOBreaker circuit breaker over storage operations (iobreaker.go).
+//
 // Crash-point injection: a virtual file system whose every durable
 // operation is a numbered crash site.
 //

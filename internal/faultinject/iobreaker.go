@@ -8,6 +8,30 @@ import (
 	"facc/internal/obs"
 )
 
+// State is a circuit-breaker state.
+type State int
+
+// Breaker states: Closed passes operations through; Open rejects them;
+// HalfOpen lets one probe through after the cooldown.
+const (
+	Closed State = iota
+	Open
+	HalfOpen
+)
+
+func (s State) String() string {
+	switch s {
+	case Closed:
+		return "closed"
+	case Open:
+		return "open"
+	case HalfOpen:
+		return "half-open"
+	default:
+		return "unknown"
+	}
+}
+
 // ErrCircuitOpen is returned by IOBreaker.Do while the circuit is open
 // (and by non-probe callers during the half-open window): the operation
 // was not attempted. Callers degrade — the adapter store treats it as a
@@ -15,11 +39,10 @@ import (
 var ErrCircuitOpen = errors.New("faultinject: circuit open")
 
 // IOBreaker is the circuit breaker for plain error-returning operations
-// (disk reads/writes in the adapter store, as opposed to accelerator
-// Runner calls, which Breaker covers). Same state machine: consecutive
-// failures past Threshold open the circuit, after Cooldown exactly one
-// probe is allowed through, a successful probe closes it. Metrics are
-// published under the given prefix:
+// (disk reads/writes in the adapter store): consecutive failures past
+// Threshold open the circuit, after Cooldown exactly one probe is
+// allowed through, a successful probe closes it. Metrics are published
+// under the given prefix:
 //
 //	<prefix>.breaker.transitions.<state> (counters)
 //	<prefix>.breaker.state               (gauge, State enum value)

@@ -8,8 +8,8 @@ import (
 )
 
 // peerBreaker is the health circuit for one remote peer, in the same
-// spirit as faultinject.Breaker but judging a network neighbour instead
-// of an accelerator: consecutive failures (probe misses and forwarding
+// spirit as the store's faultinject.IOBreaker but judging a network
+// neighbour instead of a disk: consecutive failures (probe misses and forwarding
 // errors both count) past Threshold eject the peer from the ring — the
 // open state — and every forward skips it. The background prober keeps
 // probing an ejected peer; a successful probe is the half-open trial

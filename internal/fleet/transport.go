@@ -42,8 +42,7 @@ func (e *PartitionError) Error() string {
 // then kills and partitions links mid-run; unit tests use it to simulate
 // peer death without binding sockets that refuse connections slowly.
 //
-// Deterministic for a fixed seed and call sequence, like
-// faultinject.Injector.
+// Deterministic for a fixed seed and call sequence.
 type FaultTransport struct {
 	base  http.RoundTripper
 	sleep func(time.Duration)

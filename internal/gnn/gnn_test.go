@@ -205,9 +205,6 @@ func TestMetricsHelpers(t *testing.T) {
 		// top-2 of a 2-class model always contains every class
 		t.Errorf("top-2 recall should be 1.0, got %g", r)
 	}
-	if p := PrecisionForClass(model, graphs, 1, 1); p < 0.5 {
-		t.Errorf("top-1 precision unexpectedly low: %g", p)
-	}
 	if a := TopKAccuracy(model, graphs, 2); a != 1.0 {
 		t.Errorf("top-2 accuracy with 2 classes = %g", a)
 	}

@@ -254,28 +254,3 @@ func RecallForClass(model *GCN, graphs []*Graph, class, k int) float64 {
 	}
 	return float64(hits) / float64(total)
 }
-
-// PrecisionForClass computes top-k precision of one class: of the graphs
-// that include the class in their top-k, how many truly belong to it.
-func PrecisionForClass(model *GCN, graphs []*Graph, class, k int) float64 {
-	flagged, correct := 0, 0
-	for _, g := range graphs {
-		inTop := false
-		for _, c := range model.TopK(g, k) {
-			if c == class {
-				inTop = true
-				break
-			}
-		}
-		if inTop {
-			flagged++
-			if g.Label == class {
-				correct++
-			}
-		}
-	}
-	if flagged == 0 {
-		return 0
-	}
-	return float64(correct) / float64(flagged)
-}

@@ -154,16 +154,3 @@ func ComplexSlicesAlmostEqual(a, b []complex128, tol float64) bool {
 	}
 	return true
 }
-
-// FloatSlicesAlmostEqual compares two float slices with tolerance.
-func FloatSlicesAlmostEqual(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !almostEqual(a[i], b[i], tol) {
-			return false
-		}
-	}
-	return true
-}

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"sync"
 
-	"facc/internal/accel"
 	"facc/internal/analysis"
 	"facc/internal/binding"
 )
@@ -297,7 +296,7 @@ func RefSig(cand *binding.Candidate) string {
 // is exactly the key of the candidate-independent signal stream, so the
 // same signature names the same input samples across candidates,
 // binding families, runs and processes — what the kill table aggregates
-// on and the persistent counterexample pool is keyed by.
+// on.
 func CaseSig(seed, accelLen int64, caseIdx int) string {
 	return fmt.Sprintf("seed=%d n=%d case=%d", seed, accelLen, caseIdx)
 }
@@ -536,26 +535,4 @@ func log2(n int64) int {
 		k++
 	}
 	return k
-}
-
-// FallbackSizes returns lengths in the user's profiled range that the
-// accelerator does NOT support — used to test that the fallback path
-// preserves behavior.
-func FallbackSizes(spec *accel.Spec, profile *analysis.Profile, lengthParam string, conv binding.LengthConv) []int64 {
-	if profile == nil || lengthParam == "" {
-		return nil
-	}
-	r := profile.Range(lengthParam)
-	if r == nil {
-		return nil
-	}
-	var out []int64
-	if vals := r.Distinct(); vals != nil {
-		for _, v := range vals {
-			if an := conv.Apply(v); an <= 0 || !spec.Supports(int(an)) {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
 }

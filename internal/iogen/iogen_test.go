@@ -288,20 +288,3 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestFallbackSizes(t *testing.T) {
-	p := analysis.NewProfile()
-	for _, v := range []int64{64, 100, 8192 * 16} {
-		p.ObserveInt("n", v)
-	}
-	fb := FallbackSizes(accel.NewFFTA(), p, "n", binding.ConvIdentity)
-	want := map[int64]bool{100: true, 8192 * 16: true}
-	if len(fb) != 2 {
-		t.Fatalf("fallback sizes = %v", fb)
-	}
-	for _, v := range fb {
-		if !want[v] {
-			t.Errorf("unexpected fallback size %d", v)
-		}
-	}
-}

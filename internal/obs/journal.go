@@ -24,8 +24,6 @@ const (
 	KindAccepted = "accepted" // candidate became the adapter
 	KindResult   = "result"   // function outcome (replaced/rejected)
 	KindOracle   = "oracle"   // reference-oracle cache stats for a function
-	KindDegraded = "degraded" // accelerator breaker state change (Outcome:
-	// new state; open means execution routes to the software FFT fallback)
 )
 
 // JournalEvent is one entry of the synthesis provenance journal — enough

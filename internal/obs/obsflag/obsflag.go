@@ -1,8 +1,8 @@
 // Package obsflag wires the shared observability flags into the FACC
 // command-line binaries so facc, faccbench and faccclassify expose the
 // same -trace/-metrics surface (and facc/faccbench additionally
-// -journal/-explain plus the robustness budget flags -timeout,
-// -candidate-timeout and -faults), with one implementation of the
+// -journal/-explain plus the robustness budget flags -timeout and
+// -candidate-timeout), with one implementation of the
 // export plumbing. The live endpoints (-serve) live in obshttp, which
 // only the binaries whose runs last long enough to watch link.
 package obsflag
@@ -36,19 +36,13 @@ type Flags struct {
 	Costs       bool
 	// SearchReport (-search-report) prints the search observatory
 	// report — funnel, kill-depth distribution, top discriminating
-	// inputs — to stderr. CexPoolFile (-cex-pool) persists those
-	// discriminating inputs across runs in a crash-safe JSONL pool.
+	// inputs — to stderr.
 	SearchReport bool
-	CexPoolFile  string
 
 	// Robustness budgets (RegisterSynth binaries only). Timeout bounds
-	// the whole run, CandidateTimeout one fuzzed binding candidate, and
-	// Faults carries an unparsed fault-injection profile (parsed by the
-	// binary with facc.ParseFaultProfile so this package stays free of
-	// pipeline dependencies).
+	// the whole run and CandidateTimeout one fuzzed binding candidate.
 	Timeout          time.Duration
 	CandidateTimeout time.Duration
-	Faults           string
 
 	// Workers (-j, RegisterSynth binaries only) bounds case-level
 	// parallelism inside generate-and-test: how many of a candidate's IO
@@ -61,7 +55,6 @@ type Flags struct {
 	j        *obs.Journal
 	led      *obs.Ledger
 	kills    *obs.KillTable
-	pool     *obs.CexPool
 	shutdown func() error
 }
 
@@ -85,8 +78,7 @@ func (f *Flags) OnFinish(shutdown func() error) { f.shutdown = shutdown }
 
 // RegisterSynth additionally installs the provenance flags (-journal,
 // -explain) and the robustness budget flags (-timeout,
-// -candidate-timeout, -faults) for binaries that run the synthesis
-// pipeline.
+// -candidate-timeout) for binaries that run the synthesis pipeline.
 func RegisterSynth(fs *flag.FlagSet, prog string) *Flags {
 	f := Register(fs, prog)
 	fs.StringVar(&f.JournalFile, "journal", "",
@@ -97,14 +89,10 @@ func RegisterSynth(fs *flag.FlagSet, prog string) *Flags {
 		"print the synthesis cost ledger (useful vs speculative vs shared work per target) to stderr")
 	fs.BoolVar(&f.SearchReport, "search-report", false,
 		"print the search observatory report (kill attribution, funnel, top discriminating inputs) to stderr")
-	fs.StringVar(&f.CexPoolFile, "cex-pool", "",
-		"persist the discriminating-input counterexample pool (crash-safe JSONL) in this file across runs")
 	fs.DurationVar(&f.Timeout, "timeout", 0,
 		"abort the whole run after this wall-clock budget, e.g. 30s (0 = no deadline)")
 	fs.DurationVar(&f.CandidateTimeout, "candidate-timeout", 0,
 		"reject any single binding candidate whose fuzzing exceeds this budget (0 = no budget)")
-	fs.StringVar(&f.Faults, "faults", "",
-		`inject accelerator faults for chaos testing: a preset (flaky, lossy, slow, chaos) or rates like "error=0.3,corrupt=0.01,latency=0.1,seed=7" (implies retry+breaker hardening)`)
 	fs.IntVar(&f.Workers, "j", 0,
 		"run up to this many of a binding candidate's IO cases in parallel; 0 = GOMAXPROCS, 1 = sequential (the result is deterministic either way)")
 	return f
@@ -140,26 +128,13 @@ func (f *Flags) Ledger() *obs.Ledger {
 }
 
 // Kills returns the search-observatory kill table, created on first use
-// when -search-report, -cex-pool or -serve is set; nil otherwise so the
-// verdict path's nil guards keep synthesis allocation-free.
+// when -search-report or -serve is set; nil otherwise so the verdict
+// path's nil guards keep synthesis allocation-free.
 func (f *Flags) Kills() *obs.KillTable {
-	if f.kills == nil && (f.SearchReport || f.CexPoolFile != "" || f.Serve != "") {
+	if f.kills == nil && (f.SearchReport || f.Serve != "") {
 		f.kills = obs.NewKillTable()
 	}
 	return f.kills
-}
-
-// Pool returns the counterexample pool when -cex-pool is set (loaded by
-// Start; empty before Start or when the file did not exist), nil
-// otherwise. Pass it to the pipeline via Options.Cex: synthesis replays
-// its ranked counterexamples before fresh fuzz cases and records every
-// kill into it live, so Finish flushes a pool that already reflects
-// this run's discriminating inputs.
-func (f *Flags) Pool() *obs.CexPool {
-	if f.pool == nil && f.CexPoolFile != "" {
-		f.pool = obs.NewCexPool()
-	}
-	return f.pool
 }
 
 // WithTrace stamps ctx with a fresh run-scoped trace ID so every span,
@@ -220,27 +195,6 @@ func (f *Flags) FlushOnSignal() {
 	}()
 }
 
-// Start loads the counterexample pool when -cex-pool names one.
-func (f *Flags) Start() error {
-	if f.CexPoolFile != "" {
-		// Loaded read-write: Pool() hands it to synthesis, which replays
-		// its ranked counterexamples first and records every kill into
-		// it live; Finish flushes the updated ranking back. Replay only
-		// reorders each candidate's own case stream, so results are
-		// byte-identical with or without the pool.
-		pool, info, err := obs.LoadCexPool(f.CexPoolFile)
-		if err != nil {
-			return fmt.Errorf("%s: -cex-pool %s: %w", f.prog, f.CexPoolFile, err)
-		}
-		if info.Quarantined != "" {
-			fmt.Fprintf(os.Stderr, "%s: -cex-pool %s: corrupt pool quarantined to %s; starting empty\n",
-				f.prog, f.CexPoolFile, info.Quarantined)
-		}
-		f.pool = pool
-	}
-	return nil
-}
-
 // Finish runs the OnFinish shutdown, if any, and writes every requested
 // export: the Chrome trace file, the stderr summary, the JSONL journal,
 // and the explain report. The first error is returned after all exports
@@ -272,15 +226,6 @@ func (f *Flags) Finish() error {
 	}
 	if f.SearchReport && f.kills != nil {
 		keep(f.kills.WriteSearchReport(os.Stderr, 10))
-	}
-	if f.CexPoolFile != "" {
-		if f.pool == nil {
-			f.pool = obs.NewCexPool()
-		}
-		// No Absorb here: the pool is wired into synthesis via Pool(),
-		// so every kill this run produced was already recorded live
-		// (absorbing the kill table again would double-count them).
-		keep(f.pool.Flush(f.CexPoolFile))
 	}
 	return first
 }

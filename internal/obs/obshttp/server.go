@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"facc/internal/faultinject"
 	"facc/internal/obs"
 	"facc/internal/obs/obsflag"
 )
@@ -70,18 +71,10 @@ type Status struct {
 	TestsRun         int64   `json:"tests_run"`
 	FuzzPassRate     float64 `json:"fuzz_pass_rate"`
 
-	// Robustness: how the run is coping with a faulty accelerator.
-	// FaultsInjected sums the chaos injector's transient/corrupt/latency
-	// counters; DegradedRuns counts calls served by the software-FFT
-	// fallback while the breaker was open. BreakerState is "" until a
-	// hardened accelerator registers its gauge.
-	FaultsInjected    int64  `json:"faults_injected"`
-	Retries           int64  `json:"retries"`
-	RetriesExhausted  int64  `json:"retries_exhausted"`
-	DegradedRuns      int64  `json:"degraded_runs"`
-	CandidatePanics   int64  `json:"candidate_panics"`
-	CandidateTimeouts int64  `json:"candidate_timeouts"`
-	BreakerState      string `json:"breaker_state,omitempty"`
+	// Robustness: candidates rejected by the panic shield and by the
+	// per-candidate budget.
+	CandidatePanics   int64 `json:"candidate_panics"`
+	CandidateTimeouts int64 `json:"candidate_timeouts"`
 
 	// Reference-oracle cache effectiveness. OraclePerTarget splits the
 	// blended rate per accelerator target (the ROADMAP's ">50%
@@ -264,16 +257,10 @@ func (s *Server) BuildStatus() Status {
 		if strings.HasPrefix(name, "binding.pruned.") {
 			st.CandidatesPruned += v
 		}
-		if strings.HasPrefix(name, "accel.faults.injected.") {
-			st.FaultsInjected += v
-		}
 	}
 	if st.CandidatesTested > 0 {
 		st.FuzzPassRate = float64(st.Survivors) / float64(st.CandidatesTested)
 	}
-	st.Retries = st.Counters["accel.retries"]
-	st.RetriesExhausted = st.Counters["accel.retry.exhausted"]
-	st.DegradedRuns = st.Counters["accel.degraded_runs"]
 	st.CandidatePanics = st.Counters["synth.panics"]
 	st.CandidateTimeouts = st.Counters["synth.candidate_timeouts"]
 	st.OracleHits = st.Counters["synth.oracle_hits"]
@@ -341,7 +328,7 @@ func (s *Server) BuildStatus() Status {
 			FlightRetained:   int64(st.Gauges["serve.flight_retained"]),
 		}
 		if g, ok := st.Gauges["store.breaker.state"]; ok {
-			st.Serve.StoreBreaker = breakerStateName(int(g))
+			st.Serve.StoreBreaker = faultinject.State(g).String()
 		}
 		if live, ok := st.Gauges["store.live_records"]; ok {
 			st.Serve.Store = &StoreStatus{
@@ -385,25 +372,7 @@ func (s *Server) BuildStatus() Status {
 			}
 		}
 	}
-	if g, ok := st.Gauges["accel.breaker.state"]; ok {
-		st.BreakerState = breakerStateName(int(g))
-	}
 	return st
-}
-
-// breakerStateName decodes a faultinject.State enum value stored in a
-// gauge.
-func breakerStateName(v int) string {
-	switch v {
-	case 0:
-		return "closed"
-	case 1:
-		return "open"
-	case 2:
-		return "half-open"
-	default:
-		return "unknown"
-	}
 }
 
 // Handler returns the route mux.

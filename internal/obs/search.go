@@ -242,8 +242,7 @@ func sortFunnels(fs []Funnel) {
 
 // CaseStats aggregates one IO case's kill record on one target. A case
 // that kills candidates from more than one binding family is a strong
-// discriminating input — the exact thing a CEGIS replay loop wants
-// to try first.
+// discriminating input.
 type CaseStats struct {
 	Target   string           `json:"target"`
 	Sig      string           `json:"sig"` // user-visible case identity

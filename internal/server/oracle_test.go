@@ -93,7 +93,7 @@ func newRealServer(t testing.TB, workers int) (*Server, *httptest.Server, *obs.T
 	s := New(Config{
 		QueueDepth: 16, Workers: workers,
 		Tracer: tr, Journal: obs.NewJournal(), Ledger: led, Kills: obs.NewKillTable(),
-		Options: facc.Options{Workers: 1, Harden: true},
+		Options: facc.Options{Workers: 1},
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -300,7 +300,7 @@ func BenchmarkServeHit(b *testing.B) {
 	defer st.Close()
 	s := New(Config{Workers: 1, Store: st, Tracer: obs.New(), Journal: obs.NewJournal(),
 		Ledger: obs.NewLedger(), Kills: obs.NewKillTable(),
-		Options: facc.Options{Workers: 1, Harden: true}})
+		Options: facc.Options{Workers: 1}})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()
@@ -330,7 +330,7 @@ func BenchmarkServeFreshDigest(b *testing.B) {
 	defer st.Close()
 	s := New(Config{Workers: 1, Store: st, Tracer: obs.New(), Journal: obs.NewJournal(),
 		Ledger: obs.NewLedger(), Kills: obs.NewKillTable(),
-		Options: facc.Options{Workers: 1, Harden: true}})
+		Options: facc.Options{Workers: 1}})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()

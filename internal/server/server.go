@@ -1,4 +1,4 @@
-// Package server is faccd's hardened compile service: it accepts MiniC
+// Package server is faccd's compile service: it accepts MiniC
 // sources over HTTP, runs them through the FACC pipeline, and degrades
 // gracefully instead of falling over. The robustness mechanisms, in the
 // order a request meets them:
@@ -102,13 +102,6 @@ type Config struct {
 	// families, and flight records carry each retained request's kill
 	// events and funnel summary.
 	Kills *obs.KillTable
-	// Cex, when non-nil, is the daemon's read-write counterexample
-	// pool: every compile replays its ranked discriminating inputs
-	// first and records its kills into it live, so the pool reranks
-	// continuously over the daemon's lifetime (the owner flushes it on
-	// shutdown — no absorb step needed, live recording already counted
-	// every kill).
-	Cex *obs.CexPool
 	// FlightRecorder bounds how many slowest and how many failed
 	// requests are retained with full span trees and cost ledgers at
 	// /debug/requests (default 32 per class; <0 disables).
@@ -121,7 +114,7 @@ type Config struct {
 	// the error budget 1-SLOObjective.
 	SLOObjective float64
 	// Options is the standing compile configuration for the default
-	// CompileFunc (workers, candidate timeout, fault profile, hardening).
+	// CompileFunc (workers, candidate timeout, test count).
 	// Its sinks and its Oracle are replaced by the server's own.
 	Options facc.Options
 	// Compile overrides the facc-backed compile (tests).
@@ -260,7 +253,6 @@ func (s *Server) faccCompile(ctx context.Context, req facc.CompileRequest) (Comp
 	opts.Journal = s.cfg.Journal
 	opts.Ledger = s.cfg.Ledger
 	opts.Kills = s.cfg.Kills
-	opts.Cex = s.cfg.Cex
 	opts.Oracle = s.oracleCache()
 	res, err := facc.CompileRequestContext(ctx, req, opts)
 	if err != nil {
@@ -591,9 +583,8 @@ func (s *Server) run(job *Job) {
 }
 
 // observeSLO books one executed job against the latency/error objective
-// and retains it in the flight recorder. Failed jobs (including ones
-// felled by injected accelerator faults) always enter the failure ring;
-// every job competes for the slowest list.
+// and retains it in the flight recorder. Failed jobs always enter the
+// failure ring; every job competes for the slowest list.
 func (s *Server) observeSLO(job *Job, state JobState, latMs float64) {
 	violation := state == Failed ||
 		latMs > float64(s.cfg.SLOLatency)/float64(time.Millisecond)

@@ -451,7 +451,7 @@ func TestServerCrashRecoveryEndToEnd(t *testing.T) {
 		ProfileValues: bm.ProfileValues,
 		NumTests:      3,
 	}
-	opts := facc.Options{Harden: true} // what cmd/faccd always sets
+	var opts facc.Options
 
 	// The sequential CLI baseline: same request, no daemon.
 	base, err := facc.CompileRequestContext(context.Background(), req, opts)

@@ -83,7 +83,6 @@ func TestServerTraceJoinEndToEnd(t *testing.T) {
 	s := New(Config{
 		QueueDepth: 4, Workers: 1,
 		Tracer: tr, Journal: j, Ledger: led, Kills: kills, Store: st,
-		Options: facc.Options{Harden: true},
 	})
 	defer s.Drain(context.Background())
 	ts := httptest.NewServer(s.Handler())

@@ -84,7 +84,7 @@ func corpusProfile(values map[string][]int64) *analysis.Profile {
 
 // TestCaseOrderIndependent runs the cases of every candidate the
 // Workers=1 search dispatches, on every (program, target) pair of the
-// corpus, three ways: on one machine in replay order, on one machine in
+// corpus, three ways: on one machine in case order, on one machine in
 // reverse order, and each on a fresh machine. All three must agree bit
 // for bit.
 func TestCaseOrderIndependent(t *testing.T) {
@@ -139,7 +139,7 @@ func TestCaseOrderIndependent(t *testing.T) {
 					fresh := refRun(refMachine(t, f), fn, cand, tc)
 					if !fwd[i].equal(rev[i]) || !fwd[i].equal(fresh) {
 						t.Errorf("%s/%s %s case %d depends on the cases run before it:\n"+
-							"  replay order: ret %q fault %q\n  reverse order: ret %q fault %q\n"+
+							"  case order: ret %q fault %q\n  reverse order: ret %q fault %q\n"+
 							"  fresh machine: ret %q fault %q",
 							bm.Name, target, cand.Key(), i, fwd[i].ret, fwd[i].fault,
 							rev[i].ret, rev[i].fault, fresh.ret, fresh.fault)

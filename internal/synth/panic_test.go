@@ -27,10 +27,10 @@ func TestPanicInAcceleratorIsIsolated(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		spec := accel.NewFFTA()
 		var calls atomic.Int64
-		spec.Exec = accel.RunnerFunc(func([]complex128, fft.Direction) ([]complex128, error) {
+		spec.Exec = func([]complex128, fft.Direction) ([]complex128, error) {
 			calls.Add(1)
 			panic("device driver bug")
-		})
+		}
 		tr := obs.New()
 		j := obs.NewJournal()
 		sp := tr.Span("synthesize")
@@ -83,12 +83,12 @@ func TestPanicCostsOneCandidate(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		spec := accel.NewFFTA()
 		var calls atomic.Int64
-		spec.Exec = accel.RunnerFunc(func(in []complex128, dir fft.Direction) ([]complex128, error) {
+		spec.Exec = func(in []complex128, dir fft.Direction) ([]complex128, error) {
 			if calls.Add(1) == 1 {
 				panic("one-shot driver bug")
 			}
 			return spec.Simulate(in, dir)
-		})
+		}
 		j := obs.NewJournal()
 		res, err := Synthesize(context.Background(), f, f.Func("fft"), spec, pow2Profile("n"),
 			Options{NumTests: 4, Journal: j, Workers: workers})

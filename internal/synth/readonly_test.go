@@ -10,12 +10,10 @@ import (
 
 	"facc/internal/accel"
 	"facc/internal/binding"
-	"facc/internal/faultinject"
 	"facc/internal/fft"
 	"facc/internal/interp"
 	"facc/internal/iogen"
 	"facc/internal/minic"
-	"facc/internal/obs"
 )
 
 // layoutsSrc declares one parameter per array layout writeArray encodes.
@@ -61,29 +59,6 @@ func TestConsumersLeaveInputUnwritten(t *testing.T) {
 		}
 		check(run.spec.Name + " " + run.dir.String() + " Spec.Run")
 	}
-
-	// The hardened chain: an injector corrupting every call, then the
-	// breaker open so the software FFT serves the call.
-	corrupt := accel.NewFFTA()
-	faultinject.Harden(corrupt, faultinject.Profile{CorruptRate: 1}, obs.NewRegistry())
-	if _, err := corrupt.Run(tc.Input, fft.Forward); err != nil {
-		t.Fatalf("corrupting chain: %v", err)
-	}
-	check("the hardened chain corrupting every call")
-	failing := accel.NewFFTA()
-	br := faultinject.Harden(failing, faultinject.Profile{ErrorRate: 1}, obs.NewRegistry())
-	for i := 0; br.State() != faultinject.Open; i++ {
-		if i > br.Threshold {
-			t.Fatalf("breaker still %v after %d failing calls", br.State(), i)
-		}
-		if _, err := failing.Run(make([]complex128, len(want)), fft.Forward); err != nil {
-			t.Fatalf("failing chain: %v", err)
-		}
-	}
-	if _, err := failing.Run(tc.Input, fft.Forward); err != nil {
-		t.Fatalf("open breaker: %v", err)
-	}
-	check("the hardened chain with its breaker open")
 
 	// Encoding into the user's arrays, in every layout.
 	f, err := minic.ParseAndCheck("layouts.c", layoutsSrc)

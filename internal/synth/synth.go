@@ -78,10 +78,10 @@ type Options struct {
 	// run on up to Workers goroutines — never more than GOMAXPROCS — each
 	// on a pooled interpreter machine. 0 (the default) means GOMAXPROCS;
 	// 1 runs every case inline on the candidate's goroutine. The per-case
-	// results are resolved in replay order, so the Result, the adapter,
-	// the journal, the kill table and the counterexample pool are
-	// identical for every Workers value; only metrics, the ledger and the
-	// oracle's hit/miss split count the cases run past a kill.
+	// results are resolved in case order, so the Result, the adapter, the
+	// journal and the kill table are identical for every Workers value;
+	// only metrics, the ledger and the oracle's hit/miss split count the
+	// cases run past a kill.
 	Workers int
 	// Obs is the enclosing pipeline span: analysis, binding enumeration,
 	// per-candidate fuzzing and range-check synthesis report as children
@@ -122,20 +122,6 @@ type Options struct {
 	// only by this call's candidates. Sharing never changes results: an
 	// entry's value, and a kept draw, is a pure function of its key.
 	Oracle *OracleCache
-	// Cex, when non-nil, makes search counterexample-guided, in both
-	// directions. Read side: the pool's ranking is snapshotted once per
-	// Synthesize and each candidate's own generated case batch is
-	// reordered so previously-discriminating cases run first — a loser
-	// dies on its first case instead of after a warm-up of passes.
-	// Write side: every case-attributed kill is recorded back into the
-	// pool live (RecordKill), so rank state compounds across functions,
-	// targets and — in a daemon — requests, without waiting for a
-	// flush. Replay only permutes a candidate's own cases, never
-	// injects foreign ones, so the surviving adapter is byte-identical
-	// with or without a pool (survival over a fixed case set is
-	// order-independent); what changes is which case gets the kill
-	// credit, and how soon.
-	Cex *obs.CexPool
 }
 
 func (o *Options) defaults() {
@@ -210,11 +196,6 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 		reg = opts.Obs.Metrics()
 	}
 	orc := newOracle(f, fn, spec.Name, workers, reg, opts.Ledger, cache)
-	// One ranking snapshot per synthesis: kills recorded during this run
-	// feed the live pool (for the next function/request) but never
-	// reorder this run's own cases, so replay order — and the journal —
-	// is a pure function of the pool state at entry.
-	replay := opts.Cex.ReplayRank()
 	var winner *Adapter
 	for i, cand := range cands {
 		if err := ctx.Err(); err != nil {
@@ -224,7 +205,7 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 		if opts.Obs != nil {
 			fsp = opts.Obs.Child("fuzz").Str("binding", cand.Key()).Int("candidate", int64(i+1))
 		}
-		ad, err := evalCandidate(ctx, fn, cand, profile, opts, fsp, orc, replay)
+		ad, err := evalCandidate(ctx, fn, cand, profile, opts, fsp, orc)
 		fsp.End()
 		if err != nil {
 			return nil, err
@@ -319,15 +300,13 @@ func verdict(opts Options, fn string, cand *binding.Candidate,
 }
 
 // recordKill attributes one candidate's death to the discriminating IO
-// case in the kill table and — when a counterexample pool is attached —
-// feeds the kill back into the pool live, so the case's rank reflects
-// it before the next synthesis snapshots the pool. Every caller guards
-// with killSinks(opts), so the disabled path renders no keys and
-// allocates nothing; tc is nil (and caseIdx -1) when no single case is
-// attributable.
+// case in the kill table. With no table it returns before rendering any
+// key, so the disabled path allocates nothing; callers guard too, before
+// rendering their detail strings. tc is nil (and caseIdx -1) when no
+// single case is attributable.
 func recordKill(opts Options, fn string, cand *binding.Candidate,
 	tc *iogen.Case, caseIdx int, steps int64, mismatch, detail string) {
-	if !killSinks(opts) {
+	if opts.Kills == nil {
 		return
 	}
 	ev := obs.KillEvent{
@@ -344,16 +323,9 @@ func recordKill(opts Options, fn string, cand *binding.Candidate,
 	if tc != nil && caseIdx >= 0 {
 		ev.CaseSig = iogen.CaseSig(opts.Seed, tc.AccelLen, caseIdx)
 		ev.Len = tc.AccelLen
-		opts.Cex.RecordKill(ev.CaseSig, opts.Seed, tc.AccelLen, caseIdx,
-			ev.Family, ev.Target)
 	}
-	if opts.Kills != nil {
-		opts.Kills.Record(ev)
-	}
+	opts.Kills.Record(ev)
 }
-
-// killSinks reports whether any kill-attribution sink is attached.
-func killSinks(opts Options) bool { return opts.Kills != nil || opts.Cex != nil }
 
 // renderCase renders a failing IO example compactly: the length binding's
 // user and accelerator values, every scalar assignment (sorted), and the
@@ -386,38 +358,6 @@ func renderCase(tc iogen.Case) string {
 	return b.String()
 }
 
-// replayOrder returns the execution order for one candidate's case
-// batch: cases the counterexample pool ranks (matched by CaseSig) run
-// first, most-discriminating first, followed by the remaining fresh
-// cases in their natural smallest-first order. Only the candidate's own
-// generated cases are permuted — replay never injects an input the
-// candidate would not have drawn itself — so which candidates survive
-// (and therefore the winning adapter) is unchanged by construction:
-// survival requires passing the whole fixed set, and sketch pruning is
-// a set intersection. What replay changes is how soon a loser meets
-// the case that kills it. Pool signatures that match nothing here —
-// hostile strings, other seeds, other lengths — simply rank nothing.
-func replayOrder(cases []iogen.Case, replay map[string]int, seed int64) []int {
-	order := make([]int, len(cases))
-	for i := range order {
-		order[i] = i
-	}
-	if len(replay) == 0 {
-		return order
-	}
-	const unranked = math.MaxInt
-	rank := make([]int, len(cases))
-	for i, tc := range cases {
-		r, ok := replay[iogen.CaseSig(seed, tc.AccelLen, i)]
-		if !ok {
-			r = unranked
-		}
-		rank[i] = r
-	}
-	sort.SliceStable(order, func(a, b int) bool { return rank[order[a]] < rank[order[b]] })
-	return order
-}
-
 // evalCandidate runs one candidate's fuzz evaluation inside the fault
 // boundary: a per-candidate deadline (opts.CandidateTimeout) and a panic
 // shield. A candidate that times out or panics — in any of its case
@@ -426,7 +366,7 @@ func replayOrder(cases []iogen.Case, replay map[string]int, seed int64) []int {
 // aborts the whole run.
 func evalCandidate(runCtx context.Context, fn *minic.FuncDecl,
 	cand *binding.Candidate, profile *analysis.Profile, opts Options,
-	sp *obs.Span, orc *oracle, replay map[string]int) (ad *Adapter, err error) {
+	sp *obs.Span, orc *oracle) (ad *Adapter, err error) {
 	cctx := runCtx
 	if opts.CandidateTimeout > 0 {
 		var cancel context.CancelFunc
@@ -444,13 +384,13 @@ func evalCandidate(runCtx context.Context, fn *minic.FuncDecl,
 			}
 			verdict(opts, fn.Name, cand, interp.FaultPanic.String(), 0, "",
 				fmt.Sprintf("recovered: %v", r))
-			if killSinks(opts) {
+			if opts.Kills != nil {
 				recordKill(opts, fn.Name, cand, nil, -1, 0,
 					interp.FaultPanic.String(), fmt.Sprintf("recovered: %v", r))
 			}
 		}
 	}()
-	ad, err = testCandidate(cctx, fn, cand, profile, opts, sp, orc, replay)
+	ad, err = testCandidate(cctx, fn, cand, profile, opts, sp, orc)
 	if err != nil && cancelled(err) {
 		if cerr := runCtx.Err(); cerr != nil {
 			// The compilation itself was cancelled — propagate.
@@ -463,7 +403,7 @@ func evalCandidate(runCtx context.Context, fn *minic.FuncDecl,
 		}
 		verdict(opts, fn.Name, cand, "timeout", 0, "",
 			fmt.Sprintf("candidate exceeded its %s budget", opts.CandidateTimeout))
-		if killSinks(opts) {
+		if opts.Kills != nil {
 			recordKill(opts, fn.Name, cand, nil, -1, 0, "timeout", "")
 		}
 		return nil, nil
@@ -478,21 +418,21 @@ func evalCandidate(runCtx context.Context, fn *minic.FuncDecl,
 // test-count/outcome attributes; reference executions run on orc's
 // shared machine pool, which attributes interpreter counters.
 //
-// At Workers=1 each case runs inline, in replay order. Otherwise the
+// At Workers=1 each case runs inline, in case order. Otherwise the
 // cases run on a caseFan. Either way this goroutine resolves the
-// results one at a time in replay order, so the case that decides the
+// results one at a time in case order, so the case that decides the
 // candidate's fate is the one a sequential run meets, and the cases
 // after it are dropped unseen.
 func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	cand *binding.Candidate, profile *analysis.Profile, opts Options,
-	sp *obs.Span, orc *oracle, replay map[string]int) (*Adapter, error) {
+	sp *obs.Span, orc *oracle) (*Adapter, error) {
 	opts.Kills.AddDispatched(fn.Name, cand.Spec.Name, 1)
 	gen := orc.cache.memo.Generator(opts.Seed, cand, profile)
 	if !gen.Viable() {
 		sp.Str("outcome", "not-viable")
 		verdict(opts, fn.Name, cand, "not-viable", 0, "",
 			"no test sizes inside the accelerator domain")
-		if killSinks(opts) {
+		if opts.Kills != nil {
 			recordKill(opts, fn.Name, cand, nil, -1, 0, "not-viable",
 				"no test sizes inside the accelerator domain")
 		}
@@ -500,7 +440,6 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	}
 	cases := gen.Cases(opts.NumTests)
 	ref := gen.RefSig()
-	order := replayOrder(cases, replay, opts.Seed)
 
 	// started counts the cases begun, including those a fan ran past
 	// the deciding one. The metrics and the ledger are charged with it on
@@ -521,8 +460,8 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 			}
 		}()
 	}
-	if w := min(orc.workers, len(order)); w > 1 {
-		fan = startCases(ctx, cand, ref, cases, order, orc, opts.Tolerance, w)
+	if w := min(orc.workers, len(cases)); w > 1 {
+		fan = startCases(ctx, cand, ref, cases, orc, opts.Tolerance, w)
 		defer func() { started = fan.stop() }() // runs before the charge above
 	}
 
@@ -530,26 +469,24 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	alive := allSketches
 
 	var returnVals []int64
-	var returnCases []int // original case index per returnVals entry (kill sinks only)
+	var returnCases []int // case index per returnVals entry (kill table only)
 	sawReturn := false
 	var steps int64 // interp steps this candidate paid, so far
 
-	for pos, caseIdx := range order {
-		tc := cases[caseIdx]
+	for caseIdx, tc := range cases {
 		var r caseResult
 		if fan != nil {
-			r = fan.wait(pos)
+			r = fan.wait(caseIdx)
 		} else {
-			// Accelerator retries/backoff can dominate a case under fault
-			// injection, so honor the deadline between cases too, not just
-			// inside the interpreter.
+			// An oracle hit never enters the interpreter, which is what
+			// polls the deadline, so honor it between cases too.
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("synth: candidate evaluation cancelled: %w", err)
 			}
 			started++
 			r = runCase(ctx, cand, ref, tc, orc, alive, opts.Tolerance)
 		}
-		ran := pos + 1
+		ran := caseIdx + 1
 		steps += r.steps
 		if r.err != nil {
 			if cancelled(r.err) {
@@ -567,7 +504,7 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 				verdict(opts, fn.Name, cand, "fault", ran, cex,
 					interp.FaultOf(r.err).String())
 			}
-			if killSinks(opts) {
+			if opts.Kills != nil {
 				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
 					interp.FaultOf(r.err).String(), "")
 			}
@@ -576,7 +513,7 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 		if r.ret != nil {
 			sawReturn = true
 			returnVals = append(returnVals, *r.ret)
-			if killSinks(opts) {
+			if opts.Kills != nil {
 				returnCases = append(returnCases, caseIdx)
 			}
 		}
@@ -591,7 +528,7 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 				}
 				verdict(opts, fn.Name, cand, "domain-error", ran, cex, r.accelErr.Error())
 			}
-			if killSinks(opts) {
+			if opts.Kills != nil {
 				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
 					"domain-error", r.accelErr.Error())
 			}
@@ -611,7 +548,7 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 				verdict(opts, fn.Name, cand, "behavior-mismatch", ran, cex,
 					"no post-behavioral sketch reproduces the user output")
 			}
-			if killSinks(opts) {
+			if opts.Kills != nil {
 				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
 					"behavior-mismatch", "")
 			}
@@ -632,10 +569,10 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 				// Return value depends on input; cannot reproduce.
 				sp.Str("outcome", "return-mismatch")
 				if opts.Journal != nil || opts.Ledger != nil {
-					verdict(opts, fn.Name, cand, "return-mismatch", len(order), "",
+					verdict(opts, fn.Name, cand, "return-mismatch", len(cases), "",
 						fmt.Sprintf("return value varies across inputs (%d vs %d)", c, v))
 				}
-				if killSinks(opts) {
+				if opts.Kills != nil {
 					// The discriminating case is the one whose return value
 					// first differed from the first-run case's.
 					kc := returnCases[i]
@@ -717,19 +654,19 @@ func (r *caseResult) final(alive uint32) bool {
 }
 
 // caseFan runs one candidate's IO cases on several goroutines. Each
-// worker claims the next case in replay order and runs all of it
+// worker claims the next case in case order and runs all of it
 // (runCase) under a context of its own. A case that will end its
 // candidate's test if resolution reaches it makes every case after it
 // moot, so its worker cancels those at once and no later case is
 // claimed; resolution need not catch up first. The candidate's goroutine
-// collects the results in replay order with wait, and stop cancels
+// collects the results in case order with wait, and stop cancels
 // whatever is still in flight and waits for the workers, so no dropped
 // case outlives its candidate.
 type caseFan struct {
 	ctx     context.Context // the candidate's
 	results []caseResult
-	ready   chan int // positions whose result is written; one slot each, so no send blocks
-	have    []bool   // positions received from ready (wait's goroutine only)
+	ready   chan int // cases whose result is written; one slot each, so no send blocks
+	have    []bool   // cases received from ready (wait's goroutine only)
 	// alive is the candidate's sketch set as last resolved. It only
 	// shrinks, so a case compares only these sketches and judges
 	// finality against them.
@@ -737,26 +674,26 @@ type caseFan struct {
 	wg    sync.WaitGroup
 
 	mu      sync.Mutex
-	next    int                  // the next position to claim
-	limit   int                  // no position past it is claimed
-	cancels []context.CancelFunc // per in-flight position
+	next    int                  // the next case to claim
+	limit   int                  // no case past it is claimed
+	cancels []context.CancelFunc // per in-flight case
 	started int                  // cases begun: the work done
 }
 
 func startCases(ctx context.Context, cand *binding.Candidate, ref string, cases []iogen.Case,
-	order []int, orc *oracle, tol float64, workers int) *caseFan {
-	f := &caseFan{ctx: ctx, results: make([]caseResult, len(order)),
-		ready: make(chan int, len(order)), have: make([]bool, len(order)),
-		limit: len(order) - 1, cancels: make([]context.CancelFunc, len(order))}
+	orc *oracle, tol float64, workers int) *caseFan {
+	f := &caseFan{ctx: ctx, results: make([]caseResult, len(cases)),
+		ready: make(chan int, len(cases)), have: make([]bool, len(cases)),
+		limit: len(cases) - 1, cancels: make([]context.CancelFunc, len(cases))}
 	f.alive.Store(allSketches)
 	f.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go f.work(cand, ref, cases, order, orc, tol)
+		go f.work(cand, ref, cases, orc, tol)
 	}
 	return f
 }
 
-func (f *caseFan) work(cand *binding.Candidate, ref string, cases []iogen.Case, order []int,
+func (f *caseFan) work(cand *binding.Candidate, ref string, cases []iogen.Case,
 	orc *oracle, tol float64) {
 	defer f.wg.Done()
 	for {
@@ -772,7 +709,7 @@ func (f *caseFan) work(cand *binding.Candidate, ref string, cases []iogen.Case, 
 		f.cancels[pos] = cancel
 		f.mu.Unlock()
 
-		r := f.run(ctx, cand, ref, cases[order[pos]], orc, tol)
+		r := f.run(ctx, cand, ref, cases[pos], orc, tol)
 		cancel()
 
 		f.mu.Lock()
@@ -802,7 +739,7 @@ func (f *caseFan) run(ctx context.Context, cand *binding.Candidate, ref string, 
 	return runCase(ctx, cand, ref, tc, orc, f.alive.Load(), tol)
 }
 
-// wait returns the result at replay position pos. A panic recovered in
+// wait returns the result of case pos. A panic recovered in
 // the case's goroutine is raised again here, on the candidate's
 // goroutine, where evalCandidate's shield turns it into a verdict.
 func (f *caseFan) wait(pos int) caseResult {

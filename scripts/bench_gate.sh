@@ -29,14 +29,12 @@ fi
 
 # The fresh synthesis run also feeds the search observatory: the
 # sequential run's kill attribution goes into the artifact's "search"
-# section (gated below against the baseline's) and into a crash-safe
-# counterexample pool kept alongside the other fresh artifacts.
+# section (gated below against the baseline's).
 # -j 4 forces the Workers=4 run even on 1-core machines: the gate's
 # ROADMAP floors (Workers=N wall vs Workers=1, cross-target oracle hit
 # rate) read the fresh artifact, so it must always carry both runs.
 echo "bench-gate: measuring fresh synthesis benchmark"
 go run ./cmd/faccbench -experiment synthbench -j 4 \
-    -cex-pool "$OUT/counterexamples.jsonl" \
     -bench-out "$OUT/BENCH_synth.json" > "$OUT/synth.txt"
 echo "bench-gate: measuring fresh serving benchmark"
 go run ./cmd/faccbench -experiment servebench -bench-out "$OUT/BENCH_serve.json" > "$OUT/serve.txt"

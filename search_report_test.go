@@ -68,9 +68,8 @@ typedef struct { double re; double im; } cpx;`)
 }
 
 // TestKillTableAbsentNoChange: the observatory is measurement only —
-// the same compile with and without a kill table (and with a populated
-// counterexample pool on disk, which this PR loads but never consults
-// during search) produces byte-identical adapter C.
+// the same compile with and without a kill table produces
+// byte-identical adapter C.
 func TestKillTableAbsentNoChange(t *testing.T) {
 	adapter := func(kills *KillTable) string {
 		res, err := Compile("q.c", quickstartSrc, TargetFFTA, Options{
