@@ -1,19 +1,24 @@
 package facc
 
 // Determinism regression: running a candidate's IO cases in parallel must
-// be externally unobservable. Compiling the whole supported corpus with
-// Workers=1 and Workers=8 must yield byte-identical adapters, an
-// identical provenance journal (the winner, its verdicts, and every event
-// up to it — only the oracle cache-stats event may differ, since cases
-// run past a kill are real work) and an identical search record. This is
-// the contract that lets -j default to GOMAXPROCS.
+// be externally unobservable. Compiling the whole supported corpus
+// exhaustively with Workers=1 and Workers=8 must yield byte-identical
+// adapters, an identical provenance journal (every verdict — only the
+// oracle cache-stats event may differ, since cases run past a kill are
+// real work) and an identical search record. This is the contract that
+// lets -j default to GOMAXPROCS.
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
+	"facc/internal/accel"
 	"facc/internal/bench"
+	"facc/internal/core"
 	"facc/internal/obs"
+	"facc/internal/synth"
 )
 
 // journalKey renders a journal event for cross-worker-count comparison:
@@ -33,13 +38,17 @@ func journalKey(events []obs.JournalEvent) []string {
 	return keys
 }
 
+const reportsGoldenPath = "testdata/reports_golden.txt"
+
 // TestSynthesisDeterminismAcrossWorkers compiles the supported corpus
-// once at Workers=1 and once at Workers=8, each pass with a journal and a
-// kill table, and requires the same outcome, adapter bytes and journal
-// for every (program, target) pair, the same kill events (every field but
-// Steps, which counts oracle misses and so depends on which cases ran
-// past an earlier kill) and the same funnels: a case run past its
-// candidate's kill is never recorded.
+// exhaustively (every candidate fuzzed; the adapter is still the first
+// survivor) once at Workers=1 and once at Workers=8, and requires the
+// same outcome and adapter bytes for every (program, target) pair, the
+// same journal, the same kill events (every field but Steps, which
+// counts oracle misses and so depends on which cases ran past an earlier
+// kill) and the same funnels: a case run past its candidate's kill is
+// never recorded. The Workers=1 pass's -explain, -costs and
+// -search-report text is pinned in testdata/reports_golden.txt.
 func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism regression compiles the whole corpus twice; skipped in -short")
@@ -48,46 +57,55 @@ func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 		ok      bool
 		reason  string
 		adapter string
-		journal []string
 	}
-	compileAll := func(workers int) (map[string]outcome, *KillTable) {
-		out := map[string]outcome{}
-		kills := NewKillTable()
+	type pass struct {
+		outcomes map[string]outcome
+		j        *Journal
+		led      *Ledger
+		kills    *KillTable
+	}
+	compileAll := func(workers int) pass {
+		p := pass{outcomes: map[string]outcome{}, j: NewJournal(), led: NewLedger(),
+			kills: NewKillTable()}
 		for _, bm := range bench.SupportedSuite() {
 			for _, target := range differentialTargets {
-				j := obs.NewJournal()
-				res, err := Compile(bm.File, bm.Source(), target, Options{
+				spec, err := accel.SpecByName(target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				comp, err := core.CompileSource(context.Background(), bm.File, bm.Source(), spec, core.Options{
 					Entry:         bm.Entry,
 					ProfileValues: bm.ProfileValues,
-					NumTests:      4,
-					Workers:       workers,
-					Journal:       j,
-					Kills:         kills,
+					Journal:       p.j,
+					Ledger:        p.led,
+					Kills:         p.kills,
+					Synth:         synth.Options{NumTests: 4, Workers: workers, ExhaustAll: true},
 				})
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", bm.Name, target, workers, err)
 				}
-				o := outcome{ok: res.OK(), journal: journalKey(j.Events())}
-				if o.ok {
-					o.adapter = res.AdapterC()
+				var o outcome
+				if s := comp.Success(); s != nil {
+					o.ok, o.adapter = true, s.AdapterC
 				} else {
-					o.reason = res.FailReason()
+					o.reason = comp.FailReason()
 				}
-				out[bm.Name+"/"+target] = o
+				p.outcomes[bm.Name+"/"+target] = o
 			}
 		}
-		return out, kills
+		return p
 	}
 
-	seq, seqKills := compileAll(1)
-	par, parKills := compileAll(8)
+	seq := compileAll(1)
+	par := compileAll(8)
 
-	if len(seq) != len(par) {
-		t.Fatalf("outcome count differs: %d sequential vs %d parallel", len(seq), len(par))
+	if len(seq.outcomes) != len(par.outcomes) {
+		t.Fatalf("outcome count differs: %d sequential vs %d parallel",
+			len(seq.outcomes), len(par.outcomes))
 	}
 	accepted := 0
-	for key, s := range seq {
-		p := par[key]
+	for key, s := range seq.outcomes {
+		p := par.outcomes[key]
 		if s.ok != p.ok {
 			t.Errorf("%s: OK differs: sequential %v vs workers=8 %v (%s / %s)",
 				key, s.ok, p.ok, s.reason, p.reason)
@@ -99,23 +117,23 @@ func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 		if s.ok {
 			accepted++
 		}
-		if len(s.journal) != len(p.journal) {
-			t.Errorf("%s: journal length differs: %d vs %d", key, len(s.journal), len(p.journal))
-			continue
-		}
-		for i := range s.journal {
-			if s.journal[i] != p.journal[i] {
-				t.Errorf("%s: journal event %d differs:\n  workers=1: %s\n  workers=8: %s",
-					key, i, s.journal[i], p.journal[i])
-				break
-			}
-		}
 	}
 	if accepted == 0 {
 		t.Fatal("no adapters accepted; determinism check is vacuous")
 	}
 
-	e1, e8 := seqKills.Events(), parKills.Events()
+	j1, j8 := journalKey(seq.j.Events()), journalKey(par.j.Events())
+	if len(j1) != len(j8) {
+		t.Errorf("journal length differs: %d vs %d", len(j1), len(j8))
+	}
+	for i := 0; i < len(j1) && i < len(j8); i++ {
+		if j1[i] != j8[i] {
+			t.Errorf("journal event %d differs:\n  workers=1: %s\n  workers=8: %s", i, j1[i], j8[i])
+			break
+		}
+	}
+
+	e1, e8 := seq.kills.Events(), par.kills.Events()
 	if len(e1) == 0 {
 		t.Error("no kill events; the kill-table check is vacuous")
 	}
@@ -130,9 +148,25 @@ func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 			break
 		}
 	}
-	if f1, f8 := fmt.Sprint(seqKills.Funnels()), fmt.Sprint(parKills.Funnels()); f1 != f8 {
+	if f1, f8 := fmt.Sprint(seq.kills.Funnels()), fmt.Sprint(par.kills.Funnels()); f1 != f8 {
 		t.Errorf("funnels differ:\n  workers=1: %s\n  workers=8: %s", f1, f8)
 	}
+
+	var reports bytes.Buffer
+	fmt.Fprintf(&reports, "=== -explain ===\n")
+	if err := seq.j.WriteReport(&reports); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&reports, "=== -costs ===\n")
+	if err := seq.led.WriteCostReport(&reports); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&reports, "=== -search-report ===\n")
+	if err := seq.kills.WriteSearchReport(&reports, 10); err != nil {
+		t.Fatal(err)
+	}
+	checkTextGolden(t, reportsGoldenPath, reports.String())
+
 	t.Logf("determinism verified on %d outcomes (%d accepted adapters, %d kill events)",
-		len(seq), accepted, len(e1))
+		len(seq.outcomes), accepted, len(e1))
 }

@@ -29,7 +29,7 @@ import (
 	"facc/internal/interp"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the root package goldens: testdata/interp_golden.json and testdata/figures_golden.txt")
+var updateGolden = flag.Bool("update", false, "rewrite the root package goldens under testdata/")
 
 const interpGoldenPath = "testdata/interp_golden.json"
 
