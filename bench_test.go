@@ -43,7 +43,7 @@ func BenchmarkTable1(b *testing.B) {
 
 func compileOutcomes(b *testing.B, targets []string) []*eval.CompileOutcome {
 	b.Helper()
-	outcomes, err := eval.CompileAll(context.Background(), targets, 4, nil, nil, nil)
+	outcomes, err := eval.CompileAll(context.Background(), targets, 4, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 // https://ui.perfetto.dev) with one nested span per pipeline stage down to
 // individual fuzzed candidates; -metrics prints a human-readable summary of
 // stage timings and pipeline counters to stderr; -journal writes the
-// synthesis provenance journal as JSONL; -explain renders it as a
+// candidate-event stream as JSONL; -explain renders it as a
 // human-readable "why was / wasn't this adapter synthesised" report;
 // -costs prints the synthesis cost ledger — how much interpreter work went
 // to the winning candidate (useful) versus killed losers, including cases
@@ -21,7 +21,8 @@
 // duplicates, per target, with the waste ratio; -search-report prints the
 // search observatory — the candidate funnel (generated → pre-filtered →
 // dispatched → killed/survived → winner), the kill-depth distribution,
-// and the IO cases that discriminated the most binding families.
+// and the IO cases that discriminated the most binding families. All four
+// read one candidate-event stream.
 //
 // Robustness: -timeout bounds the whole compilation's wall clock, and
 // -candidate-timeout bounds fuzzing any one binding candidate (a hung
@@ -60,6 +61,8 @@ func main() {
 	output := flag.String("o", "", "write the adapter to this file instead of stdout")
 	integrate := flag.Bool("integrate", false,
 		"emit the whole rewritten translation unit (call sites redirected to the adapter)")
+	candidateTimeout := flag.Duration("candidate-timeout", 0,
+		"reject any single binding candidate whose fuzzing exceeds this budget (0 = no budget)")
 	of := obsflag.RegisterSynth(flag.CommandLine, "facc")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: facc [flags] file.c\n")
@@ -89,11 +92,9 @@ func main() {
 		NumTests:         *tests,
 		Workers:          of.Workers,
 		Trace:            of.Tracer(),
-		Journal:          of.Journal(),
-		Ledger:           of.Ledger(),
-		Kills:            of.Kills(),
+		Events:           of.Events(),
 		Deadline:         of.Timeout,
-		CandidateTimeout: of.CandidateTimeout,
+		CandidateTimeout: *candidateTimeout,
 	}
 	if *classify {
 		clf, err := facc.Train(12, 1)
@@ -109,8 +110,8 @@ func main() {
 	// -trace/-metrics/-journal output rather than leaving partial files.
 	ctx, stop := of.WithSignals(context.Background())
 	defer stop()
-	// Stamp the run with a trace ID so spans, journal lines and ledger
-	// accounts from this invocation are joinable, like a served request.
+	// Stamp the run with a trace ID so the spans and events of this
+	// invocation are joinable, like a served request.
 	ctx, _ = of.WithTrace(ctx)
 	res, err := facc.CompileContext(ctx, path, string(src), *target, opts)
 	if ferr := of.Finish(); ferr != nil {

@@ -53,9 +53,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "faccbench: %v\n", err)
 		os.Exit(1)
 	}
-	if of.CandidateTimeout != 0 {
-		fmt.Fprintf(os.Stderr, "faccbench: -candidate-timeout applies to facc only; ignoring\n")
-	}
 	// SIGINT/SIGTERM cancel the run: experiments stop at the next
 	// cancellation point and the observability exports below still flush,
 	// so an interrupted run never leaves partial -trace/-journal files.
@@ -79,7 +76,7 @@ func main() {
 	case "crashmatrix":
 		err = runCrashMatrix(ctx, *benchOut, *crashDir)
 	default:
-		err = run(ctx, *experiment, *full, *tests, of.Tracer(), of.Journal(), of.Ledger())
+		err = run(ctx, *experiment, *full, *tests, of.Tracer(), of.Events())
 	}
 	if ferr := of.Finish(); ferr != nil {
 		fmt.Fprintf(os.Stderr, "faccbench: %v\n", ferr)
@@ -181,8 +178,8 @@ func runServeBench(ctx context.Context, benchOut string) error {
 // Workers=N (-j, default GOMAXPROCS): corpus wall-clock, fuzz throughput,
 // oracle cache hit-rate and cross-run adapter determinism. The summary
 // prints to stdout; -bench-out additionally writes the JSON artifact.
-// The shared kill table (non-nil under -search-report/-serve) receives
-// the sequential run's kill attribution, so the report sees exactly the
+// The shared event stream (non-nil under any report flag or -serve)
+// receives the sequential run's events, so the reports see exactly the
 // events behind the artifact's search section.
 func runSynthBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut string) error {
 	workers := of.Workers
@@ -194,7 +191,7 @@ func runSynthBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut s
 		counts = append(counts, workers)
 	}
 	fmt.Fprintf(os.Stderr, "faccbench: synthesis benchmark at workers=%v...\n", counts)
-	rep, err := eval.SynthBench(ctx, []string{"ffta", "powerquad", "fftw"}, tests, counts, of.Kills())
+	rep, err := eval.SynthBench(ctx, []string{"ffta", "powerquad", "fftw"}, tests, counts, of.Events())
 	if err != nil {
 		return err
 	}
@@ -216,22 +213,22 @@ func runSynthBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut s
 	return nil
 }
 
-// runSearchBench compiles the corpus once at Workers=1 with the kill
-// table attached and prints the search observatory report: the funnel,
+// runSearchBench compiles the corpus once at Workers=1 with an event
+// stream attached and prints the search observatory report: the funnel,
 // kill-depth distribution and top discriminating inputs. With
 // -bench-out it merges the summary into that BENCH_synth.json's
 // "search" section (other sections are preserved; the file is created
 // with only the search section when absent).
 func runSearchBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut string) error {
-	kills := of.Kills()
-	if kills == nil {
-		kills = obs.NewKillTable()
+	ev := of.Events()
+	if ev == nil {
+		ev = obs.NewEvents()
 	}
 	fmt.Fprintf(os.Stderr, "faccbench: search benchmark (sequential corpus compile, kill attribution on)...\n")
-	if err := eval.SearchBench(ctx, []string{"ffta", "powerquad", "fftw"}, tests, kills); err != nil {
+	if err := eval.SearchBench(ctx, []string{"ffta", "powerquad", "fftw"}, tests, ev); err != nil {
 		return err
 	}
-	if err := kills.WriteSearchReport(os.Stdout, 10); err != nil {
+	if err := ev.WriteSearchReport(os.Stdout, 10); err != nil {
 		return err
 	}
 	if benchOut != "" {
@@ -243,7 +240,7 @@ func runSearchBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut 
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
-		rep.Search = kills.Summary()
+		rep.Search = obs.FoldSearch(ev.Snapshot())
 		out, err := os.Create(benchOut)
 		if err != nil {
 			return err
@@ -287,7 +284,7 @@ func runBenchGate(synthPair, servePair string, tol float64) error {
 	return nil
 }
 
-func run(ctx context.Context, experiment string, full bool, tests int, tr *obs.Tracer, j *obs.Journal, led *obs.Ledger) error {
+func run(ctx context.Context, experiment string, full bool, tests int, tr *obs.Tracer, ev *obs.Events) error {
 	w := os.Stdout
 	sep := func() { fmt.Fprintln(w) }
 
@@ -302,7 +299,7 @@ func run(ctx context.Context, experiment string, full bool, tests int, tr *obs.T
 		fmt.Fprintf(os.Stderr, "faccbench: compiling the corpus (%d targets x 25 programs)...\n",
 			len(targets))
 		var err error
-		outcomes, err = eval.CompileAll(ctx, targets, tests, tr, j, led)
+		outcomes, err = eval.CompileAll(ctx, targets, tests, tr, ev)
 		return err
 	}
 	allTargets := []string{"ffta", "powerquad", "fftw"}

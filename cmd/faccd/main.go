@@ -22,12 +22,13 @@
 //	GET  /jobs/{id}         job status and the synthesized adapter
 //	GET  /healthz, /readyz  liveness / admission readiness
 //	GET  /debug/requests    SLO flight recorder: slowest + failed requests
-//	                        with span trees, journals and cost ledgers
+//	                        with span trees, candidate events and their
+//	                        cost and search folds
 //	GET  /metrics, /status, /trace, /debug/pprof  observability (obshttp)
 //
 // Tracing: every request is stamped with an X-Facc-Trace ID (client-set
-// or generated) that joins the response header, span exports, journal
-// events, the cost ledger and /debug/requests.
+// or generated) that joins the response header, span exports, the
+// candidate events (and so the cost ledger) and /debug/requests.
 //
 // Robustness: identical in-flight requests share one compile
 // (singleflight); finished adapters are memoized in a crash-safe
@@ -96,7 +97,7 @@ func main() {
 	sloObjective := flag.Float64("slo-objective", 0.99,
 		"fraction of requests that must meet the SLO (burn rate = violation rate / error budget)")
 	flightRec := flag.Int("flight-recorder", 32,
-		"retain this many slowest and failed requests (full span/journal/ledger) at /debug/requests; -1 disables")
+		"retain this many slowest and failed requests (full spans and events) at /debug/requests; -1 disables")
 	peerID := flag.String("peer-id", "",
 		"this replica's ID in the fleet peer table (requires -peers)")
 	peersFlag := flag.String("peers", "",
@@ -142,9 +143,7 @@ func main() {
 		RequestTimeout: *requestTimeout,
 		Store:          st,
 		Tracer:         tr,
-		Journal:        obs.NewJournal(),
-		Ledger:         obs.NewLedger(),
-		Kills:          obs.NewKillTable(),
+		Events:         obs.NewEvents(),
 		FlightRecorder: *flightRec,
 		SLOLatency:     *sloLatency,
 		SLOObjective:   *sloObjective,

@@ -46,13 +46,12 @@ void scale(cpx* x, int n) {
 #include <math.h>
 typedef struct { double re; double im; } cpx;`)
 
-	led, kills := NewLedger(), NewKillTable()
+	ev := NewEvents()
 	res, err := Compile("two.c", src, TargetFFTA, Options{
 		ProfileValues: map[string][]int64{"n": {64, 128, 256}},
 		NumTests:      4,
 		Workers:       1,
-		Ledger:        led,
-		Kills:         kills,
+		Events:        ev,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,13 +62,10 @@ typedef struct { double re; double im; } cpx;`)
 	}
 
 	var buf bytes.Buffer
-	if err := led.WriteCostReport(&buf); err != nil {
+	if err := ev.WriteCostReport(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := led.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := kills.WritePrometheus(&buf); err != nil {
+	if err := ev.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	checkTextGolden(t, costReportGoldenPath, buf.String())

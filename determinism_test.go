@@ -3,10 +3,10 @@ package facc
 // Determinism regression: running a candidate's IO cases in parallel must
 // be externally unobservable. Compiling the whole supported corpus
 // exhaustively with Workers=1 and Workers=8 must yield byte-identical
-// adapters, an identical provenance journal (every verdict — only the
-// oracle cache-stats event may differ, since cases run past a kill are
-// real work) and an identical search record. This is the contract that
-// lets -j default to GOMAXPROCS.
+// adapters and identical candidate events (every verdict and kill
+// attribution — only the oracle cache-stats events and the work the
+// events charge may differ, since cases run past a kill are real work).
+// This is the contract that lets -j default to GOMAXPROCS.
 
 import (
 	"bytes"
@@ -21,21 +21,21 @@ import (
 	"facc/internal/synth"
 )
 
-// journalKey renders a journal event for cross-worker-count comparison:
-// Seq is re-derived from the filtered position (oracle cache-stats events
-// are dropped — their hit/miss split legitimately reflects cases run past
-// a kill), AtUs is wall-clock and excluded.
-func journalKey(events []obs.JournalEvent) []string {
-	var keys []string
-	for _, ev := range events {
+// comparable returns evs without the oracle events and with the fields
+// a worker count may change zeroed: Seq and AtUs, and the work fields
+// (cases started, steps, oracle hits and misses), which count the cases
+// run past a kill.
+func comparable(evs []obs.Event) []obs.Event {
+	var out []obs.Event
+	for _, ev := range evs {
 		if ev.Kind == obs.KindOracle {
 			continue
 		}
-		keys = append(keys, fmt.Sprintf("%d|%s|%s|%s|%s|%s|%d|%s|%s",
-			len(keys), ev.Kind, ev.Function, ev.Candidate, ev.Heuristic,
-			ev.Outcome, ev.Tests, ev.Counterexample, ev.Detail))
+		ev.Seq, ev.AtUs = 0, 0
+		ev.Started, ev.Steps, ev.OracleHits, ev.OracleMisses = 0, 0, 0, 0
+		out = append(out, ev)
 	}
-	return keys
+	return out
 }
 
 const reportsGoldenPath = "testdata/reports_golden.txt"
@@ -44,11 +44,11 @@ const reportsGoldenPath = "testdata/reports_golden.txt"
 // exhaustively (every candidate fuzzed; the adapter is still the first
 // survivor) once at Workers=1 and once at Workers=8, and requires the
 // same outcome and adapter bytes for every (program, target) pair, the
-// same journal, the same kill events (every field but Steps, which
-// counts oracle misses and so depends on which cases ran past an earlier
-// kill) and the same funnels: a case run past its candidate's kill is
-// never recorded. The Workers=1 pass's -explain, -costs and
-// -search-report text is pinned in testdata/reports_golden.txt.
+// same events — verdicts, counterexamples and kill attribution — but
+// for the oracle events and the work fields, and the same search fold:
+// a case run past its candidate's kill never decides anything. The
+// Workers=1 pass's -explain, -costs and -search-report text is pinned
+// in testdata/reports_golden.txt.
 func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism regression compiles the whole corpus twice; skipped in -short")
@@ -58,15 +58,9 @@ func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 		reason  string
 		adapter string
 	}
-	type pass struct {
-		outcomes map[string]outcome
-		j        *Journal
-		led      *Ledger
-		kills    *KillTable
-	}
-	compileAll := func(workers int) pass {
-		p := pass{outcomes: map[string]outcome{}, j: NewJournal(), led: NewLedger(),
-			kills: NewKillTable()}
+	compileAll := func(workers int) (map[string]outcome, *Events) {
+		outcomes := map[string]outcome{}
+		ev := NewEvents()
 		for _, bm := range bench.SupportedSuite() {
 			for _, target := range differentialTargets {
 				spec, err := accel.SpecByName(target)
@@ -76,9 +70,7 @@ func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 				comp, err := core.CompileSource(context.Background(), bm.File, bm.Source(), spec, core.Options{
 					Entry:         bm.Entry,
 					ProfileValues: bm.ProfileValues,
-					Journal:       p.j,
-					Ledger:        p.led,
-					Kills:         p.kills,
+					Events:        ev,
 					Synth:         synth.Options{NumTests: 4, Workers: workers, ExhaustAll: true},
 				})
 				if err != nil {
@@ -90,22 +82,21 @@ func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 				} else {
 					o.reason = comp.FailReason()
 				}
-				p.outcomes[bm.Name+"/"+target] = o
+				outcomes[bm.Name+"/"+target] = o
 			}
 		}
-		return p
+		return outcomes, ev
 	}
 
-	seq := compileAll(1)
-	par := compileAll(8)
+	seq, seqEv := compileAll(1)
+	par, parEv := compileAll(8)
 
-	if len(seq.outcomes) != len(par.outcomes) {
-		t.Fatalf("outcome count differs: %d sequential vs %d parallel",
-			len(seq.outcomes), len(par.outcomes))
+	if len(seq) != len(par) {
+		t.Fatalf("outcome count differs: %d sequential vs %d parallel", len(seq), len(par))
 	}
 	accepted := 0
-	for key, s := range seq.outcomes {
-		p := par.outcomes[key]
+	for key, s := range seq {
+		p := par[key]
 		if s.ok != p.ok {
 			t.Errorf("%s: OK differs: sequential %v vs workers=8 %v (%s / %s)",
 				key, s.ok, p.ok, s.reason, p.reason)
@@ -122,51 +113,43 @@ func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 		t.Fatal("no adapters accepted; determinism check is vacuous")
 	}
 
-	j1, j8 := journalKey(seq.j.Events()), journalKey(par.j.Events())
-	if len(j1) != len(j8) {
-		t.Errorf("journal length differs: %d vs %d", len(j1), len(j8))
-	}
-	for i := 0; i < len(j1) && i < len(j8); i++ {
-		if j1[i] != j8[i] {
-			t.Errorf("journal event %d differs:\n  workers=1: %s\n  workers=8: %s", i, j1[i], j8[i])
-			break
-		}
-	}
-
-	e1, e8 := seq.kills.Events(), par.kills.Events()
-	if len(e1) == 0 {
-		t.Error("no kill events; the kill-table check is vacuous")
-	}
+	e1, e8 := comparable(seqEv.Snapshot()), comparable(parEv.Snapshot())
 	if len(e1) != len(e8) {
-		t.Errorf("workers=8 recorded %d kill events, workers=1 %d", len(e8), len(e1))
+		t.Errorf("workers=8 recorded %d events, workers=1 %d", len(e8), len(e1))
 	}
-	for i := 0; i < len(e1) && i < len(e8); i++ {
-		a, b := e1[i], e8[i]
-		a.Steps, b.Steps = 0, 0
-		if a != b {
-			t.Errorf("kill event %d differs:\n  workers=1: %+v\n  workers=8: %+v", i, a, b)
+	kills := 0
+	for i := range e1 {
+		if e1[i].Killed() {
+			kills++
+		}
+		if i < len(e8) && e1[i] != e8[i] {
+			t.Errorf("event %d differs:\n  workers=1: %+v\n  workers=8: %+v", i, e1[i], e8[i])
 			break
 		}
 	}
-	if f1, f8 := fmt.Sprint(seq.kills.Funnels()), fmt.Sprint(par.kills.Funnels()); f1 != f8 {
-		t.Errorf("funnels differ:\n  workers=1: %s\n  workers=8: %s", f1, f8)
+	if kills == 0 {
+		t.Error("no kill events; the kill attribution check is vacuous")
+	}
+	s1, s8 := obs.FoldSearch(seqEv.Snapshot()), obs.FoldSearch(parEv.Snapshot())
+	if j1, j8 := fmt.Sprintf("%+v", *s1), fmt.Sprintf("%+v", *s8); j1 != j8 {
+		t.Errorf("search folds differ:\n  workers=1: %s\n  workers=8: %s", j1, j8)
 	}
 
 	var reports bytes.Buffer
 	fmt.Fprintf(&reports, "=== -explain ===\n")
-	if err := seq.j.WriteReport(&reports); err != nil {
+	if err := seqEv.WriteReport(&reports); err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&reports, "=== -costs ===\n")
-	if err := seq.led.WriteCostReport(&reports); err != nil {
+	if err := seqEv.WriteCostReport(&reports); err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&reports, "=== -search-report ===\n")
-	if err := seq.kills.WriteSearchReport(&reports, 10); err != nil {
+	if err := seqEv.WriteSearchReport(&reports, 10); err != nil {
 		t.Fatal(err)
 	}
 	checkTextGolden(t, reportsGoldenPath, reports.String())
 
 	t.Logf("determinism verified on %d outcomes (%d accepted adapters, %d kill events)",
-		len(seq.outcomes), accepted, len(e1))
+		len(seq), accepted, kills)
 }

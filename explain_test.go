@@ -45,11 +45,11 @@ void scale(cpx* x, int n) {
 #include <math.h>
 typedef struct { double re; double im; } cpx;`)
 
-	j := NewJournal()
+	j := NewEvents()
 	res, err := Compile("two.c", src, TargetFFTA, Options{
 		ProfileValues: map[string][]int64{"n": {64, 128, 256}},
 		NumTests:      4,
-		Journal:       j,
+		Events:        j,
 	})
 	if err != nil {
 		t.Fatal(err)

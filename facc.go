@@ -76,8 +76,8 @@ type Options struct {
 	// each reference run going
 	// through a memoized oracle (the user program's outputs are
 	// interpreted once per distinct test case and reused across
-	// candidates). The generated adapter, the Result counts, the journal
-	// verdicts and the kill events are deterministic — identical for
+	// candidates). The generated adapter, the Result counts, the fuzz
+	// verdicts and their kill attribution are deterministic — identical for
 	// every Workers value. 0 (the default) means GOMAXPROCS; 1 runs every
 	// case inline, in sequence.
 	Workers int
@@ -95,28 +95,19 @@ type Options struct {
 	// (the default) keeps the synthesis hot path uninstrumented — zero
 	// extra allocations in the fuzz loop.
 	Trace *Tracer
-	// Journal, when non-nil, records the synthesis provenance stream —
-	// each binding candidate's lifecycle (emitted, pruned with the
-	// heuristic that killed it, fuzz verdict with counterexample,
-	// accepted). Render with Journal.WriteReport ("why was / wasn't this
-	// adapter synthesised") or export as JSONL. Nil (the default) costs
-	// nothing.
-	Journal *Journal
-	// Ledger, when non-nil, charges every interpreter test, interpreter
-	// step and oracle lookup to a (function, candidate, target, verdict)
-	// account, separating useful work (the winner) from speculative waste
-	// (killed losers) and shared work (oracle hits). Render
-	// with Ledger.WriteCostReport (`facc -explain -costs`) or roll up via
-	// Ledger.Summary. Nil (the default) costs nothing on the hot path.
-	Ledger *Ledger
-	// Kills, when non-nil, records the search observatory: every
-	// non-survivor candidate's kill event — the discriminating IO case
-	// (seed, case index), interpreter steps at death, mismatch kind and
-	// binding family — plus the generated → pre-filtered → dispatched →
-	// killed/survived → winner search funnel. Render with
-	// KillTable.WriteSearchReport (`facc -search-report`). Nil (the
-	// default) costs nothing on the verdict path.
-	Kills *KillTable
+	// Events, when non-nil, records the candidate-event stream — each
+	// binding candidate's lifecycle (emitted, pruned with the heuristic
+	// that killed it, fuzz verdict with counterexample, the IO case that
+	// killed it and the work it cost, accepted). Three reports fold it:
+	// Events.WriteReport ("why was / wasn't this adapter synthesised",
+	// `facc -explain`), Events.WriteCostReport (the cost ledger: useful
+	// work on the winner versus speculative waste on killed losers, and
+	// work shared through oracle hits; `facc -costs`) and
+	// Events.WriteSearchReport (the search observatory: the generated →
+	// pre-filtered → dispatched → killed/survived → winner funnel and the
+	// most discriminating IO cases; `facc -search-report`). Export it
+	// with Events.WriteJSONL. Nil (the default) costs nothing.
+	Events *Events
 	// Oracle, when non-nil, is a shared reference-oracle cache. Oracle
 	// keys are target-independent (the user program's output does not
 	// depend on which accelerator we bind to), so one cache passed to
@@ -143,7 +134,7 @@ type Options struct {
 	// already hold a context should use CompileContext instead.
 	Deadline time.Duration
 	// CandidateTimeout bounds fuzzing one binding candidate. A candidate
-	// that exceeds it is rejected (a "timeout" verdict in the journal)
+	// that exceeds it is rejected (a "timeout" fuzz verdict)
 	// and synthesis moves to the next candidate — a hung candidate costs
 	// one candidate, not the compile. Zero disables the budget.
 	CandidateTimeout time.Duration
@@ -156,24 +147,11 @@ type Tracer = obs.Tracer
 // NewTracer returns an empty tracer to pass via Options.Trace.
 func NewTracer() *Tracer { return obs.New() }
 
-// Journal is the synthesis provenance journal; see Options.Journal.
-type Journal = obs.Journal
+// Events is the candidate-event stream; see Options.Events.
+type Events = obs.Events
 
-// NewJournal returns an empty journal to pass via Options.Journal.
-func NewJournal() *Journal { return obs.NewJournal() }
-
-// Ledger is the synthesis cost ledger; see Options.Ledger.
-type Ledger = obs.Ledger
-
-// NewLedger returns an empty ledger to pass via Options.Ledger.
-func NewLedger() *Ledger { return obs.NewLedger() }
-
-// KillTable is the search observatory's kill-attribution table; see
-// Options.Kills.
-type KillTable = obs.KillTable
-
-// NewKillTable returns an empty kill table to pass via Options.Kills.
-func NewKillTable() *KillTable { return obs.NewKillTable() }
+// NewEvents returns an empty stream to pass via Options.Events.
+func NewEvents() *Events { return obs.NewEvents() }
 
 // OracleCache is the shared cache of a program's target-independent
 // compile work: reference runs, test inputs and their digests, the
@@ -323,9 +301,7 @@ func CompileContext(ctx context.Context, name, source, target string, opts Optio
 		ProfileValues: opts.ProfileValues,
 		Classifier:    opts.Classifier,
 		Trace:         opts.Trace,
-		Journal:       opts.Journal,
-		Ledger:        opts.Ledger,
-		Kills:         opts.Kills,
+		Events:        opts.Events,
 		Synth: synth.Options{
 			NumTests:         opts.NumTests,
 			Tolerance:        opts.Tolerance,

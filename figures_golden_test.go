@@ -33,7 +33,7 @@ func TestFiguresGolden(t *testing.T) {
 	if testing.Short() && update {
 		t.Fatal("-update needs the full run: fig9 is skipped under -short")
 	}
-	outcomes, err := eval.CompileAll(context.Background(), []string{"ffta", "powerquad", "fftw"}, 5, nil, nil, nil)
+	outcomes, err := eval.CompileAll(context.Background(), []string{"ffta", "powerquad", "fftw"}, 5, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

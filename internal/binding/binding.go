@@ -170,8 +170,8 @@ type Candidate struct {
 	ReturnIgnored bool
 
 	// key is Key's value, kept by Enumerate: the candidates it returns
-	// are read-only, and synthesis names each one in every ledger charge,
-	// span, journal line and kill event it causes.
+	// are read-only, and synthesis names each one in every span and
+	// event it causes.
 	key string
 }
 
@@ -231,16 +231,12 @@ type Options struct {
 	// binding.candidates, and binding.pruned.<heuristic> counters (the
 	// enumerated-vs-pruned transparency of paper Fig. 16).
 	Obs *obs.Registry
-	// Journal, when non-nil, receives the provenance event stream: one
-	// "emitted" event per candidate that enters the test queue (with its
-	// binding key) and one "pruned" event per heuristic rejection (with
-	// the heuristic that killed it). Nil costs nothing.
-	Journal *obs.Journal
-	// Kills, when non-nil, receives the head of the search funnel:
-	// every hypothesis the enumerator forms counts as "generated" and
-	// every heuristic/dedup/cap rejection as "pre-filtered", per
-	// (function, target). Nil costs nothing.
-	Kills *obs.KillTable
+	// Events, when non-nil, receives the head of each candidate's
+	// lifecycle: one "emitted" event per candidate that enters the test
+	// queue (with its binding key) and one "pruned" event per heuristic,
+	// dedup or cap rejection (with what rejected it) — together every
+	// hypothesis the enumerator formed. Nil costs nothing.
+	Events *obs.Events
 }
 
 // complexElemInfo describes how an element type encodes a complex sample.

@@ -39,20 +39,20 @@ func Enumerate(fi *analysis.FuncInfo, spec *accel.Spec, profile *analysis.Profil
 		s.cand.key = k
 		if seen[k] {
 			dups++
-			opts.Journal.Record(obs.JournalEvent{Kind: obs.KindPruned,
-				Function: fi.Fn.Name, Heuristic: "dedup", Candidate: k})
+			opts.Events.Record(obs.Event{Kind: obs.KindPruned,
+				Function: fi.Fn.Name, Target: spec.Name, Heuristic: "dedup", Candidate: k})
 			continue
 		}
 		seen[k] = true
 		if opts.MaxCandidates > 0 && len(cands) >= opts.MaxCandidates {
 			capped++
-			opts.Journal.Record(obs.JournalEvent{Kind: obs.KindPruned,
-				Function: fi.Fn.Name, Heuristic: "cap", Candidate: k})
+			opts.Events.Record(obs.Event{Kind: obs.KindPruned,
+				Function: fi.Fn.Name, Target: spec.Name, Heuristic: "cap", Candidate: k})
 			continue
 		}
 		cands = append(cands, s.cand)
-		opts.Journal.Record(obs.JournalEvent{Kind: obs.KindEmitted,
-			Function: fi.Fn.Name, Candidate: k})
+		opts.Events.Record(obs.Event{Kind: obs.KindEmitted,
+			Function: fi.Fn.Name, Target: spec.Name, Candidate: k})
 	}
 	if opts.Obs != nil {
 		opts.Obs.Counter("binding.emitted").Add(int64(e.n))
@@ -61,12 +61,6 @@ func Enumerate(fi *analysis.FuncInfo, spec *accel.Spec, profile *analysis.Profil
 		opts.Obs.Counter("binding.pruned.cap").Add(int64(capped))
 		opts.Obs.Histogram("binding.candidates_per_function", obs.CountBuckets).
 			Observe(float64(len(cands)))
-	}
-	if opts.Kills != nil {
-		// Funnel head: everything the enumerator formed, and everything
-		// rejected before fuzzing (heuristics, dedup, the candidate cap).
-		opts.Kills.AddGenerated(fi.Fn.Name, spec.Name, int64(e.n+e.pruned))
-		opts.Kills.AddPreFiltered(fi.Fn.Name, spec.Name, int64(e.pruned+dups+capped))
 	}
 	return cands
 }
@@ -78,7 +72,6 @@ type enumerator struct {
 	opts    Options
 	out     []scored
 	n       int
-	pruned  int
 }
 
 func (e *enumerator) emit(c *Candidate, score int) {
@@ -88,14 +81,13 @@ func (e *enumerator) emit(c *Candidate, score int) {
 
 // prune tallies a heuristic rejection (binding.pruned.<heuristic>) — the
 // pruned-vs-enumerated accounting the summary exporter reports — and
-// journals which hypothesis the heuristic killed.
+// records which hypothesis the heuristic killed.
 func (e *enumerator) prune(heuristic, detail string) {
-	e.pruned++
 	if e.opts.Obs != nil {
 		e.opts.Obs.Counter("binding.pruned." + heuristic).Inc()
 	}
-	e.opts.Journal.Record(obs.JournalEvent{Kind: obs.KindPruned,
-		Function: e.fi.Fn.Name, Heuristic: heuristic, Detail: detail})
+	e.opts.Events.Record(obs.Event{Kind: obs.KindPruned,
+		Function: e.fi.Fn.Name, Target: e.spec.Name, Heuristic: heuristic, Detail: detail})
 }
 
 // arrayChoice is one hypothesis for the (input, output) array pair.

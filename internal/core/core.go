@@ -100,21 +100,12 @@ type Options struct {
 	// hot-path instrumentation entirely; stage timings are still measured
 	// internally so Elapsed fields stay populated.
 	Trace *obs.Tracer
-	// Journal, when non-nil, records the synthesis provenance stream:
-	// every candidate's lifecycle from emission through pruning, fuzz
-	// verdict (with counterexample) and acceptance. Render it with
-	// obs.Journal.WriteReport or export it as JSONL. Nil costs nothing.
-	Journal *obs.Journal
-	// Ledger, when non-nil, charges every interpreter test, interpreter
-	// step and oracle lookup to a (function, candidate, target, verdict)
-	// account, separating useful (winner) from speculative (loser) work.
-	// Nil costs nothing on the hot path.
-	Ledger *obs.Ledger
-	// Kills, when non-nil, records the search observatory: every
-	// non-survivor's kill event (discriminating IO case, mismatch kind,
-	// binding family) and the per-function search funnel. Nil costs
-	// nothing on the verdict path.
-	Kills *obs.KillTable
+	// Events, when non-nil, records the candidate-event stream: every
+	// candidate's lifecycle from emission through pruning, fuzz verdict
+	// (with counterexample, kill attribution and the work it cost) and
+	// acceptance. Render it with obs.Events.WriteReport, WriteCostReport
+	// or WriteSearchReport, or export it as JSONL. Nil costs nothing.
+	Events *obs.Events
 }
 
 // FunctionResult is the outcome for one candidate region.
@@ -226,17 +217,16 @@ func compileFile(ctx context.Context, f *minic.File, spec *accel.Spec, opts Opti
 	if traced {
 		spec.Instrument(tr.Metrics())
 	}
-	// A trace ID on the context scopes every span, journal line and
-	// ledger charge of this compilation to the originating request.
-	if trace := obs.TraceIDFrom(ctx); trace != "" {
-		opts.Journal = opts.Journal.Scoped(trace)
-		opts.Ledger = opts.Ledger.Scoped(trace)
-		opts.Kills = opts.Kills.Scoped(trace)
-	}
-	root := tr.Span("compile").SetTrace(obs.TraceIDFrom(ctx)).
+	// A trace ID on the context scopes every span and event of this
+	// compilation to the originating request.
+	trace := obs.TraceIDFrom(ctx)
+	opts.Events = opts.Events.Scoped(trace)
+	root := tr.Span("compile").SetTrace(trace).
 		Str("file", f.Name).Str("target", spec.Name)
-	opts.Journal.Record(obs.JournalEvent{Kind: obs.KindCompile,
-		Detail: f.Name + " → " + spec.Name})
+	if opts.Events != nil {
+		opts.Events.Record(obs.Event{Kind: obs.KindCompile, Target: spec.Name,
+			Detail: f.Name + " → " + spec.Name})
+	}
 	comp := &Compilation{Target: spec, File: f}
 
 	csp := root.Child("classify")
@@ -268,9 +258,7 @@ func compileFile(ctx context.Context, f *minic.File, spec *accel.Spec, opts Opti
 		}
 		ssp := root.Child("synthesize").Str("function", name)
 		sopts := opts.Synth
-		sopts.Journal = opts.Journal
-		sopts.Ledger = opts.Ledger
-		sopts.Kills = opts.Kills
+		sopts.Events = opts.Events
 		if traced {
 			sopts.Obs = ssp
 		}
@@ -293,8 +281,8 @@ func compileFile(ctx context.Context, f *minic.File, spec *accel.Spec, opts Opti
 		if fr.AdapterC != "" {
 			outcome = "replaced"
 		}
-		opts.Journal.Record(obs.JournalEvent{Kind: obs.KindResult,
-			Function: name, Outcome: outcome, Heuristic: res.FailReason})
+		opts.Events.Record(obs.Event{Kind: obs.KindResult,
+			Function: name, Target: spec.Name, Outcome: outcome, Heuristic: res.FailReason})
 		if fr.AdapterC != "" && !opts.AllRegions {
 			break // drop-in replacement found; stop at the best candidate
 		}

@@ -23,7 +23,7 @@ func TestCompileAllCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := CompileAll(ctx, []string{"ffta", "powerquad", "fftw"}, 4, nil, nil, nil)
+	_, err := CompileAll(ctx, []string{"ffta", "powerquad", "fftw"}, 4, nil, nil)
 	if err == nil {
 		t.Fatal("CompileAll succeeded under a cancelled context")
 	}
@@ -151,7 +151,7 @@ func TestCompileAllAndFigures8_15_16(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus compile")
 	}
-	outcomes, err := CompileAll(context.Background(), []string{"ffta", "powerquad", "fftw"}, 3, nil, nil, nil)
+	outcomes, err := CompileAll(context.Background(), []string{"ffta", "powerquad", "fftw"}, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestFig9Output(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcomes, err := CompileAll(context.Background(), []string{"ffta"}, 3, nil, nil, nil)
+	outcomes, err := CompileAll(context.Background(), []string{"ffta"}, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,14 +43,14 @@ type CompileOutcome struct {
 // returns — no goroutine outlives the call. tr (may be nil) collects
 // spans and metrics across all compilations — the tracer is safe for
 // concurrent use, and each compilation gets its own root span, so Fig15
-// timings are exactly the span durations. j (may be nil) collects the
-// synthesis provenance journal across the whole corpus; event interleaving
-// between compilations follows worker scheduling, but each event names its
-// function, so per-function provenance stays coherent. led (may be nil)
-// accumulates the synthesis cost ledger — which candidates the interpreter
-// work was spent on and whether it was useful, speculative or shared.
-func CompileAll(ctx context.Context, targets []string, numTests int, tr *obs.Tracer, j *obs.Journal, led *obs.Ledger) ([]*CompileOutcome, error) {
-	return compileAll(ctx, targets, numTests, tr, j, led, false)
+// timings are exactly the span durations. ev (may be nil) collects the
+// candidate-event stream across the whole corpus, which the provenance
+// report, the cost ledger and the search observatory fold; event
+// interleaving between compilations follows worker scheduling, but each
+// event names its function and target, so per-function provenance stays
+// coherent.
+func CompileAll(ctx context.Context, targets []string, numTests int, tr *obs.Tracer, ev *obs.Events) ([]*CompileOutcome, error) {
+	return compileAll(ctx, targets, numTests, tr, ev, false)
 }
 
 // CompileAllPrivate compiles the corpus like CompileAll, but one pair at
@@ -59,10 +59,10 @@ func CompileAll(ctx context.Context, targets []string, numTests int, tr *obs.Tra
 // shared caches, queued after every FFTA job, the PowerQuad and FFTW
 // compiles replay FFTA's reference runs.
 func CompileAllPrivate(ctx context.Context, targets []string, numTests int) ([]*CompileOutcome, error) {
-	return compileAll(ctx, targets, numTests, nil, nil, nil, true)
+	return compileAll(ctx, targets, numTests, nil, nil, true)
 }
 
-func compileAll(ctx context.Context, targets []string, numTests int, tr *obs.Tracer, j *obs.Journal, led *obs.Ledger, private bool) ([]*CompileOutcome, error) {
+func compileAll(ctx context.Context, targets []string, numTests int, tr *obs.Tracer, ev *obs.Events, private bool) ([]*CompileOutcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -120,7 +120,7 @@ func compileAll(ctx context.Context, targets []string, numTests int, tr *obs.Tra
 					oc = synth.NewOracleCache()
 				}
 				out[jb.idx], errs[jb.idx] = compileOne(ctx, jb.target, jb.b,
-					numTests, synthWorkers, tr, j, led, oc)
+					numTests, synthWorkers, tr, ev, oc)
 			}
 		}()
 	}
@@ -145,7 +145,7 @@ feed:
 	return out, nil
 }
 
-func compileOne(ctx context.Context, target string, b *bench.Benchmark, numTests, synthWorkers int, tr *obs.Tracer, j *obs.Journal, led *obs.Ledger, oc *synth.OracleCache) (*CompileOutcome, error) {
+func compileOne(ctx context.Context, target string, b *bench.Benchmark, numTests, synthWorkers int, tr *obs.Tracer, ev *obs.Events, oc *synth.OracleCache) (*CompileOutcome, error) {
 	spec, err := accel.SpecByName(target)
 	if err != nil {
 		return nil, err
@@ -154,8 +154,7 @@ func compileOne(ctx context.Context, target string, b *bench.Benchmark, numTests
 		Entry:         b.Entry,
 		ProfileValues: b.ProfileValues,
 		Trace:         tr,
-		Journal:       j,
-		Ledger:        led,
+		Events:        ev,
 		Synth:         synth.Options{NumTests: numTests, Workers: synthWorkers, Oracle: oc},
 	})
 	if err != nil {

@@ -1,7 +1,7 @@
 package eval
 
 // The search benchmark: one sequential (Workers=1, fixed seed) compile
-// of the supported corpus with the kill table attached, so the
+// of the supported corpus with an event stream attached, so the
 // discriminating-input ranking and the funnel are reproducible. The
 // resulting SearchSummary is what `faccbench -experiment searchbench`
 // prints and merges into BENCH_synth.json's "search" section.
@@ -17,14 +17,14 @@ import (
 )
 
 // SearchBench compiles the supported corpus once per target at Workers=1
-// into kills, which collects kill attribution and funnel counters. It
+// into ev, whose search fold is the kill attribution and the funnel. It
 // fuzzes exhaustively (every binding candidate, not just to the first
 // winner): on flexible APIs like FFTW the first candidate routinely
 // survives, so first-winner search records no kills at all and the
 // discriminating-input ranking would be empty. The caller owns the
-// table: render it with WriteSearchReport or summarize it for
-// BENCH_synth.json.
-func SearchBench(ctx context.Context, targets []string, numTests int, kills *obs.KillTable) error {
+// stream: render it with WriteSearchReport or fold it with
+// obs.FoldSearch for BENCH_synth.json.
+func SearchBench(ctx context.Context, targets []string, numTests int, ev *obs.Events) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -37,7 +37,7 @@ func SearchBench(ctx context.Context, targets []string, numTests int, kills *obs
 			if _, err := core.CompileSource(ctx, b.File, b.Source(), spec, core.Options{
 				Entry:         b.Entry,
 				ProfileValues: b.ProfileValues,
-				Kills:         kills,
+				Events:        ev,
 				Synth:         synth.Options{NumTests: numTests, Workers: 1, ExhaustAll: true},
 			}); err != nil {
 				return err

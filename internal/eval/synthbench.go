@@ -135,7 +135,7 @@ type SynthBenchReport struct {
 
 	// Search is the search observatory's view of the first (Workers=1)
 	// run: funnel totals, kill-depth distribution and the
-	// discriminating-input ranking. The kill table records what a
+	// discriminating-input ranking. The event stream records what a
 	// sequential run decides at every worker count, so one run suffices.
 	Search *obs.SearchSummary `json:"search,omitempty"`
 
@@ -157,13 +157,13 @@ type SynthBenchReport struct {
 // wall-clock, fuzz throughput and reference-oracle cache effectiveness.
 // File-level compilation is kept sequential so case-level parallelism is
 // the only variable.
-// kills, when non-nil, receives the first (sequential) run's kill
-// attribution — pass the CLI's shared table so -search-report observes
-// the same events as the report's search section; nil gets a private
-// table. Each measured run shares one oracle cache across its targets,
-// exactly like CompileAll, so the artifact reflects cross-target
-// reference-run sharing.
-func SynthBench(ctx context.Context, targets []string, numTests int, workerCounts []int, kills *obs.KillTable) (*SynthBenchReport, error) {
+// ev, when non-nil, receives the first (sequential) run's events — pass
+// the CLI's shared stream so its reports observe the same events as the
+// report's search section; nil gets a private stream, as does every
+// other run. Each measured run shares one oracle cache across its
+// targets, exactly like CompileAll, so the artifact reflects
+// cross-target reference-run sharing.
+func SynthBench(ctx context.Context, targets []string, numTests int, workerCounts []int, ev *obs.Events) (*SynthBenchReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -191,15 +191,13 @@ func SynthBench(ctx context.Context, targets []string, numTests int, workerCount
 	for round := 0; round < speedPairs; round++ {
 		for k := range workerCounts {
 			wi := (k + round) % len(workerCounts)
-			// Kill attribution only on the first worker count's first run.
-			var ktab *obs.KillTable
-			if wi == 0 && round == 0 {
-				if kills == nil {
-					kills = obs.NewKillTable()
-				}
-				ktab = kills
+			// The caller's stream takes the first worker count's first run.
+			runEv := obs.NewEvents()
+			first := wi == 0 && round == 0
+			if first && ev != nil {
+				runEv = ev
 			}
-			run, adapters, err := synthBenchRun(ctx, targets, numTests, workerCounts[wi], ktab)
+			run, adapters, err := synthBenchRun(ctx, targets, numTests, workerCounts[wi], runEv)
 			if err != nil {
 				return nil, err
 			}
@@ -209,8 +207,8 @@ func SynthBench(ctx context.Context, targets []string, numTests int, workerCount
 			} else if run.WallSeconds < runs[wi].WallSeconds {
 				runs[wi].WallSeconds = run.WallSeconds
 			}
-			if ktab != nil {
-				rep.Search = ktab.Summary()
+			if first {
+				rep.Search = obs.FoldSearch(runEv.Snapshot())
 			}
 			if baseline == nil {
 				baseline = adapters
@@ -250,13 +248,12 @@ func SynthBench(ctx context.Context, targets []string, numTests int, workerCount
 const speedPairs = 11
 
 // synthBenchRun compiles the corpus once at one worker count: every
-// target, each program's targets sharing one oracle cache, with kill
-// attribution into ktab (nil for none).
+// target, each program's targets sharing one oracle cache, with the
+// events recorded into ev, whose cost fold the run reports.
 // It returns the run's statistics and the adapter C per target/program.
 func synthBenchRun(ctx context.Context, targets []string, numTests, workers int,
-	ktab *obs.KillTable) (SynthBenchRun, map[string]string, error) {
+	ev *obs.Events) (SynthBenchRun, map[string]string, error) {
 	tr := obs.New()
-	led := obs.NewLedger()
 	oc := synth.NewOracleCache()
 	adapters := map[string]string{}
 	start := time.Now()
@@ -270,8 +267,7 @@ func synthBenchRun(ctx context.Context, targets []string, numTests, workers int,
 				Entry:         b.Entry,
 				ProfileValues: b.ProfileValues,
 				Trace:         tr,
-				Ledger:        led,
-				Kills:         ktab,
+				Events:        ev,
 				Synth:         synth.Options{NumTests: numTests, Workers: workers, Oracle: oc},
 			})
 			if err != nil {
@@ -297,7 +293,7 @@ func synthBenchRun(ctx context.Context, targets []string, numTests, workers int,
 	if total := run.OracleHits + run.OracleMisses; total > 0 {
 		run.OracleHitRate = float64(run.OracleHits) / float64(total)
 	}
-	sum := led.Summary()
+	_, sum := obs.FoldCosts(ev.Snapshot())
 	run.UsefulTests = sum.Total.UsefulTests
 	run.SpeculativeTests = sum.Total.SpeculativeTests
 	run.WasteRatio = sum.Total.WasteRatio
@@ -327,7 +323,7 @@ func synthBenchRun(ctx context.Context, targets []string, numTests, workers int,
 
 // synthBenchExhaustive compiles the corpus with ExhaustAll (every binding
 // candidate fuzzed, not just up to the first winner) and splits the
-// oracle statistics per function via the provenance journal, so the
+// oracle statistics per function via the event stream, so the
 // reported cache hit rate can be restricted to functions that actually
 // had more than one candidate to share reference runs between. Each
 // benchmark's compiles across all targets share one oracle cache — the
@@ -351,39 +347,32 @@ func synthBenchExhaustive(ctx context.Context, targets []string, numTests, worke
 				return nil, err
 			}
 			tgt := &perTgt[i]
-			j := obs.NewJournal()
+			ev := obs.NewEvents()
 			if _, err := core.CompileSource(ctx, b.File, b.Source(), spec, core.Options{
 				Entry:         b.Entry,
 				ProfileValues: b.ProfileValues,
 				Trace:         tr,
-				Journal:       j,
+				Events:        ev,
 				Synth: synth.Options{NumTests: numTests, Workers: workers,
 					ExhaustAll: true, Oracle: oc},
 			}); err != nil {
 				return nil, err
 			}
-			// One compile = one journal, so function names cannot
+			// One compile = one stream, so function names cannot
 			// collide across benchmarks here.
+			evs := ev.Snapshot()
 			fuzzed := map[string]int{}
-			for _, ev := range j.Events() {
-				if ev.Kind == obs.KindFuzz {
-					fuzzed[ev.Function]++
+			for _, e := range evs {
+				if e.Kind == obs.KindFuzz {
+					fuzzed[e.Function]++
 					benchFuzzed++
 				}
 			}
-			for _, ev := range j.Events() {
-				if ev.Kind != obs.KindOracle {
-					continue
-				}
-				var hits, misses int64
-				if _, err := fmt.Sscanf(ev.Detail, "reference runs: %d hits, %d misses",
-					&hits, &misses); err != nil {
-					continue
-				}
-				if fuzzed[ev.Function] >= 2 {
+			for _, e := range evs {
+				if e.Kind == obs.KindOracle && fuzzed[e.Function] >= 2 {
 					tgt.MultiCandidateFunctions++
-					tgt.MultiCandidateHits += hits
-					tgt.MultiCandidateMisses += misses
+					tgt.MultiCandidateHits += e.OracleHits
+					tgt.MultiCandidateMisses += e.OracleMisses
 				}
 			}
 		}

@@ -76,8 +76,7 @@ type testNode struct {
 	node    *Node
 	srv     *server.Server
 	tracer  *obs.Tracer
-	journal *obs.Journal
-	ledger  *obs.Ledger
+	events  *obs.Events
 	compile *countingCompile
 	ts      *httptest.Server
 }
@@ -98,16 +97,14 @@ func newTestFleet(t *testing.T, n int, tr *FaultTransport, mutate func(i int, fc
 	}
 	for i, tn := range nodes {
 		tn.tracer = obs.New()
-		tn.journal = obs.NewJournal()
-		tn.ledger = obs.NewLedger()
+		tn.events = obs.NewEvents()
 		tn.compile = &countingCompile{}
 		sc := server.Config{
 			QueueDepth:     16,
 			Workers:        2,
 			RequestTimeout: 10 * time.Second,
 			Tracer:         tn.tracer,
-			Journal:        tn.journal,
-			Ledger:         tn.ledger,
+			Events:         tn.events,
 			Compile:        tn.compile.compile,
 		}
 		fc := Config{
@@ -333,7 +330,7 @@ func TestLoopGuard(t *testing.T) {
 // TestTracePropagationAcrossForward (satellite): one client-supplied
 // trace ID joins the observability streams on BOTH replicas of a
 // forwarded hop — the forward span on the entry node, and the compile
-// span, journal events and ledger charges on the owner.
+// span and candidate events on the owner.
 func TestTracePropagationAcrossForward(t *testing.T) {
 	tr := NewFaultTransport(nil, 1)
 	nodes := newTestFleet(t, 2, tr, nil)
@@ -376,16 +373,18 @@ func TestTracePropagationAcrossForward(t *testing.T) {
 	if !foundForward {
 		t.Fatalf("entry node has no fleet.forward span under trace %q (have %d spans)", trace, len(spans))
 	}
-	// Journal and ledger entries recorded under the trace on the owner
-	// join the same stream: write one each the way the pipeline would,
-	// scoped by the propagated ID, and read them back by trace.
-	ownerNode.journal.Scoped(trace).Record(obs.JournalEvent{Kind: "test.synth", Function: "fft2"})
-	ownerNode.ledger.Scoped(trace).ChargeTests("fft2", "ffta", "cand0", 3)
-	if evs := ownerNode.journal.TraceEvents(trace); len(evs) == 0 {
-		t.Fatal("owner journal has no events under the propagated trace")
+	// Events recorded under the trace on the owner join the same
+	// stream: write a fuzz verdict the way the pipeline would, scoped by
+	// the propagated ID, and read it back — and its cost account — by
+	// trace.
+	ownerNode.events.Scoped(trace).Record(obs.Event{Kind: obs.KindFuzz, Function: "fft2",
+		Target: "ffta", Candidate: "cand0", Outcome: obs.OutcomeSurvived, Started: 3})
+	evs := ownerNode.events.Scoped(trace).Snapshot()
+	if len(evs) == 0 {
+		t.Fatal("owner has no events under the propagated trace")
 	}
-	if ents := ownerNode.ledger.TraceEntries(trace); len(ents) == 0 {
-		t.Fatal("owner ledger has no entries under the propagated trace")
+	if n, _ := obs.FoldCosts(evs); n == 0 {
+		t.Fatal("owner has no cost account under the propagated trace")
 	}
 }
 

@@ -140,17 +140,3 @@ func (m *Machine) GetStructComplexArray(p Value, n, reOff, imOff int) ([]complex
 	}
 	return out, nil
 }
-
-// ComplexSlicesAlmostEqual compares two complex slices with the given
-// relative/absolute tolerance.
-func ComplexSlicesAlmostEqual(a, b []complex128, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !almostEqual(real(a[i]), real(b[i]), tol) || !almostEqual(imag(a[i]), imag(b[i]), tol) {
-			return false
-		}
-	}
-	return true
-}

@@ -759,3 +759,30 @@ int f(void) {
 		t.Errorf("f() = %d, want 6", got)
 	}
 }
+
+// ComplexSlicesAlmostEqual compares two complex slices with the given
+// relative/absolute tolerance.
+func ComplexSlicesAlmostEqual(a, b []complex128, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !almostEqual(real(a[i]), real(b[i]), tol) || !almostEqual(imag(a[i]), imag(b[i]), tol) {
+			return false
+		}
+	}
+	return true
+}
+
+// almostEqual compares floats with combined absolute/relative tolerance.
+func almostEqual(a, b, tol float64) bool {
+	if a == b {
+		return true
+	}
+	diff := math.Abs(a - b)
+	if diff <= tol {
+		return true
+	}
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	return diff <= tol*scale
+}

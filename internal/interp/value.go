@@ -319,16 +319,3 @@ func zeroValue(t *minic.Type) Value {
 	}
 	return Value{T: t}
 }
-
-// almostEqual compares floats with combined absolute/relative tolerance.
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	if diff <= tol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*scale
-}

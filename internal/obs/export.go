@@ -72,20 +72,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(trace)
 }
 
-// ParseChromeTrace decodes a trace produced by WriteChromeTrace (either
-// the object form or a bare event array).
-func ParseChromeTrace(data []byte) (*ChromeTrace, error) {
-	var trace ChromeTrace
-	if err := json.Unmarshal(data, &trace); err != nil {
-		var events []ChromeEvent
-		if err2 := json.Unmarshal(data, &events); err2 != nil {
-			return nil, fmt.Errorf("obs: not a chrome trace: %w", err)
-		}
-		trace.TraceEvents = events
-	}
-	return &trace, nil
-}
-
 // jsonlSpan is the JSON-lines span record.
 type jsonlSpan struct {
 	Type    string         `json:"type"`

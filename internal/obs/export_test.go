@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -169,4 +170,18 @@ func TestWriteSummary(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// ParseChromeTrace decodes a trace produced by WriteChromeTrace (either
+// the object form or a bare event array).
+func ParseChromeTrace(data []byte) (*ChromeTrace, error) {
+	var trace ChromeTrace
+	if err := json.Unmarshal(data, &trace); err != nil {
+		var events []ChromeEvent
+		if err2 := json.Unmarshal(data, &events); err2 != nil {
+			return nil, fmt.Errorf("obs: not a chrome trace: %w", err)
+		}
+		trace.TraceEvents = events
+	}
+	return &trace, nil
 }

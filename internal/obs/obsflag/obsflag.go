@@ -1,9 +1,9 @@
 // Package obsflag wires the shared observability flags into the FACC
 // command-line binaries so facc, faccbench and faccclassify expose the
-// same -trace/-metrics surface (and facc/faccbench additionally
-// -journal/-explain plus the robustness budget flags -timeout and
-// -candidate-timeout), with one implementation of the
-// export plumbing. The live endpoints (-serve) live in obshttp, which
+// same -trace/-metrics surface (and facc/faccbench additionally the
+// candidate-event reports -journal/-explain/-costs/-search-report, the
+// -timeout budget and -j), with one implementation of the export
+// plumbing. The live endpoints (-serve) live in obshttp, which
 // only the binaries whose runs last long enough to watch link.
 package obsflag
 
@@ -22,14 +22,14 @@ import (
 
 // Flags holds the parsed observability flag values and the sinks they
 // enable. The zero value (no flags set) enables nothing: Tracer() and
-// Journal() return nil and the pipeline runs uninstrumented.
+// Events() return nil and the pipeline runs uninstrumented.
 type Flags struct {
 	TraceFile string
 	Metrics   bool
 	// Serve is the -serve address of the live endpoints, set only by
 	// binaries that register the flag with obshttp.RegisterFlag. The
-	// endpoints show every sink, so a non-empty Serve makes Tracer,
-	// Ledger and Kills non-nil.
+	// endpoints show every sink, so a non-empty Serve makes Tracer and
+	// Events non-nil.
 	Serve       string
 	JournalFile string
 	Explain     bool
@@ -39,10 +39,8 @@ type Flags struct {
 	// inputs — to stderr.
 	SearchReport bool
 
-	// Robustness budgets (RegisterSynth binaries only). Timeout bounds
-	// the whole run and CandidateTimeout one fuzzed binding candidate.
-	Timeout          time.Duration
-	CandidateTimeout time.Duration
+	// Timeout (RegisterSynth binaries only) bounds the whole run.
+	Timeout time.Duration
 
 	// Workers (-j, RegisterSynth binaries only) bounds case-level
 	// parallelism inside generate-and-test: how many of a candidate's IO
@@ -52,9 +50,7 @@ type Flags struct {
 
 	prog     string
 	tr       *obs.Tracer
-	j        *obs.Journal
-	led      *obs.Ledger
-	kills    *obs.KillTable
+	ev       *obs.Events
 	shutdown func() error
 }
 
@@ -76,13 +72,13 @@ func (f *Flags) Prog() string { return f.prog }
 // -serve endpoints, which live for the duration of the run, through it.
 func (f *Flags) OnFinish(shutdown func() error) { f.shutdown = shutdown }
 
-// RegisterSynth additionally installs the provenance flags (-journal,
-// -explain) and the robustness budget flags (-timeout,
-// -candidate-timeout) for binaries that run the synthesis pipeline.
+// RegisterSynth additionally installs the candidate-event report flags
+// (-journal, -explain, -costs, -search-report), the -timeout budget and
+// -j for binaries that run the synthesis pipeline.
 func RegisterSynth(fs *flag.FlagSet, prog string) *Flags {
 	f := Register(fs, prog)
 	fs.StringVar(&f.JournalFile, "journal", "",
-		"write the synthesis provenance journal (JSONL) to this file")
+		"write the candidate-event stream (JSONL) to this file")
 	fs.BoolVar(&f.Explain, "explain", false,
 		"print the provenance report (why each adapter was / was not synthesised) to stderr")
 	fs.BoolVar(&f.Costs, "costs", false,
@@ -91,8 +87,6 @@ func RegisterSynth(fs *flag.FlagSet, prog string) *Flags {
 		"print the search observatory report (kill attribution, funnel, top discriminating inputs) to stderr")
 	fs.DurationVar(&f.Timeout, "timeout", 0,
 		"abort the whole run after this wall-clock budget, e.g. 30s (0 = no deadline)")
-	fs.DurationVar(&f.CandidateTimeout, "candidate-timeout", 0,
-		"reject any single binding candidate whose fuzzing exceeds this budget (0 = no budget)")
 	fs.IntVar(&f.Workers, "j", 0,
 		"run up to this many of a binding candidate's IO cases in parallel; 0 = GOMAXPROCS, 1 = sequential (the result is deterministic either way)")
 	return f
@@ -108,38 +102,21 @@ func (f *Flags) Tracer() *obs.Tracer {
 	return f.tr
 }
 
-// Journal returns the provenance journal, created on first use when
-// -journal or -explain is set; nil otherwise.
-func (f *Flags) Journal() *obs.Journal {
-	if f.j == nil && (f.JournalFile != "" || f.Explain) {
-		f.j = obs.NewJournal()
+// Events returns the candidate-event stream, created on first use when
+// any report that folds it (-journal, -explain, -costs, -search-report)
+// or -serve is set; nil otherwise so the fuzz loop's nil guards keep the
+// hot path allocation-free.
+func (f *Flags) Events() *obs.Events {
+	if f.ev == nil && (f.JournalFile != "" || f.Explain || f.Costs || f.SearchReport ||
+		f.Serve != "") {
+		f.ev = obs.NewEvents()
 	}
-	return f.j
+	return f.ev
 }
 
-// Ledger returns the synthesis cost ledger, created on first use when
-// -costs or -serve is set; nil otherwise so the fuzz loop's nil guards
-// keep the hot path allocation-free.
-func (f *Flags) Ledger() *obs.Ledger {
-	if f.led == nil && (f.Costs || f.Serve != "") {
-		f.led = obs.NewLedger()
-	}
-	return f.led
-}
-
-// Kills returns the search-observatory kill table, created on first use
-// when -search-report or -serve is set; nil otherwise so the verdict
-// path's nil guards keep synthesis allocation-free.
-func (f *Flags) Kills() *obs.KillTable {
-	if f.kills == nil && (f.SearchReport || f.Serve != "") {
-		f.kills = obs.NewKillTable()
-	}
-	return f.kills
-}
-
-// WithTrace stamps ctx with a fresh run-scoped trace ID so every span,
-// journal line and ledger account produced by this CLI invocation is
-// joinable, exactly like a served request's X-Facc-Trace. The ID is
+// WithTrace stamps ctx with a fresh run-scoped trace ID so every span
+// and event produced by this CLI invocation is joinable, exactly like a
+// served request's X-Facc-Trace. The ID is
 // returned for diagnostics.
 func (f *Flags) WithTrace(ctx context.Context) (context.Context, string) {
 	id := obs.NewTraceID()
@@ -179,7 +156,7 @@ func (f *Flags) WithSignals(ctx context.Context) (context.Context, context.Cance
 
 // FlushOnSignal installs a handler for binaries whose work is not yet
 // context-aware: the first SIGINT/SIGTERM flushes every requested export
-// (trace, metrics summary, journal, explain report) and exits 130. Use
+// (trace, metrics summary, events and their reports) and exits 130. Use
 // WithSignals instead wherever the work accepts a context.
 func (f *Flags) FlushOnSignal() {
 	ch := make(chan os.Signal, 1)
@@ -196,9 +173,9 @@ func (f *Flags) FlushOnSignal() {
 }
 
 // Finish runs the OnFinish shutdown, if any, and writes every requested
-// export: the Chrome trace file, the stderr summary, the JSONL journal,
-// and the explain report. The first error is returned after all exports
-// are attempted.
+// export: the Chrome trace file, the stderr summary, the JSONL event
+// stream, and the explain, cost and search reports. The first error is
+// returned after all exports are attempted.
 func (f *Flags) Finish() error {
 	var first error
 	keep := func(err error) {
@@ -215,17 +192,20 @@ func (f *Flags) Finish() error {
 	if f.Metrics && f.tr != nil {
 		keep(f.tr.WriteSummary(os.Stderr))
 	}
-	if f.JournalFile != "" && f.j != nil {
-		keep(writeFile(f.JournalFile, f.j.WriteJSONL))
+	if f.ev == nil {
+		return first
 	}
-	if f.Explain && f.j != nil {
-		keep(f.j.WriteReport(os.Stderr))
+	if f.JournalFile != "" {
+		keep(writeFile(f.JournalFile, f.ev.WriteJSONL))
 	}
-	if f.Costs && f.led != nil {
-		keep(f.led.WriteCostReport(os.Stderr))
+	if f.Explain {
+		keep(f.ev.WriteReport(os.Stderr))
 	}
-	if f.SearchReport && f.kills != nil {
-		keep(f.kills.WriteSearchReport(os.Stderr, 10))
+	if f.Costs {
+		keep(f.ev.WriteCostReport(os.Stderr))
+	}
+	if f.SearchReport {
+		keep(f.ev.WriteSearchReport(os.Stderr, 10))
 	}
 	return first
 }

@@ -70,3 +70,29 @@ func TestWithSignalsInterrupt(t *testing.T) {
 		t.Errorf("notice printed %d times, want once; stderr: %q", n, out)
 	}
 }
+
+// TestEventsEnabledByEveryReport: each flag whose output folds the
+// candidate-event stream, and -serve, which shows all of them, gets the
+// one stream; with none set the pipeline runs uninstrumented.
+func TestEventsEnabledByEveryReport(t *testing.T) {
+	for _, args := range [][]string{
+		{"-journal", "events.jsonl"}, {"-explain"}, {"-costs"}, {"-search-report"},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		f := RegisterSynth(fs, "prog")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if f.Events() == nil || f.Events() != f.Events() {
+			t.Errorf("%v: no single event stream", args)
+		}
+	}
+	f := RegisterSynth(flag.NewFlagSet("t", flag.ContinueOnError), "prog")
+	if f.Events() != nil {
+		t.Error("an event stream with no report requested")
+	}
+	f.Serve = "127.0.0.1:0"
+	if f.Events() == nil {
+		t.Error("-serve has no event stream for /journal")
+	}
+}

@@ -1,6 +1,7 @@
 // Package obshttp is FACC's live observability surface: an embedded HTTP
-// server exposing the in-process tracer, metrics registry and provenance
-// journal while a compilation (or a whole evaluation run) is underway.
+// server exposing the in-process tracer, metrics registry and
+// candidate-event stream while a compilation (or a whole evaluation run)
+// is underway.
 //
 // Endpoints:
 //
@@ -8,10 +9,10 @@
 //	/status         live JSON: in-flight compilations, current stage,
 //	                candidates tried/pruned, fuzz pass rate, uptime
 //	/trace          Chrome trace_event download of the spans completed so far
-//	/journal        provenance journal as JSONL (when a journal is attached)
+//	/journal        candidate-event stream as JSONL (when a stream is attached)
 //	/debug/pprof/*  net/http/pprof profiling endpoints
 //
-// The server reads only snapshots (obs.Tracer and obs.Journal are safe for
+// The server reads only snapshots (obs.Tracer and obs.Events are safe for
 // concurrent use), so scraping never perturbs or blocks the pipeline.
 package obshttp
 
@@ -31,22 +32,21 @@ import (
 	"facc/internal/obs/obsflag"
 )
 
-// Server exposes one tracer (and optionally one journal, one cost
-// ledger and one kill table) over HTTP.
+// Server exposes one tracer (and optionally one candidate-event stream)
+// over HTTP.
 type Server struct {
-	Tracer  *obs.Tracer
-	Journal *obs.Journal // may be nil; /journal then returns 404
-	Ledger  *obs.Ledger  // may be nil; /status costs and the
-	// facc_ledger_* /metrics families are then absent
-	Kills *obs.KillTable // may be nil; /status search and the
-	// facc_search_* /metrics families are then absent
+	Tracer *obs.Tracer
+	// Events may be nil; /journal then returns 404, and /status costs
+	// and search and the facc_ledger_* and facc_search_* /metrics
+	// families are absent.
+	Events *obs.Events
 
 	start time.Time
 }
 
-// New returns a server over tr, j, l and k (j, l and k may be nil).
-func New(tr *obs.Tracer, j *obs.Journal, l *obs.Ledger, k *obs.KillTable) *Server {
-	return &Server{Tracer: tr, Journal: j, Ledger: l, Kills: k, start: time.Now()}
+// New returns a server over tr and ev (ev may be nil).
+func New(tr *obs.Tracer, ev *obs.Events) *Server {
+	return &Server{Tracer: tr, Events: ev, start: time.Now()}
 }
 
 // InFlight describes one live root span (one in-progress compilation).
@@ -84,10 +84,11 @@ type Status struct {
 	OracleHitRate   float64                `json:"oracle_hit_rate"`
 	OraclePerTarget map[string]OracleStats `json:"oracle_per_target,omitempty"`
 
-	JournalEvents int `json:"journal_events"`
+	EventsRecorded int `json:"journal_events"` // the event stream's length
 
 	// Costs is the synthesis cost ledger rolled up per target (useful vs
-	// speculative vs shared work); present when a ledger is attached.
+	// speculative vs shared work); present when the event stream has
+	// booked a candidate account.
 	Costs *obs.CostSummary `json:"costs,omitempty"`
 
 	// Serve is populated when a compile service (faccd) feeds the
@@ -102,7 +103,7 @@ type Status struct {
 
 	// Search is the search observatory's aggregate: funnel totals,
 	// kill-depth distribution and the ranked discriminating inputs;
-	// present when a kill table is attached and has recorded anything.
+	// present when the event stream holds a binding candidate.
 	Search *obs.SearchSummary `json:"search,omitempty"`
 
 	Counters map[string]int64   `json:"counters,omitempty"`
@@ -203,11 +204,12 @@ type StoreStatus struct {
 
 // BuildStatus assembles the live status snapshot served at /status.
 func (s *Server) BuildStatus() Status {
+	evs := s.Events.Snapshot()
 	st := Status{
 		UptimeS:        time.Since(s.start).Seconds(),
 		InFlight:       []InFlight{},
 		SpansCompleted: s.Tracer.NumSpans(),
-		JournalEvents:  s.Journal.Len(),
+		EventsRecorded: len(evs),
 	}
 
 	active := s.Tracer.Active()
@@ -295,13 +297,10 @@ func (s *Server) BuildStatus() Status {
 			st.OraclePerTarget[target] = os
 		}
 	}
-	if s.Ledger != nil && s.Ledger.Len() > 0 {
-		sum := s.Ledger.Summary()
+	if n, sum := obs.FoldCosts(evs); n > 0 {
 		st.Costs = &sum
 	}
-	if !s.Kills.Empty() {
-		st.Search = s.Kills.Summary()
-	}
+	st.Search = obs.FoldSearch(evs)
 	if cap, ok := st.Gauges["serve.queue_capacity"]; ok {
 		st.Serve = &ServeStatus{
 			QueueDepth:       int64(st.Gauges["serve.queue_depth"]),
@@ -401,15 +400,14 @@ func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 		"/metrics        Prometheus exposition\n" +
 		"/status         live pipeline status (JSON)\n" +
 		"/trace          Chrome trace_event download\n" +
-		"/journal        synthesis provenance journal (JSONL)\n" +
+		"/journal        candidate-event stream (JSONL)\n" +
 		"/debug/pprof/   Go profiling\n"))
 }
 
 func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.Tracer.Metrics().WritePrometheus(w)
-	s.Ledger.WritePrometheus(w) // nil-safe; labeled facc_ledger_* families
-	s.Kills.WritePrometheus(w)  // nil-safe; labeled facc_search_* families
+	s.Events.WritePrometheus(w) // nil-safe; labeled facc_ledger_* and facc_search_* families
 }
 
 func (s *Server) status(w http.ResponseWriter, _ *http.Request) {
@@ -426,13 +424,12 @@ func (s *Server) trace(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) journal(w http.ResponseWriter, r *http.Request) {
-	if s.Journal == nil {
-		http.Error(w, "no journal attached (run with -explain or -journal)",
-			http.StatusNotFound)
+	if s.Events == nil {
+		http.Error(w, "no event stream attached", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	s.Journal.WriteJSONL(w)
+	s.Events.WriteJSONL(w)
 }
 
 // RegisterFlag installs -serve on fs, storing the address in f.Serve.
@@ -450,7 +447,7 @@ func ServeFlags(f *obsflag.Flags) error {
 	if f.Serve == "" {
 		return nil
 	}
-	addr, shutdown, err := Serve(f.Serve, f.Tracer(), f.Journal(), f.Ledger(), f.Kills())
+	addr, shutdown, err := Serve(f.Serve, f.Tracer(), f.Events())
 	if err != nil {
 		return fmt.Errorf("%s: -serve %s: %w", f.Prog(), f.Serve, err)
 	}
@@ -462,12 +459,12 @@ func ServeFlags(f *obsflag.Flags) error {
 // Serve binds addr (e.g. ":9090" or "127.0.0.1:0"), serves the handler in
 // a background goroutine, and returns the bound address plus a shutdown
 // function. The pipeline keeps running regardless of scrape traffic.
-func Serve(addr string, tr *obs.Tracer, j *obs.Journal, l *obs.Ledger, k *obs.KillTable) (string, func() error, error) {
+func Serve(addr string, tr *obs.Tracer, ev *obs.Events) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: New(tr, j, l, k).Handler()}
+	hs := &http.Server{Handler: New(tr, ev).Handler()}
 	go hs.Serve(ln)
 	return ln.Addr().String(), hs.Close, nil
 }

@@ -57,13 +57,13 @@ void fft(cpx* x, int n) {
     }
 }`
 
-func compileOnce(t testing.TB, tr *obs.Tracer, j *obs.Journal) {
+func compileOnce(t testing.TB, tr *obs.Tracer, ev *obs.Events) {
 	t.Helper()
 	_, err := core.CompileSource(context.Background(), "fft.c", fftSrc, accel.NewFFTA(), core.Options{
 		ProfileValues: map[string][]int64{"n": {64, 128, 256}},
 		Synth:         synth.Options{NumTests: 4},
 		Trace:         tr,
-		Journal:       j,
+		Events:        ev,
 	})
 	if err != nil {
 		t.Errorf("compile: %v", err)
@@ -166,7 +166,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 	tr := obs.New()
 	compileOnce(t, tr, nil)
 
-	srv := httptest.NewServer(obshttp.New(tr, nil, nil, nil).Handler())
+	srv := httptest.NewServer(obshttp.New(tr, nil).Handler())
 	defer srv.Close()
 	code, body := get(t, srv, "/metrics")
 	if code != http.StatusOK {
@@ -241,8 +241,8 @@ func TestMetricsRoundTrip(t *testing.T) {
 // current stage, and /trace must always parse as a Chrome trace.
 func TestStatusAndTraceLiveMidCompilation(t *testing.T) {
 	tr := obs.New()
-	j := obs.NewJournal()
-	srv := httptest.NewServer(obshttp.New(tr, j, nil, nil).Handler())
+	j := obs.NewEvents()
+	srv := httptest.NewServer(obshttp.New(tr, j).Handler())
 	defer srv.Close()
 
 	stop := make(chan struct{})
@@ -280,7 +280,8 @@ func TestStatusAndTraceLiveMidCompilation(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("/trace status %d", code)
 		}
-		if _, err := obs.ParseChromeTrace([]byte(body)); err != nil {
+		var trace obs.ChromeTrace
+		if err := json.Unmarshal([]byte(body), &trace); err != nil {
 			t.Fatalf("/trace mid-compilation: %v", err)
 		}
 	}
@@ -308,8 +309,12 @@ func TestStatusAndTraceLiveMidCompilation(t *testing.T) {
 	if st.UptimeS <= 0 {
 		t.Errorf("uptime_s = %g", st.UptimeS)
 	}
-	if st.JournalEvents == 0 {
-		t.Error("journal_events = 0 with a journal attached")
+	if st.EventsRecorded == 0 {
+		t.Error("journal_events = 0 with an event stream attached")
+	}
+	if st.Costs == nil || st.Search == nil || st.Search.Winners == 0 {
+		t.Errorf("costs/search folds missing with an event stream attached: %+v / %+v",
+			st.Costs, st.Search)
 	}
 
 	code, body := get(t, srv, "/journal")
@@ -319,7 +324,7 @@ func TestStatusAndTraceLiveMidCompilation(t *testing.T) {
 	accepted := false
 	sc := bufio.NewScanner(strings.NewReader(body))
 	for sc.Scan() {
-		var ev obs.JournalEvent
+		var ev obs.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("journal line %q: %v", sc.Text(), err)
 		}
@@ -342,7 +347,7 @@ func TestStatusRobustnessFields(t *testing.T) {
 	reg.Gauge("serve.queue_capacity").Set(4)
 	reg.Gauge("store.breaker.state").Set(1)
 
-	srv := httptest.NewServer(obshttp.New(tr, nil, nil, nil).Handler())
+	srv := httptest.NewServer(obshttp.New(tr, nil).Handler())
 	defer srv.Close()
 	_, body := get(t, srv, "/status")
 	var st obshttp.Status
@@ -360,7 +365,7 @@ func TestStatusRobustnessFields(t *testing.T) {
 // TestPprofAndIndexEndpoints: the pprof mux is wired and the index lists
 // the surface.
 func TestPprofAndIndexEndpoints(t *testing.T) {
-	srv := httptest.NewServer(obshttp.New(obs.New(), nil, nil, nil).Handler())
+	srv := httptest.NewServer(obshttp.New(obs.New(), nil).Handler())
 	defer srv.Close()
 	code, body := get(t, srv, "/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
@@ -372,7 +377,7 @@ func TestPprofAndIndexEndpoints(t *testing.T) {
 	}
 	code, _ = get(t, srv, "/journal")
 	if code != http.StatusNotFound {
-		t.Errorf("/journal without journal: status %d, want 404", code)
+		t.Errorf("/journal without an event stream: status %d, want 404", code)
 	}
 }
 
@@ -380,7 +385,7 @@ func TestPprofAndIndexEndpoints(t *testing.T) {
 // ephemeral port, answers /status, and the shutdown function stops it.
 func TestServeBindsAndShutsDown(t *testing.T) {
 	tr := obs.New()
-	addr, shutdown, err := obshttp.Serve("127.0.0.1:0", tr, nil, nil, nil)
+	addr, shutdown, err := obshttp.Serve("127.0.0.1:0", tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

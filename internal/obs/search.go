@@ -4,241 +4,18 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
 // The search observatory records *why* the generate-and-test loop
 // converges: which IO case killed which binding candidate, how early,
 // and how the candidate population moves through the funnel
 // (generated → pre-filtered → dispatched → killed/survived → winner).
-// Counterexample-guided search acts on this signal; this file only
-// measures it.
-//
-// KillTable follows the Ledger's scoped-view pattern: NewKillTable
-// allocates shared state, Scoped stamps a per-request view with a trace
-// ID, and every method is safe (and a zero-allocation no-op) on a nil
-// receiver so disabled observability costs nothing on the verdict path.
-// Synthesis records into it what a sequential run decides, at every
-// worker count: a case run past its candidate's kill is never recorded.
-
-// KillEvent records one candidate's death, attributed to the
-// discriminating IO case that caused it. CaseIndex is -1 when no single
-// case is attributable (not-viable, timeout, panic).
-type KillEvent struct {
-	Trace     string `json:"trace,omitempty"`
-	Function  string `json:"function"`
-	Target    string `json:"target"`
-	Candidate string `json:"candidate"` // full binding key
-	Family    string `json:"family"`    // user-visible binding-family key (iogen.UserSig)
-	Seed      int64  `json:"seed"`
-	CaseIndex int    `json:"case"`               // 0-based killing case, or -1
-	CaseSig   string `json:"case_sig,omitempty"` // user-visible case identity (iogen.CaseSig)
-	Len       int64  `json:"len,omitempty"`      // accelerator length of the killing case
-	Steps     int64  `json:"steps"`              // interp steps charged to the candidate at death
-	Mismatch  string `json:"mismatch"`           // behavior-mismatch, domain-error, fault kind, ...
-	Detail    string `json:"detail,omitempty"`
-}
-
-// funnelKey identifies one function's search on one target within one
-// trace; per-trace so faccd flight records can carve out their request.
-type funnelKey struct {
-	trace    string
-	function string
-	target   string
-}
-
-// Funnel counts one (trace, function, target) search population through
-// its stages. Generated counts every hypothesis the enumerator formed;
-// PreFiltered those rejected before fuzzing (heuristics, dedup, cap);
-// Dispatched candidates that entered IO testing; Killed/Survived their
-// fates; Winners the accepted adapters.
-type Funnel struct {
-	Trace       string `json:"trace,omitempty"`
-	Function    string `json:"function"`
-	Target      string `json:"target"`
-	Generated   int64  `json:"generated"`
-	PreFiltered int64  `json:"pre_filtered"`
-	Dispatched  int64  `json:"dispatched"`
-	Killed      int64  `json:"killed"`
-	Survived    int64  `json:"survived"`
-	Winners     int64  `json:"winners"`
-}
-
-// killState is the shared store behind every scoped KillTable view.
-type killState struct {
-	mu      sync.Mutex
-	events  []KillEvent
-	funnels map[funnelKey]*Funnel
-}
-
-// KillTable aggregates kill events and funnel counters. The zero value
-// of the pointer (nil) is a valid, disabled table.
-type KillTable struct {
-	trace string
-	s     *killState
-}
-
-// NewKillTable returns an empty kill table.
-func NewKillTable() *KillTable {
-	return &KillTable{s: &killState{funnels: make(map[funnelKey]*Funnel)}}
-}
-
-// Scoped returns a view that stamps every event and funnel with the
-// trace ID. Nil-safe; an empty trace returns the table unchanged.
-func (k *KillTable) Scoped(trace string) *KillTable {
-	if k == nil || trace == "" || k.trace == trace {
-		return k
-	}
-	return &KillTable{trace: trace, s: k.s}
-}
-
-// Trace returns the trace ID this view stamps, or "".
-func (k *KillTable) Trace() string {
-	if k == nil {
-		return ""
-	}
-	return k.trace
-}
-
-// Record appends one kill event, stamping the view's trace and
-// crediting the (function, target) funnel's Killed stage.
-func (k *KillTable) Record(ev KillEvent) {
-	if k == nil {
-		return
-	}
-	if ev.Trace == "" {
-		ev.Trace = k.trace
-	}
-	s := k.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events = append(s.events, ev)
-	s.funnel(ev.Trace, ev.Function, ev.Target).Killed++
-}
-
-// funnel returns the counter row for (trace, function, target),
-// creating it if needed. Caller holds s.mu.
-func (s *killState) funnel(trace, function, target string) *Funnel {
-	key := funnelKey{trace: trace, function: function, target: target}
-	f := s.funnels[key]
-	if f == nil {
-		f = &Funnel{Trace: trace, Function: function, Target: target}
-		s.funnels[key] = f
-	}
-	return f
-}
-
-// add credits n to one funnel stage selected by bump.
-func (k *KillTable) add(function, target string, n int64, bump func(*Funnel, int64)) {
-	if k == nil || n == 0 {
-		return
-	}
-	s := k.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bump(s.funnel(k.trace, function, target), n)
-}
-
-// AddGenerated credits hypotheses formed by the enumerator.
-func (k *KillTable) AddGenerated(function, target string, n int64) {
-	k.add(function, target, n, func(f *Funnel, n int64) { f.Generated += n })
-}
-
-// AddPreFiltered credits hypotheses rejected before fuzzing.
-func (k *KillTable) AddPreFiltered(function, target string, n int64) {
-	k.add(function, target, n, func(f *Funnel, n int64) { f.PreFiltered += n })
-}
-
-// AddDispatched credits candidates that entered IO testing.
-func (k *KillTable) AddDispatched(function, target string, n int64) {
-	k.add(function, target, n, func(f *Funnel, n int64) { f.Dispatched += n })
-}
-
-// AddSurvived credits candidates that passed every IO test.
-func (k *KillTable) AddSurvived(function, target string, n int64) {
-	k.add(function, target, n, func(f *Funnel, n int64) { f.Survived += n })
-}
-
-// AddWinner credits the accepted adapter.
-func (k *KillTable) AddWinner(function, target string, n int64) {
-	k.add(function, target, n, func(f *Funnel, n int64) { f.Winners += n })
-}
-
-// Len returns the number of recorded kill events.
-func (k *KillTable) Len() int {
-	if k == nil {
-		return 0
-	}
-	k.s.mu.Lock()
-	defer k.s.mu.Unlock()
-	return len(k.s.events)
-}
-
-// Empty reports whether the table holds neither events nor funnels.
-func (k *KillTable) Empty() bool {
-	if k == nil {
-		return true
-	}
-	k.s.mu.Lock()
-	defer k.s.mu.Unlock()
-	return len(k.s.events) == 0 && len(k.s.funnels) == 0
-}
-
-// Events returns a copy of every kill event in recording order.
-func (k *KillTable) Events() []KillEvent {
-	if k == nil {
-		return nil
-	}
-	k.s.mu.Lock()
-	defer k.s.mu.Unlock()
-	out := make([]KillEvent, len(k.s.events))
-	copy(out, k.s.events)
-	return out
-}
-
-// TraceEvents returns the kill events stamped with the trace ID.
-func (k *KillTable) TraceEvents(trace string) []KillEvent {
-	if k == nil || trace == "" {
-		return nil
-	}
-	k.s.mu.Lock()
-	defer k.s.mu.Unlock()
-	var out []KillEvent
-	for _, ev := range k.s.events {
-		if ev.Trace == trace {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Funnels returns a copy of every funnel row, sorted by (trace,
-// function, target).
-func (k *KillTable) Funnels() []Funnel {
-	if k == nil {
-		return nil
-	}
-	k.s.mu.Lock()
-	defer k.s.mu.Unlock()
-	out := make([]Funnel, 0, len(k.s.funnels))
-	for _, f := range k.s.funnels {
-		out = append(out, *f)
-	}
-	sortFunnels(out)
-	return out
-}
-
-func sortFunnels(fs []Funnel) {
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].Trace != fs[j].Trace {
-			return fs[i].Trace < fs[j].Trace
-		}
-		if fs[i].Function != fs[j].Function {
-			return fs[i].Function < fs[j].Function
-		}
-		return fs[i].Target < fs[j].Target
-	})
-}
+// It is a fold over the event stream: the enumerator's emitted and
+// pruned events form the funnel head, each fuzz event is a dispatched
+// candidate and, unless it survived, a kill attributed to its
+// discriminating IO case, and each accepted event is a winner.
+// Synthesis records what a sequential run decides, at every worker
+// count: a case run past its candidate's kill never decides anything.
 
 // CaseStats aggregates one IO case's kill record on one target. A case
 // that kills candidates from more than one binding family is a strong
@@ -270,9 +47,9 @@ type TargetSearch struct {
 	MultiFamilyCases int    `json:"multi_family_cases"`
 }
 
-// SearchSummary is the aggregated view of a kill table: the funnel
-// totals, the kill-depth distribution, the per-case effectiveness
-// ranking, and per-target rollups. Serialized into BENCH_synth.json's
+// SearchSummary is the search observatory's fold of the event stream:
+// the funnel totals, the kill-depth distribution, the per-case
+// effectiveness ranking, and per-target rollups. Serialized into BENCH_synth.json's
 // "search" section and the /status search block.
 type SearchSummary struct {
 	Generated   int64 `json:"generated"`
@@ -295,44 +72,10 @@ type SearchSummary struct {
 	PerTarget []TargetSearch `json:"per_target,omitempty"`
 }
 
-// Summary aggregates the whole table. Returns nil on a nil or empty
-// table so JSON embeddings can omit the section.
-func (k *KillTable) Summary() *SearchSummary {
-	if k == nil {
-		return nil
-	}
-	return k.summarize(func(string) bool { return true })
-}
-
-// TraceSummary aggregates only events and funnels stamped with the
-// trace ID; nil when the trace recorded nothing.
-func (k *KillTable) TraceSummary(trace string) *SearchSummary {
-	if k == nil || trace == "" {
-		return nil
-	}
-	return k.summarize(func(t string) bool { return t == trace })
-}
-
-func (k *KillTable) summarize(want func(trace string) bool) *SearchSummary {
-	k.s.mu.Lock()
-	events := make([]KillEvent, 0, len(k.s.events))
-	for _, ev := range k.s.events {
-		if want(ev.Trace) {
-			events = append(events, ev)
-		}
-	}
-	funnels := make([]Funnel, 0, len(k.s.funnels))
-	for _, f := range k.s.funnels {
-		if want(f.Trace) {
-			funnels = append(funnels, *f)
-		}
-	}
-	k.s.mu.Unlock()
-	if len(events) == 0 && len(funnels) == 0 {
-		return nil
-	}
-
-	sum := &SearchSummary{Mismatch: make(map[string]int64)}
+// FoldSearch folds evs into the search observatory's summary; nil when
+// evs hold no binding, fuzz or accepted event, so JSON embeddings can
+// omit the section.
+func FoldSearch(evs []Event) *SearchSummary {
 	perTarget := make(map[string]*TargetSearch)
 	target := func(name string) *TargetSearch {
 		t := perTarget[name]
@@ -342,45 +85,55 @@ func (k *KillTable) summarize(want func(trace string) bool) *SearchSummary {
 		}
 		return t
 	}
-	for _, f := range funnels {
-		sum.Generated += f.Generated
-		sum.PreFiltered += f.PreFiltered
-		sum.Dispatched += f.Dispatched
-		sum.Killed += f.Killed
-		sum.Survived += f.Survived
-		sum.Winners += f.Winners
-		t := target(f.Target)
-		t.Generated += f.Generated
-		t.PreFiltered += f.PreFiltered
-		t.Dispatched += f.Dispatched
-		t.Killed += f.Killed
-		t.Survived += f.Survived
-		t.Winners += f.Winners
-	}
-
 	type caseKey struct {
 		target string
 		sig    string
 	}
+	sum := &SearchSummary{Mismatch: make(map[string]int64)}
 	depth := make(map[int]int64)
 	cases := make(map[caseKey]*CaseStats)
 	families := make(map[caseKey]map[string]bool)
-	for _, ev := range events {
-		depth[ev.CaseIndex]++
-		sum.Mismatch[ev.Mismatch]++
-		if ev.CaseIndex < 0 || ev.CaseSig == "" {
-			continue
+	for i := range evs {
+		ev := &evs[i]
+		switch ev.Kind {
+		case KindEmitted:
+			target(ev.Target).Generated++
+		case KindPruned:
+			t := target(ev.Target)
+			t.Generated++
+			t.PreFiltered++
+		case KindAccepted:
+			target(ev.Target).Winners++
+		case KindFuzz:
+			t := target(ev.Target)
+			t.Dispatched++
+			if ev.Outcome == OutcomeSurvived {
+				t.Survived++
+			}
+			if !ev.Killed() {
+				continue
+			}
+			t.Killed++
+			mismatch := ev.KillMismatch()
+			depth[ev.Case]++
+			sum.Mismatch[mismatch]++
+			if ev.Case < 0 || ev.CaseSig == "" {
+				continue
+			}
+			key := caseKey{target: ev.Target, sig: ev.CaseSig}
+			cs := cases[key]
+			if cs == nil {
+				cs = &CaseStats{Target: ev.Target, Sig: ev.CaseSig, Mismatch: make(map[string]int64)}
+				cases[key] = cs
+				families[key] = make(map[string]bool)
+			}
+			cs.Kills++
+			cs.Mismatch[mismatch]++
+			families[key][ev.Family] = true
 		}
-		key := caseKey{target: ev.Target, sig: ev.CaseSig}
-		cs := cases[key]
-		if cs == nil {
-			cs = &CaseStats{Target: ev.Target, Sig: ev.CaseSig, Mismatch: make(map[string]int64)}
-			cases[key] = cs
-			families[key] = make(map[string]bool)
-		}
-		cs.Kills++
-		cs.Mismatch[ev.Mismatch]++
-		families[key][ev.Family] = true
+	}
+	if len(perTarget) == 0 {
+		return nil
 	}
 	for i := range depth {
 		sum.KillDepth = append(sum.KillDepth, KillDepthBucket{CaseIndex: i, Kills: depth[i]})
@@ -410,16 +163,23 @@ func (k *KillTable) summarize(want func(trace string) bool) *SearchSummary {
 		return a.Sig < b.Sig
 	})
 	for _, name := range sortedKeys(perTarget) {
-		sum.PerTarget = append(sum.PerTarget, *perTarget[name])
+		t := perTarget[name]
+		sum.Generated += t.Generated
+		sum.PreFiltered += t.PreFiltered
+		sum.Dispatched += t.Dispatched
+		sum.Killed += t.Killed
+		sum.Survived += t.Survived
+		sum.Winners += t.Winners
+		sum.PerTarget = append(sum.PerTarget, *t)
 	}
 	return sum
 }
 
-// WriteSearchReport renders the human search report: the funnel, the
+// WriteSearchReport renders the view's search report: the funnel, the
 // kill-depth distribution, and the top-N discriminating inputs.
-// Deterministic for a deterministic table (fixed seed, Workers=1).
-func (k *KillTable) WriteSearchReport(out io.Writer, topN int) error {
-	sum := k.Summary()
+// Deterministic for a deterministic run (fixed seed, Workers=1).
+func (e *Events) WriteSearchReport(out io.Writer, topN int) error {
+	sum := FoldSearch(e.Snapshot())
 	w := &errWriter{w: out}
 	if sum == nil {
 		fmt.Fprintf(w, "search observatory: no events recorded\n")
@@ -463,13 +223,9 @@ func (k *KillTable) WriteSearchReport(out io.Writer, topN int) error {
 	return w.err
 }
 
-// WritePrometheus renders the facc_search_* families. Nil-safe: a nil
-// table writes nothing.
-func (k *KillTable) WritePrometheus(out io.Writer) error {
-	if k == nil {
-		return nil
-	}
-	sum := k.Summary()
+// writePrometheus renders the facc_search_* families. Nil-safe: a nil
+// summary writes nothing.
+func (sum *SearchSummary) writePrometheus(out io.Writer) error {
 	if sum == nil {
 		return nil
 	}

@@ -6,33 +6,38 @@ import (
 	"testing"
 )
 
-func sampleKills() *KillTable {
-	k := NewKillTable()
-	k.AddGenerated("fft", "ffta", 10)
-	k.AddPreFiltered("fft", "ffta", 4)
-	k.AddDispatched("fft", "ffta", 5)
-	k.AddSurvived("fft", "ffta", 1)
-	k.AddWinner("fft", "ffta", 1)
-	// Case 0 kills two distinct binding families; case 1 kills one.
-	k.Record(KillEvent{Function: "fft", Target: "ffta", Candidate: "c1",
-		Family: "famA", Seed: 42, CaseIndex: 0, CaseSig: "seed=42 n=64 case=0",
-		Len: 64, Steps: 100, Mismatch: "behavior-mismatch"})
-	k.Record(KillEvent{Function: "fft", Target: "ffta", Candidate: "c2",
-		Family: "famB", Seed: 42, CaseIndex: 0, CaseSig: "seed=42 n=64 case=0",
-		Len: 64, Steps: 120, Mismatch: "behavior-mismatch"})
-	k.Record(KillEvent{Function: "fft", Target: "ffta", Candidate: "c3",
-		Family: "famA", Seed: 42, CaseIndex: 1, CaseSig: "seed=42 n=64 case=1",
-		Len: 64, Steps: 250, Mismatch: "return-mismatch"})
-	// A caseless death: no attributable IO case.
-	k.Record(KillEvent{Function: "fft", Target: "ffta", Candidate: "c4",
-		Family: "famC", Seed: 42, CaseIndex: -1, Mismatch: "timeout"})
-	return k
+// sampleSearch is one search on ffta: 10 hypotheses, 4 rejected
+// before fuzzing, 5 candidates dispatched, 4 of them killed and one
+// surviving to win. Case 0 kills two distinct binding families, case 1
+// one, and one death has no attributable case.
+func sampleSearch() *Events {
+	ev := NewEvents()
+	for i := 0; i < 6; i++ {
+		ev.Record(Event{Kind: KindEmitted, Function: "fft", Target: "ffta"})
+	}
+	for i := 0; i < 4; i++ {
+		ev.Record(Event{Kind: KindPruned, Function: "fft", Target: "ffta", Heuristic: "range"})
+	}
+	kill := func(cand, family string, at int, sig, mismatch string) Event {
+		return Event{Kind: KindFuzz, Function: "fft", Target: "ffta", Candidate: cand,
+			Outcome: mismatch, Tests: at + 1, Mismatch: mismatch, Family: family, Seed: 42,
+			Case: at, CaseSig: sig, Len: 64}
+	}
+	ev.Record(kill("c1", "famA", 0, "seed=42 n=64 case=0", "behavior-mismatch"))
+	ev.Record(kill("c2", "famB", 0, "seed=42 n=64 case=0", "behavior-mismatch"))
+	ev.Record(kill("c3", "famA", 1, "seed=42 n=64 case=1", "return-mismatch"))
+	ev.Record(Event{Kind: KindFuzz, Function: "fft", Target: "ffta", Candidate: "c4",
+		Outcome: "timeout", Family: "famC", Seed: 42, Case: -1})
+	ev.Record(Event{Kind: KindFuzz, Function: "fft", Target: "ffta", Candidate: "c5",
+		Outcome: OutcomeSurvived, Tests: 4, Family: "famA", Seed: 42})
+	ev.Record(Event{Kind: KindAccepted, Function: "fft", Target: "ffta", Candidate: "c5"})
+	return ev
 }
 
 func TestKillTableSummary(t *testing.T) {
-	sum := sampleKills().Summary()
+	sum := FoldSearch(sampleSearch().Snapshot())
 	if sum == nil {
-		t.Fatal("nil summary for populated table")
+		t.Fatal("nil summary for a populated stream")
 	}
 	if sum.Generated != 10 || sum.PreFiltered != 4 || sum.Dispatched != 5 {
 		t.Errorf("funnel head = %d/%d/%d, want 10/4/5",
@@ -72,73 +77,54 @@ func TestKillTableSummary(t *testing.T) {
 	}
 }
 
+// TestKillTableEmptySummaryNil: a stream with no candidate in it folds
+// to no search summary, so JSON embeddings omit the section.
 func TestKillTableEmptySummaryNil(t *testing.T) {
-	if sum := NewKillTable().Summary(); sum != nil {
-		t.Errorf("empty table summary = %+v, want nil", sum)
+	if sum := FoldSearch(nil); sum != nil {
+		t.Errorf("empty summary = %+v, want nil", sum)
 	}
-	var k *KillTable
-	if sum := k.Summary(); sum != nil {
-		t.Errorf("nil table summary = %+v, want nil", sum)
+	ev := NewEvents()
+	ev.Record(Event{Kind: KindCompile})
+	ev.Record(Event{Kind: KindGate, Function: "dump", Heuristic: "printf"})
+	if sum := FoldSearch(ev.Snapshot()); sum != nil {
+		t.Errorf("candidate-free summary = %+v, want nil", sum)
 	}
 }
 
-// TestKillTableScoped: a scoped view stamps its trace onto events and
-// funnels, and TraceSummary/TraceEvents carve out exactly that trace.
+// TestKillTableScoped: a scoped view's events fold into exactly that
+// trace's search.
 func TestKillTableScoped(t *testing.T) {
-	k := NewKillTable()
-	a := k.Scoped("trace-a")
-	b := k.Scoped("trace-b")
-	a.AddDispatched("fft", "ffta", 2)
-	a.Record(KillEvent{Function: "fft", Target: "ffta", Candidate: "c1",
-		Family: "famA", CaseIndex: 0, CaseSig: "seed=1 n=64 case=0",
-		Mismatch: "behavior-mismatch"})
-	b.Record(KillEvent{Function: "fft", Target: "ffta", Candidate: "c2",
-		Family: "famB", CaseIndex: -1, Mismatch: "timeout"})
+	root := NewEvents()
+	a := root.Scoped("trace-a")
+	b := root.Scoped("trace-b")
+	a.Record(Event{Kind: KindFuzz, Function: "fft", Target: "ffta", Candidate: "c1",
+		Outcome: "behavior-mismatch", Tests: 1, Mismatch: "behavior-mismatch",
+		Family: "famA", CaseSig: "seed=1 n=64 case=0"})
+	a.Record(Event{Kind: KindFuzz, Function: "fft", Target: "ffta", Candidate: "c0",
+		Outcome: OutcomeSurvived})
+	b.Record(Event{Kind: KindFuzz, Function: "fft", Target: "ffta", Candidate: "c2",
+		Outcome: "timeout", Family: "famB", Case: -1})
 
-	if got := len(k.TraceEvents("trace-a")); got != 1 {
-		t.Errorf("trace-a events = %d, want 1", got)
-	}
-	sa := k.TraceSummary("trace-a")
+	sa := FoldSearch(a.Snapshot())
 	if sa == nil || sa.Killed != 1 || sa.Dispatched != 2 {
 		t.Errorf("trace-a summary = %+v, want killed=1 dispatched=2", sa)
 	}
-	sb := k.TraceSummary("trace-b")
-	if sb == nil || sb.Killed != 1 || sb.Dispatched != 0 {
-		t.Errorf("trace-b summary = %+v, want killed=1 dispatched=0", sb)
+	sb := FoldSearch(b.Snapshot())
+	if sb == nil || sb.Killed != 1 || sb.Dispatched != 1 {
+		t.Errorf("trace-b summary = %+v, want killed=1 dispatched=1", sb)
 	}
-	if k.TraceSummary("trace-c") != nil {
+	if FoldSearch(root.Scoped("trace-c").Snapshot()) != nil {
 		t.Error("unknown trace should summarize to nil")
 	}
-	// The shared view sees everything.
-	if sum := k.Summary(); sum == nil || sum.Killed != 2 {
+	// The unscoped view sees everything.
+	if sum := FoldSearch(root.Snapshot()); sum == nil || sum.Killed != 2 {
 		t.Errorf("global summary = %+v, want killed=2", sum)
-	}
-}
-
-// TestNilKillTableZeroAllocs: the disabled-observability contract — every
-// method the verdict path can reach must be a free no-op on nil.
-func TestNilKillTableZeroAllocs(t *testing.T) {
-	var k *KillTable
-	allocs := testing.AllocsPerRun(500, func() {
-		if k != nil {
-			t.Fatal("unreachable")
-		}
-		k.Record(KillEvent{Function: "fft", Target: "ffta"})
-		k.AddGenerated("fft", "ffta", 1)
-		k.AddPreFiltered("fft", "ffta", 1)
-		k.AddDispatched("fft", "ffta", 1)
-		k.AddSurvived("fft", "ffta", 1)
-		k.AddWinner("fft", "ffta", 1)
-		k.Scoped("trace")
-	})
-	if allocs != 0 {
-		t.Errorf("nil kill table allocates %.0f per verdict, want 0", allocs)
 	}
 }
 
 func TestWriteSearchReport(t *testing.T) {
 	var sb strings.Builder
-	if err := sampleKills().WriteSearchReport(&sb, 10); err != nil {
+	if err := sampleSearch().WriteSearchReport(&sb, 10); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -155,7 +141,7 @@ func TestWriteSearchReport(t *testing.T) {
 	}
 
 	sb.Reset()
-	if err := NewKillTable().WriteSearchReport(&sb, 10); err != nil {
+	if err := NewEvents().WriteSearchReport(&sb, 10); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "no events recorded") {
@@ -165,7 +151,7 @@ func TestWriteSearchReport(t *testing.T) {
 
 func TestKillTablePrometheus(t *testing.T) {
 	var sb strings.Builder
-	if err := sampleKills().WritePrometheus(&sb); err != nil {
+	if err := sampleSearch().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -181,39 +167,35 @@ func TestKillTablePrometheus(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	var nk *KillTable
+	var nev *Events
 	sb.Reset()
-	if err := nk.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
-		t.Errorf("nil table exposition = %q, %v; want empty, nil", sb.String(), err)
+	if err := nev.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
+		t.Errorf("nil stream exposition = %q, %v; want empty, nil", sb.String(), err)
 	}
 }
 
-// TestKillTableConcurrent exercises the shared state from parallel
-// goroutines the way worker-pool synthesis does (run under -race).
+// TestKillTableConcurrent exercises the shared stream from parallel
+// goroutines the way concurrent compiles do (run under -race).
 func TestKillTableConcurrent(t *testing.T) {
-	k := NewKillTable()
+	root := NewEvents()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v := k.Scoped("trace")
+			v := root.Scoped("trace")
 			for i := 0; i < 100; i++ {
-				v.AddDispatched("fft", "ffta", 1)
-				v.Record(KillEvent{Function: "fft", Target: "ffta",
-					Candidate: "c", Family: "fam", CaseIndex: 0,
-					CaseSig: "seed=1 n=64 case=0", Mismatch: "behavior-mismatch"})
+				v.Record(Event{Kind: KindFuzz, Function: "fft", Target: "ffta",
+					Candidate: "c", Outcome: "behavior-mismatch", Tests: 1,
+					Mismatch: "behavior-mismatch", Family: "fam",
+					CaseSig: "seed=1 n=64 case=0"})
 			}
 		}()
 	}
 	wg.Wait()
-	if k.Len() != 800 {
-		t.Errorf("events = %d, want 800", k.Len())
-	}
-	sum := k.Summary()
-	if sum.Dispatched != 800 || sum.Killed != 800 {
-		t.Errorf("summary = dispatched %d killed %d, want 800/800",
-			sum.Dispatched, sum.Killed)
+	sum := FoldSearch(root.Scoped("trace").Snapshot())
+	if sum == nil || sum.Dispatched != 800 || sum.Killed != 800 {
+		t.Errorf("summary = %+v, want dispatched 800 killed 800", sum)
 	}
 }
 

@@ -6,12 +6,12 @@ import (
 	"encoding/hex"
 )
 
-// Trace IDs join the three observability streams — spans, journal events,
-// and ledger entries — to the request (or CLI invocation) that caused
-// them. The ID is an opaque hex string: faccd mints one per compile
-// request (honouring an X-Facc-Trace header when the client supplies
-// one), the CLIs mint one per run, and everything downstream inherits it
-// through context.Context.
+// Trace IDs join the two observability streams — spans and candidate
+// events — to the request (or CLI invocation) that caused them. The ID
+// is an opaque hex string: faccd mints one per compile request
+// (honouring an X-Facc-Trace header when the client supplies one), the
+// CLIs mint one per run, and everything downstream inherits it through
+// context.Context.
 
 // traceKey is the context key for the trace ID; unexported so only this
 // package can write it.

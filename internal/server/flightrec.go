@@ -1,9 +1,9 @@
 // The SLO flight recorder: a bounded in-memory record of the requests
 // that matter when the pager goes off — the slowest and the failed. A
 // finishing job offers only its identity and outcome; /debug/requests
-// joins each retained record by trace ID to its span tree, provenance
-// events, cost ledger and search record when it is read, so the job path
-// never scans the daemon's history. The trace ID also joins a record to
+// joins each retained record by trace ID to its span tree and candidate
+// events, with their cost and search folds, when it is read, so the job
+// path never scans the daemon's history. The trace ID also joins a record to
 // the latency exemplars in /metrics.
 package server
 
@@ -24,9 +24,9 @@ type SpanRecord struct {
 	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 
-// RequestRecord is one retained request: identity, outcome, and the three
-// trace-scoped observability streams, which /debug/requests fills by
-// trace ID as it reads the record.
+// RequestRecord is one retained request: identity, outcome, and its
+// trace-scoped spans and candidate events with their cost and search
+// folds, which /debug/requests fills by trace ID as it reads the record.
 type RequestRecord struct {
 	Trace     string  `json:"trace"`
 	JobID     string  `json:"job_id"`
@@ -39,13 +39,12 @@ type RequestRecord struct {
 	// failed outright — the events the burn rate counts.
 	SLOViolation bool `json:"slo_violation"`
 
-	Spans   []SpanRecord       `json:"spans,omitempty"`
-	Journal []obs.JournalEvent `json:"journal,omitempty"`
-	Ledger  []obs.LedgerEntry  `json:"ledger,omitempty"`
-	// Search and Kills carry the request's search-observatory view:
-	// the funnel summary and every kill event this trace recorded.
+	Spans  []SpanRecord `json:"spans,omitempty"`
+	Events []obs.Event  `json:"events,omitempty"`
+	// Costs and Search fold Events: the request's cost ledger per
+	// target and its search-observatory summary.
+	Costs  *obs.CostSummary   `json:"costs,omitempty"`
 	Search *obs.SearchSummary `json:"search,omitempty"`
-	Kills  []obs.KillEvent    `json:"kills,omitempty"`
 }
 
 // FlightRecorder retains the N slowest and the N most recent failed

@@ -84,15 +84,15 @@ func postWait(ts *httptest.Server, req facc.CompileRequest, trace string) (jobJS
 	return v, nil
 }
 
-// newRealServer starts a daemon with faccd's four sinks around the real
-// compile, synthesis at Workers=1 so the set of reference runs a compile
-// needs is fixed.
-func newRealServer(t testing.TB, workers int) (*Server, *httptest.Server, *obs.Tracer, *obs.Ledger) {
+// newRealServer starts a daemon with faccd's tracer and event stream
+// around the real compile, synthesis at Workers=1 so the set of
+// reference runs a compile needs is fixed.
+func newRealServer(t testing.TB, workers int) (*Server, *httptest.Server, *obs.Tracer, *obs.Events) {
 	t.Helper()
-	tr, led := obs.New(), obs.NewLedger()
+	tr, ev := obs.New(), obs.NewEvents()
 	s := New(Config{
 		QueueDepth: 16, Workers: workers,
-		Tracer: tr, Journal: obs.NewJournal(), Ledger: led, Kills: obs.NewKillTable(),
+		Tracer: tr, Events: ev,
 		Options: facc.Options{Workers: 1},
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -100,17 +100,15 @@ func newRealServer(t testing.TB, workers int) (*Server, *httptest.Server, *obs.T
 		ts.Close()
 		s.Drain(context.Background())
 	})
-	return s, ts, tr, led
+	return s, ts, tr, ev
 }
 
-// traceCost sums the oracle lookups the ledger booked under trace.
-func traceCost(led *obs.Ledger, trace string) (hits, misses, steps int64) {
-	for _, e := range led.TraceEntries(trace) {
-		hits += e.OracleHits
-		misses += e.OracleMisses
-		steps += e.Steps
-	}
-	return hits, misses, steps
+// traceCost sums the oracle lookups and steps the cost ledger books
+// under trace.
+func traceCost(ev *obs.Events, trace string) (hits, misses, steps int64) {
+	_, sum := obs.FoldCosts(ev.Scoped(trace).Snapshot())
+	tc := sum.Total
+	return tc.OracleHits, tc.OracleMisses, tc.UsefulSteps + tc.SpeculativeSteps
 }
 
 // TestServerSharesReferenceRuns compiles one corpus program for its
@@ -261,21 +259,20 @@ func compiling(tr *obs.Tracer) bool {
 }
 
 // TestObserveSLOIgnoresHistory: finishing a job costs the same
-// allocations after thousands of spans, journal events, ledger accounts
-// and kill events recorded under other traces as on an empty daemon.
+// allocations after thousands of spans and candidate events recorded
+// under other traces as on an empty daemon.
 func TestObserveSLOIgnoresHistory(t *testing.T) {
 	finish := func(history int) float64 {
-		tr, j, led, kills := obs.New(), obs.NewJournal(), obs.NewLedger(), obs.NewKillTable()
+		tr, ev := obs.New(), obs.NewEvents()
 		for i := 0; i < history; i++ {
 			trace := fmt.Sprintf("old%d", i)
 			tr.Span("compile").SetTrace(trace).End()
-			j.Scoped(trace).Record(obs.JournalEvent{Kind: obs.KindCompile, Detail: "x"})
-			led.Scoped(trace).ChargeTests("fft", "ffta", fmt.Sprintf("cand%d", i), 3)
-			sk := kills.Scoped(trace)
-			sk.Record(obs.KillEvent{Function: "fft", Target: "ffta", Candidate: "c"})
-			sk.AddDispatched("fft", "ffta", 1)
+			sev := ev.Scoped(trace)
+			sev.Record(obs.Event{Kind: obs.KindCompile, Detail: "x"})
+			sev.Record(obs.Event{Kind: obs.KindFuzz, Function: "fft", Target: "ffta",
+				Candidate: fmt.Sprintf("cand%d", i), Outcome: "behavior-mismatch", Started: 3})
 		}
-		s := New(Config{Tracer: tr, Journal: j, Ledger: led, Kills: kills, Workers: 1,
+		s := New(Config{Tracer: tr, Events: ev, Workers: 1,
 			Compile: func(context.Context, facc.CompileRequest) (CompileResult, error) {
 				return CompileResult{}, nil
 			}})
@@ -298,8 +295,7 @@ func BenchmarkServeHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	s := New(Config{Workers: 1, Store: st, Tracer: obs.New(), Journal: obs.NewJournal(),
-		Ledger: obs.NewLedger(), Kills: obs.NewKillTable(),
+	s := New(Config{Workers: 1, Store: st, Tracer: obs.New(), Events: obs.NewEvents(),
 		Options: facc.Options{Workers: 1}})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
@@ -328,8 +324,7 @@ func BenchmarkServeFreshDigest(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	s := New(Config{Workers: 1, Store: st, Tracer: obs.New(), Journal: obs.NewJournal(),
-		Ledger: obs.NewLedger(), Kills: obs.NewKillTable(),
+	s := New(Config{Workers: 1, Store: st, Tracer: obs.New(), Events: obs.NewEvents(),
 		Options: facc.Options{Workers: 1}})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {

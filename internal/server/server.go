@@ -89,21 +89,14 @@ type Config struct {
 	// Tracer backs /metrics, /status and /trace. Required (New creates
 	// one when nil).
 	Tracer *obs.Tracer
-	// Journal, when non-nil, records synthesis provenance served at
-	// /journal.
-	Journal *obs.Journal
-	// Ledger, when non-nil, charges synthesis work to per-request
-	// candidate accounts: /status gains the costs block, /metrics the
-	// facc_ledger_* families, and flight records carry each retained
-	// request's ledger slice.
-	Ledger *obs.Ledger
-	// Kills, when non-nil, records the search observatory per request:
-	// /status gains the search block, /metrics the facc_search_*
-	// families, and flight records carry each retained request's kill
-	// events and funnel summary.
-	Kills *obs.KillTable
+	// Events, when non-nil, records the candidate-event stream, scoped
+	// per request by trace ID: /journal serves it, /status gains the
+	// costs and search blocks, /metrics the facc_ledger_* and
+	// facc_search_* families, and flight records carry each retained
+	// request's events with their cost and search folds.
+	Events *obs.Events
 	// FlightRecorder bounds how many slowest and how many failed
-	// requests are retained with full span trees and cost ledgers at
+	// requests are retained with full span trees and events at
 	// /debug/requests (default 32 per class; <0 disables).
 	FlightRecorder int
 	// SLOLatency is the per-request latency objective (default 1s): a
@@ -138,7 +131,7 @@ const (
 type Job struct {
 	ID     string
 	Key    string
-	Trace  string // request trace ID; joins spans/journal/ledger/exemplars
+	Trace  string // request trace ID; joins spans/events/exemplars
 	Req    facc.CompileRequest
 	State  JobState
 	Cached bool
@@ -217,7 +210,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		reg:    cfg.Tracer.Metrics(),
-		obs:    obshttp.New(cfg.Tracer, cfg.Journal, cfg.Ledger, cfg.Kills),
+		obs:    obshttp.New(cfg.Tracer, cfg.Events),
 		queue:  make(chan *Job, cfg.QueueDepth),
 		jobs:   map[string]*Job{},
 		active: map[string]*Job{},
@@ -245,14 +238,12 @@ func New(cfg Config) *Server {
 }
 
 // faccCompile is the production CompileFunc: the full pipeline with the
-// server's standing options, shared tracer/journal and shared oracle
-// cache.
+// server's standing options, shared tracer and event stream, and shared
+// oracle cache.
 func (s *Server) faccCompile(ctx context.Context, req facc.CompileRequest) (CompileResult, error) {
 	opts := s.cfg.Options
 	opts.Trace = s.cfg.Tracer
-	opts.Journal = s.cfg.Journal
-	opts.Ledger = s.cfg.Ledger
-	opts.Kills = s.cfg.Kills
+	opts.Events = s.cfg.Events
 	opts.Oracle = s.oracleCache()
 	res, err := facc.CompileRequestContext(ctx, req, opts)
 	if err != nil {
@@ -294,8 +285,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleDebugRequests dumps the flight recorder: the retained slowest and
-// failed requests, each joined by trace ID to its span tree, provenance,
-// cost ledger and search record as it is read.
+// failed requests, each joined by trace ID to its span tree, its
+// candidate events and their cost and search folds as it is read.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
 	if s.flight == nil {
 		http.Error(w, "flight recorder disabled", http.StatusNotFound)
@@ -370,12 +361,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	// Every request carries a trace ID — the client's X-Facc-Trace when
 	// supplied and well-formed, a fresh one otherwise. It is echoed in
-	// the response header and stamps every span, journal event and
-	// ledger charge the request causes. A hostile header (over-long or
-	// outside [A-Za-z0-9._-]) is replaced, not propagated: the ID rides
-	// verbatim in Prometheus exemplar lines, journal JSONL and persisted
-	// store entries, all of which it could otherwise pollute. Deduped
-	// requests adopt the in-flight job's ID (one compile, one trace).
+	// the response header and stamps every span and event the request
+	// causes. A hostile header (over-long or outside [A-Za-z0-9._-]) is
+	// replaced, not propagated: the ID rides verbatim in Prometheus
+	// exemplar lines, the /journal JSONL and persisted store entries,
+	// all of which it could otherwise pollute. Deduped requests adopt
+	// the in-flight job's ID (one compile, one trace).
 	trace := r.Header.Get("X-Facc-Trace")
 	if !obs.ValidTraceID(trace) {
 		trace = obs.NewTraceID()
@@ -625,18 +616,21 @@ func (s *Server) observeSLO(job *Job, state JobState, latMs float64) {
 }
 
 // join returns copies of retained records filled with everything the
-// tracer, journal, ledger and kill table hold under each record's trace
-// ID. A trace ID that a client reused shows every event recorded under
-// it up to now.
+// tracer and the event stream hold under each record's trace ID, and the
+// cost and search folds of those events. A trace ID that a client reused
+// shows every event recorded under it up to now.
 func (s *Server) join(recs []*RequestRecord) []*RequestRecord {
 	out := make([]*RequestRecord, len(recs))
 	for i, r := range recs {
 		rec := *r
 		rec.Spans = spanRecords(s.cfg.Tracer.TraceSpans(r.Trace))
-		rec.Journal = s.cfg.Journal.TraceEvents(r.Trace)
-		rec.Ledger = s.cfg.Ledger.TraceEntries(r.Trace)
-		rec.Search = s.cfg.Kills.TraceSummary(r.Trace)
-		rec.Kills = s.cfg.Kills.TraceEvents(r.Trace)
+		if r.Trace != "" {
+			rec.Events = s.cfg.Events.Scoped(r.Trace).Snapshot()
+			if n, sum := obs.FoldCosts(rec.Events); n > 0 {
+				rec.Costs = &sum
+			}
+			rec.Search = obs.FoldSearch(rec.Events)
+		}
 		out[i] = &rec
 	}
 	return out

@@ -52,7 +52,7 @@ type debugRequests struct {
 
 // TestServerTraceJoinEndToEnd is the tentpole acceptance test: one trace
 // ID, supplied by the client, must be joinable across the response
-// header, the job JSON, the span export, the journal JSONL, the cost
+// header, the job JSON, the span export, the event JSONL, the cost
 // ledger, the /metrics exemplars, and the /debug/requests flight record —
 // through a real compile of a corpus program.
 func TestServerTraceJoinEndToEnd(t *testing.T) {
@@ -72,9 +72,7 @@ func TestServerTraceJoinEndToEnd(t *testing.T) {
 		NumTests:      3,
 	}
 	tr := obs.New()
-	j := obs.NewJournal()
-	led := obs.NewLedger()
-	kills := obs.NewKillTable()
+	ev := obs.NewEvents()
 	st, err := store.Open(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +80,7 @@ func TestServerTraceJoinEndToEnd(t *testing.T) {
 	defer st.Close()
 	s := New(Config{
 		QueueDepth: 4, Workers: 1,
-		Tracer: tr, Journal: j, Ledger: led, Kills: kills, Store: st,
+		Tracer: tr, Events: ev, Store: st,
 	})
 	defer s.Drain(context.Background())
 	ts := httptest.NewServer(s.Handler())
@@ -115,33 +113,28 @@ func TestServerTraceJoinEndToEnd(t *testing.T) {
 		t.Error("Chrome trace export lost the trace ID")
 	}
 
-	// The provenance journal events are stamped, and the JSONL export
-	// carries the stamp — the grep target serve_smoke.sh asserts.
-	if evs := j.TraceEvents(trace); len(evs) == 0 {
-		t.Fatal("no journal events joined to the trace")
+	// The candidate events are stamped, and the JSONL export carries the
+	// stamp — the grep target serve_smoke.sh asserts.
+	evs := ev.Scoped(trace).Snapshot()
+	if len(evs) == 0 {
+		t.Fatal("no events joined to the trace")
 	}
 	var jsonl bytes.Buffer
-	if err := j.WriteJSONL(&jsonl); err != nil {
+	if err := ev.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(jsonl.String(), `"trace":"`+trace+`"`) {
-		t.Error("journal JSONL export lost the trace ID")
+		t.Error("event JSONL export lost the trace ID")
 	}
 
 	// The cost ledger charged this request's synthesis work to the trace,
 	// and the deterministic search produced exactly one winner account.
-	entries := led.TraceEntries(trace)
-	if len(entries) == 0 {
-		t.Fatal("no ledger accounts joined to the trace")
+	n, costs := obs.FoldCosts(evs)
+	if n == 0 {
+		t.Fatal("no cost accounts joined to the trace")
 	}
-	winners := 0
-	for _, e := range entries {
-		if e.Verdict == obs.VerdictWinner {
-			winners++
-		}
-	}
-	if winners != 1 {
-		t.Errorf("%d winner accounts on the trace, want 1: %+v", winners, entries)
+	if w := costs.Total.Verdicts[obs.VerdictWinner]; w != 1 {
+		t.Errorf("%d winner accounts on the trace, want 1: %+v", w, costs.Total)
 	}
 
 	// The persisted adapter is stamped with the trace that compiled it.
@@ -187,17 +180,20 @@ func TestServerTraceJoinEndToEnd(t *testing.T) {
 	if rec == nil {
 		t.Fatalf("trace not in /debug/requests slowest list (%d records)", len(dump.Slowest))
 	}
-	if len(rec.Spans) == 0 || len(rec.Journal) == 0 || len(rec.Ledger) == 0 {
-		t.Errorf("flight record incomplete: %d spans, %d journal events, %d ledger accounts",
-			len(rec.Spans), len(rec.Journal), len(rec.Ledger))
+	if len(rec.Spans) == 0 || len(rec.Events) != len(evs) || rec.Costs == nil {
+		t.Errorf("flight record incomplete: %d spans, %d of %d events, costs %+v",
+			len(rec.Spans), len(rec.Events), len(evs), rec.Costs)
 	}
 	if rec.Search == nil || rec.Search.Dispatched == 0 || rec.Search.Winners != 1 {
 		t.Errorf("flight record search funnel = %+v, want dispatched > 0 with 1 winner",
 			rec.Search)
 	}
-	for _, ev := range rec.Kills {
-		if ev.Trace != trace {
-			t.Errorf("flight record kill event on foreign trace: %+v", ev)
+	if rec.Costs != nil && rec.Costs.Total.Verdicts[obs.VerdictWinner] != 1 {
+		t.Errorf("flight record cost fold = %+v, want 1 winner", rec.Costs.Total)
+	}
+	for _, e := range rec.Events {
+		if e.Trace != trace {
+			t.Errorf("flight record event on foreign trace: %+v", e)
 		}
 	}
 
@@ -230,7 +226,7 @@ func TestServerTraceJoinEndToEnd(t *testing.T) {
 // TestServerTraceHeaderValidation: a hostile X-Facc-Trace — over-long,
 // wrong charset, or carrying header/JSON metacharacters — is replaced
 // with a generated ID instead of being propagated into exemplar lines,
-// journal exports and store entries. Well-formed client IDs (not just
+// event exports and store entries. Well-formed client IDs (not just
 // 32-hex ones) are still honored verbatim.
 func TestServerTraceHeaderValidation(t *testing.T) {
 	compile := func(ctx context.Context, req facc.CompileRequest) (CompileResult, error) {
@@ -284,7 +280,7 @@ func TestServerTraceHeaderValidation(t *testing.T) {
 // TestServerFlightRecorderConcurrent hammers the daemon with parallel
 // successful and failing requests while /status, /metrics and
 // /debug/requests are read concurrently — under -race this is the
-// data-race proof for the ledger + flight-recorder write/read paths.
+// data-race proof for the event stream + flight-recorder write/read paths.
 func TestServerFlightRecorderConcurrent(t *testing.T) {
 	injected := errors.New("injected fault")
 	compile := func(ctx context.Context, req facc.CompileRequest) (CompileResult, error) {
@@ -296,7 +292,7 @@ func TestServerFlightRecorderConcurrent(t *testing.T) {
 	tr := obs.New()
 	s := New(Config{
 		QueueDepth: 64, Workers: 4,
-		Tracer: tr, Journal: obs.NewJournal(), Ledger: obs.NewLedger(),
+		Tracer: tr, Events: obs.NewEvents(),
 		FlightRecorder: 8,
 		Compile:        compile,
 	})

@@ -2,10 +2,15 @@ package synth
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"facc/internal/accel"
+	"facc/internal/fft"
+	"facc/internal/iogen"
 	"facc/internal/minic"
 	"facc/internal/obs"
 )
@@ -32,42 +37,70 @@ func TestNilObsInstrumentationZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestNilJournalZeroAllocs: the provenance journal and cost ledger obey
-// the same contract. With neither attached, the verdict helper (the only
-// journal/ledger touchpoint on the fuzz hot path) must not allocate —
-// counterexample and candidate-key rendering are gated behind the nil
-// checks at every call site, and Record on a nil journal is free.
-func TestNilJournalZeroAllocs(t *testing.T) {
-	var j *obs.Journal
+// TestNilEventsZeroAllocs: the candidate-event stream obeys the same
+// contract. With none attached, record — the one event touchpoint of a
+// fuzzed candidate — returns before rendering a candidate key, a case
+// signature or a counterexample (it must not even dereference the
+// candidate), and every Events method the pipeline calls is a free
+// no-op on nil.
+func TestNilEventsZeroAllocs(t *testing.T) {
+	var ev *obs.Events
+	tc := iogen.Case{UserLen: 64, AccelLen: 64}
 	allocs := testing.AllocsPerRun(500, func() {
-		verdict(Options{}, "fft", nil, "survived", 10, "", "")
-		j.Record(obs.JournalEvent{Kind: obs.KindFuzz})
+		record(Options{}, "fft", nil, killedAt("behavior-mismatch", &tc, 0,
+			"no post-behavioral sketch reproduces the user output"),
+			work{started: 2, steps: 100, hits: 1})
+		record(Options{}, "fft", nil, verdict{outcome: obs.OutcomeSurvived, tests: 4},
+			work{started: 4})
+		record(Options{}, "fft", nil, caseless("not-viable", "no test sizes"), work{})
+		ev.Record(obs.Event{Kind: obs.KindFuzz, Function: "fft"})
+		ev.Scoped("trace").Record(obs.Event{Kind: obs.KindEmitted})
 	})
 	if allocs != 0 {
-		t.Errorf("nil journal allocates %.0f per fuzz iteration, want 0", allocs)
+		t.Errorf("nil event stream allocates %.0f per fuzzed candidate, want 0", allocs)
 	}
 }
 
-// TestNilLedgerZeroAllocs: the satellite zero-overhead guarantee — a nil
-// (disabled) ledger costs nothing on the hot path. Every ledger method is
-// exercised the way the fuzz loop and oracle would call them, through the
-// nil-guarded paths that skip key rendering entirely.
-func TestNilLedgerZeroAllocs(t *testing.T) {
-	var l *obs.Ledger
-	allocs := testing.AllocsPerRun(500, func() {
-		// The guards the hot path uses before touching the ledger.
-		if l != nil {
-			t.Fatal("unreachable")
-		}
-		// And the methods themselves are free even when called.
-		l.ChargeTests("fft", "ffta", "key", 10)
-		l.ChargeInterp("fft", "ffta", "key", 100, 200)
-		l.ChargeOracle("fft", "ffta", "key", true)
-		l.SetVerdict("fft", "ffta", "key", "survived")
-		l.Scoped("")
-	})
-	if allocs != 0 {
-		t.Errorf("nil ledger allocates %.0f per fuzz iteration, want 0", allocs)
+// TestCostFoldChargesStartedCases: at Workers=GOMAXPROCS a candidate is
+// charged every case it started, those run past its kill included, so
+// the cost fold's totals match the tracer's counters, which count the
+// same cases: tests, oracle hits and misses, and interpreter steps.
+func TestCostFoldChargesStartedCases(t *testing.T) {
+	f, err := minic.ParseAndCheck("t.c", dirFlagSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	sp := tr.Span("synthesize")
+	ev := obs.NewEvents()
+	res, err := Synthesize(context.Background(), f, f.Func("fft_dir"), accel.NewFFTWLib(),
+		pow2Profile("n", 16, 32, 64), Options{NumTests: 8, Workers: runtime.GOMAXPROCS(0),
+			ExhaustAll: true, Obs: sp, Events: ev})
+	sp.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Adapter == nil || res.Tested < 2 {
+		t.Fatalf("fixture drifted: adapter=%v tested=%d", res.Adapter != nil, res.Tested)
+	}
+	c := tr.Metrics().Counters()
+	n, sum := obs.FoldCosts(ev.Snapshot())
+	tot := sum.Total
+	if n != res.Tested {
+		t.Errorf("%d accounts, want one per tested candidate (%d)", n, res.Tested)
+	}
+	if got := tot.UsefulTests + tot.SpeculativeTests; got != c["synth.tests_run"] || got == 0 {
+		t.Errorf("cost fold charges %d tests, synth.tests_run = %d", got, c["synth.tests_run"])
+	}
+	if tot.OracleHits != c["synth.oracle_hits"] || tot.OracleMisses != c["synth.oracle_misses"] {
+		t.Errorf("cost fold charges %d hits / %d misses, counters read %d / %d",
+			tot.OracleHits, tot.OracleMisses, c["synth.oracle_hits"], c["synth.oracle_misses"])
+	}
+	if got := tot.UsefulSteps + tot.SpeculativeSteps; got != c["interp.steps"] {
+		t.Errorf("cost fold charges %d steps, interp.steps = %d", got, c["interp.steps"])
+	}
+	if tot.Verdicts[obs.VerdictWinner] != 1 {
+		t.Errorf("verdicts = %v, want one winner", tot.Verdicts)
 	}
 }
 
@@ -122,45 +155,27 @@ func TestSynthesizeWithObsSpan(t *testing.T) {
 	}
 }
 
-// TestNilKillTableZeroAllocsOnVerdictPath: with no kill table attached,
-// the kill-attribution touchpoints on the fuzz hot path must be free —
-// recordKill returns before rendering any candidate key or case
-// signature (it must not even dereference the candidate), and every
-// KillTable method no-ops on nil.
-func TestNilKillTableZeroAllocsOnVerdictPath(t *testing.T) {
-	var k *obs.KillTable
-	allocs := testing.AllocsPerRun(500, func() {
-		recordKill(Options{}, "fft", nil, nil, -1, 0, "behavior-mismatch", "")
-		k.AddDispatched("fft", "ffta", 1)
-		k.AddSurvived("fft", "ffta", 1)
-		k.AddWinner("fft", "ffta", 1)
-	})
-	if allocs != 0 {
-		t.Errorf("nil kill table allocates %.0f per verdict, want 0", allocs)
-	}
-}
-
-// TestSynthesizeKillAttribution: with a kill table attached, every
-// non-survivor records a kill event consistent with the funnel, the
-// journal's "killed by" line, and the case-signature convention.
+// TestSynthesizeKillAttribution: with an event stream attached, every
+// non-survivor's fuzz event carries a kill attribution consistent with
+// the search funnel, the explain report's "killed by" line, and the
+// case-signature convention.
 func TestSynthesizeKillAttribution(t *testing.T) {
 	f, err := minic.ParseAndCheck("t.c", radix2Struct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kills := obs.NewKillTable()
-	j := obs.NewJournal()
+	ev := obs.NewEvents()
 	res, err := Synthesize(context.Background(), f, f.Func("fft"), accel.NewFFTA(), pow2Profile("n"),
-		Options{NumTests: 4, Workers: 1, ExhaustAll: true, Kills: kills, Journal: j})
+		Options{NumTests: 4, Workers: 1, ExhaustAll: true, Events: ev})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Adapter == nil {
 		t.Fatalf("no adapter: %s", res.FailReason)
 	}
-	sum := kills.Summary()
+	sum := obs.FoldSearch(ev.Snapshot())
 	if sum == nil {
-		t.Fatal("no search summary despite attached kill table")
+		t.Fatal("no search summary despite an attached stream")
 	}
 	if sum.Dispatched != int64(res.Tested) {
 		t.Errorf("dispatched = %d, want res.Tested = %d", sum.Dispatched, res.Tested)
@@ -175,55 +190,49 @@ func TestSynthesizeKillAttribution(t *testing.T) {
 		t.Errorf("generated (%d) < dispatched (%d): funnel head lost hypotheses",
 			sum.Generated, sum.Dispatched)
 	}
-	// Every dispatched candidate either survived or died with a kill
-	// event.
+	// Every dispatched candidate either survived or was killed.
 	if got := sum.Killed + sum.Survived; got != sum.Dispatched {
 		t.Errorf("killed (%d) + survived (%d) != dispatched (%d)",
 			sum.Killed, sum.Survived, sum.Dispatched)
 	}
 
-	// Journal cross-check: each fuzz verdict with a mismatch must have a
-	// kill event whose 0-based case index is tests-1.
-	depthByCand := map[string]int{}
-	for _, ev := range kills.Events() {
-		if ev.Function != "fft" || ev.Target != "ffta" {
-			t.Fatalf("kill event mis-attributed: %+v", ev)
-		}
-		if ev.Family == "" || ev.Candidate == "" {
-			t.Fatalf("kill event missing family/candidate: %+v", ev)
-		}
-		if ev.CaseIndex >= 0 {
-			want := fmt.Sprintf("seed=%d n=%d case=%d", ev.Seed, ev.Len, ev.CaseIndex)
-			if ev.CaseSig != want {
-				t.Errorf("case sig = %q, want %q", ev.CaseSig, want)
-			}
-			if ev.Steps <= 0 {
-				t.Errorf("kill at case %d charged %d interp steps, want > 0",
-					ev.CaseIndex, ev.Steps)
-			}
-		}
-		depthByCand[ev.Candidate] = ev.CaseIndex
-	}
-	mismatches := 0
-	for _, ev := range j.Events() {
-		if ev.Kind != obs.KindFuzz || ev.Mismatch == "" {
+	// Each kill names its function, target, candidate and family, its
+	// case signature follows the convention, and a verdict with a
+	// mismatch dies at the case -explain's "killed by" line names.
+	kills := 0
+	for _, e := range ev.Snapshot() {
+		if !e.Killed() {
 			continue
 		}
-		mismatches++
-		if got, ok := depthByCand[ev.Candidate]; !ok || got != ev.Tests-1 {
-			t.Errorf("journal says %s died at case %d, kill table says %d",
-				ev.Candidate, ev.Tests-1, got)
+		kills++
+		if e.Function != "fft" || e.Target != "ffta" {
+			t.Fatalf("kill mis-attributed: %+v", e)
+		}
+		if e.Family == "" || e.Candidate == "" {
+			t.Fatalf("kill missing family/candidate: %+v", e)
+		}
+		if e.Case >= 0 {
+			want := fmt.Sprintf("seed=%d n=%d case=%d", e.Seed, e.Len, e.Case)
+			if e.CaseSig != want {
+				t.Errorf("case sig = %q, want %q", e.CaseSig, want)
+			}
+			if e.Steps <= 0 {
+				t.Errorf("kill at case %d charged %d interp steps, want > 0", e.Case, e.Steps)
+			}
+		}
+		if e.Mismatch != "" && e.Case != e.Tests-1 {
+			t.Errorf("explain says %s died at case %d, its kill attribution says %d",
+				e.Candidate, e.Tests-1, e.Case)
 		}
 	}
-	if mismatches == 0 || int64(mismatches) != sum.Killed {
-		t.Errorf("journal mismatch verdicts = %d, kill table killed = %d",
-			mismatches, sum.Killed)
+	if kills == 0 || int64(kills) != sum.Killed {
+		t.Errorf("kill events = %d, search fold killed = %d", kills, sum.Killed)
 	}
 }
 
-// TestKillTableDoesNotPerturbSearch: attaching the observatory must not
+// TestKillTableDoesNotPerturbSearch: attaching the event stream must not
 // change what is synthesized — adapters are byte-identical with and
-// without a kill table, at Workers=1 and Workers=8.
+// without one, at Workers=1 and Workers=8.
 func TestKillTableDoesNotPerturbSearch(t *testing.T) {
 	f, err := minic.ParseAndCheck("t.c", radix2Struct)
 	if err != nil {
@@ -232,42 +241,48 @@ func TestKillTableDoesNotPerturbSearch(t *testing.T) {
 	var baseline string
 	for _, cfg := range []struct {
 		workers int
-		kills   *obs.KillTable
+		ev      *obs.Events
 	}{
-		{1, nil}, {1, obs.NewKillTable()}, {8, nil}, {8, obs.NewKillTable()},
+		{1, nil}, {1, obs.NewEvents()}, {8, nil}, {8, obs.NewEvents()},
 	} {
 		res, err := Synthesize(context.Background(), f, f.Func("fft"), accel.NewFFTA(),
-			pow2Profile("n"), Options{NumTests: 4, Workers: cfg.workers, Kills: cfg.kills})
+			pow2Profile("n"), Options{NumTests: 4, Workers: cfg.workers, Events: cfg.ev})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Adapter == nil {
-			t.Fatalf("workers=%d kills=%v: no adapter", cfg.workers, cfg.kills != nil)
+			t.Fatalf("workers=%d events=%v: no adapter", cfg.workers, cfg.ev != nil)
 		}
 		key := res.Adapter.Cand.Key()
 		if baseline == "" {
 			baseline = key
 		} else if key != baseline {
-			t.Errorf("workers=%d kills=%v: winner %q differs from baseline %q",
-				cfg.workers, cfg.kills != nil, key, baseline)
+			t.Errorf("workers=%d events=%v: winner %q differs from baseline %q",
+				cfg.workers, cfg.ev != nil, key, baseline)
 		}
 	}
 }
 
-// TestKillTableDeterministicSequential: at Workers=1 the kill stream is
-// fully deterministic — two runs produce identical events.
+// TestKillTableDeterministicSequential: at Workers=1 the event stream is
+// fully deterministic, the work each fuzz event charges included — two
+// runs record identical events but for their timestamps.
 func TestKillTableDeterministicSequential(t *testing.T) {
 	f, err := minic.ParseAndCheck("t.c", radix2Struct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() []obs.KillEvent {
-		k := obs.NewKillTable()
+	run := func() []obs.Event {
+		ev := obs.NewEvents()
 		if _, err := Synthesize(context.Background(), f, f.Func("fft"), accel.NewFFTA(),
-			pow2Profile("n"), Options{NumTests: 4, Workers: 1, ExhaustAll: true, Kills: k}); err != nil {
+			pow2Profile("n"), Options{NumTests: 4, Workers: 1, ExhaustAll: true, Events: ev}); err != nil {
 			t.Fatal(err)
 		}
-		return k.Events()
+		var evs []obs.Event
+		for _, e := range ev.Snapshot() {
+			e.AtUs = 0
+			evs = append(evs, e)
+		}
+		return evs
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -277,5 +292,55 @@ func TestKillTableDeterministicSequential(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("event %d differs:\n  %+v\n  %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestCancelledCandidateBooksUndecided: a candidate cut off by a compile
+// cancellation records a fuzz event with no outcome. The cost ledger
+// books the case it started as undecided work, the search observatory
+// counts it dispatched but neither killed nor surviving, and -explain
+// does not list it.
+func TestCancelledCandidateBooksUndecided(t *testing.T) {
+	f, err := minic.ParseAndCheck("t.c", radix2Struct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := accel.NewFFTA()
+	spec.Exec = func(in []complex128, dir fft.Direction) ([]complex128, error) {
+		cancel() // the compile is cancelled during the first case
+		return spec.Simulate(in, dir)
+	}
+	ev := obs.NewEvents()
+	_, err = Synthesize(ctx, f, f.Func("fft"), spec, pow2Profile("n"),
+		Options{NumTests: 4, Workers: 1, Events: ev})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a cancellation", err)
+	}
+	evs := ev.Snapshot()
+	var fuzz []obs.Event
+	for _, e := range evs {
+		if e.Kind == obs.KindFuzz {
+			fuzz = append(fuzz, e)
+		}
+	}
+	if len(fuzz) != 1 || fuzz[0].Outcome != "" || fuzz[0].Started != 1 ||
+		fuzz[0].OracleHits+fuzz[0].OracleMisses != 1 {
+		t.Fatalf("fuzz events = %+v, want one with no outcome and one started case", fuzz)
+	}
+	n, costs := obs.FoldCosts(evs)
+	if n != 1 || costs.Total.Verdicts["undecided"] != 1 || costs.Total.SpeculativeTests != 1 {
+		t.Errorf("cost fold: %d account(s), %+v; want one undecided case", n, costs.Total)
+	}
+	if s := obs.FoldSearch(evs); s == nil || s.Dispatched != 1 || s.Killed+s.Survived != 0 {
+		t.Errorf("search fold = %+v, want 1 dispatched, none killed or surviving", s)
+	}
+	var report strings.Builder
+	if err := ev.WriteReport(&report); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(report.String(), "candidate 1:") {
+		t.Errorf("-explain lists the cut-off candidate:\n%s", report.String())
 	}
 }

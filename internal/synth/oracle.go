@@ -234,7 +234,7 @@ func oracleKey(fileKey, ref, caseDigest string) string {
 
 // oracle is one Synthesize call's view of the cache: it owns the
 // interpreter machine pool (machines are per-file) and the per-run
-// hit/miss counters the journal reports, while the entry map may be
+// hit/miss counters the oracle event reports, while the entry map may be
 // shared process-wide via Options.Oracle.
 //
 // Machines are pooled (bounded by the worker count) rather than built
@@ -249,9 +249,6 @@ type oracle struct {
 	// reg (nil-safe) receives interp.* work counters and the
 	// synth.oracle_hits / synth.oracle_misses pairs.
 	reg *obs.Registry
-	// led (nil-safe) charges each lookup and each miss's interpreter
-	// work to the candidate that issued it.
-	led *obs.Ledger
 
 	machines chan *interp.Machine // tokens; nil = build lazily on first use
 	workers  int                  // the machine bound: cases run concurrently
@@ -279,13 +276,12 @@ type oracleEntry struct {
 }
 
 func newOracle(f *minic.File, fn *minic.FuncDecl, target string, workers int,
-	reg *obs.Registry, led *obs.Ledger, shared *OracleCache) *oracle {
+	reg *obs.Registry, shared *OracleCache) *oracle {
 	o := &oracle{
 		f:        f,
 		fn:       fn,
 		fileKey:  shared.fileDigest(f, fn),
 		reg:      reg,
-		led:      led,
 		machines: make(chan *interp.Machine, workers),
 		workers:  workers,
 		cache:    shared,
@@ -332,9 +328,10 @@ func (o *oracle) acquire(ctx context.Context) (*interp.Machine, error) {
 // signature — but cancellation/timeout errors are returned uncached.
 // steps reports the interpreter steps this call actually spent: the
 // miss's run cost, or 0 on a cache hit (shared work was already paid
-// for) — the "interp steps at death" the kill table attributes.
+// for, and hit is true). The steps and the lookup are the work the
+// candidate's fuzz event charges to it.
 func (o *oracle) run(ctx context.Context, cand *binding.Candidate, ref string,
-	tc iogen.Case) (out []complex128, ret *int64, steps int64, err error) {
+	tc iogen.Case) (out []complex128, ret *int64, steps int64, hit bool, err error) {
 	e := slot(&o.cache.mu, o.cache.entries, oracleKey(o.fileKey, ref, o.cache.memo.CaseDigest(tc)))
 
 	e.mu.Lock()
@@ -344,24 +341,18 @@ func (o *oracle) run(ctx context.Context, cand *binding.Candidate, ref string,
 		o.cache.hits.Add(1)
 		o.hitsCtr.Inc()
 		o.hitsTgtCtr.Inc()
-		if o.led != nil {
-			// A hit is shared work: some candidate already paid for this
-			// reference run; this one reuses it for free.
-			o.led.ChargeOracle(o.fn.Name, cand.Spec.Name, cand.Key(), true)
-		}
-		return e.out, e.ret, 0, e.err
+		// A hit is shared work: some candidate already paid for this
+		// reference run; this one reuses it for free.
+		return e.out, e.ret, 0, true, e.err
 	}
 	o.misses.Add(1)
 	o.cache.misses.Add(1)
 	o.missesCtr.Inc()
 	o.missesTgtCtr.Inc()
-	if o.led != nil {
-		o.led.ChargeOracle(o.fn.Name, cand.Spec.Name, cand.Key(), false)
-	}
 
 	m, merr := o.acquire(ctx)
 	if merr != nil {
-		return nil, nil, 0, merr
+		return nil, nil, 0, false, merr
 	}
 	prev := m.TotalCounters()
 	m.Ctx = ctx
@@ -378,23 +369,16 @@ func (o *oracle) run(ctx context.Context, cand *binding.Candidate, ref string,
 		o.reg.Counter("interp.ops").Add(delta.Total())
 		o.reg.Counter("interp.allocs").Add(delta.Allocs)
 		o.reg.Counter("interp.steps").Add(delta.Steps)
-		if o.led != nil {
-			// The interpreter work of a miss is charged to the candidate
-			// that triggered it — later candidates with the same signature
-			// hit the cache and share it for free.
-			o.led.ChargeInterp(o.fn.Name, cand.Spec.Name, cand.Key(),
-				delta.Steps, delta.Total())
-		}
 		o.machines <- m
 	}()
 	uout, uret, rerr := runUser(m, o.fn, cand, tc)
 	if rerr != nil && (interp.FaultOf(rerr) == interp.FaultCancelled || ctx.Err() != nil) {
-		return nil, nil, 0, rerr
+		return nil, nil, 0, false, rerr
 	}
 	e.done = true
 	e.out, e.ret, e.err = uout, uret, rerr
 	o.cache.bytes.Add(16 * int64(len(uout)))
-	return uout, uret, 0, rerr
+	return uout, uret, 0, false, rerr
 }
 
 // stats reports cache effectiveness for this Synthesize call: hits,

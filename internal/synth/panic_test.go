@@ -17,7 +17,7 @@ import (
 // the compilation — the candidate is rejected with a "panic" verdict and
 // synthesis finishes cleanly. At Workers=4 the panic happens in a case
 // goroutine and must reach the candidate's shield all the same, with the
-// journal a sequential run writes.
+// events a sequential run records.
 func TestPanicInAcceleratorIsIsolated(t *testing.T) {
 	f, err := minic.ParseAndCheck("t.c", radix2Struct)
 	if err != nil {
@@ -32,10 +32,10 @@ func TestPanicInAcceleratorIsIsolated(t *testing.T) {
 			panic("device driver bug")
 		}
 		tr := obs.New()
-		j := obs.NewJournal()
+		j := obs.NewEvents()
 		sp := tr.Span("synthesize")
 		res, err := Synthesize(context.Background(), f, f.Func("fft"), spec, pow2Profile("n"),
-			Options{NumTests: 4, Obs: sp, Journal: j, Workers: workers})
+			Options{NumTests: 4, Obs: sp, Events: j, Workers: workers})
 		sp.End()
 		if err != nil {
 			t.Fatalf("workers=%d: panics escalated into a synthesis error: %v", workers, err)
@@ -51,18 +51,18 @@ func TestPanicInAcceleratorIsIsolated(t *testing.T) {
 			t.Fatalf("workers=%d: res.Tested = %d: synthesis stopped at the first panic", workers, res.Tested)
 		}
 		sawVerdict := false
-		for _, ev := range j.Events() {
+		for _, ev := range j.Snapshot() {
 			if ev.Kind == obs.KindFuzz && ev.Outcome == "panic" {
 				sawVerdict = true
 			}
 		}
 		if !sawVerdict {
-			t.Fatalf("workers=%d: journal has no panic verdict", workers)
+			t.Fatalf("workers=%d: no panic verdict recorded", workers)
 		}
 		if sigs := journalSigs(j); seqJournal == nil {
 			seqJournal = sigs
 		} else if fmt.Sprint(sigs) != fmt.Sprint(seqJournal) {
-			t.Fatalf("workers=%d: journal differs from workers=1:\n%v\nvs\n%v", workers, sigs, seqJournal)
+			t.Fatalf("workers=%d: events differ from workers=1:\n%v\nvs\n%v", workers, sigs, seqJournal)
 		}
 	}
 }
@@ -89,20 +89,26 @@ func TestPanicCostsOneCandidate(t *testing.T) {
 			}
 			return spec.Simulate(in, dir)
 		}
-		j := obs.NewJournal()
+		j := obs.NewEvents()
 		res, err := Synthesize(context.Background(), f, f.Func("fft"), spec, pow2Profile("n"),
-			Options{NumTests: 4, Journal: j, Workers: workers})
+			Options{NumTests: 4, Events: j, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: synthesize: %v", workers, err)
 		}
 		panics := 0
 		continued := false
-		for _, ev := range j.Events() {
+		for _, ev := range j.Snapshot() {
 			if ev.Kind != obs.KindFuzz {
 				continue
 			}
 			if ev.Outcome == "panic" {
 				panics++
+				// The panicking case made its oracle lookup before the
+				// device model ran, and its candidate is charged for it.
+				if ev.Started == 0 || ev.OracleHits+ev.OracleMisses != ev.Started {
+					t.Errorf("workers=%d: panic verdict charges %d case(s), %d hit(s), %d miss(es)",
+						workers, ev.Started, ev.OracleHits, ev.OracleMisses)
+				}
 			} else if panics > 0 {
 				continued = true
 			}

@@ -13,38 +13,49 @@ import (
 	"facc/internal/obs"
 )
 
-// eventSig renders the deterministic fields of a journal event — everything
-// except Seq-adjacent timing. Parallel cases promise these match a
-// sequential run byte for byte.
-func eventSig(ev obs.JournalEvent) string {
-	return fmt.Sprintf("%d|%s|%s|%s|%s|%s|%d|%s|%s", ev.Seq, ev.Kind,
-		ev.Function, ev.Candidate, ev.Heuristic, ev.Outcome, ev.Tests,
-		ev.Counterexample, ev.Detail)
+// eventSig renders the deterministic fields of an event — everything but
+// its timing and the work fields, which count the cases run past a kill.
+// Parallel cases promise these match a sequential run byte for byte.
+func eventSig(ev obs.Event) string {
+	ev.AtUs = 0
+	ev.Started, ev.Steps, ev.OracleHits, ev.OracleMisses = 0, 0, 0, 0
+	return fmt.Sprintf("%+v", ev)
 }
 
 // journalSigs drops the oracle-stats event (its hit/miss split legitimately
 // varies with the cases run past a kill) and renders the rest.
-func journalSigs(j *obs.Journal) []string {
+func journalSigs(ev *obs.Events) []string {
 	var out []string
-	for _, ev := range j.Events() {
-		if ev.Kind == obs.KindOracle {
+	for _, e := range ev.Snapshot() {
+		if e.Kind == obs.KindOracle {
 			continue
 		}
-		out = append(out, eventSig(ev))
+		out = append(out, eventSig(e))
+	}
+	return out
+}
+
+// killEvents returns the fuzz events of killed candidates.
+func killEvents(ev *obs.Events) []obs.Event {
+	var out []obs.Event
+	for _, e := range ev.Snapshot() {
+		if e.Killed() {
+			out = append(out, e)
+		}
 	}
 	return out
 }
 
 func synthAtWorkers(t *testing.T, src, entry string, spec *accel.Spec,
-	prof func() *analysis.Profile, workers int, exhaust bool) (*Result, *obs.Journal) {
+	prof func() *analysis.Profile, workers int, exhaust bool) (*Result, *obs.Events) {
 	t.Helper()
 	f, err := minic.ParseAndCheck("t.c", src)
 	if err != nil {
 		t.Fatalf("frontend: %v", err)
 	}
-	j := obs.NewJournal()
+	j := obs.NewEvents()
 	res, err := Synthesize(context.Background(), f, f.Func(entry), spec, prof(),
-		Options{NumTests: 4, Journal: j, Workers: workers, ExhaustAll: exhaust})
+		Options{NumTests: 4, Events: j, Workers: workers, ExhaustAll: exhaust})
 	if err != nil {
 		t.Fatalf("synthesize (workers=%d): %v", workers, err)
 	}
@@ -53,7 +64,7 @@ func synthAtWorkers(t *testing.T, src, entry string, spec *accel.Spec,
 
 // TestPoolDeterministicAcrossWorkers is the core guarantee of the parallel
 // case runner: for every worker count, the Result counts, the winning
-// binding, and the journaled verdict stream are identical to the
+// binding, and the recorded verdicts are identical to the
 // sequential run.
 func TestPoolDeterministicAcrossWorkers(t *testing.T) {
 	cases := []struct {
@@ -99,12 +110,12 @@ func TestPoolDeterministicAcrossWorkers(t *testing.T) {
 				}
 				sigs := journalSigs(j)
 				if len(sigs) != len(refSigs) {
-					t.Fatalf("workers=%d: %d journal events, sequential has %d:\n%v\nvs\n%v",
+					t.Fatalf("workers=%d: %d events, sequential has %d:\n%v\nvs\n%v",
 						workers, len(sigs), len(refSigs), sigs, refSigs)
 				}
 				for i := range sigs {
 					if sigs[i] != refSigs[i] {
-						t.Errorf("workers=%d: journal event %d differs:\n%s\nvs\n%s",
+						t.Errorf("workers=%d: event %d differs:\n%s\nvs\n%s",
 							workers, i, sigs[i], refSigs[i])
 					}
 				}
@@ -136,26 +147,25 @@ void spin_fft(cpx* x, int n) {
 
 // TestPoolNoSpuriousTimeouts: a case cancelled because an earlier case
 // already killed its candidate is dropped — it yields no "timeout" (or
-// "cancelled") verdict, no kill event and no journal line — and it is cut
-// short rather than run to completion.
+// "cancelled") verdict and no event of its own — and it is cut short
+// rather than run to completion.
 func TestPoolNoSpuriousTimeouts(t *testing.T) {
 	f, err := minic.ParseAndCheck("t.c", slowTailSrc)
 	if err != nil {
 		t.Fatalf("frontend: %v", err)
 	}
-	search := func(workers int) (map[string]int64, []obs.KillEvent, []string, *Result) {
+	search := func(workers int) (map[string]int64, []obs.Event, []string, *Result) {
 		tr := obs.New()
 		sp := tr.Span("synthesize")
-		j := obs.NewJournal()
-		kills := obs.NewKillTable()
+		ev := obs.NewEvents()
 		res, err := Synthesize(context.Background(), f, f.Func("spin_fft"),
 			accel.NewFFTA(), pow2Profile("n", 64, 128, 256, 512),
-			Options{NumTests: 4, Workers: workers, Obs: sp, Journal: j, Kills: kills})
+			Options{NumTests: 4, Workers: workers, Obs: sp, Events: ev})
 		sp.End()
 		if err != nil {
 			t.Fatalf("synthesize (workers=%d): %v", workers, err)
 		}
-		return tr.Metrics().Counters(), kills.Events(), journalSigs(j), res
+		return tr.Metrics().Counters(), killEvents(ev), journalSigs(ev), res
 	}
 	_, seqKills, seqJournal, seq := search(1)
 	if seq.Tested == 0 || len(seqKills) != seq.Tested {
@@ -178,10 +188,8 @@ func TestPoolNoSpuriousTimeouts(t *testing.T) {
 			t.Fatalf("run %d: %d kill events, workers=1 recorded %d", run, len(kills), len(seqKills))
 		}
 		for i, ev := range kills {
-			want := seqKills[i]
-			ev.Steps, want.Steps = 0, 0
-			if ev != want {
-				t.Fatalf("run %d: kill event %d = %+v, workers=1 recorded %+v", run, i, ev, want)
+			if got, want := eventSig(ev), eventSig(seqKills[i]); got != want {
+				t.Fatalf("run %d: kill event %d = %s, workers=1 recorded %s", run, i, got, want)
 			}
 		}
 		// A slow case run to the end costs about 16M steps.

@@ -78,37 +78,26 @@ type Options struct {
 	// run on up to Workers goroutines — never more than GOMAXPROCS — each
 	// on a pooled interpreter machine. 0 (the default) means GOMAXPROCS;
 	// 1 runs every case inline on the candidate's goroutine. The per-case
-	// results are resolved in case order, so the Result, the adapter, the
-	// journal and the kill table are identical for every Workers value;
-	// only metrics, the ledger and the oracle's hit/miss split count the
-	// cases run past a kill.
+	// results are resolved in case order, so the Result, the adapter and
+	// every event's verdict and kill attribution are identical for every
+	// Workers value; only metrics and the events' work fields (cases
+	// started, steps, oracle hits and misses) count the cases run past a
+	// kill.
 	Workers int
 	// Obs is the enclosing pipeline span: analysis, binding enumeration,
 	// per-candidate fuzzing and range-check synthesis report as children
 	// of it. Nil (the default) disables tracing with zero overhead — no
 	// allocations — on the generate-and-test hot path.
 	Obs *obs.Span
-	// Journal, when non-nil, records each candidate's lifecycle — gate
-	// verdicts, emitted/pruned bindings, fuzz verdicts with the first
-	// counterexample input on failure, and the accepted adapter. Nil (the
-	// default) costs nothing.
-	Journal *obs.Journal
-	// Ledger, when non-nil, charges every interpreter test, interpreter
-	// step and oracle lookup to the candidate that caused it, with the
-	// candidate's final verdict separating useful work (the winner) from
-	// speculative waste (losers). Every call site guards with a nil check
-	// before rendering the candidate key, so nil (the default) allocates
-	// nothing on the hot path.
-	Ledger *obs.Ledger
-	// Kills, when non-nil, records the search observatory: every
-	// non-survivor's death attributed to the discriminating IO case
-	// (seed, case index, interp steps at death, mismatch kind, binding
-	// family) as an obs.KillEvent, plus the per-(function, target)
-	// search funnel. Like the journal it records what a sequential run
-	// decides, whatever Workers is. Every call site guards with a nil
-	// check before rendering keys, so nil (the default) allocates
-	// nothing on the verdict path.
-	Kills *obs.KillTable
+	// Events, when non-nil, records each candidate's lifecycle — gate
+	// verdicts, emitted/pruned bindings, one fuzz event per tested
+	// candidate (its verdict, the first counterexample input and the
+	// discriminating IO case on failure, and the work its started cases
+	// cost), the accepted adapter and the function's oracle lookups. The
+	// provenance report, the cost ledger and the search observatory are
+	// folds over it. Every call site renders keys only behind a nil
+	// check, so nil (the default) allocates nothing on the hot path.
+	Events *obs.Events
 	// Oracle, when non-nil, is a shared reference-run cache: its keys
 	// are target-independent (see OracleCache), so one cache handed to
 	// the ffta, powerquad and fftw compiles of the same program
@@ -150,8 +139,8 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 	if cache == nil {
 		cache = NewOracleCache()
 	}
-	opts.Journal.Record(obs.JournalEvent{Kind: obs.KindFunction,
-		Function: fn.Name, Detail: spec.Name})
+	opts.Events.Record(obs.Event{Kind: obs.KindFunction,
+		Function: fn.Name, Target: spec.Name, Detail: spec.Name})
 	asp := opts.Obs.Child("analyze")
 	fi := cache.funcInfo(f, fn)
 	asp.End()
@@ -167,13 +156,12 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 	}
 	if gate != "" {
 		res.FailReason = gate
-		opts.Journal.Record(obs.JournalEvent{Kind: obs.KindGate,
-			Function: fn.Name, Heuristic: gate})
+		opts.Events.Record(obs.Event{Kind: obs.KindGate,
+			Function: fn.Name, Target: spec.Name, Heuristic: gate})
 		return res, nil
 	}
 	bopts := opts.Binding
-	bopts.Journal = opts.Journal
-	bopts.Kills = opts.Kills
+	bopts.Events = opts.Events
 	if opts.Obs != nil {
 		bopts.Obs = opts.Obs.Metrics()
 	}
@@ -195,7 +183,7 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 	if opts.Obs != nil {
 		reg = opts.Obs.Metrics()
 	}
-	orc := newOracle(f, fn, spec.Name, workers, reg, opts.Ledger, cache)
+	orc := newOracle(f, fn, spec.Name, workers, reg, cache)
 	var winner *Adapter
 	for i, cand := range cands {
 		if err := ctx.Err(); err != nil {
@@ -222,9 +210,9 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 			break
 		}
 	}
-	if hits, misses, rate := orc.stats(); opts.Journal != nil && hits+misses > 0 {
-		opts.Journal.Record(obs.JournalEvent{Kind: obs.KindOracle,
-			Function: fn.Name,
+	if hits, misses, rate := orc.stats(); opts.Events != nil && hits+misses > 0 {
+		opts.Events.Record(obs.Event{Kind: obs.KindOracle,
+			Function: fn.Name, Target: spec.Name, OracleHits: hits, OracleMisses: misses,
 			Detail: fmt.Sprintf("reference runs: %d hits, %d misses (%.0f%% hit rate)",
 				hits, misses, 100*rate)})
 	}
@@ -241,17 +229,12 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 	winner.Check = rangecheck.Build(winner.Cand, profile)
 	rsp.End()
 	res.Adapter = winner
-	if opts.Ledger != nil {
-		// Reclassify the deterministic winner's account from "survived"
-		// to "winner": its tests/steps become the useful-work baseline
-		// every other candidate's charges are waste against.
-		opts.Ledger.SetVerdict(fn.Name, spec.Name, winner.Cand.Key(), obs.VerdictWinner)
-	}
-	opts.Kills.AddWinner(fn.Name, spec.Name, 1)
 	opts.Obs.Metrics().Counter("synth.winners").Inc()
-	if opts.Journal != nil {
-		opts.Journal.Record(obs.JournalEvent{Kind: obs.KindAccepted,
-			Function: fn.Name, Candidate: winner.Cand.Key(),
+	if opts.Events != nil {
+		// The cost ledger books the winner's work as useful, every other
+		// candidate's as waste against it.
+		opts.Events.Record(obs.Event{Kind: obs.KindAccepted,
+			Function: fn.Name, Target: spec.Name, Candidate: winner.Cand.Key(),
 			Tests: winner.TestsPassed,
 			Detail: fmt.Sprintf("post=%s; check=%s", winner.Post,
 				winner.Check.CCondition(lenCExpr(winner.Cand.Length)))})
@@ -260,8 +243,8 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 }
 
 // lenCExpr renders a length binding as the C expression the generated
-// adapter guards on (mirrors codegen's lengthExpr), so journal "accepted"
-// events show the range check in the user's own terms.
+// adapter guards on (mirrors codegen's lengthExpr), so "accepted" events
+// show the range check in the user's own terms.
 func lenCExpr(lb binding.LengthBinding) string {
 	if lb.Param == "" {
 		return fmt.Sprintf("%d", lb.Const)
@@ -272,59 +255,76 @@ func lenCExpr(lb binding.LengthBinding) string {
 	return lb.Param
 }
 
-// verdict records one candidate's generate-and-test outcome in the
-// journal and as the candidate's final ledger verdict. The binding key
-// and counterexample are only rendered when a sink is attached, so the
-// disabled path stays allocation-free.
-func verdict(opts Options, fn string, cand *binding.Candidate,
-	outcome string, tests int, cex, detail string) {
-	if opts.Ledger != nil {
-		opts.Ledger.SetVerdict(fn, cand.Spec.Name, cand.Key(), outcome)
-	}
-	if opts.Journal == nil {
-		return
-	}
-	ev := obs.JournalEvent{Kind: obs.KindFuzz, Function: fn,
-		Candidate: cand.Key(), Outcome: outcome, Tests: tests,
-		Counterexample: cex, Detail: detail}
-	if outcome != "survived" && tests > 0 {
-		// The kill is attributable to the last case run (0-based index
-		// tests-1); stamp the mismatch kind so -explain's "killed by"
-		// line and the kill table tell the same story.
-		ev.Mismatch = outcome
-		if outcome == "fault" {
-			ev.Mismatch = detail // the fault kind, e.g. out-of-bounds
-		}
-	}
-	opts.Journal.Record(ev)
+// verdict is how one candidate's generate-and-test ended, in the cheap
+// form its decision site has: record renders it into the candidate's
+// fuzz event only when a stream is attached. The zero value is a
+// candidate cut off by a compile cancellation, which has no verdict.
+type verdict struct {
+	outcome string
+	tests   int // cases resolved when the verdict was reached
+	detail  string
+	// at is the 0-based index of the discriminating case, -1 when no
+	// single case is; tc is that case when at >= 0, and cex says to
+	// render it as the counterexample.
+	at  int
+	tc  *iogen.Case
+	cex bool
 }
 
-// recordKill attributes one candidate's death to the discriminating IO
-// case in the kill table. With no table it returns before rendering any
-// key, so the disabled path allocates nothing; callers guard too, before
-// rendering their detail strings. tc is nil (and caseIdx -1) when no
-// single case is attributable.
-func recordKill(opts Options, fn string, cand *binding.Candidate,
-	tc *iogen.Case, caseIdx int, steps int64, mismatch, detail string) {
-	if opts.Kills == nil {
+// caseless is the verdict of a death no single case caused.
+func caseless(outcome, detail string) verdict {
+	return verdict{outcome: outcome, detail: detail, at: -1}
+}
+
+// killedAt is the verdict of a death at case at (tc), the last of the
+// tests resolved: tc is the counterexample.
+func killedAt(outcome string, tc *iogen.Case, at int, detail string) verdict {
+	return verdict{outcome: outcome, tests: at + 1, detail: detail, at: at, tc: tc, cex: true}
+}
+
+// work is what a candidate's started cases cost. Every started case
+// makes exactly one oracle lookup; those that did not hit missed.
+type work struct {
+	started, steps, hits int64
+}
+
+func (w *work) add(r *caseResult) {
+	w.started++
+	w.steps += r.steps
+	if r.hit {
+		w.hits++
+	}
+}
+
+// record emits cand's fuzz event: its verdict v and the work w its
+// started cases cost. With no stream it returns before rendering any key
+// or text (or dereferencing cand), so the disabled path allocates
+// nothing.
+func record(opts Options, fn string, cand *binding.Candidate, v verdict, w work) {
+	if opts.Events == nil {
 		return
 	}
-	ev := obs.KillEvent{
-		Function:  fn,
-		Target:    cand.Spec.Name,
-		Candidate: cand.Key(),
-		Family:    iogen.UserSig(cand),
-		Seed:      opts.Seed,
-		CaseIndex: caseIdx,
-		Steps:     steps,
-		Mismatch:  mismatch,
-		Detail:    detail,
+	ev := obs.Event{Kind: obs.KindFuzz, Function: fn, Target: cand.Spec.Name,
+		Candidate: cand.Key(), Outcome: v.outcome, Tests: v.tests, Detail: v.detail,
+		Family: iogen.UserSig(cand), Seed: opts.Seed, Case: v.at,
+		Started: w.started, Steps: w.steps, OracleHits: w.hits, OracleMisses: w.started - w.hits}
+	if v.tc != nil {
+		ev.CaseSig = iogen.CaseSig(opts.Seed, v.tc.AccelLen, v.at)
+		ev.Len = v.tc.AccelLen
+		if v.cex {
+			ev.Counterexample = renderCase(*v.tc)
+		}
 	}
-	if tc != nil && caseIdx >= 0 {
-		ev.CaseSig = iogen.CaseSig(opts.Seed, tc.AccelLen, caseIdx)
-		ev.Len = tc.AccelLen
+	if v.outcome != obs.OutcomeSurvived && v.tests > 0 {
+		// The kill is attributable to the last case resolved (0-based
+		// index tests-1); stamp the mismatch kind so -explain's "killed
+		// by" line and the search observatory tell the same story.
+		ev.Mismatch = v.outcome
+		if v.outcome == "fault" {
+			ev.Mismatch = v.detail // the fault kind, e.g. out-of-bounds
+		}
 	}
-	opts.Kills.Record(ev)
+	opts.Events.Record(ev)
 }
 
 // renderCase renders a failing IO example compactly: the length binding's
@@ -361,9 +361,10 @@ func renderCase(tc iogen.Case) string {
 // evalCandidate runs one candidate's fuzz evaluation inside the fault
 // boundary: a per-candidate deadline (opts.CandidateTimeout) and a panic
 // shield. A candidate that times out or panics — in any of its case
-// goroutines — is rejected, journaled with a "timeout"/"panic" verdict,
-// and synthesis continues; only a cancellation of the enclosing runCtx
-// aborts the whole run.
+// goroutines — is rejected with a "timeout"/"panic" verdict, and
+// synthesis continues; only a cancellation of the enclosing runCtx
+// aborts the whole run. Whichever way it ends, the candidate's fuzz
+// event is recorded here, once.
 func evalCandidate(runCtx context.Context, fn *minic.FuncDecl,
 	cand *binding.Candidate, profile *analysis.Profile, opts Options,
 	sp *obs.Span, orc *oracle) (ad *Adapter, err error) {
@@ -373,6 +374,8 @@ func evalCandidate(runCtx context.Context, fn *minic.FuncDecl,
 		cctx, cancel = context.WithTimeout(runCtx, opts.CandidateTimeout)
 		defer cancel()
 	}
+	var v verdict
+	var w work
 	defer func() {
 		if r := recover(); r != nil {
 			// Panic isolation: a crashing candidate costs one candidate,
@@ -382,15 +385,11 @@ func evalCandidate(runCtx context.Context, fn *minic.FuncDecl,
 			if opts.Obs != nil {
 				opts.Obs.Metrics().Counter("synth.panics").Inc()
 			}
-			verdict(opts, fn.Name, cand, interp.FaultPanic.String(), 0, "",
-				fmt.Sprintf("recovered: %v", r))
-			if opts.Kills != nil {
-				recordKill(opts, fn.Name, cand, nil, -1, 0,
-					interp.FaultPanic.String(), fmt.Sprintf("recovered: %v", r))
-			}
+			v = caseless(interp.FaultPanic.String(), fmt.Sprintf("recovered: %v", r))
 		}
+		record(opts, fn.Name, cand, v, w)
 	}()
-	ad, err = testCandidate(cctx, fn, cand, profile, opts, sp, orc)
+	ad, v, err = testCandidate(cctx, fn, cand, profile, opts, sp, orc, &w)
 	if err != nil && cancelled(err) {
 		if cerr := runCtx.Err(); cerr != nil {
 			// The compilation itself was cancelled — propagate.
@@ -401,20 +400,19 @@ func evalCandidate(runCtx context.Context, fn *minic.FuncDecl,
 		if opts.Obs != nil {
 			opts.Obs.Metrics().Counter("synth.candidate_timeouts").Inc()
 		}
-		verdict(opts, fn.Name, cand, "timeout", 0, "",
+		v = caseless("timeout",
 			fmt.Sprintf("candidate exceeded its %s budget", opts.CandidateTimeout))
-		if opts.Kills != nil {
-			recordKill(opts, fn.Name, cand, nil, -1, 0, "timeout", "")
-		}
 		return nil, nil
 	}
 	return ad, err
 }
 
 // testCandidate fuzz-tests one binding candidate. It returns a validated
-// adapter, or nil when the candidate is behaviorally wrong or faults; a
-// cancellation propagates so evalCandidate can distinguish a candidate
-// timeout from a compilation cancel. sp (may be nil) receives
+// adapter and the survivor's verdict, or nil and the kill's verdict when
+// the candidate is behaviorally wrong or faults; a cancellation
+// propagates so evalCandidate can distinguish a candidate timeout from a
+// compilation cancel. w receives the work of every case started, on
+// every exit path, panics included. sp (may be nil) receives
 // test-count/outcome attributes; reference executions run on orc's
 // shared machine pool, which attributes interpreter counters.
 //
@@ -425,55 +423,42 @@ func evalCandidate(runCtx context.Context, fn *minic.FuncDecl,
 // after it are dropped unseen.
 func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	cand *binding.Candidate, profile *analysis.Profile, opts Options,
-	sp *obs.Span, orc *oracle) (*Adapter, error) {
-	opts.Kills.AddDispatched(fn.Name, cand.Spec.Name, 1)
+	sp *obs.Span, orc *oracle, w *work) (*Adapter, verdict, error) {
 	gen := orc.cache.memo.Generator(opts.Seed, cand, profile)
 	if !gen.Viable() {
 		sp.Str("outcome", "not-viable")
-		verdict(opts, fn.Name, cand, "not-viable", 0, "",
-			"no test sizes inside the accelerator domain")
-		if opts.Kills != nil {
-			recordKill(opts, fn.Name, cand, nil, -1, 0, "not-viable",
-				"no test sizes inside the accelerator domain")
-		}
-		return nil, nil
+		return nil, caseless("not-viable", "no test sizes inside the accelerator domain"), nil
 	}
 	cases := gen.Cases(opts.NumTests)
 	ref := gen.RefSig()
 
-	// started counts the cases begun, including those a fan ran past
-	// the deciding one. The metrics and the ledger are charged with it on
-	// every exit path: it is the work this candidate cost.
-	started := 0
-	var fan *caseFan
-	if sp != nil || opts.Ledger != nil {
+	// The metrics are charged with the cases begun, including those a
+	// fan ran past the deciding one, on every exit path: it is the work
+	// this candidate cost.
+	if sp != nil {
 		defer func() {
-			if sp != nil {
-				sp.Int("tests", int64(started))
-				m := sp.Metrics()
-				m.Counter("synth.tests_run").Add(int64(started))
-				m.Histogram("synth.tests_per_candidate", obs.CountBuckets).
-					Observe(float64(started))
-			}
-			if opts.Ledger != nil {
-				opts.Ledger.ChargeTests(fn.Name, cand.Spec.Name, cand.Key(), int64(started))
-			}
+			sp.Int("tests", w.started)
+			m := sp.Metrics()
+			m.Counter("synth.tests_run").Add(w.started)
+			m.Histogram("synth.tests_per_candidate", obs.CountBuckets).
+				Observe(float64(w.started))
 		}()
 	}
-	if w := min(orc.workers, len(cases)); w > 1 {
-		fan = startCases(ctx, cand, ref, cases, orc, opts.Tolerance, w)
-		defer func() { started = fan.stop() }() // runs before the charge above
+	var fan *caseFan
+	if n := min(orc.workers, len(cases)); n > 1 {
+		fan = startCases(ctx, cand, ref, cases, orc, opts.Tolerance, n)
+		defer func() { *w = fan.stop() }() // runs before the charge above
 	}
 
 	// All post-behavioral sketches start alive; each case prunes.
 	alive := allSketches
 
 	var returnVals []int64
-	var returnCases []int // case index per returnVals entry (kill table only)
+	var returnCases []int // case index per returnVals entry
 	sawReturn := false
-	var steps int64 // interp steps this candidate paid, so far
 
-	for caseIdx, tc := range cases {
+	for caseIdx := range cases {
+		tc := &cases[caseIdx]
 		var r caseResult
 		if fan != nil {
 			r = fan.wait(caseIdx)
@@ -481,58 +466,35 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 			// An oracle hit never enters the interpreter, which is what
 			// polls the deadline, so honor it between cases too.
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("synth: candidate evaluation cancelled: %w", err)
+				return nil, verdict{}, fmt.Errorf("synth: candidate evaluation cancelled: %w", err)
 			}
-			started++
-			r = runCase(ctx, cand, ref, tc, orc, alive, opts.Tolerance)
+			r = runCaseSafe(ctx, cand, ref, *tc, orc, alive, opts.Tolerance)
+			w.add(&r)
+			if r.panicked != nil {
+				panic(r.panicked)
+			}
 		}
-		ran := caseIdx + 1
-		steps += r.steps
 		if r.err != nil {
 			if cancelled(r.err) {
 				// Deadline/cancel, not evidence against the binding —
 				// let evalCandidate classify it.
-				return nil, r.err
+				return nil, verdict{}, r.err
 			}
 			// Interpreter fault (OOB, etc.) — wrong binding.
-			sp.Str("outcome", "fault").Str("fault", interp.FaultOf(r.err).String())
-			if opts.Journal != nil || opts.Ledger != nil {
-				cex := ""
-				if opts.Journal != nil {
-					cex = renderCase(tc)
-				}
-				verdict(opts, fn.Name, cand, "fault", ran, cex,
-					interp.FaultOf(r.err).String())
-			}
-			if opts.Kills != nil {
-				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
-					interp.FaultOf(r.err).String(), "")
-			}
-			return nil, nil
+			fault := interp.FaultOf(r.err).String()
+			sp.Str("outcome", "fault").Str("fault", fault)
+			return nil, killedAt("fault", tc, caseIdx, fault), nil
 		}
 		if r.ret != nil {
 			sawReturn = true
 			returnVals = append(returnVals, *r.ret)
-			if opts.Kills != nil {
-				returnCases = append(returnCases, caseIdx)
-			}
+			returnCases = append(returnCases, caseIdx)
 		}
 		if r.accelErr != nil {
 			// The accelerator rejected the input (should not happen for
 			// generated cases); treat as candidate failure.
 			sp.Str("outcome", "domain-error")
-			if opts.Journal != nil || opts.Ledger != nil {
-				cex := ""
-				if opts.Journal != nil {
-					cex = renderCase(tc)
-				}
-				verdict(opts, fn.Name, cand, "domain-error", ran, cex, r.accelErr.Error())
-			}
-			if opts.Kills != nil {
-				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
-					"domain-error", r.accelErr.Error())
-			}
-			return nil, nil
+			return nil, killedAt("domain-error", tc, caseIdx, r.accelErr.Error()), nil
 		}
 		alive &= r.match
 		if fan != nil {
@@ -540,19 +502,8 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 		}
 		if alive == 0 {
 			sp.Str("outcome", "behavior-mismatch")
-			if opts.Journal != nil || opts.Ledger != nil {
-				cex := ""
-				if opts.Journal != nil {
-					cex = renderCase(tc)
-				}
-				verdict(opts, fn.Name, cand, "behavior-mismatch", ran, cex,
-					"no post-behavioral sketch reproduces the user output")
-			}
-			if opts.Kills != nil {
-				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
-					"behavior-mismatch", "")
-			}
-			return nil, nil
+			return nil, killedAt("behavior-mismatch", tc, caseIdx,
+				"no post-behavioral sketch reproduces the user output"), nil
 		}
 	}
 
@@ -566,28 +517,19 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 		c := returnVals[0]
 		for i, v := range returnVals {
 			if v != c {
-				// Return value depends on input; cannot reproduce.
+				// Return value depends on input; cannot reproduce. The
+				// discriminating case is the one whose return value first
+				// differed from the first-run case's.
 				sp.Str("outcome", "return-mismatch")
-				if opts.Journal != nil || opts.Ledger != nil {
-					verdict(opts, fn.Name, cand, "return-mismatch", len(cases), "",
-						fmt.Sprintf("return value varies across inputs (%d vs %d)", c, v))
-				}
-				if opts.Kills != nil {
-					// The discriminating case is the one whose return value
-					// first differed from the first-run case's.
-					kc := returnCases[i]
-					recordKill(opts, fn.Name, cand, &cases[kc], kc, steps,
-						"return-mismatch", "")
-				}
-				return nil, nil
+				kc := returnCases[i]
+				return nil, verdict{outcome: "return-mismatch", tests: len(cases), at: kc, tc: &cases[kc],
+					detail: fmt.Sprintf("return value varies across inputs (%d vs %d)", c, v)}, nil
 			}
 		}
 		ad.ReturnConst = &c
 	}
-	sp.Str("outcome", "survived")
-	verdict(opts, fn.Name, cand, "survived", len(cases), "", "")
-	opts.Kills.AddSurvived(fn.Name, cand.Spec.Name, 1)
-	return ad, nil
+	sp.Str("outcome", obs.OutcomeSurvived)
+	return ad, verdict{outcome: obs.OutcomeSurvived, tests: len(cases)}, nil
 }
 
 // cancelled reports whether err is a deadline or cancellation rather
@@ -608,28 +550,42 @@ var (
 type caseResult struct {
 	ret      *int64
 	steps    int64  // interp steps the reference run paid (0 on an oracle hit)
+	hit      bool   // the oracle lookup found the reference run cached
 	err      error  // reference-run fault or cancellation
 	accelErr error  // the device model rejected the input
 	match    uint32 // sketches that reproduce the user output
-	panicked any    // recovered in a case goroutine, re-raised by caseFan.wait
+	panicked any    // recovered by runCaseSafe, re-raised on the candidate's goroutine
 }
 
-// runCase runs one IO case of cand, whose iogen.RefSig is ref: the
+// runCaseSafe runs one IO case of cand, whose iogen.RefSig is ref: the
 // reference run through the oracle, the device-model run, and the
 // comparison of the user output with each sketch in alive applied to the
-// device output. tc.Input is shared through the oracle cache's memo, so
-// nothing here writes it.
-func runCase(ctx context.Context, cand *binding.Candidate, ref string, tc iogen.Case,
+// device output. A panic is recovered into the result, which keeps what
+// the case did before it: its oracle lookup and, past the reference run,
+// that run's steps. tc.Input is shared through the oracle cache's memo,
+// so nothing here writes it.
+func runCaseSafe(ctx context.Context, cand *binding.Candidate, ref string, tc iogen.Case,
 	orc *oracle, alive uint32, tol float64) (r caseResult) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.panicked = p
+		}
+	}()
+	runCase(ctx, cand, ref, tc, orc, alive, tol, &r)
+	return r
+}
+
+func runCase(ctx context.Context, cand *binding.Candidate, ref string, tc iogen.Case,
+	orc *oracle, alive uint32, tol float64, r *caseResult) {
 	var userOut []complex128
-	userOut, r.ret, r.steps, r.err = orc.run(ctx, cand, ref, tc)
+	userOut, r.ret, r.steps, r.hit, r.err = orc.run(ctx, cand, ref, tc)
 	if r.err != nil {
-		return r
+		return
 	}
 	accelOut, err := runAccel(cand, tc)
 	if err != nil {
 		r.accelErr = err
-		return r
+		return
 	}
 	patched := make([]complex128, len(accelOut))
 	for k, op := range sketches {
@@ -642,7 +598,6 @@ func runCase(ctx context.Context, cand *binding.Candidate, ref string, tc iogen.
 			r.match |= 1 << k
 		}
 	}
-	return r
 }
 
 // final reports whether r ends its candidate's test once resolution
@@ -709,7 +664,7 @@ func (f *caseFan) work(cand *binding.Candidate, ref string, cases []iogen.Case,
 		f.cancels[pos] = cancel
 		f.mu.Unlock()
 
-		r := f.run(ctx, cand, ref, cases[pos], orc, tol)
+		r := runCaseSafe(ctx, cand, ref, cases[pos], orc, f.alive.Load(), tol)
 		cancel()
 
 		f.mu.Lock()
@@ -728,17 +683,6 @@ func (f *caseFan) work(cand *binding.Candidate, ref string, cases []iogen.Case,
 	}
 }
 
-// run is runCase with a panic recovered into the result.
-func (f *caseFan) run(ctx context.Context, cand *binding.Candidate, ref string, tc iogen.Case,
-	orc *oracle, tol float64) (r caseResult) {
-	defer func() {
-		if p := recover(); p != nil {
-			r = caseResult{panicked: p}
-		}
-	}()
-	return runCase(ctx, cand, ref, tc, orc, f.alive.Load(), tol)
-}
-
 // wait returns the result of case pos. A panic recovered in
 // the case's goroutine is raised again here, on the candidate's
 // goroutine, where evalCandidate's shield turns it into a verdict.
@@ -753,8 +697,9 @@ func (f *caseFan) wait(pos int) caseResult {
 }
 
 // stop cancels the cases still in flight, claims no more, and waits for
-// the workers. It returns the number of cases begun.
-func (f *caseFan) stop() int {
+// the workers. It returns the work of every case begun, those run past
+// the deciding one included.
+func (f *caseFan) stop() (w work) {
 	f.mu.Lock()
 	f.limit = -1
 	for _, c := range f.cancels {
@@ -764,7 +709,10 @@ func (f *caseFan) stop() int {
 	}
 	f.mu.Unlock()
 	f.wg.Wait()
-	return f.started
+	for i := range f.results[:f.started] {
+		w.add(&f.results[i])
+	}
+	return w
 }
 
 // runUser executes the user function under the candidate's interpretation

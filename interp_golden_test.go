@@ -3,8 +3,8 @@ package facc
 // Interpreter goldens: the operation counts, outputs and value profiles
 // of every corpus program, plus every candidate death on every
 // (program, target) pair. Figs. 10, 13 and 14 read the counters, the
-// kill table and the ledger read the step counts, and synthesis reads
-// the faults, so any change to the interpreter must leave all of them
+// cost ledger reads the step counts, and synthesis reads the faults, so
+// any change to the interpreter must leave all of them
 // exactly as recorded here. Regenerate only with
 //
 //	go test -run TestInterpGolden -update .
@@ -155,22 +155,24 @@ func collectKillGoldens(t *testing.T) map[string]pairGolden {
 	out := map[string]pairGolden{}
 	for _, b := range bench.Suite() {
 		for _, target := range differentialTargets {
-			kt := NewKillTable()
+			ev := NewEvents()
 			res, err := Compile(b.File, b.Source(), target, Options{
 				Entry:         b.Entry,
 				ProfileValues: b.ProfileValues,
 				Workers:       1,
-				Kills:         kt,
+				Events:        ev,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", b.Name, target, err)
 			}
 			pg := pairGolden{OK: res.OK(), Kills: []killGolden{}}
-			for _, ev := range kt.Events() {
-				pg.Kills = append(pg.Kills, killGolden{
-					Candidate: ev.Candidate, Case: ev.CaseIndex,
-					Mismatch: ev.Mismatch, Steps: ev.Steps,
-				})
+			for _, e := range ev.Snapshot() {
+				if e.Killed() {
+					pg.Kills = append(pg.Kills, killGolden{
+						Candidate: e.Candidate, Case: e.Case,
+						Mismatch: e.KillMismatch(), Steps: e.Steps,
+					})
+				}
 			}
 			out[b.Name+"/"+target] = pg
 		}

@@ -132,11 +132,11 @@ grep -qi 'x-facc-cache: hit' "$TMP/h3" || { echo "serve-smoke: healed entry not 
 adapter_of "$TMP/r3" "$TMP/adapter3"
 cmp -s "$TMP/adapter1" "$TMP/adapter3" || { echo "serve-smoke: cached adapter differs"; exit 1; }
 
-echo "serve-smoke: one trace ID must join the header, the journal export and /debug/requests"
+echo "serve-smoke: one trace ID must join the header, the event export and /debug/requests"
 TRACE=cafef00dcafef00dcafef00dcafef00d
 # A different test count changes the request digest, forcing a fresh
-# compile (cache hits never run the pipeline, so they leave no journal
-# events or flight record to join).
+# compile (cache hits never run the pipeline, so they leave no events
+# to join).
 sed 's/"tests":3/"tests":4/' "$TMP/req.json" > "$TMP/req_trace.json"
 curl -fsS -D "$TMP/h4" -o "$TMP/r4" -X POST -H 'Content-Type: application/json' \
     -H "X-Facc-Trace: $TRACE" --data-binary @"$TMP/req_trace.json" \
@@ -144,12 +144,18 @@ curl -fsS -D "$TMP/h4" -o "$TMP/r4" -X POST -H 'Content-Type: application/json' 
 grep -qi "x-facc-trace: $TRACE" "$TMP/h4" || { echo "serve-smoke: trace ID not echoed in the response header"; cat "$TMP/h4"; exit 1; }
 grep -q "\"trace\": \"$TRACE\"" "$TMP/r4" || { echo "serve-smoke: trace ID not in the job JSON"; cat "$TMP/r4"; exit 1; }
 curl -fsS "http://$ADDR/journal" > "$TMP/journal.jsonl"
-grep -q "$TRACE" "$TMP/journal.jsonl" || { echo "serve-smoke: trace ID not in the journal export"; exit 1; }
+grep -q "$TRACE" "$TMP/journal.jsonl" || { echo "serve-smoke: trace ID not in the event export"; exit 1; }
 curl -fsS "http://$ADDR/debug/requests" > "$TMP/flight.json"
 grep -q "$TRACE" "$TMP/flight.json" || { echo "serve-smoke: trace ID not in /debug/requests"; cat "$TMP/flight.json"; exit 1; }
+# The record's events carry the trace; an event's "kind" follows its
+# "trace" in the indented JSON.
+grep -A1 "\"trace\": \"$TRACE\"" "$TMP/flight.json" | grep -q '"kind": "fuzz"' \
+    || { echo "serve-smoke: no fuzz event under the trace in /debug/requests"; cat "$TMP/flight.json"; exit 1; }
 curl -fsS "http://$ADDR/metrics" > "$TMP/metrics.txt"
 grep -q "facc_ledger_tests_total" "$TMP/metrics.txt" \
     || { echo "serve-smoke: /metrics missing the cost ledger exposition"; exit 1; }
+grep -q "facc_search_candidates_total" "$TMP/metrics.txt" \
+    || { echo "serve-smoke: /metrics missing the search funnel exposition"; exit 1; }
 
 kill -TERM "$PID"
 wait "$PID" || { echo "serve-smoke: final drain was not clean"; cat "$TMP/faccd.log"; exit 1; }

@@ -42,12 +42,12 @@ void scale(cpx* x, int n) {
 #include <math.h>
 typedef struct { double re; double im; } cpx;`)
 
-	k := NewKillTable()
+	k := NewEvents()
 	res, err := Compile("two.c", src, TargetFFTA, Options{
 		ProfileValues: map[string][]int64{"n": {64, 128, 256}},
 		NumTests:      4,
 		Workers:       1, // kill counts are only deterministic sequentially
-		Kills:         k,
+		Events:        k,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,15 +68,15 @@ typedef struct { double re; double im; } cpx;`)
 }
 
 // TestKillTableAbsentNoChange: the observatory is measurement only —
-// the same compile with and without a kill table produces
+// the same compile with and without an event stream produces
 // byte-identical adapter C.
 func TestKillTableAbsentNoChange(t *testing.T) {
-	adapter := func(kills *KillTable) string {
+	adapter := func(ev *Events) string {
 		res, err := Compile("q.c", quickstartSrc, TargetFFTA, Options{
 			ProfileValues: map[string][]int64{"n": {64, 128, 256}},
 			NumTests:      4,
 			Workers:       1,
-			Kills:         kills,
+			Events:        ev,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -86,9 +86,9 @@ func TestKillTableAbsentNoChange(t *testing.T) {
 		}
 		return res.AdapterC()
 	}
-	with := adapter(NewKillTable())
+	with := adapter(NewEvents())
 	without := adapter(nil)
 	if with != without {
-		t.Error("attaching a kill table changed the synthesized adapter")
+		t.Error("attaching an event stream changed the synthesized adapter")
 	}
 }
