@@ -236,6 +236,33 @@ func TestLedgerConcurrent(t *testing.T) {
 	}
 }
 
+// TestNilLedgerSafe: on a nil stream a candidate's work and verdict
+// book nothing and cost nothing — its scoped view stays nil, it folds
+// to no accounts, and its cost report says so.
+func TestNilLedgerSafe(t *testing.T) {
+	var ev *Events
+	ev.Record(fuzz("ffta", "c", "survived", 1, 1, 1, 0))
+	ev.Record(accepted("ffta", "c"))
+	if ev.Scoped("id") != nil {
+		t.Error("nil.Scoped should stay nil")
+	}
+	if n, sum := FoldCosts(ev.Scoped("id").Snapshot()); n != 0 || len(sum.Targets) != 0 {
+		t.Errorf("nil stream folds to %d account(s): %+v", n, sum)
+	}
+	var sb strings.Builder
+	if err := ev.WriteCostReport(&sb); err != nil ||
+		!strings.Contains(sb.String(), "0 candidate account(s)") {
+		t.Errorf("nil cost report: err=%v out=%q", err, sb.String())
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		ev.Record(fuzz("ffta", "c", "survived", 1, 1, 1, 0))
+		ev.Scoped("id").Record(accepted("ffta", "c"))
+	})
+	if allocs != 0 {
+		t.Errorf("nil stream allocates %.0f per charge cycle, want 0", allocs)
+	}
+}
+
 // TestTraceEntriesFiltersSorted: one trace's view reads exactly the
 // trace's events of the whole stream, in record order, and folds into
 // the same accounts as those events, on a stream shared by several

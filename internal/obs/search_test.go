@@ -122,6 +122,27 @@ func TestKillTableScoped(t *testing.T) {
 	}
 }
 
+// TestNilKillTableZeroAllocs: recording a kill or any funnel step on a
+// nil stream is a free no-op, and what it holds folds to no search.
+func TestNilKillTableZeroAllocs(t *testing.T) {
+	var ev *Events
+	allocs := testing.AllocsPerRun(500, func() {
+		ev.Record(Event{Kind: KindEmitted, Function: "fft", Target: "ffta"})
+		ev.Record(Event{Kind: KindPruned, Function: "fft", Target: "ffta", Heuristic: "range"})
+		ev.Record(Event{Kind: KindFuzz, Function: "fft", Target: "ffta", Candidate: "c1",
+			Outcome: "behavior-mismatch", Tests: 1, Mismatch: "behavior-mismatch",
+			Family: "famA", CaseSig: "seed=1 n=64 case=0"})
+		ev.Record(Event{Kind: KindAccepted, Function: "fft", Target: "ffta", Candidate: "c0"})
+		ev.Scoped("trace")
+	})
+	if allocs != 0 {
+		t.Errorf("nil stream allocates %.0f per verdict, want 0", allocs)
+	}
+	if sum := FoldSearch(ev.Scoped("trace").Snapshot()); sum != nil {
+		t.Errorf("nil stream summary = %+v, want nil", sum)
+	}
+}
+
 func TestWriteSearchReport(t *testing.T) {
 	var sb strings.Builder
 	if err := sampleSearch().WriteSearchReport(&sb, 10); err != nil {

@@ -37,27 +37,52 @@ func TestNilObsInstrumentationZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestNilEventsZeroAllocs: the candidate-event stream obeys the same
+// TestNilJournalZeroAllocs: the candidate-event stream obeys the same
 // contract. With none attached, record — the one event touchpoint of a
-// fuzzed candidate — returns before rendering a candidate key, a case
-// signature or a counterexample (it must not even dereference the
-// candidate), and every Events method the pipeline calls is a free
-// no-op on nil.
-func TestNilEventsZeroAllocs(t *testing.T) {
+// fuzzed candidate — returns before rendering a candidate key (it must
+// not even dereference the candidate), and the Events methods the
+// pipeline calls are free no-ops on nil.
+func TestNilJournalZeroAllocs(t *testing.T) {
 	var ev *obs.Events
+	allocs := testing.AllocsPerRun(500, func() {
+		record(Options{}, "fft", nil, verdict{outcome: obs.OutcomeSurvived, tests: 10}, work{})
+		ev.Record(obs.Event{Kind: obs.KindFuzz, Function: "fft"})
+		ev.Scoped("trace").Record(obs.Event{Kind: obs.KindEmitted})
+	})
+	if allocs != 0 {
+		t.Errorf("nil event stream allocates %.0f per fuzz iteration, want 0", allocs)
+	}
+}
+
+// TestNilLedgerZeroAllocs: a candidate's work — started cases,
+// interpreter steps, oracle hits and misses — rides on its one fuzz
+// event, so with no stream attached charging it is free, for a decided
+// candidate and for one a cancellation cut off alike.
+func TestNilLedgerZeroAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(500, func() {
+		record(Options{}, "fft", nil, verdict{outcome: obs.OutcomeSurvived, tests: 4},
+			work{started: 4, steps: 200, hits: 1})
+		record(Options{}, "fft", nil, verdict{}, work{started: 1, steps: 100})
+	})
+	if allocs != 0 {
+		t.Errorf("nil event stream allocates %.0f per charged candidate, want 0", allocs)
+	}
+}
+
+// TestNilKillTableZeroAllocsOnVerdictPath: a kill's attribution — its
+// case signature and counterexample — is rendered only for an attached
+// stream, so a killed candidate's verdict path allocates nothing
+// without one.
+func TestNilKillTableZeroAllocsOnVerdictPath(t *testing.T) {
 	tc := iogen.Case{UserLen: 64, AccelLen: 64}
 	allocs := testing.AllocsPerRun(500, func() {
 		record(Options{}, "fft", nil, killedAt("behavior-mismatch", &tc, 0,
 			"no post-behavioral sketch reproduces the user output"),
 			work{started: 2, steps: 100, hits: 1})
-		record(Options{}, "fft", nil, verdict{outcome: obs.OutcomeSurvived, tests: 4},
-			work{started: 4})
 		record(Options{}, "fft", nil, caseless("not-viable", "no test sizes"), work{})
-		ev.Record(obs.Event{Kind: obs.KindFuzz, Function: "fft"})
-		ev.Scoped("trace").Record(obs.Event{Kind: obs.KindEmitted})
 	})
 	if allocs != 0 {
-		t.Errorf("nil event stream allocates %.0f per fuzzed candidate, want 0", allocs)
+		t.Errorf("nil event stream allocates %.0f per verdict, want 0", allocs)
 	}
 }
 
