@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race fuzz-smoke chaos bench bench-json bench-serve bench-gate bench-smoke crash-matrix search-report serve-smoke fleet-smoke repro repro-full examples fmt lint vet check clean
+.PHONY: all build test test-short test-race fuzz-smoke chaos bench bench-layers bench-gate bench-smoke crash-matrix search-report serve-smoke fleet-smoke repro repro-full examples fmt lint vet check clean
 
 all: build test
 
@@ -13,9 +13,10 @@ all: build test
 # (compile over HTTP, SIGTERM drain, crash-safe store recovery, trace-ID
 # join) + the fleet smoke (3 sharded replicas, kill -9 the digest's
 # owner mid-compile, survivors must rebalance and serve byte-identical
-# adapters) + the bench gate (fresh synthesis and serving numbers vs the
-# committed baselines) + the benchmark smoke (every workload of
-# BENCHMARK.json briefly, outputs checked against benchmark/golden.json).
+# adapters) + the bench gate (fresh per-layer, corpus and fleet medians
+# vs the committed BENCH_layers.json) + the benchmark smoke (every
+# workload of BENCHMARK.json briefly, outputs checked against
+# benchmark/golden.json).
 check: lint test test-race fuzz-smoke crash-matrix serve-smoke fleet-smoke bench-gate bench-smoke
 
 build:
@@ -71,26 +72,11 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/iogen ./internal/accel ./internal/binding ./internal/server ./internal/store
 
-# Synthesis-engine regression numbers (corpus wall-clock, fuzz
-# throughput, oracle hit rate at Workers=1 vs GOMAXPROCS, and the search
-# observatory's sequential-run funnel) as a JSON artifact for
-# cross-commit comparison.
-# -j 4 forces the Workers=4 run even on 1-core machines, so the
-# artifact always carries the worker-count pair the speedup gate reads.
-bench-json:
-	$(GO) run ./cmd/faccbench -experiment synthbench -j 4 -bench-out BENCH_synth.json
-
 # Search observatory: one exhaustive sequential corpus compile with kill
 # attribution on. Prints the funnel, kill-depth distribution and top
 # discriminating inputs.
 search-report:
 	$(GO) run ./cmd/faccbench -experiment searchbench
-
-# Serving benchmark: saturate an in-process faccd (shedding, dedup,
-# adapter cache) and keep the latency/robustness numbers as a JSON
-# artifact for cross-commit comparison.
-bench-serve:
-	$(GO) run ./cmd/faccbench -experiment servebench -bench-out BENCH_serve.json
 
 # End-to-end daemon smoke: build faccd, compile over HTTP, SIGTERM with a
 # request in flight, tear the cached adapter, restart and assert the
@@ -109,10 +95,21 @@ serve-smoke:
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
-# Performance regression gate: measure fresh synthbench/servebench
-# artifacts and compare wall-time and waste-ratio against the committed
-# BENCH_synth.json / BENCH_serve.json (>GATE_TOLERANCE, default 25%,
-# fails).
+# The bench gate's baseline: every gated median (the traced benchmark's
+# per-layer metrics over five runs of all four workloads, and five runs
+# each of BenchmarkSynthCorpus and BenchmarkFleetChaos), measured on this
+# host and written to BENCH_layers.json. Regenerate it after an intended
+# change to a count or a timing, on the host shape the gate runs on.
+bench-layers:
+	mkdir -p .bench_build
+	./scripts/bench_layers.sh > .bench_build/BENCH_layers.json
+	mv .bench_build/BENCH_layers.json BENCH_layers.json
+
+# Performance regression gate: measure a fresh BENCH_layers.json and
+# compare it against the committed one. Counts must match exactly; each
+# timing's median may move by its tolerance (twice its committed
+# spread, at least 25%); the corpus speedup must reach 1.0 on two or
+# more cores. GATE_OUT keeps the fresh medians.
 bench-gate:
 	./scripts/bench_gate.sh
 

@@ -63,6 +63,8 @@ func main() {
 		"emit the whole rewritten translation unit (call sites redirected to the adapter)")
 	candidateTimeout := flag.Duration("candidate-timeout", 0,
 		"reject any single binding candidate whose fuzzing exceeds this budget (0 = no budget)")
+	workers := flag.Int("j", 0,
+		"run up to this many of a binding candidate's IO cases in parallel; 0 = GOMAXPROCS, 1 = sequential (the result is deterministic either way)")
 	of := obsflag.RegisterSynth(flag.CommandLine, "facc")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: facc [flags] file.c\n")
@@ -90,7 +92,7 @@ func main() {
 		Entry:            *entry,
 		ProfileValues:    profile,
 		NumTests:         *tests,
-		Workers:          of.Workers,
+		Workers:          *workers,
 		Trace:            of.Tracer(),
 		Events:           of.Events(),
 		Deadline:         of.Timeout,

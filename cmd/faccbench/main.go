@@ -10,18 +10,15 @@
 //	faccbench -experiment fig11 -full   # paper-size classifier protocol
 //	faccbench -experiment fig15 -trace corpus.json -metrics  # traced corpus compile
 //	faccbench -experiment fig8 -serve :9090  # watch the corpus compile live
-//	faccbench -experiment searchbench -bench-out BENCH_synth.json  # refresh the search section
+//	faccbench -experiment crashmatrix -bench-out CRASH_MATRIX.json  # store crash matrix
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strings"
 
 	"facc/internal/core"
 	"facc/internal/eval"
@@ -32,17 +29,11 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"table1, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16, ablation, all, or synthbench/searchbench/servebench/benchgate/crashmatrix (not in all)")
+		"table1, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16, ablation, all, or searchbench/crashmatrix (not in all)")
 	full := flag.Bool("full", false, "use the paper-size Fig. 11 protocol (slow)")
 	tests := flag.Int("tests", 5, "IO examples per candidate during compilation")
 	benchOut := flag.String("bench-out", "",
-		"with -experiment synthbench/servebench: also write the report as JSON to this file (e.g. BENCH_synth.json)")
-	gateSynth := flag.String("gate-synth", "",
-		`with -experiment benchgate: "baseline.json:fresh.json" pair of synthesis artifacts`)
-	gateServe := flag.String("gate-serve", "",
-		`with -experiment benchgate: "baseline.json:fresh.json" pair of serving artifacts`)
-	gateTol := flag.Float64("gate-tolerance", 0.25,
-		"with -experiment benchgate: allowed fractional regression before failing (0.25 = 25%)")
+		"with -experiment crashmatrix: also write the report as JSON to this file (e.g. CRASH_MATRIX.json)")
 	crashDir := flag.String("crash-dir", "",
 		"with -experiment crashmatrix: keep each crashed store (quarantine evidence included) under this directory for artifact upload")
 	of := obsflag.RegisterSynth(flag.CommandLine, "faccbench")
@@ -65,14 +56,8 @@ func main() {
 	}
 	var err error
 	switch *experiment {
-	case "synthbench":
-		err = runSynthBench(ctx, *tests, of, *benchOut)
 	case "searchbench":
-		err = runSearchBench(ctx, *tests, of, *benchOut)
-	case "servebench":
-		err = runServeBench(ctx, *benchOut)
-	case "benchgate":
-		err = runBenchGate(*gateSynth, *gateServe, *gateTol)
+		err = runSearchBench(ctx, *tests, of)
 	case "crashmatrix":
 		err = runCrashMatrix(ctx, *benchOut, *crashDir)
 	default:
@@ -131,95 +116,10 @@ func runCrashMatrix(ctx context.Context, benchOut, crashDir string) error {
 	return nil
 }
 
-// runServeBench saturates an in-process faccd-style compile service and
-// a three-replica fleet, eval.ServeBenchRuns times each, and reports
-// every run's latency quantiles plus shed/dedup/cache counts; -bench-out
-// additionally writes the BENCH_serve.json artifact, the runs folded by
-// eval.MergeServeRuns.
-func runServeBench(ctx context.Context, benchOut string) error {
-	var runs []*eval.ServeBenchReport
-	for i := 1; i <= eval.ServeBenchRuns; i++ {
-		fmt.Fprintf(os.Stderr, "faccbench: serving benchmark, run %d of %d (saturating an in-process faccd)...\n",
-			i, eval.ServeBenchRuns)
-		rep, err := eval.ServeBench(ctx, eval.ServeBenchConfig{})
-		if err != nil {
-			return err
-		}
-		rep.WriteText(os.Stdout)
-		fmt.Fprintf(os.Stderr, "faccbench: fleet chaos benchmark, run %d of %d (3 replicas, kill + lossy partition)...\n",
-			i, eval.ServeBenchRuns)
-		fleetRep, err := eval.FleetBench(ctx, eval.FleetBenchConfig{})
-		if err != nil {
-			return err
-		}
-		fleetRep.WriteText(os.Stdout)
-		rep.Fleet = fleetRep
-		runs = append(runs, rep)
-	}
-	rep := eval.MergeServeRuns(runs)
-	if benchOut != "" {
-		out, err := os.Create(benchOut)
-		if err != nil {
-			return err
-		}
-		werr := rep.WriteJSON(out)
-		if cerr := out.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(os.Stderr, "faccbench: wrote %s\n", benchOut)
-	}
-	return nil
-}
-
-// runSynthBench measures the generate-and-test engine at Workers=1 versus
-// Workers=N (-j, default GOMAXPROCS): corpus wall-clock, fuzz throughput,
-// oracle cache hit-rate and cross-run adapter determinism. The summary
-// prints to stdout; -bench-out additionally writes the JSON artifact.
-// The shared event stream (non-nil under any report flag or -serve)
-// receives the sequential run's events, so the reports see exactly the
-// events behind the artifact's search section.
-func runSynthBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut string) error {
-	workers := of.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	counts := []int{1}
-	if workers > 1 {
-		counts = append(counts, workers)
-	}
-	fmt.Fprintf(os.Stderr, "faccbench: synthesis benchmark at workers=%v...\n", counts)
-	rep, err := eval.SynthBench(ctx, []string{"ffta", "powerquad", "fftw"}, tests, counts, of.Events())
-	if err != nil {
-		return err
-	}
-	rep.WriteText(os.Stdout)
-	if benchOut != "" {
-		out, err := os.Create(benchOut)
-		if err != nil {
-			return err
-		}
-		werr := rep.WriteJSON(out)
-		if cerr := out.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(os.Stderr, "faccbench: wrote %s\n", benchOut)
-	}
-	return nil
-}
-
 // runSearchBench compiles the corpus once at Workers=1 with an event
 // stream attached and prints the search observatory report: the funnel,
-// kill-depth distribution and top discriminating inputs. With
-// -bench-out it merges the summary into that BENCH_synth.json's
-// "search" section (other sections are preserved; the file is created
-// with only the search section when absent).
-func runSearchBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut string) error {
+// kill-depth distribution and top discriminating inputs.
+func runSearchBench(ctx context.Context, tests int, of *obsflag.Flags) error {
 	ev := of.Events()
 	if ev == nil {
 		ev = obs.NewEvents()
@@ -228,60 +128,7 @@ func runSearchBench(ctx context.Context, tests int, of *obsflag.Flags, benchOut 
 	if err := eval.SearchBench(ctx, []string{"ffta", "powerquad", "fftw"}, tests, ev); err != nil {
 		return err
 	}
-	if err := ev.WriteSearchReport(os.Stdout, 10); err != nil {
-		return err
-	}
-	if benchOut != "" {
-		var rep eval.SynthBenchReport
-		if data, err := os.ReadFile(benchOut); err == nil {
-			if err := json.Unmarshal(data, &rep); err != nil {
-				return fmt.Errorf("-bench-out %s: %w", benchOut, err)
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-		rep.Search = obs.FoldSearch(ev.Snapshot())
-		out, err := os.Create(benchOut)
-		if err != nil {
-			return err
-		}
-		werr := rep.WriteJSON(out)
-		if cerr := out.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(os.Stderr, "faccbench: merged search section into %s\n", benchOut)
-	}
-	return nil
-}
-
-// runBenchGate compares fresh benchmark artifacts against committed
-// baselines and exits non-zero on a regression beyond the tolerance.
-// Each pair argument is "baseline.json:fresh.json"; empty skips the pair.
-func runBenchGate(synthPair, servePair string, tol float64) error {
-	cfg := eval.GateConfig{Tolerance: tol}
-	var ok bool
-	if synthPair != "" {
-		if cfg.BaselineSynth, cfg.FreshSynth, ok = strings.Cut(synthPair, ":"); !ok {
-			return fmt.Errorf("-gate-synth: want baseline.json:fresh.json, got %q", synthPair)
-		}
-	}
-	if servePair != "" {
-		if cfg.BaselineServe, cfg.FreshServe, ok = strings.Cut(servePair, ":"); !ok {
-			return fmt.Errorf("-gate-serve: want baseline.json:fresh.json, got %q", servePair)
-		}
-	}
-	rep, err := eval.BenchGate(cfg)
-	if err != nil {
-		return err
-	}
-	rep.WriteText(os.Stdout)
-	if !rep.OK() {
-		return fmt.Errorf("bench gate failed: %d regression(s)", rep.Failures)
-	}
-	return nil
+	return ev.WriteSearchReport(os.Stdout, 10)
 }
 
 func run(ctx context.Context, experiment string, full bool, tests int, tr *obs.Tracer, ev *obs.Events) error {

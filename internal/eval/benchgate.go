@@ -1,250 +1,318 @@
 package eval
 
-// The bench gate: compares a freshly measured BENCH_synth.json /
-// BENCH_serve.json pair against the committed baselines and fails on
-// regressions beyond a tolerance — the CI tripwire that keeps the
-// synthesis engine's wall-clock and the ledger's waste ratio honest.
+// The bench gate. BENCH_layers.json holds the medians and quartiles of
+// every gated number: the per-layer metrics of the traced benchmark
+// (`sh benchmark/run.sh --trace 1 --runs N` over all four workloads) and
+// the Go benchmarks that time what no workload measures
+// (BenchmarkSynthCorpus, BenchmarkFleetChaos, run with -count N).
+// ParseLayers folds that measurement text into the document, and
+// GateLayers compares a fresh document against the committed one.
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"math"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// GateConfig names the artifact pairs to compare. An empty path skips
-// that pair, so the gate can run on synth-only or serve-only artifacts.
-type GateConfig struct {
-	BaselineSynth string
-	FreshSynth    string
-	BaselineServe string
-	FreshServe    string
-	// Tolerance is the allowed fractional regression (0.25 = 25%).
-	// <= 0 gets the default of 0.25 — generous because CI machines are
-	// noisy; the gate exists to catch step-function regressions, not
-	// single-digit jitter.
-	Tolerance float64
+// Layers is the BENCH_layers.json document.
+type Layers struct {
+	NProc      int           `json:"nproc"`
+	GoMaxProcs int           `json:"gomaxprocs"`
+	Metrics    []LayerMetric `json:"metrics"`
+}
+
+// LayerMetric is one gated number over repeated runs: a benchmark metric
+// named "<workload>/<metric>", or a Go benchmark's "<Benchmark>/<unit>".
+type LayerMetric struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+	Runs   int     `json:"runs"`
+	// Tolerance is the fractional move from Median the gate allows: 0 for
+	// a count, which must repeat exactly; otherwise twice the measured
+	// spread (Q3-Q1)/Median, and never under minTolerance.
+	Tolerance float64 `json:"tolerance"`
+}
+
+// minTolerance is the smallest tolerance a timing gets, the bound every
+// end-to-end metric has in BENCHMARK.json.
+const minTolerance = 0.25
+
+// Numbers printed by the benchmark that the gate leaves out because they
+// measure nothing: core.unattributed_frac and server.queue_wait_ms_p50
+// subtract a replay on private caches from a compile on shared ones, and
+// read below zero; obs.trace_overhead_frac divides one traced pass by
+// one untraced pass, and reads below zero as often as not.
+var ungated = map[string]bool{
+	"core.unattributed_frac":   true,
+	"obs.trace_overhead_frac":  true,
+	"server.queue_wait_ms_p50": true,
+}
+
+// Undeclared benchmark metrics the gate keeps: the serve layers, which
+// BENCHMARK.json leaves out because only serve-mixed has them.
+var gatedExtras = map[string]bool{
+	"server.http_ms_p50": true,
+	"server.job_ms_p50":  true,
+}
+
+// higherIsBetter lists the gated numbers where more is better.
+var higherIsBetter = map[string]bool{
+	"synth.oracle_hit_frac": true,
+	"speedup":               true,
+}
+
+var goBenchName = regexp.MustCompile(`^(Benchmark\w+?)(-\d+)?$`)
+
+// ParseLayers folds the measurement text into a Layers document. It
+// reads the benchmark's `--runs` table (host line, one section per
+// workload, median/q1/q3 per metric, as printed) and Go benchmark result
+// lines, whose custom metrics it reduces to median and quartiles itself.
+// The table prints six significant digits, so a count takes its median
+// from the benchmark's closing JSON line, which carries it exactly.
+func ParseLayers(r io.Reader) (*Layers, error) {
+	l := &Layers{}
+	workload, declared, runs := "", false, 0
+	var exact struct {
+		Metrics map[string]struct{ Value float64 } `json:"metrics"`
+	}
+	goRuns := map[string][]float64{}
+	var goOrder []string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		switch {
+		case len(f) == 0:
+		case strings.HasPrefix(f[0], "{"):
+			if err := json.Unmarshal(sc.Bytes(), &exact); err != nil {
+				return nil, fmt.Errorf("bench gate: the benchmark's result line: %w", err)
+			}
+		case f[0] == "#" && len(f) > 2 && f[1] == "host":
+			for _, kv := range f[2:] {
+				k, v, _ := strings.Cut(kv, "=")
+				switch k {
+				case "nproc":
+					l.NProc, _ = strconv.Atoi(v)
+				case "gomaxprocs":
+					l.GoMaxProcs, _ = strconv.Atoi(v)
+				}
+			}
+		case f[0] == "#" && len(f) > 2 && f[1] == "workload":
+			workload, declared, runs = f[2], true, 1
+			for _, kv := range f[3:] {
+				if v, ok := strings.CutPrefix(kv, "runs="); ok {
+					runs, _ = strconv.Atoi(v)
+				}
+			}
+		case f[0] == "#" && len(f) > 2 && f[1] == "not" && f[2] == "declared":
+			declared = false
+		case goBenchName.MatchString(f[0]) && len(f) >= 4:
+			name := goBenchName.FindStringSubmatch(f[0])[1]
+			for i := 2; i+1 < len(f); i += 2 {
+				unit := f[i+1]
+				if unit == "ns/op" || unit == "B/op" || unit == "allocs/op" || unit == "MB/s" {
+					continue
+				}
+				v, err := strconv.ParseFloat(f[i], 64)
+				if err != nil {
+					return nil, fmt.Errorf("bench gate: %q: %w", sc.Text(), err)
+				}
+				key := name + "/" + unit
+				if goRuns[key] == nil {
+					goOrder = append(goOrder, key)
+				}
+				goRuns[key] = append(goRuns[key], v)
+			}
+		case workload != "" && f[0] != "#" && len(f) >= 3:
+			if ungated[f[0]] || (!declared && !gatedExtras[f[0]]) {
+				continue
+			}
+			m, err := parseTableLine(f)
+			if err != nil {
+				return nil, fmt.Errorf("bench gate: %s: %q: %w", workload, sc.Text(), err)
+			}
+			m.Name, m.Runs = workload+"/"+m.Name, runs
+			l.Metrics = append(l.Metrics, m)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	for i, m := range l.Metrics {
+		if v, ok := exact.Metrics[m.Name]; ok && m.Unit == "count" && m.Q1 == m.Q3 {
+			l.Metrics[i].Median, l.Metrics[i].Q1, l.Metrics[i].Q3 = v.Value, v.Value, v.Value
+		}
+	}
+	for _, key := range goOrder {
+		vals := goRuns[key]
+		_, unit, _ := strings.Cut(key, "/")
+		m := LayerMetric{Name: key, Unit: "x", Better: "lower", Runs: len(vals)}
+		if i := strings.LastIndexByte(unit, '_'); i >= 0 {
+			m.Unit = unit[i+1:]
+		}
+		if higherIsBetter[unit] {
+			m.Better = "higher"
+		}
+		m.Q1, m.Median, m.Q3 = quartiles(vals)
+		m.Q1, m.Median, m.Q3 = sig6(m.Q1), sig6(m.Median), sig6(m.Q3)
+		m.Tolerance = tolerance(m)
+		l.Metrics = append(l.Metrics, m)
+	}
+	if len(l.Metrics) == 0 {
+		return nil, fmt.Errorf("bench gate: no metrics in the measurement")
+	}
+	return l, nil
+}
+
+// parseTableLine reads one `--runs` table line:
+//
+//	name  median  unit  q1=...  q3=...  spread=...  n=...
+//
+// A single run prints no quartiles; they are the median then.
+func parseTableLine(f []string) (LayerMetric, error) {
+	m := LayerMetric{Name: f[0], Unit: f[2], Better: "lower"}
+	var err error
+	if m.Median, err = strconv.ParseFloat(f[1], 64); err != nil {
+		return m, err
+	}
+	m.Q1, m.Q3 = m.Median, m.Median
+	for _, kv := range f[3:] {
+		k, v, _ := strings.Cut(kv, "=")
+		switch k {
+		case "q1":
+			m.Q1, err = strconv.ParseFloat(v, 64)
+		case "q3":
+			m.Q3, err = strconv.ParseFloat(v, 64)
+		}
+		if err != nil {
+			return m, err
+		}
+	}
+	if higherIsBetter[m.Name] {
+		m.Better = "higher"
+	}
+	m.Tolerance = tolerance(m)
+	return m, nil
+}
+
+// tolerance sets a metric's allowed move from its measured spread.
+func tolerance(m LayerMetric) float64 {
+	if m.Unit == "count" {
+		return 0
+	}
+	t := minTolerance
+	if m.Median != 0 {
+		t = math.Max(t, 2*(m.Q3-m.Q1)/math.Abs(m.Median))
+	}
+	return math.Round(t*1000) / 1000
+}
+
+// sig6 rounds v to the six significant digits the benchmark's table
+// prints.
+func sig6(v float64) float64 {
+	r, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'g', 6, 64), 64)
+	return r
+}
+
+// quartiles reproduces Python's statistics.quantiles(xs, n=4), the
+// default "exclusive" method the benchmark's --runs table prints. One
+// value is its own quartiles.
+func quartiles(xs []float64) (q1, q2, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n == 1 {
+		return s[0], s[0], s[0]
+	}
+	var out [3]float64
+	for i := 1; i <= 3; i++ {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := float64(i*(n+1) - j*4)
+		out[i-1] = (s[j-1]*(4-delta) + s[j]*delta) / 4
+	}
+	return out[0], out[1], out[2]
 }
 
 // GateCheck is one compared metric.
 type GateCheck struct {
-	Name     string  `json:"name"`
-	Baseline float64 `json:"baseline"`
-	Fresh    float64 `json:"fresh"`
-	// Limit is the boundary Fresh value that passes: the highest for
-	// lower-is-better checks, the lowest for floor checks.
-	Limit float64 `json:"limit"`
-	OK    bool    `json:"ok"`
+	Name     string
+	Baseline float64
+	Fresh    float64
+	// Limit is the boundary Fresh value that passes: the highest for a
+	// lower-is-better metric, the lowest for a higher-is-better one, the
+	// only one for a count.
+	Limit float64
+	OK    bool
 }
 
 // GateReport is the full comparison outcome.
 type GateReport struct {
-	Tolerance float64     `json:"tolerance"`
-	Checks    []GateCheck `json:"checks"`
-	Failures  int         `json:"failures"`
+	Base, Fresh *Layers
+	Checks      []GateCheck
+	Failures    int
 }
 
 // OK reports whether every check passed.
 func (r *GateReport) OK() bool { return r.Failures == 0 }
 
-// BenchGate loads the configured artifact pairs and compares wall-clock
-// and waste-ratio metrics. Lower is better for every gated metric; a
-// fresh value beyond baseline*(1+tolerance) fails. Ratio-valued metrics
-// (waste) near zero additionally get an absolute floor of the tolerance
-// itself, so a 0.00 → 0.01 drift does not fail on division noise.
-func BenchGate(cfg GateConfig) (*GateReport, error) {
-	tol := cfg.Tolerance
-	if tol <= 0 {
-		tol = 0.25
+// GateLayers compares every committed metric's fresh median against the
+// committed one. A count must match exactly; a timing may move by its
+// tolerance in the worse direction; a metric missing from the fresh
+// measurement fails. The corpus speedup must also reach 1.0 when the
+// fresh measurement ran on two or more cores.
+func GateLayers(base, fresh *Layers) *GateReport {
+	rep := &GateReport{Base: base, Fresh: fresh}
+	got := map[string]LayerMetric{}
+	for _, m := range fresh.Metrics {
+		got[m.Name] = m
 	}
-	rep := &GateReport{Tolerance: tol}
-
-	if cfg.BaselineSynth != "" && cfg.FreshSynth != "" {
-		var base, fresh SynthBenchReport
-		if err := loadJSON(cfg.BaselineSynth, &base); err != nil {
-			return nil, err
+	for _, b := range base.Metrics {
+		c := GateCheck{Name: b.Name, Baseline: b.Median, Fresh: math.NaN(), Limit: b.Median}
+		f, ok := got[b.Name]
+		if ok {
+			c.Fresh = f.Median
 		}
-		if err := loadJSON(cfg.FreshSynth, &fresh); err != nil {
-			return nil, err
-		}
-		freshRuns := map[int]SynthBenchRun{}
-		for _, run := range fresh.Runs {
-			freshRuns[run.Workers] = run
-		}
-		for _, b := range base.Runs {
-			f, ok := freshRuns[b.Workers]
-			if !ok {
-				// Worker counts are machine-dependent (GOMAXPROCS); a
-				// baseline run with no fresh counterpart is not a
-				// regression, just a different machine shape.
-				continue
+		switch {
+		case b.Unit == "count":
+			c.OK = ok && f.Median == b.Median
+		case b.Better == "higher":
+			c.Limit = b.Median * (1 - b.Tolerance)
+			if strings.HasSuffix(b.Name, "/speedup") && fresh.GoMaxProcs >= 2 {
+				c.Limit = math.Max(c.Limit, 1)
 			}
-			rep.check(fmt.Sprintf("synth.wall_seconds[workers=%d]", b.Workers),
-				b.WallSeconds, f.WallSeconds, false)
-			rep.check(fmt.Sprintf("synth.waste_ratio[workers=%d]", b.Workers),
-				b.WasteRatio, f.WasteRatio, true)
+			c.OK = ok && f.Median >= c.Limit
+		default:
+			c.Limit = b.Median * (1 + b.Tolerance)
+			c.OK = ok && f.Median <= c.Limit
 		}
-		// Search-observatory checks are skip-if-absent: a baseline
-		// committed before the search section existed gates nothing.
-		// Once the baseline carries one, the fresh artifact must too,
-		// and its kill count must not collapse: a fresh run that kills
-		// nothing where the baseline killed candidates is a search
-		// regression (kill attribution broken or the funnel no longer
-		// dispatching candidates), not jitter. Family attribution is
-		// pinned by TestSearchReportGolden and
-		// TestSearchBenchMultiFamilyPerTarget, since a first-winner
-		// corpus run finds no multi-family case to floor.
-		if base.Search != nil {
-			fk := -1.0
-			if fresh.Search != nil {
-				fk = float64(fresh.Search.Killed)
-			}
-			rep.checkFloor("synth.search.killed",
-				float64(base.Search.Killed), fk)
+		if !c.OK {
+			rep.Failures++
 		}
-		// ROADMAP targets promoted to floors on the fresh artifact.
-		// Speedup: running a candidate's cases in parallel must not be
-		// a slowdown. Strict ≥1.0 needs real cores and is absolute
-		// there (no baseline drift can relax it). On a GOMAXPROCS=1
-		// host the Workers=N run executes a superset of the Workers=1
-		// work on one core: every case Workers=1 runs, plus the cases
-		// a loser started past its kill before cancellation. That
-		// overhead is real and noisy (its volume depends on where
-		// cancellation lands), so the serialized gate
-		// is relative like the wall-time gates: the fresh ratio must
-		// not fall more than the tolerance below the committed
-		// baseline's, with 1/(1+2·tol) as the backstop when the
-		// baseline predates the field or was measured on real cores.
-		if n := len(fresh.Runs); n >= 2 && fresh.Speedup > 0 {
-			w1, wn := fresh.Runs[0], fresh.Runs[n-1]
-			if w1.Workers == 1 && wn.Workers > 1 {
-				floor := 1.0
-				if fresh.GoMaxProcs <= 1 {
-					floor = 1 / (1 + 2*tol)
-					if base.Speedup > 0 && base.Speedup < 1 {
-						floor = base.Speedup / (1 + tol)
-					}
-				}
-				rep.checkTarget(fmt.Sprintf("synth.speedup[w1/w%d]", wn.Workers),
-					floor, fresh.Speedup, false)
-			}
-		}
-		// Cross-target oracle sharing: compiles of one program for
-		// ffta+powerquad+fftw must reuse each other's reference runs —
-		// a >50% hit rate means most lookups were shared, i.e. the
-		// target-independent key actually deduplicates across targets.
-		if ex := fresh.Exhaustive; ex != nil && ex.CrossTarget != nil {
-			rep.checkTarget("synth.cross_target.multi_candidate_hit_rate",
-				0.5, ex.CrossTarget.MultiCandidateHitRate, true)
-		}
+		rep.Checks = append(rep.Checks, c)
 	}
-
-	if cfg.BaselineServe != "" && cfg.FreshServe != "" {
-		var base, fresh ServeBenchReport
-		if err := loadJSON(cfg.BaselineServe, &base); err != nil {
-			return nil, err
-		}
-		if err := loadJSON(cfg.FreshServe, &fresh); err != nil {
-			return nil, err
-		}
-		rep.check("serve.wall_seconds", base.WallSeconds, fresh.WallSeconds, false)
-		rep.check("serve.latency_ms_p99", base.LatencyMsP99, fresh.LatencyMsP99, false)
-		// Fleet chaos checks are skip-if-absent like the search block: a
-		// baseline from before the fleet existed gates nothing, but once
-		// one carries the block the fresh artifact must reproduce it and
-		// hold the robustness invariants absolutely — these are
-		// correctness contracts, not performance numbers, so no tolerance
-		// applies to them.
-		if base.Fleet != nil {
-			if fresh.Fleet == nil {
-				rep.checkTarget("serve.fleet.present", 1, 0, false)
-			} else {
-				bf, ff := base.Fleet, fresh.Fleet
-				rep.check("serve.fleet.latency_ms_p99", bf.LatencyMsP99, ff.LatencyMsP99, false)
-				rep.check("serve.fleet.wall_seconds", bf.WallSeconds, ff.WallSeconds, false)
-				// Zero dropped acknowledged jobs, ever: baseline 0 makes
-				// the lower-is-better limit exactly 0.
-				rep.check("serve.fleet.acked_dropped", 0, float64(ff.AckedDropped), false)
-				rep.checkTarget("serve.fleet.adapters_consistent", 1, boolMetric(ff.AdaptersConsistent), false)
-				// Every offered request must complete despite the kill and
-				// the lossy partition.
-				frac := 0.0
-				if ff.Requests > 0 {
-					frac = float64(ff.Completed) / float64(ff.Requests)
-				}
-				rep.checkTarget("serve.fleet.completed_frac", 1, frac, false)
-				// Rebalance after the kill must land inside the probe
-				// budget the run declared (threshold+2 probe intervals).
-				rep.check("serve.fleet.rebalance_ms", ff.RebalanceBudgetMs, ff.RebalanceMs, false)
-				// The chaos actually exercised failover paths: if the
-				// baseline recorded failovers, a fresh run with none means
-				// the kill stopped mattering (harness regression).
-				rep.checkFloor("serve.fleet.failovers", float64(bf.Failovers), float64(ff.Failovers))
-			}
-		}
-	}
-
-	if len(rep.Checks) == 0 {
-		return nil, fmt.Errorf("bench gate: nothing to compare (need a baseline+fresh artifact pair)")
-	}
-	return rep, nil
+	return rep
 }
 
-// check records one lower-is-better comparison. ratio marks metrics
-// already normalized to [0,1], which get the absolute floor.
-func (r *GateReport) check(name string, baseline, fresh float64, ratio bool) {
-	limit := baseline * (1 + r.Tolerance)
-	if ratio && limit < r.Tolerance {
-		limit = r.Tolerance
-	}
-	c := GateCheck{Name: name, Baseline: baseline, Fresh: fresh, Limit: limit, OK: fresh <= limit}
-	if !c.OK {
-		r.Failures++
-	}
-	r.Checks = append(r.Checks, c)
-}
-
-// checkTarget records one absolute higher-is-better floor: fresh must
-// reach floor (exceed it when strict). Unlike check/checkFloor this does
-// not compare against the baseline artifact — the floor is a standing
-// target, reported in the Baseline column for context.
-func (r *GateReport) checkTarget(name string, floor, fresh float64, strict bool) {
-	ok := fresh >= floor
-	if strict {
-		ok = fresh > floor
-	}
-	c := GateCheck{Name: name, Baseline: floor, Fresh: fresh, Limit: floor, OK: ok}
-	if !c.OK {
-		r.Failures++
-	}
-	r.Checks = append(r.Checks, c)
-}
-
-// checkFloor records one higher-is-better presence check: when the
-// baseline has any signal (>= 1), the fresh value must keep at least 1 —
-// the gate catches collapse-to-zero (or a missing section, passed as a
-// negative fresh value), not count jitter.
-func (r *GateReport) checkFloor(name string, baseline, fresh float64) {
-	limit := 0.0
-	if baseline >= 1 {
-		limit = 1
-	}
-	c := GateCheck{Name: name, Baseline: baseline, Fresh: fresh, Limit: limit, OK: fresh >= limit}
-	if !c.OK {
-		r.Failures++
-	}
-	r.Checks = append(r.Checks, c)
-}
-
-// WriteText prints one line per check plus the verdict.
+// WriteText prints the host shapes, one line per check and the verdict.
 func (r *GateReport) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "Bench gate (tolerance %.0f%%):\n", 100*r.Tolerance)
+	fmt.Fprintf(w, "bench gate: committed medians from nproc=%d gomaxprocs=%d, fresh from nproc=%d gomaxprocs=%d\n",
+		r.Base.NProc, r.Base.GoMaxProcs, r.Fresh.NProc, r.Fresh.GoMaxProcs)
 	for _, c := range r.Checks {
 		status := "ok  "
 		if !c.OK {
 			status = "FAIL"
 		}
-		fmt.Fprintf(w, "  %s %-36s baseline %10.3f  fresh %10.3f  limit %10.3f\n",
+		fmt.Fprintf(w, "  %s %-46s committed %12.6g  fresh %12.6g  limit %12.6g\n",
 			status, c.Name, c.Baseline, c.Fresh, c.Limit)
 	}
 	if r.OK() {
@@ -252,23 +320,4 @@ func (r *GateReport) WriteText(w io.Writer) {
 	} else {
 		fmt.Fprintf(w, "bench gate: FAIL (%d of %d checks regressed)\n", r.Failures, len(r.Checks))
 	}
-}
-
-// boolMetric maps a pass/fail invariant onto the gate's numeric floors.
-func boolMetric(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func loadJSON(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("bench gate: %w", err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("bench gate: %s: %w", path, err)
-	}
-	return nil
 }

@@ -1,164 +1,182 @@
 package eval
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func writeArtifact(t *testing.T, dir, name string, v any) string {
+// measured is a two-run measurement as scripts/bench_layers.sh captures
+// it: the benchmark's --runs table for one workload, then Go benchmark
+// result lines.
+const measured = `# host nproc=2 gomaxprocs=2 go=go1.24.0 os=linux/amd64 commit=0123456789ab seed=1 seconds=2
+# workload serve-mixed trace=true runs=2 seeds=1,2 attempted=100 failed=0
+core.compile_ms                       8.00000 ms     q1=7.00000 q3=9.00000 spread=0.2500 n=225
+core.unattributed_frac              0.0100000 frac   q1=-0.02 q3=0.04 spread=6.0000 n=225
+interp.steps                      4.62748e+07 count  q1=4.62748e+07 q3=4.62748e+07 spread=0.0000 n=225
+synth.oracle_hit_frac                   0.500 frac   q1=0.5 q3=0.5 spread=0.0000 n=1734
+obs.trace_overhead_frac               0.01000 frac   q1=-0.02 q3=0.01 spread=3.0000 n=225
+# not declared in BENCHMARK.json:
+server.http_ms_p50                    0.40000 ms     q1=0.39 q3=0.41 spread=0.0500 n=6644
+server.job_ms_p50                     0.80000 ms     q1=0.7 q3=0.9 spread=0.2500 n=2860
+server.queue_wait_ms_p50             -7.00000 ms     q1=-7.7 q3=-6.0 spread=0.2400 n=2376
+self.core.compile                     599.052 ms     q1=579.758 q3=811.725 spread=0.3872 n=2
+{"correct":true,"attempted":100,"failed":0,"metrics":{"serve-mixed/interp.steps":{"value":46274753,"unit":"count"}}}
+goos: linux
+BenchmarkSynthCorpus-2   	       1	3000000000 ns/op	         1.100 speedup	         2.000 w1_s	         1.800 wN_s
+BenchmarkSynthCorpus-2   	       1	3000000000 ns/op	         1.200 speedup	         2.100 w1_s	         1.750 wN_s
+BenchmarkSynthCorpus-2   	       1	3000000000 ns/op	         1.150 speedup	         2.200 w1_s	         1.900 wN_s
+BenchmarkFleetChaos-2    	       1	 900000000 ns/op	        30.00 p99_ms	         0.9000 wall_s
+PASS
+`
+
+func parse(t *testing.T, text string) *Layers {
 	t.Helper()
-	data, err := json.Marshal(v)
+	l, err := ParseLayers(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return l
 }
 
+func metricOf(t *testing.T, l *Layers, name string) LayerMetric {
+	t.Helper()
+	for _, m := range l.Metrics {
+		if m.Name == name {
+			return m
+		}
+	}
+	t.Fatalf("no metric %s in %+v", name, l.Metrics)
+	return LayerMetric{}
+}
+
+// TestBenchGate: the fold keeps every declared per-layer metric and the
+// two serve layers, drops the three that measure nothing, and reduces
+// repeated Go benchmark runs to quartiles; the gate matches counts
+// exactly, lets a timing move by its tolerance, fails a metric that is
+// missing, and floors the speedup at 1.0 on two or more cores.
 func TestBenchGate(t *testing.T) {
-	dir := t.TempDir()
-	base := &SynthBenchReport{Runs: []SynthBenchRun{
-		{Workers: 1, WallSeconds: 10, WasteRatio: 0},
-		{Workers: 4, WallSeconds: 4, WasteRatio: 0.40},
-	}}
-	baseServe := &ServeBenchReport{WallSeconds: 5, LatencyMsP99: 200}
-	basePath := writeArtifact(t, dir, "base_synth.json", base)
-	baseServePath := writeArtifact(t, dir, "base_serve.json", baseServe)
-
-	// Within tolerance: slightly slower, slightly wastier — passes.
-	okFresh := &SynthBenchReport{Runs: []SynthBenchRun{
-		{Workers: 1, WallSeconds: 11, WasteRatio: 0.05},
-		{Workers: 4, WallSeconds: 4.5, WasteRatio: 0.45},
-	}}
-	okServe := &ServeBenchReport{WallSeconds: 5.5, LatencyMsP99: 220}
-	rep, err := BenchGate(GateConfig{
-		BaselineSynth: basePath,
-		FreshSynth:    writeArtifact(t, dir, "ok_synth.json", okFresh),
-		BaselineServe: baseServePath,
-		FreshServe:    writeArtifact(t, dir, "ok_serve.json", okServe),
-	})
-	if err != nil {
-		t.Fatal(err)
+	base := parse(t, measured)
+	if base.NProc != 2 || base.GoMaxProcs != 2 {
+		t.Errorf("host shape = nproc %d, gomaxprocs %d; want 2, 2", base.NProc, base.GoMaxProcs)
 	}
-	if !rep.OK() {
-		t.Fatalf("within-tolerance run failed the gate: %+v", rep.Checks)
+	var names []string
+	for _, m := range base.Metrics {
+		names = append(names, m.Name)
 	}
-	if len(rep.Checks) != 6 {
-		t.Errorf("checks = %d, want 6 (2 runs x 2 metrics + 2 serve)", len(rep.Checks))
+	want := "serve-mixed/core.compile_ms serve-mixed/interp.steps serve-mixed/synth.oracle_hit_frac " +
+		"serve-mixed/server.http_ms_p50 serve-mixed/server.job_ms_p50 " +
+		"BenchmarkSynthCorpus/speedup BenchmarkSynthCorpus/w1_s BenchmarkSynthCorpus/wN_s " +
+		"BenchmarkFleetChaos/p99_ms BenchmarkFleetChaos/wall_s"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("gated metrics:\n%s\nwant\n%s", got, want)
 	}
-
-	// A 2x wall-time regression fails, and the report names the check.
-	badFresh := &SynthBenchReport{Runs: []SynthBenchRun{
-		{Workers: 1, WallSeconds: 20, WasteRatio: 0},
-		{Workers: 4, WallSeconds: 4, WasteRatio: 0.40},
-	}}
-	rep, err = BenchGate(GateConfig{
-		BaselineSynth: basePath,
-		FreshSynth:    writeArtifact(t, dir, "bad_synth.json", badFresh),
-	})
-	if err != nil {
-		t.Fatal(err)
+	if m := metricOf(t, base, "serve-mixed/core.compile_ms"); m.Median != 8 || m.Q1 != 7 || m.Q3 != 9 ||
+		m.Runs != 2 || m.Tolerance != 0.5 || m.Better != "lower" {
+		t.Errorf("core.compile_ms = %+v; want median 8, q1 7, q3 9, 2 runs, tolerance 2×0.25, lower", m)
 	}
-	if rep.OK() || rep.Failures != 1 {
-		t.Fatalf("2x regression passed the gate: %+v", rep.Checks)
+	if m := metricOf(t, base, "serve-mixed/server.http_ms_p50"); m.Tolerance != minTolerance {
+		t.Errorf("http_ms_p50 tolerance = %v, want the %v floor", m.Tolerance, minTolerance)
 	}
-	var sb strings.Builder
-	rep.WriteText(&sb)
-	if !strings.Contains(sb.String(), "FAIL synth.wall_seconds[workers=1]") {
-		t.Errorf("report does not name the regressed check:\n%s", sb.String())
+	if m := metricOf(t, base, "serve-mixed/interp.steps"); m.Median != 46274753 || m.Q3 != 46274753 || m.Tolerance != 0 {
+		t.Errorf("interp.steps = %+v; want the exact count 46274753 from the result line, tolerance 0", m)
+	}
+	if m := metricOf(t, base, "BenchmarkSynthCorpus/w1_s"); m.Median != 2.1 || m.Q1 != 2 || m.Q3 != 2.2 ||
+		m.Runs != 3 || m.Unit != "s" {
+		t.Errorf("w1_s = %+v; want median 2.1, q1 2, q3 2.2 over 3 runs, in s", m)
+	}
+	if m := metricOf(t, base, "BenchmarkSynthCorpus/speedup"); m.Better != "higher" {
+		t.Errorf("speedup better = %q, want higher", m.Better)
 	}
 
-	// A fresh run with different worker counts (different machine) only
-	// compares the counts both artifacts share.
-	otherShape := &SynthBenchReport{Runs: []SynthBenchRun{
-		{Workers: 1, WallSeconds: 10, WasteRatio: 0},
-		{Workers: 16, WallSeconds: 2, WasteRatio: 0.6},
-	}}
-	rep, err = BenchGate(GateConfig{
-		BaselineSynth: basePath,
-		FreshSynth:    writeArtifact(t, dir, "shape_synth.json", otherShape),
-	})
-	if err != nil {
-		t.Fatal(err)
+	if rep := GateLayers(base, base); !rep.OK() || len(rep.Checks) != len(base.Metrics) {
+		t.Fatalf("a measurement failed against itself: %+v", rep.Checks)
 	}
-	if !rep.OK() || len(rep.Checks) != 2 {
-		t.Fatalf("machine-shape mismatch handled wrong: %+v", rep.Checks)
+	edit := func(pairs ...string) func(string) string {
+		return strings.NewReplacer(pairs...).Replace
+	}
+	for _, tc := range []struct {
+		name   string
+		edit   func(string) string
+		failed string // "" when the gate must pass
+	}{
+		{"timing within tolerance", edit("8.00000 ms", "11.9000 ms"), ""},
+		{"timing past tolerance", edit("8.00000 ms", "12.1000 ms"), "serve-mixed/core.compile_ms"},
+		{"count moved by one", edit(`"value":46274753`, `"value":46274754`), "serve-mixed/interp.steps"},
+		{"serve layer regressed", edit("0.40000 ms", "0.60000 ms"), "serve-mixed/server.http_ms_p50"},
+		{"hit rate fell", edit("0.500 frac", "0.300 frac"), "serve-mixed/synth.oracle_hit_frac"},
+		{"metric missing", edit("server.job_ms_p50", "server.job_xx_p50"), "serve-mixed/server.job_ms_p50"},
+		{"ungated metrics moved", edit("0.0100000 frac", "9.0000000 frac", "-7.00000 ms", "70.0000 ms"), ""},
+		{"corpus wall doubled", edit("2.000 w1_s", "4.000 w1_s", "2.100 w1_s", "4.200 w1_s", "2.200 w1_s", "4.400 w1_s"),
+			"BenchmarkSynthCorpus/w1_s"},
+		{"speedup under 1.0", edit("1.100 speedup", "0.900 speedup", "1.200 speedup", "0.950 speedup", "1.150 speedup", "0.990 speedup"),
+			"BenchmarkSynthCorpus/speedup"},
+	} {
+		text := tc.edit(measured)
+		if text == measured {
+			t.Fatalf("%s: the edit did not apply", tc.name)
+		}
+		rep := GateLayers(base, parse(t, text))
+		var failed []string
+		for _, c := range rep.Checks {
+			if !c.OK {
+				failed = append(failed, c.Name)
+			}
+		}
+		if got := strings.Join(failed, " "); got != tc.failed {
+			var sb strings.Builder
+			rep.WriteText(&sb)
+			t.Errorf("%s: failed checks %q, want %q\n%s", tc.name, got, tc.failed, sb.String())
+		}
 	}
 
-	// Nothing to compare is an error, not a silent pass.
-	if _, err := BenchGate(GateConfig{}); err == nil {
-		t.Error("empty gate config did not error")
+	// On one core the Workers=GOMAXPROCS run is the Workers=1 run, so only
+	// the relative bound applies to the speedup.
+	one := parse(t, edit("gomaxprocs=2", "gomaxprocs=1", "1.100 speedup", "0.950 speedup",
+		"1.200 speedup", "0.980 speedup")(measured))
+	if rep := GateLayers(base, one); !rep.OK() {
+		t.Errorf("a 0.98 speedup on one core failed the gate: %+v", rep.Checks)
+	}
+
+	if _, err := ParseLayers(strings.NewReader("PASS\n")); err == nil {
+		t.Error("a measurement with no metrics folded without error")
 	}
 }
 
-// TestMergedServeRunsGateEveryRun: the serving artifact folds three runs.
-// One run that breaks a verdict fails the gate although the other two
-// are clean, and one slow run does not: the timing checks read the
-// median run.
-func TestMergedServeRunsGateEveryRun(t *testing.T) {
-	dir := t.TempDir()
-	run := func(p99 float64) *ServeBenchReport {
-		return &ServeBenchReport{WallSeconds: 1, LatencyMsP99: p99, Completed: 48,
-			AdaptersConsistent: true,
-			Fleet: &FleetBenchReport{Requests: 36, Completed: 36, WallSeconds: 1,
-				LatencyMsP99: p99, RebalanceMs: 1, RebalanceBudgetMs: 160,
-				Failovers: 5, AdaptersConsistent: true}}
-	}
-	basePath := writeArtifact(t, dir, "base_serve.json", run(20))
-	gate := func(name string, runs ...*ServeBenchReport) *GateReport {
-		t.Helper()
-		rep, err := BenchGate(GateConfig{BaselineServe: basePath,
-			FreshServe: writeArtifact(t, dir, name+".json", MergeServeRuns(runs))})
-		if err != nil {
-			t.Fatal(err)
+// TestBenchGateFleetChecks: the fleet chaos benchmark's medians are
+// gated like every timing, so a slower median fails while one slow run
+// of three does not, and a measurement without the fleet benchmark fails.
+func TestBenchGateFleetChecks(t *testing.T) {
+	fleet := func(lines ...string) string {
+		var sb strings.Builder
+		sb.WriteString("# host nproc=2 gomaxprocs=2\n")
+		for _, l := range lines {
+			sb.WriteString("BenchmarkFleetChaos-2 1 900000000 ns/op " + l + "\n")
 		}
-		return rep
+		return sb.String()
 	}
-
-	if rep := gate("slow-run", run(20), run(90), run(21)); !rep.OK() {
-		t.Fatalf("one slow run of three failed the gate: %+v", rep.Checks)
+	base := parse(t, fleet("20.0 p99_ms 1.00 wall_s", "24.0 p99_ms 1.05 wall_s", "22.0 p99_ms 1.10 wall_s"))
+	if m := metricOf(t, base, "BenchmarkFleetChaos/p99_ms"); m.Median != 22 || m.Tolerance != 0.364 {
+		t.Fatalf("p99_ms = %+v; want median 22, tolerance 2×(24−20)/22", m)
 	}
-	if rep := gate("slow-median", run(30), run(90), run(21)); rep.OK() {
-		t.Fatalf("a median p99 of 30 ms against 20 passed the gate: %+v", rep.Checks)
-	}
-
-	for _, bad := range []struct {
-		check string
-		spoil func(*ServeBenchReport)
-	}{
-		{"serve.fleet.acked_dropped", func(r *ServeBenchReport) { r.Fleet.AckedDropped = 1 }},
-		{"serve.fleet.adapters_consistent", func(r *ServeBenchReport) { r.Fleet.AdaptersConsistent = false }},
-		{"serve.fleet.completed_frac", func(r *ServeBenchReport) { r.Fleet.Completed = 35 }},
-		{"serve.fleet.rebalance_ms", func(r *ServeBenchReport) { r.Fleet.RebalanceMs = 400 }},
-		{"serve.fleet.failovers", func(r *ServeBenchReport) { r.Fleet.Failovers = 0 }},
-	} {
-		// The spoilt run is the fastest, so the merged record's other
-		// fields come from a clean run and only the fold can carry the
-		// bad verdict.
-		spoilt := run(20)
-		spoilt.WallSeconds = 0.5
-		bad.spoil(spoilt)
-		rep := gate(bad.check, run(20), spoilt, run(20))
-		failed := false
-		for _, c := range rep.Checks {
-			failed = failed || (c.Name == bad.check && !c.OK)
+	gate := func(text string) []string {
+		var failed []string
+		for _, c := range GateLayers(base, parse(t, text)).Checks {
+			if !c.OK {
+				failed = append(failed, c.Name)
+			}
 		}
-		if !failed {
-			t.Errorf("one bad run of three did not fail %s: %+v", bad.check, rep.Checks)
-		}
+		return failed
 	}
-
-	bad := run(20)
-	bad.WallSeconds = 0.5
-	bad.AdaptersConsistent, bad.Failed = false, 2
-	if m := MergeServeRuns([]*ServeBenchReport{run(20), bad, run(20)}); m.AdaptersConsistent || m.Failed != 2 {
-		t.Errorf("merged serve verdicts = consistent %v, failed %d; want false, 2",
-			m.AdaptersConsistent, m.Failed)
+	if failed := gate(fleet("21 p99_ms 1.0 wall_s", "90 p99_ms 9.0 wall_s", "23 p99_ms 1.1 wall_s")); len(failed) != 0 {
+		t.Errorf("one slow run of three failed %v", failed)
+	}
+	if failed := gate(fleet("31 p99_ms 1.0 wall_s", "90 p99_ms 1.1 wall_s", "30.1 p99_ms 1.1 wall_s")); strings.Join(failed, " ") != "BenchmarkFleetChaos/p99_ms" {
+		t.Errorf("a median p99 of 31 ms against 22 (limit 30) failed %v, want the p99 check only", failed)
+	}
+	if failed := gate(fleet("20 p99_ms 1.5 wall_s", "21 p99_ms 1.6 wall_s", "22 p99_ms 1.7 wall_s")); strings.Join(failed, " ") != "BenchmarkFleetChaos/wall_s" {
+		t.Errorf("a 1.6 s median wall time against 1.05 failed %v, want the wall check only", failed)
+	}
+	if failed := gate("# host nproc=2 gomaxprocs=2\nBenchmarkSynthCorpus-2 1 1 ns/op 1.1 speedup\n"); len(failed) != 2 {
+		t.Errorf("a measurement without the fleet benchmark failed %v, want both fleet checks", failed)
 	}
 }

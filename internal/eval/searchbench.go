@@ -4,7 +4,7 @@ package eval
 // of the supported corpus with an event stream attached, so the
 // discriminating-input ranking and the funnel are reproducible. The
 // resulting SearchSummary is what `faccbench -experiment searchbench`
-// prints and merges into BENCH_synth.json's "search" section.
+// prints.
 
 import (
 	"context"
@@ -23,7 +23,7 @@ import (
 // survives, so first-winner search records no kills at all and the
 // discriminating-input ranking would be empty. The caller owns the
 // stream: render it with WriteSearchReport or fold it with
-// obs.FoldSearch for BENCH_synth.json.
+// obs.FoldSearch.
 func SearchBench(ctx context.Context, targets []string, numTests int, ev *obs.Events) error {
 	if ctx == nil {
 		ctx = context.Background()

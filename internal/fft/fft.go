@@ -1,8 +1,7 @@
-// Package fft is a from-scratch FFT library. It serves three roles in the
-// FACC reproduction: it is the functional model behind the simulated
-// hardware accelerators (FFTA, PowerQuad), it is the "optimized software
-// library" compilation target standing in for FFTW, and it provides the
-// reference transforms that IO-based generate-and-test compares against.
+// Package fft is a from-scratch FFT library: the functional model behind
+// every simulated target (accel.Spec runs FFTA, PowerQuad and the FFTW
+// library model through Radix2, MixedRadix and Bluestein), with the
+// O(n²) DFT those fast kernels are validated against.
 package fft
 
 import (
@@ -138,41 +137,6 @@ func radix2(x, w []complex128) {
 				x[start+k+half] = u - v
 			}
 		}
-	}
-}
-
-// Recursive computes an out-of-place recursive (Cooley-Tukey) FFT for
-// power-of-two lengths — kept as an independent implementation for tests.
-func Recursive(in []complex128, dir Direction) ([]complex128, error) {
-	n := len(in)
-	if !IsPowerOfTwo(n) {
-		return nil, fmt.Errorf("fft: recursive FFT requires power-of-two length, got %d", n)
-	}
-	out := make([]complex128, n)
-	copy(out, in)
-	recurse(out, dir)
-	return out, nil
-}
-
-func recurse(x []complex128, dir Direction) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	even := make([]complex128, n/2)
-	odd := make([]complex128, n/2)
-	for i := 0; i < n/2; i++ {
-		even[i] = x[2*i]
-		odd[i] = x[2*i+1]
-	}
-	recurse(even, dir)
-	recurse(odd, dir)
-	s := dir.sign()
-	for k := 0; k < n/2; k++ {
-		angle := s * 2 * math.Pi * float64(k) / float64(n)
-		t := cmplx.Exp(complex(0, angle)) * odd[k]
-		x[k] = even[k] + t
-		x[k+n/2] = even[k] - t
 	}
 }
 
@@ -381,13 +345,4 @@ func Scale(x []complex128, f float64) {
 	for i := range x {
 		x[i] *= c
 	}
-}
-
-// BitReversedCopy returns x permuted into bit-reversed order (some
-// hardware pipelines deliver results this way).
-func BitReversedCopy(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	BitReverse(out)
-	return out
 }

@@ -17,6 +17,19 @@ func randComplex(rng *rand.Rand, n int) []complex128 {
 	return out
 }
 
+// maxError returns the largest elementwise magnitude difference between
+// two complex slices.
+func maxError(a, b []complex128) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
+	worst := 0.0
+	for i := range a {
+		worst = math.Max(worst, cmplx.Abs(a[i]-b[i]))
+	}
+	return worst
+}
+
 func TestIsPowerOfTwo(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 64, 1024, 65536} {
 		if !IsPowerOfTwo(n) {
@@ -62,7 +75,7 @@ func TestRadix2MatchesDFT(t *testing.T) {
 		if err := Radix2(got, Forward); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if e := MaxError(got, want); e > 1e-8*float64(n) {
+		if e := maxError(got, want); e > 1e-8*float64(n) {
 			t.Errorf("n=%d: max error %g", n, e)
 		}
 	}
@@ -74,28 +87,13 @@ func TestRadix2RejectsNonPow2(t *testing.T) {
 	}
 }
 
-func TestRecursiveMatchesDFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{2, 8, 32, 128} {
-		in := randComplex(rng, n)
-		want := DFT(in, Forward)
-		got, err := Recursive(in, Forward)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e := MaxError(got, want); e > 1e-9*float64(n) {
-			t.Errorf("n=%d: max error %g", n, e)
-		}
-	}
-}
-
 func TestMixedRadixMatchesDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 3, 5, 6, 7, 9, 12, 15, 20, 21, 35, 36, 60, 100, 120, 210} {
 		in := randComplex(rng, n)
 		want := DFT(in, Forward)
 		got := MixedRadix(in, Forward)
-		if e := MaxError(got, want); e > 1e-8*float64(n) {
+		if e := maxError(got, want); e > 1e-8*float64(n) {
 			t.Errorf("n=%d: max error %g", n, e)
 		}
 	}
@@ -107,7 +105,7 @@ func TestBluesteinPrimeSizes(t *testing.T) {
 		in := randComplex(rng, n)
 		want := DFT(in, Forward)
 		got := Bluestein(in, Forward)
-		if e := MaxError(got, want); e > 1e-7*float64(n) {
+		if e := maxError(got, want); e > 1e-7*float64(n) {
 			t.Errorf("n=%d: max error %g", n, e)
 		}
 	}
@@ -120,7 +118,7 @@ func TestInverseRoundTrip(t *testing.T) {
 		fwd := MixedRadix(in, Forward)
 		back := MixedRadix(fwd, Inverse)
 		Normalize(back)
-		if e := MaxError(back, in); e > 1e-9*float64(n) {
+		if e := maxError(back, in); e > 1e-9*float64(n) {
 			t.Errorf("n=%d: roundtrip error %g", n, e)
 		}
 	}
@@ -132,7 +130,7 @@ func TestBitReverseInvolution(t *testing.T) {
 	x := append([]complex128(nil), in...)
 	BitReverse(x)
 	BitReverse(x)
-	if e := MaxError(x, in); e != 0 {
+	if e := maxError(x, in); e != 0 {
 		t.Errorf("double bit-reverse changed data: %g", e)
 	}
 	// Spot-check the permutation for n=8: index 1 (001) <-> 4 (100).
@@ -214,147 +212,6 @@ func TestPropertyShiftTheorem(t *testing.T) {
 	}
 }
 
-func TestPlanAlgorithmSelection(t *testing.T) {
-	cases := map[int]string{64: "radix2", 12: "mixed-radix", 17: "bluestein", 1024: "radix2", 60: "mixed-radix"}
-	for n, want := range cases {
-		p, err := NewPlan(n, Forward)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Algorithm() != want {
-			t.Errorf("n=%d: algorithm %s, want %s", n, p.Algorithm(), want)
-		}
-	}
-	if _, err := NewPlan(0, Forward); err == nil {
-		t.Error("expected error for n=0")
-	}
-}
-
-func TestPlanExecute(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, n := range []int{8, 12, 17, 256} {
-		p, err := NewPlan(n, Forward)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := randComplex(rng, n)
-		out := make([]complex128, n)
-		if err := p.Execute(in, out); err != nil {
-			t.Fatal(err)
-		}
-		want := DFT(in, Forward)
-		if e := MaxError(out, want); e > 1e-7*float64(n) {
-			t.Errorf("n=%d: error %g", n, e)
-		}
-	}
-}
-
-func TestPlanExecuteInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 64
-	p, _ := NewPlan(n, Forward)
-	x := randComplex(rng, n)
-	want := DFT(x, Forward)
-	if err := p.Execute(x, x); err != nil {
-		t.Fatal(err)
-	}
-	if e := MaxError(x, want); e > 1e-8*float64(n) {
-		t.Errorf("in-place error %g", e)
-	}
-}
-
-func TestPlanNormalized(t *testing.T) {
-	n := 16
-	p, _ := NewPlan(n, Inverse)
-	p.Norm = true
-	rng := rand.New(rand.NewSource(12))
-	in := randComplex(rng, n)
-	fwd := MixedRadix(in, Forward)
-	back := make([]complex128, n)
-	if err := p.Execute(fwd, back); err != nil {
-		t.Fatal(err)
-	}
-	if e := MaxError(back, in); e > 1e-9*float64(n) {
-		t.Errorf("normalized inverse error %g", e)
-	}
-}
-
-func TestPlanLengthMismatch(t *testing.T) {
-	p, _ := NewPlan(8, Forward)
-	if err := p.Execute(make([]complex128, 4), make([]complex128, 8)); err == nil {
-		t.Error("expected length error")
-	}
-}
-
-func TestRFFTConjugateSymmetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 32
-	in := make([]float64, n)
-	for i := range in {
-		in[i] = rng.NormFloat64()
-	}
-	spec := RFFT(in)
-	for k := 1; k < n/2; k++ {
-		a, b := spec[k], spec[n-k]
-		if math.Abs(real(a)-real(b)) > 1e-9 || math.Abs(imag(a)+imag(b)) > 1e-9 {
-			t.Fatalf("spectrum not conjugate-symmetric at k=%d", k)
-		}
-	}
-	back := IRFFT(spec)
-	for i := range in {
-		if math.Abs(back[i]-in[i]) > 1e-9 {
-			t.Fatalf("IRFFT roundtrip failed at %d: %g vs %g", i, back[i], in[i])
-		}
-	}
-}
-
-func TestConvolveMatchesDirect(t *testing.T) {
-	a := []complex128{1, 2, 3, 0, 0, 0, 0, 0}
-	b := []complex128{4, 5, 0, 0, 0, 0, 0, 0}
-	got, err := Convolve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Direct circular convolution.
-	n := len(a)
-	want := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want[(i+j)%n] += a[i] * b[j]
-		}
-	}
-	if e := MaxError(got, want); e > 1e-9 {
-		t.Errorf("convolution error %g", e)
-	}
-	if _, err := Convolve(a, b[:4]); err == nil {
-		t.Error("expected length mismatch error")
-	}
-}
-
-func TestBitReversedCopy(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	y := BitReversedCopy(x)
-	if x[1] != 1 {
-		t.Error("input mutated")
-	}
-	if y[1] != 2 || y[2] != 1 {
-		t.Errorf("reversed = %v", y)
-	}
-}
-
-func TestFlopEstimateMonotonic(t *testing.T) {
-	p64, _ := NewPlan(64, Forward)
-	p1024, _ := NewPlan(1024, Forward)
-	if p64.FlopEstimate() >= p1024.FlopEstimate() {
-		t.Error("flop estimate not monotonic in n")
-	}
-	p17, _ := NewPlan(17, Forward)
-	p16, _ := NewPlan(16, Forward)
-	if p17.FlopEstimate() <= p16.FlopEstimate() {
-		t.Error("bluestein should cost more than radix-2 of similar size")
-	}
-}
-
 func TestHasSmallFactors(t *testing.T) {
 	for _, n := range []int{2, 6, 30, 210, 360} {
 		if !HasSmallFactors(n) {
@@ -389,17 +246,6 @@ func BenchmarkRadix2_1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(x, in)
 		_ = Radix2(x, Forward)
-	}
-}
-
-func BenchmarkPlanExecute_1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	in := randComplex(rng, 1024)
-	out := make([]complex128, 1024)
-	p, _ := NewPlan(1024, Forward)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.Execute(in, out)
 	}
 }
 

@@ -435,6 +435,55 @@ func TestReadyzNoHealthyPeers(t *testing.T) {
 	waitFor(t, 3*time.Second, "ready after recovery", func() bool { return readyz() == http.StatusOK })
 }
 
+// TestProbesEjectKilledPeerWithinBudget: with no request traffic, so
+// no forward failure can feed a breaker, the health probes alone must
+// get every survivor to eject a killed peer within
+// ProbeInterval × (FailureThreshold + 2).
+func TestProbesEjectKilledPeerWithinBudget(t *testing.T) {
+	const interval, threshold = 40 * time.Millisecond, 2
+	tr := NewFaultTransport(nil, 1)
+	nodes := newTestFleet(t, 3, tr, func(i int, fc *Config, sc *server.Config) {
+		fc.ProbeInterval = interval
+		fc.FailureThreshold = threshold
+	})
+	victim, survivors := nodes[0], nodes[1:]
+	time.Sleep(2 * interval) // let probe rounds pass while all are alive
+	for _, tn := range survivors {
+		if !tn.node.Ring().IsHealthy(victim.id) ||
+			tn.tracer.Metrics().Counter("fleet.peer_ejections").Value() != 0 {
+			t.Fatalf("%s ejected a peer before any was killed", tn.id)
+		}
+	}
+
+	victim.node.Close()
+	victim.ts.Close()
+	tr.SetRule(victim.host, LinkRule{Down: true})
+	start := time.Now()
+	budget := interval * (threshold + 2)
+	ejected := make([]time.Duration, len(survivors))
+	for pending := len(survivors); pending > 0 && time.Since(start) < 10*budget; {
+		for i, tn := range survivors {
+			if ejected[i] == 0 && !tn.node.Ring().IsHealthy(victim.id) {
+				ejected[i] = time.Since(start)
+				pending--
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, tn := range survivors {
+		switch {
+		case ejected[i] == 0:
+			t.Errorf("%s never ejected %s", tn.id, victim.id)
+		case ejected[i] > budget:
+			t.Errorf("%s ejected %s after %v, budget %v", tn.id, victim.id, ejected[i], budget)
+		}
+		if v := tn.tracer.Metrics().Counter("fleet.forwarded").Value(); v != 0 {
+			t.Errorf("%s forwarded %d requests; the test sends none", tn.id, v)
+		}
+	}
+	t.Logf("ejected after %v (budget %v)", ejected, budget)
+}
+
 // TestSingleflightDedupUnderFailover (satellite): the digest's owner
 // dies mid-fleet; concurrent same-digest requests entering at both
 // survivors converge on the new owner, dedup to exactly ONE synthesis

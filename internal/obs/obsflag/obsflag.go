@@ -42,12 +42,6 @@ type Flags struct {
 	// Timeout (RegisterSynth binaries only) bounds the whole run.
 	Timeout time.Duration
 
-	// Workers (-j, RegisterSynth binaries only) bounds case-level
-	// parallelism inside generate-and-test: how many of a candidate's IO
-	// cases run at once. 0 = GOMAXPROCS; results are deterministic
-	// regardless of the value.
-	Workers int
-
 	prog     string
 	tr       *obs.Tracer
 	ev       *obs.Events
@@ -73,8 +67,8 @@ func (f *Flags) Prog() string { return f.prog }
 func (f *Flags) OnFinish(shutdown func() error) { f.shutdown = shutdown }
 
 // RegisterSynth additionally installs the candidate-event report flags
-// (-journal, -explain, -costs, -search-report), the -timeout budget and
-// -j for binaries that run the synthesis pipeline.
+// (-journal, -explain, -costs, -search-report) and the -timeout budget
+// for binaries that run the synthesis pipeline.
 func RegisterSynth(fs *flag.FlagSet, prog string) *Flags {
 	f := Register(fs, prog)
 	fs.StringVar(&f.JournalFile, "journal", "",
@@ -87,8 +81,6 @@ func RegisterSynth(fs *flag.FlagSet, prog string) *Flags {
 		"print the search observatory report (kill attribution, funnel, top discriminating inputs) to stderr")
 	fs.DurationVar(&f.Timeout, "timeout", 0,
 		"abort the whole run after this wall-clock budget, e.g. 30s (0 = no deadline)")
-	fs.IntVar(&f.Workers, "j", 0,
-		"run up to this many of a binding candidate's IO cases in parallel; 0 = GOMAXPROCS, 1 = sequential (the result is deterministic either way)")
 	return f
 }
 

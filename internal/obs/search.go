@@ -49,8 +49,8 @@ type TargetSearch struct {
 
 // SearchSummary is the search observatory's fold of the event stream:
 // the funnel totals, the kill-depth distribution, the per-case
-// effectiveness ranking, and per-target rollups. Serialized into BENCH_synth.json's
-// "search" section and the /status search block.
+// effectiveness ranking, and per-target rollups. Serialized into the
+// /status search block and faccd's /debug/requests records.
 type SearchSummary struct {
 	Generated   int64 `json:"generated"`
 	PreFiltered int64 `json:"pre_filtered"`
