@@ -107,7 +107,7 @@ bench-layers:
 
 # Performance regression gate: measure a fresh BENCH_layers.json and
 # compare it against the committed one. Counts must match exactly; each
-# timing's median may move by its tolerance (twice its committed
+# timing's median may move by its tolerance (three times its committed
 # spread, at least 25%); the corpus speedup must reach 1.0 on two or
 # more cores. GATE_OUT keeps the fresh medians.
 bench-gate:

@@ -37,15 +37,19 @@ type LayerMetric struct {
 	Q1     float64 `json:"q1"`
 	Q3     float64 `json:"q3"`
 	Runs   int     `json:"runs"`
-	// Tolerance is the fractional move from Median the gate allows: 0 for
-	// a count, which must repeat exactly; otherwise twice the measured
-	// spread (Q3-Q1)/Median, and never under minTolerance.
-	Tolerance float64 `json:"tolerance"`
 }
 
-// minTolerance is the smallest tolerance a timing gets, the bound every
-// end-to-end metric has in BENCHMARK.json.
-const minTolerance = 0.25
+// A timing's tolerance is spreadFactor times its committed spread
+// (Q3-Q1)/Median, and never under minTolerance, the bound every
+// end-to-end metric has in BENCHMARK.json. The spread of five runs
+// taken back to back understates how far the host drifts between two
+// measurements minutes apart: over six gate runs on a 2-vCPU host one
+// median moved by 2.2 of its spreads (serve-mixed server.http_ms_p50,
+// +30% on a spread of 0.14), so the factor is 3.
+const (
+	spreadFactor = 3
+	minTolerance = 0.25
+)
 
 // Numbers printed by the benchmark that the gate leaves out because they
 // measure nothing: core.unattributed_frac and server.queue_wait_ms_p50
@@ -165,7 +169,6 @@ func ParseLayers(r io.Reader) (*Layers, error) {
 		}
 		m.Q1, m.Median, m.Q3 = quartiles(vals)
 		m.Q1, m.Median, m.Q3 = sig6(m.Q1), sig6(m.Median), sig6(m.Q3)
-		m.Tolerance = tolerance(m)
 		l.Metrics = append(l.Metrics, m)
 	}
 	if len(l.Metrics) == 0 {
@@ -201,20 +204,19 @@ func parseTableLine(f []string) (LayerMetric, error) {
 	if higherIsBetter[m.Name] {
 		m.Better = "higher"
 	}
-	m.Tolerance = tolerance(m)
 	return m, nil
 }
 
-// tolerance sets a metric's allowed move from its measured spread.
+// tolerance is the fractional move from a committed metric's median the
+// gate allows: none for a count, which must repeat exactly.
 func tolerance(m LayerMetric) float64 {
 	if m.Unit == "count" {
 		return 0
 	}
-	t := minTolerance
-	if m.Median != 0 {
-		t = math.Max(t, 2*(m.Q3-m.Q1)/math.Abs(m.Median))
+	if m.Median == 0 {
+		return minTolerance
 	}
-	return math.Round(t*1000) / 1000
+	return math.Max(minTolerance, spreadFactor*(m.Q3-m.Q1)/math.Abs(m.Median))
 }
 
 // sig6 rounds v to the six significant digits the benchmark's table
@@ -286,13 +288,13 @@ func GateLayers(base, fresh *Layers) *GateReport {
 		case b.Unit == "count":
 			c.OK = ok && f.Median == b.Median
 		case b.Better == "higher":
-			c.Limit = b.Median * (1 - b.Tolerance)
+			c.Limit = b.Median * (1 - tolerance(b))
 			if strings.HasSuffix(b.Name, "/speedup") && fresh.GoMaxProcs >= 2 {
 				c.Limit = math.Max(c.Limit, 1)
 			}
 			c.OK = ok && f.Median >= c.Limit
 		default:
-			c.Limit = b.Median * (1 + b.Tolerance)
+			c.Limit = b.Median * (1 + tolerance(b))
 			c.OK = ok && f.Median <= c.Limit
 		}
 		if !c.OK {
