@@ -55,8 +55,9 @@ fuzz-smoke:
 crash-matrix:
 	./scripts/crash_matrix.sh
 
-# Fault-tolerance suite under the race detector: the store's circuit
-# breaker, the server's and fleet's retry handling, panic isolation,
+# Fault-tolerance suite under the race detector: the chaos tests (a
+# compile's deadlines and the fleet chaos scenario), the store's circuit
+# breaker, the Retry-After of shed and forwarded 429s, panic isolation,
 # interpreter fuel and stack limits, deadline/cancellation plumbing.
 chaos:
 	$(GO) test -race -timeout 120s -run 'Chaos|Retry|Breaker|Panic|Fuel|StackOverflow|Cancel' ./...

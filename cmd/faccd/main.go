@@ -10,8 +10,7 @@
 //	      [-slo-latency 1s] [-slo-objective 0.99] [-flight-recorder 32]
 //	      [-store-quarantine-files 512] [-store-quarantine-age 168h]
 //	      [-peer-id r0 -peers r0=http://h0:8080,r1=http://h1:8080,...]
-//	      [-probe-interval 1s] [-failure-threshold 3] [-max-hops 3]
-//	      [-tenant-rate 0] [-tenant-burst 0] [-retry-budget 8]
+//	      [-probe-interval 1s] [-failure-threshold 3]
 //
 // Endpoints:
 //
@@ -41,12 +40,13 @@
 //
 // Fleet mode: -peers names a static table of replicas (comma-separated
 // id=url pairs; -peer-id is this replica's entry). Requests are routed
-// by request-digest over a consistent-hash ring, dead peers are ejected
-// by health probes and forwarding failures, forwarded requests fail over
-// down the ring (degrading to local synthesis as the last resort), and
-// cached digests are answered by hedged cache reads. /readyz reports
-// not-ready while no healthy peer covers any shard range; /fleet/peers
-// and /fleet/owners expose the live ring.
+// by request-digest over a consistent-hash ring and forwarded once to
+// each owner in turn: dead peers are ejected by health probes and
+// forwarding failures, a failed forward fails over down the ring
+// (degrading to local synthesis as the last resort), and an owner
+// answers a cached digest from its store. /readyz reports not-ready
+// while no healthy peer covers any shard range; /fleet/peers and
+// /fleet/owners expose the live ring.
 //
 // Exit status: 0 after a clean drain, 1 on startup errors or a drain
 // that needed hard cancellation.
@@ -106,14 +106,6 @@ func main() {
 		"fleet health-probe period (peer death is detected within a few intervals)")
 	failureThreshold := flag.Int("failure-threshold", 3,
 		"consecutive probe/forward failures that eject a peer from the ring")
-	maxHops := flag.Int("max-hops", 3,
-		"reject forwarded requests above this hop count (routing-loop guard)")
-	tenantRate := flag.Float64("tenant-rate", 0,
-		"per-tenant requests/sec admitted at the fleet edge (X-Facc-Tenant header; 0 disables)")
-	tenantBurst := flag.Float64("tenant-burst", 0,
-		"per-tenant token-bucket burst (0 = max(1, rate))")
-	retryBudget := flag.Float64("retry-budget", 8,
-		"node-global forwarding-retry budget in retries/sec (bounds retry storms)")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "usage: faccd [flags] (takes no arguments)\n")
@@ -150,8 +142,8 @@ func main() {
 		Options:        opts,
 	})
 
-	// Fleet mode: wrap the local server in the routing/health/limits
-	// layer. The peer table is static; health is the only dynamic part.
+	// Fleet mode: wrap the local server in the routing/health layer.
+	// The peer table is static; health is the only dynamic part.
 	handler := srv.Handler()
 	var node *fleet.Node
 	if *peersFlag != "" {
@@ -165,17 +157,13 @@ func main() {
 			os.Exit(1)
 		}
 		node = fleet.New(fleet.Config{
-			Self:              *peerID,
-			Peers:             peers,
-			Local:             srv,
-			Tracer:            tr,
-			ProbeInterval:     *probeInterval,
-			FailureThreshold:  *failureThreshold,
-			MaxHops:           *maxHops,
-			ForwardTimeout:    *requestTimeout,
-			TenantRate:        *tenantRate,
-			TenantBurst:       *tenantBurst,
-			RetryBudgetPerSec: *retryBudget,
+			Self:             *peerID,
+			Peers:            peers,
+			Local:            srv,
+			Tracer:           tr,
+			ProbeInterval:    *probeInterval,
+			FailureThreshold: *failureThreshold,
+			ForwardTimeout:   *requestTimeout,
 		})
 		handler = node.Handler()
 	}

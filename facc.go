@@ -207,6 +207,12 @@ type CompileRequest struct {
 	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
+// maxRequestTests caps CompileRequest.NumTests: test generation
+// preallocates every case, so an unbounded count from a remote caller
+// could exhaust memory in a runtime throw no recover can catch. It is 20
+// times the largest count any test, workload or default uses.
+const maxRequestTests = 1000
+
 // Validate rejects requests the pipeline could not act on, with messages
 // fit to return to a remote caller verbatim.
 func (r *CompileRequest) Validate() error {
@@ -219,8 +225,8 @@ func (r *CompileRequest) Validate() error {
 	if _, err := accel.SpecByName(r.Target); err != nil {
 		return fmt.Errorf("unknown target %q (one of: %s)", r.Target, strings.Join(Targets(), ", "))
 	}
-	if r.NumTests < 0 {
-		return fmt.Errorf("tests must be >= 0, got %d", r.NumTests)
+	if r.NumTests < 0 || r.NumTests > maxRequestTests {
+		return fmt.Errorf("tests must be in [0, %d], got %d", maxRequestTests, r.NumTests)
 	}
 	if r.Tolerance < 0 {
 		return fmt.Errorf("tolerance must be >= 0, got %g", r.Tolerance)

@@ -10,7 +10,7 @@ package eval
 //     got a real one; everything aborted mid-flight is retried until it
 //     completes on a survivor;
 //   - adapters are byte-identical to a single-node baseline, whatever
-//     path (compile, dedup, cache probe, failover, degraded local) a
+//     path (compile, dedup, cache hit, failover, degraded local) a
 //     response took;
 //   - the kill exercises failover, and every survivor ejects the victim
 //     within the probe budget.
@@ -128,11 +128,9 @@ type fleetChaosReport struct {
 	RebalanceBudgetMs   float64
 
 	// Fleet-layer counters summed across replicas.
-	Forwarded      int64
-	Failovers      int64
-	DegradedLocal  int64
-	CacheProbeHits int64
-	Hedges         int64
+	Forwarded     int64
+	Failovers     int64
+	DegradedLocal int64
 
 	WallSeconds  float64
 	LatencyMsP50 float64
@@ -146,11 +144,11 @@ type fleetChaosReport struct {
 func (r *fleetChaosReport) String() string {
 	return fmt.Sprintf("killed %s (healthy before: %v, ejected in %.1fms, budget %.0fms), %s lossy; "+
 		"completed %d/%d, failed %d, shed %d, retries %d, acked dropped %d; "+
-		"forwarded %d, failovers %d, degraded local %d, cache probe hits %d, hedges %d; "+
+		"forwarded %d, failovers %d, degraded local %d; "+
 		"wall %.2fs, latency p50 %.1fms p99 %.1fms; adapters consistent %v",
 		r.KilledReplica, r.VictimHealthyBefore, r.RebalanceMs, r.RebalanceBudgetMs, r.PartitionedReplica,
 		r.Completed, r.Requests, r.Failed, r.Shed429, r.Retries, r.AckedDropped,
-		r.Forwarded, r.Failovers, r.DegradedLocal, r.CacheProbeHits, r.Hedges,
+		r.Forwarded, r.Failovers, r.DegradedLocal,
 		r.WallSeconds, r.LatencyMsP50, r.LatencyMsP99, r.AdaptersConsistent)
 }
 
@@ -240,7 +238,6 @@ func startFleet(cfg fleetChaosConfig) (*chaosFleet, error) {
 			Transport:        f.tr,
 			ProbeInterval:    cfg.ProbeInterval,
 			FailureThreshold: cfg.FailureThreshold,
-			Seed:             cfg.Seed,
 		})
 		if err != nil {
 			for _, ln := range lns[i:] {
@@ -470,8 +467,6 @@ func runFleetChaos(ctx context.Context, cfg fleetChaosConfig) (*fleetChaosReport
 	rep.Forwarded = f.counter("fleet.forwarded")
 	rep.Failovers = f.counter("fleet.forward_failovers")
 	rep.DegradedLocal = f.counter("fleet.degraded_local")
-	rep.CacheProbeHits = f.counter("fleet.cache_probe_hits")
-	rep.Hedges = f.counter("fleet.hedges")
 	return rep, nil
 }
 

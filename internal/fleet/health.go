@@ -149,9 +149,6 @@ func (n *Node) reportPeer(id string, ok bool) {
 	}
 	n.reg.Gauge("fleet.peer_healthy." + id).Set(boolGauge(healthy))
 	n.reg.Gauge("fleet.peers_healthy").Set(float64(n.ring.Healthy()))
-	if hook := n.cfg.OnPeerHealth; hook != nil {
-		hook(id, healthy)
-	}
 }
 
 func boolGauge(b bool) float64 {

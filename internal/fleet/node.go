@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sort"
 	"strconv"
@@ -20,14 +19,14 @@ import (
 
 // ForwardedHeader carries the hop count of a relayed compile request.
 // Replicas trust it (the fleet is an internal mesh); a request whose
-// count exceeds MaxHops is rejected as a routing loop — ring views can
+// count exceeds maxHops is rejected as a routing loop — ring views can
 // disagree for a probe interval after a peer dies, and the guard turns a
 // potential forwarding orbit into a fast, retryable error.
 const ForwardedHeader = "X-Facc-Forwarded"
 
-// TenantHeader names the tenant a request is billed to for rate
-// limiting. Absent means the anonymous tenant.
-const TenantHeader = "X-Facc-Tenant"
+// maxHops bounds relay chains: a request arriving with X-Facc-Forwarded
+// above it is rejected with 508.
+const maxHops = 3
 
 // PeerHeader is stamped on relayed responses with the replica ID that
 // actually served the request, so a client holding a /jobs/{id} URL
@@ -54,57 +53,24 @@ type Config struct {
 	// be the same tracer the local server uses, so /status and /metrics
 	// show one process. Required (New creates one when nil).
 	Tracer *obs.Tracer
-	// Transport carries forwards, hedged cache probes and health probes.
-	// The chaos harness injects partitions here. Default
-	// http.DefaultTransport.
+	// Transport carries forwards and health probes. The chaos harness
+	// injects partitions here. Default http.DefaultTransport.
 	Transport http.RoundTripper
 
-	// VNodes is the virtual-node count per peer (default 64).
-	VNodes int
-	// MaxHops bounds relay chains (default 3): a request arriving with
-	// X-Facc-Forwarded > MaxHops is rejected with 508.
-	MaxHops int
 	// ProbeInterval is the health-probe period (default 1s). Rebalance
 	// after a peer death completes within FailureThreshold intervals.
 	ProbeInterval time.Duration
 	// FailureThreshold is the consecutive-failure count (probe misses +
 	// forward errors) that ejects a peer from the ring (default 3).
 	FailureThreshold int
-	// ForwardTimeout bounds one forwarded attempt (default 2m, matching
+	// ForwardTimeout bounds one forwarded request (default 2m, matching
 	// the local request timeout's order of magnitude).
 	ForwardTimeout time.Duration
-	// HedgeDelay is how long the hedged cache read waits for the owner
-	// before also asking the next replica (default 20ms).
-	HedgeDelay time.Duration
-	// CacheProbeTimeout bounds the whole hedged cache lookup (default
-	// 250ms) — a cache probe is an optimization and must never cost a
-	// visible fraction of a compile.
-	CacheProbeTimeout time.Duration
-	// RetryAttempts is the per-peer forward attempt count including the
-	// first (default 2). Retries beyond the first attempt also need a
-	// token from the global retry budget.
-	RetryAttempts int
-	// RetryBaseDelay seeds the jittered backoff between forward attempts
-	// (default 10ms, doubling, full jitter).
-	RetryBaseDelay time.Duration
-	// RetryBudgetPerSec / RetryBudgetBurst shape the node-global retry
-	// budget (defaults 8/s, burst 16).
-	RetryBudgetPerSec float64
-	RetryBudgetBurst  float64
-	// TenantRate / TenantBurst shape the per-tenant token buckets
-	// (requests/sec and burst); rate <= 0 disables rate limiting.
-	TenantRate  float64
-	TenantBurst float64
-	// Seed fixes the retry-jitter stream (0 means 1).
-	Seed int64
-	// OnPeerHealth, when non-nil, observes every health transition
-	// (tests, logs). Called outside locks.
-	OnPeerHealth func(id string, healthy bool)
 }
 
 // Node is one fleet replica: the local compile server plus the ring,
-// health view, forwarding and admission policies. Create with New,
-// expose Handler, stop with Close.
+// health view and forwarding. Create with New, expose Handler, stop with
+// Close.
 type Node struct {
 	cfg   Config
 	reg   *obs.Registry
@@ -114,13 +80,8 @@ type Node struct {
 	breakers map[string]*peerBreaker
 	peerIDs  []string // sorted table order, for stable snapshots
 
-	limiter *TenantLimiter
-	budget  *RetryBudget
-	client  *http.Client
-	prober  *prober
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	client *http.Client
+	prober *prober
 
 	closeOnce sync.Once
 }
@@ -133,9 +94,6 @@ func New(cfg Config) *Node {
 	if cfg.Transport == nil {
 		cfg.Transport = http.DefaultTransport
 	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 3
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
@@ -144,22 +102,6 @@ func New(cfg Config) *Node {
 	}
 	if cfg.ForwardTimeout <= 0 {
 		cfg.ForwardTimeout = 2 * time.Minute
-	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = 20 * time.Millisecond
-	}
-	if cfg.CacheProbeTimeout <= 0 {
-		cfg.CacheProbeTimeout = 250 * time.Millisecond
-	}
-	if cfg.RetryAttempts <= 0 {
-		cfg.RetryAttempts = 2
-	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = 10 * time.Millisecond
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
 	}
 
 	ids := make([]string, 0, len(cfg.Peers))
@@ -171,13 +113,10 @@ func New(cfg Config) *Node {
 	n := &Node{
 		cfg:      cfg,
 		reg:      cfg.Tracer.Metrics(),
-		ring:     NewRing(ids, cfg.VNodes),
+		ring:     NewRing(ids),
 		breakers: map[string]*peerBreaker{},
 		peerIDs:  ids,
-		limiter:  NewTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
-		budget:   NewRetryBudget(cfg.RetryBudgetPerSec, cfg.RetryBudgetBurst),
 		client:   &http.Client{Transport: cfg.Transport},
-		rng:      rand.New(rand.NewSource(seed)),
 	}
 	n.local = cfg.LocalHandler
 	if n.local == nil && cfg.Local != nil {
@@ -192,7 +131,6 @@ func New(cfg Config) *Node {
 	}
 	n.reg.Gauge("fleet.peers").Set(float64(len(ids)))
 	n.reg.Gauge("fleet.peers_healthy").Set(float64(n.ring.Healthy()))
-	n.reg.Gauge("fleet.retry_budget").Set(n.budget.Remaining())
 
 	n.prober = newProber(n, cfg.ProbeInterval)
 	go n.prober.run()
@@ -288,9 +226,8 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte, t
 	n.local.ServeHTTP(w, r2)
 }
 
-// handleCompile is the fleet's admission and routing front door:
-// hop guard → per-tenant rate limit → digest → ring lookup → local,
-// hedged cache read + forward, or degraded local synthesis.
+// handleCompile is the fleet's routing front door: hop guard → digest →
+// ring lookup → local, forward, or degraded local synthesis.
 func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -306,21 +243,11 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 		hops = v
 	}
-	if hops > n.cfg.MaxHops {
+	if hops > maxHops {
 		n.reg.Counter("fleet.loop_rejected").Inc()
-		http.Error(w, fmt.Sprintf("fleet: forwarding loop (%d hops > max %d)", hops, n.cfg.MaxHops),
+		http.Error(w, fmt.Sprintf("fleet: forwarding loop (%d hops > max %d)", hops, maxHops),
 			http.StatusLoopDetected)
 		return
-	}
-	// Rate limits apply where the request enters the fleet; a forwarded
-	// request was already charged at its entry node.
-	if hops == 0 {
-		if ok, retry := n.limiter.Allow(r.Header.Get(TenantHeader)); !ok {
-			n.reg.Counter("fleet.ratelimited").Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			http.Error(w, "tenant rate limit exceeded: retry later", http.StatusTooManyRequests)
-			return
-		}
 	}
 
 	body, err := io.ReadAll(r.Body)
@@ -340,8 +267,7 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 		n.serveLocal(w, r, body, trace)
 		return
 	}
-	key := req.Digest()
-	owners := n.ring.Owners(key, 0)
+	owners := n.ring.Owners(req.Digest(), 0)
 
 	// Walk the failover chain: forward to each remote owner before self;
 	// reaching self (or exhausting the chain) means synthesize here.
@@ -351,7 +277,7 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 			degraded = false
 			break
 		}
-		if n.forward(w, r, body, peer, key, hops, trace) {
+		if n.forward(w, r, body, peer, hops, trace) {
 			return
 		}
 		n.reg.Counter("fleet.forward_failovers").Inc()
@@ -367,11 +293,12 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 	n.serveLocal(w, r, body, trace)
 }
 
-// forward relays one compile request to a peer, first trying a hedged
-// cache read, then the compile itself with bounded, budgeted retries.
-// It reports true when a response has been written; false means the
-// caller should fail over to the next owner.
-func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte, peer, key string, hops int, trace string) bool {
+// forward relays one compile request to a peer in a single POST. It
+// reports true when a response has been written; false means the caller
+// should fail over to the next owner. A lost forward is not retried on
+// the same peer: the next owner can compile the digest, and adapters are
+// deterministic, so failing over costs at most a recompile.
+func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte, peer string, hops int, trace string) bool {
 	base, ok := n.cfg.Peers[peer]
 	if !ok || !n.ring.IsHealthy(peer) {
 		return false
@@ -379,74 +306,44 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte, peer
 	span := n.cfg.Tracer.Span("fleet.forward").SetTrace(trace).Str("peer", peer)
 	defer span.End()
 
-	// Hedged cache read: a digest the fleet has already compiled should
-	// cost one small GET, not a forwarded POST through the admission
-	// queue — and if the owner is slow or half-partitioned, the next
-	// replica may answer from its own cache first.
-	if hops == 0 {
-		if hit := n.hedgedCacheLookup(r.Context(), key, peer, trace); hit != nil {
-			n.relayHit(w, hit)
-			span.Str("via", "cache")
-			return true
-		}
+	ctx, cancel := context.WithTimeout(r.Context(), n.cfg.ForwardTimeout)
+	defer cancel()
+	freq, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		base+"/compile?"+r.URL.RawQuery, bytes.NewReader(body))
+	if err != nil {
+		return false
 	}
-
-	for attempt := 0; attempt < n.cfg.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			if !n.budget.Take() {
-				n.reg.Counter("fleet.retry_budget_exhausted").Inc()
-				break
-			}
-			n.reg.Counter("fleet.forward_retries").Inc()
-			n.sleepJitter(attempt)
-		}
-		n.reg.Gauge("fleet.retry_budget").Set(n.budget.Remaining())
-
-		ctx, cancel := context.WithTimeout(r.Context(), n.cfg.ForwardTimeout)
-		freq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			base+"/compile?"+r.URL.RawQuery, bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			return false
-		}
-		freq.Header.Set("Content-Type", "application/json")
-		freq.Header.Set("X-Facc-Trace", trace)
-		freq.Header.Set(ForwardedHeader, strconv.Itoa(hops+1))
-		if tenant := r.Header.Get(TenantHeader); tenant != "" {
-			freq.Header.Set(TenantHeader, tenant)
-		}
-		resp, err := n.client.Do(freq)
-		if err != nil {
-			cancel()
-			// A transport-level failure is evidence about the peer; let
-			// the breaker eject it before the next probe tick if this
-			// keeps happening.
-			n.reportPeer(peer, false)
-			if r.Context().Err() != nil {
-				return true // client gone; nothing left to write
-			}
-			continue
-		}
-		switch resp.StatusCode {
-		case http.StatusServiceUnavailable, http.StatusLoopDetected:
-			// Draining or ring disagreement: the peer is alive but not
-			// usable for this request — fail over without retrying it.
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			cancel()
-			span.Str("via", "failover")
-			return false
-		}
-		// Everything else — including a 429 whose Retry-After must reach
-		// the client exactly as the owner computed it — is relayed.
-		n.reportPeer(peer, true)
-		n.reg.Counter("fleet.forwarded").Inc()
-		n.relay(w, resp, peer)
+	freq.Header.Set("Content-Type", "application/json")
+	freq.Header.Set("X-Facc-Trace", trace)
+	freq.Header.Set(ForwardedHeader, strconv.Itoa(hops+1))
+	resp, err := n.client.Do(freq)
+	var reply []byte
+	if err == nil {
+		// Read the whole reply before writing any of it: an owner that
+		// dies mid-response then costs a failover, never a truncated 200.
+		reply, err = io.ReadAll(resp.Body)
 		resp.Body.Close()
-		cancel()
-		return true
 	}
-	return false
+	if err != nil {
+		// A transport-level failure is evidence about the peer; let the
+		// breaker eject it before the next probe tick if this keeps
+		// happening.
+		n.reportPeer(peer, false)
+		return r.Context().Err() != nil // client gone; nothing left to write
+	}
+	switch resp.StatusCode {
+	case http.StatusServiceUnavailable, http.StatusLoopDetected:
+		// Draining or ring disagreement: the peer is alive but not
+		// usable for this request — fail over.
+		span.Str("via", "failover")
+		return false
+	}
+	// Everything else — including a 429 whose Retry-After must reach the
+	// client exactly as the owner computed it — is relayed.
+	n.reportPeer(peer, true)
+	n.reg.Counter("fleet.forwarded").Inc()
+	n.relay(w, resp, reply, peer)
+	return true
 }
 
 // relayHeaders are the response headers a forwarded reply keeps. The
@@ -458,128 +355,15 @@ var relayHeaders = []string{
 	"X-Facc-Trace", "X-Facc-Cache", "X-Facc-Dedup",
 }
 
-// relay writes a forwarded response through, stamping which replica
-// served it.
-func (n *Node) relay(w http.ResponseWriter, resp *http.Response, peer string) {
+// relay writes a forwarded response and its read body through,
+// stamping which replica served it.
+func (n *Node) relay(w http.ResponseWriter, resp *http.Response, body []byte, peer string) {
 	for _, h := range relayHeaders {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
-	if peer != "" {
-		w.Header().Set(PeerHeader, peer)
-	}
+	w.Header().Set(PeerHeader, peer)
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-}
-
-// cacheHit is one fully-read cache-probe reply: buffering the (small,
-// jobJSON-sized) body inside the probe lets every probe context be
-// cancelled the moment a winner is picked, with no response stream left
-// tied to a dying context.
-type cacheHit struct {
-	header http.Header
-	body   []byte
-	peer   string
-}
-
-// relayHit writes a hedged cache hit through to the client.
-func (n *Node) relayHit(w http.ResponseWriter, hit *cacheHit) {
-	for _, h := range relayHeaders {
-		if v := hit.header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.Header().Set(PeerHeader, hit.peer)
-	w.WriteHeader(http.StatusOK)
-	w.Write(hit.body)
-}
-
-// hedgedCacheLookup races a cache probe against the owner with a delayed
-// probe to the next owner; the first hit wins. Returns nil on miss (or
-// when every probe failed) — the caller then pays the real forward.
-func (n *Node) hedgedCacheLookup(ctx context.Context, key, owner, trace string) *cacheHit {
-	// Probe targets: the owner, then the first other healthy remote
-	// replica (the hedge). One candidate means no hedge, just a probe.
-	targets := []string{owner}
-	for _, p := range n.ring.Owners(key, 0) {
-		if p != owner && p != n.cfg.Self {
-			targets = append(targets, p)
-			break
-		}
-	}
-	pctx, cancel := context.WithTimeout(ctx, n.cfg.CacheProbeTimeout)
-	defer cancel()
-
-	ch := make(chan *cacheHit, len(targets))
-	probe := func(peer string) {
-		base, ok := n.cfg.Peers[peer]
-		if !ok {
-			ch <- nil
-			return
-		}
-		req, err := http.NewRequestWithContext(pctx, http.MethodGet, base+"/cache/"+key, nil)
-		if err != nil {
-			ch <- nil
-			return
-		}
-		req.Header.Set("X-Facc-Trace", trace)
-		resp, err := n.client.Do(req)
-		if err != nil {
-			ch <- nil
-			return
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK {
-			ch <- nil
-			return
-		}
-		ch <- &cacheHit{header: resp.Header, body: body, peer: peer}
-	}
-
-	go probe(targets[0])
-	pending := 1
-	hedged := false
-	var hedgeC <-chan time.Time
-	if len(targets) > 1 {
-		timer := time.NewTimer(n.cfg.HedgeDelay)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-	for pending > 0 {
-		select {
-		case hit := <-ch:
-			pending--
-			if hit != nil {
-				n.reg.Counter("fleet.cache_probe_hits").Inc()
-				if hedged && hit.peer != targets[0] {
-					n.reg.Counter("fleet.hedge_wins").Inc()
-				}
-				return hit // pctx cancel aborts any probe still in flight
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			hedged = true
-			pending++
-			n.reg.Counter("fleet.hedges").Inc()
-			go probe(targets[1])
-		case <-pctx.Done():
-			return nil
-		}
-	}
-	return nil
-}
-
-// sleepJitter backs off before retry `attempt` (1-based): full jitter in
-// [0, base·2^(attempt-1)).
-func (n *Node) sleepJitter(attempt int) {
-	step := n.cfg.RetryBaseDelay << (attempt - 1)
-	if step <= 0 {
-		return
-	}
-	n.rngMu.Lock()
-	d := time.Duration(n.rng.Int63n(int64(step)))
-	n.rngMu.Unlock()
-	time.Sleep(d)
+	w.Write(body)
 }

@@ -114,10 +114,6 @@ func newTestFleet(t *testing.T, n int, tr *FaultTransport, mutate func(i int, fc
 			Transport:        tr,
 			ProbeInterval:    25 * time.Millisecond,
 			FailureThreshold: 2,
-			HedgeDelay:       5 * time.Millisecond,
-			RetryAttempts:    2,
-			RetryBaseDelay:   time.Millisecond,
-			Seed:             int64(i + 1),
 		}
 		if mutate != nil {
 			mutate(i, &fc, &sc)
@@ -298,7 +294,55 @@ func TestRetryAfterPropagation(t *testing.T) {
 	}
 }
 
-// TestLoopGuard (satellite): a hop count above MaxHops is rejected with
+// TestForwardTornReplyFailsOver: an owner that dies after sending its
+// reply's headers but before the whole body costs a failover — here to
+// degraded local synthesis — never a truncated 200 relayed to the client.
+func TestForwardTornReplyFailsOver(t *testing.T) {
+	stub := http.NewServeMux()
+	stub.HandleFunc("/compile", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", "1000")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, `{"state": "done", "adapter_c": "/* torn`)
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler) // drop the connection mid-body
+	})
+	stub.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok")
+	})
+	ownerTS := httptest.NewServer(stub)
+	defer ownerTS.Close()
+
+	const local = `{"state": "done", "adapter_c": "/* local */"}`
+	router := New(Config{
+		Self:  "router", // not in the table: the owner owns all keys
+		Peers: map[string]string{"owner": ownerTS.URL},
+		LocalHandler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, local)
+		}),
+		ProbeInterval: time.Hour, // no probes needed; table starts healthy
+	})
+	defer router.Close()
+	routerTS := httptest.NewServer(router.Handler())
+	defer routerTS.Close()
+
+	resp := postCompile(t, routerTS.URL, fleetReq("int f(int x) { return x; }"), "?wait=1", nil)
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading the reply: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || string(got) != local {
+		t.Fatalf("status %d body %q, want 200 and the local reply %q", resp.StatusCode, got, local)
+	}
+	for name, want := range map[string]int64{"fleet.forward_failovers": 1, "fleet.degraded_local": 1, "fleet.forwarded": 0} {
+		if v := router.reg.Counter(name).Value(); v != want {
+			t.Errorf("%s = %d, want %d", name, v, want)
+		}
+	}
+}
+
+// TestLoopGuard (satellite): a hop count above maxHops is rejected with
 // 508, and a malformed hop header with 400 — loops die fast instead of
 // orbiting the ring.
 func TestLoopGuard(t *testing.T) {
@@ -604,9 +648,10 @@ func TestSingleflightDedupUnderFailover(t *testing.T) {
 	}
 }
 
-// TestHedgedCacheHit: a digest already cached on the owner is served by
-// the entry node's cache probe — no forwarded POST, no compile.
-func TestHedgedCacheHit(t *testing.T) {
+// TestForwardedCacheHit: a digest already stored on the owner is served
+// to a non-owner entry by the forwarded POST, which the owner answers
+// from its store before admission — a cache hit, and no compile.
+func TestForwardedCacheHit(t *testing.T) {
 	tr := NewFaultTransport(nil, 1)
 	nodes := newTestFleet(t, 3, tr, func(i int, fc *Config, sc *server.Config) {
 		st, err := store.Open(t.TempDir(), obs.New().Metrics())
@@ -648,10 +693,8 @@ func TestHedgedCacheHit(t *testing.T) {
 	if hit.AdapterC != job.AdapterC {
 		t.Fatalf("cached adapter differs:\n%q\nvs\n%q", hit.AdapterC, job.AdapterC)
 	}
-	if v := entry.tracer.Metrics().Counter("fleet.cache_probe_hits").Value(); v != 1 {
-		t.Errorf("fleet.cache_probe_hits = %d, want 1", v)
-	}
-	// The whole fleet compiled once (the seed); the hedged read added none.
+	// The whole fleet compiled once (the seed); the forwarded hit added
+	// none.
 	total := 0
 	for _, tn := range nodes {
 		total += tn.compile.callCount()
@@ -661,52 +704,14 @@ func TestHedgedCacheHit(t *testing.T) {
 	}
 }
 
-// TestTenantRateLimit: a hot tenant is shed at the entry node with 429 +
-// Retry-After while other tenants keep flowing.
-func TestTenantRateLimit(t *testing.T) {
-	tr := NewFaultTransport(nil, 1)
-	nodes := newTestFleet(t, 1, tr, func(i int, fc *Config, sc *server.Config) {
-		fc.TenantRate = 1
-		fc.TenantBurst = 1
-	})
-
-	mk := func(i int) facc.CompileRequest {
-		return fleetReq(fmt.Sprintf("int f%d(int x) { return x; }", i))
-	}
-	resp := postCompile(t, nodes[0].url, mk(0), "?wait=1", map[string]string{TenantHeader: "hot"})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first request: status = %d, want 200", resp.StatusCode)
-	}
-	resp = postCompile(t, nodes[0].url, mk(1), "", map[string]string{TenantHeader: "hot"})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second request: status = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 missing Retry-After")
-	}
-	if v := nodes[0].tracer.Metrics().Counter("fleet.ratelimited").Value(); v != 1 {
-		t.Fatalf("fleet.ratelimited = %d, want 1", v)
-	}
-	// A different tenant has its own bucket.
-	resp = postCompile(t, nodes[0].url, mk(2), "?wait=1", map[string]string{TenantHeader: "cold"})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("other tenant: status = %d, want 200", resp.StatusCode)
-	}
-}
-
 // TestForwardFailoverToNextOwner: the first owner is partitioned (but
-// the entry node hasn't probed it dead yet) — the forward fails, feeds
-// the breaker, and the request fails over down the chain, still
-// compiling exactly once.
+// the entry node hasn't probed it dead yet) — the one forward to it
+// fails, feeds the breaker, and the request fails over down the chain
+// at once, still compiling exactly once.
 func TestForwardFailoverToNextOwner(t *testing.T) {
 	tr := NewFaultTransport(nil, 1)
 	nodes := newTestFleet(t, 3, tr, func(i int, fc *Config, sc *server.Config) {
 		fc.ProbeInterval = time.Hour // only forward errors feed the breakers
-		fc.RetryAttempts = 1
 	})
 
 	req := fleetReq("int fft5(int x) { return 5 * x; }")
@@ -734,7 +739,7 @@ func TestForwardFailoverToNextOwner(t *testing.T) {
 	if total != 1 {
 		t.Fatalf("fleet compiled %d times, want 1", total)
 	}
-	if v := entry.tracer.Metrics().Counter("fleet.forward_failovers").Value(); v == 0 {
-		t.Fatal("no failover counted")
+	if v := entry.tracer.Metrics().Counter("fleet.forward_failovers").Value(); v != 1 {
+		t.Fatalf("fleet.forward_failovers = %d, want 1", v)
 	}
 }

@@ -11,28 +11,22 @@
 // core:
 //
 //   - Request forwarding with an X-Facc-Forwarded hop guard: a replica
-//     that does not own a digest relays the request to the owner; a
-//     request that has been relayed more than MaxHops times (ring views
-//     can disagree mid-rebalance) is rejected as a loop instead of
-//     orbiting forever.
+//     that does not own a digest relays the request to the owner in one
+//     POST; a request that has been relayed more than maxHops times (ring
+//     views can disagree mid-rebalance) is rejected as a loop instead of
+//     orbiting forever. A digest the owner has stored is answered from
+//     its store before admission, so a forwarded cache hit costs one hop.
 //   - Per-peer health: a background prober plus every forwarding failure
 //     feed a per-peer circuit breaker; a peer past the failure threshold
 //     is ejected from the ring (the ring rebalances), and the prober's
 //     periodic probe doubles as the breaker's half-open trial that lets
 //     a recovered peer back in.
-//   - Bounded retries under a global budget: one forward gets a couple
-//     of attempts with jittered backoff, but the whole node shares one
-//     retry token bucket, so a dying fleet degrades to fail-fast
-//     failover instead of a retry storm.
-//   - Hedged cache reads: before paying a forwarded compile, the node
-//     probes the owner's adapter cache, and shortly after, the next
-//     owner's — the first hit wins, so one slow or half-partitioned
-//     owner does not stall a request the fleet has already answered.
-//   - Per-tenant token-bucket rate limits layered in front of the
-//     single-node admission queue, so one hot tenant sheds before it
-//     starves the queue for everyone else.
-//   - Failover and graceful degradation: when every owner of a digest is
-//     unreachable the node synthesizes locally — affinity is a
+//   - Failover and graceful degradation: a forward that fails in transit
+//     (a reply cut off mid-body included: replies are read whole before
+//     they are relayed), or that the owner answers with 503 (draining) or
+//     508 (loop), moves at once to the next owner on the ring, so each
+//     owner gets at most one attempt per request. When every owner of a
+//     digest is unreachable the node synthesizes locally — affinity is a
 //     performance property, correctness never depends on it (adapters
 //     are deterministic: any replica compiles the same bytes).
 //
@@ -53,13 +47,15 @@ type ringPoint struct {
 	peer string
 }
 
+// vnodes is the virtual-node count per peer: enough that a 3-node
+// fleet's ranges stay within a few percent of even.
+const vnodes = 64
+
 // Ring is a consistent-hash ring over peer IDs with a live health view.
 // Lookups see only healthy peers; SetHealth rebuilds the live point set,
 // which is how the fleet "rebalances" — a dead peer's key ranges fall to
 // its clockwise successors, and nothing else moves.
 type Ring struct {
-	vnodes int
-
 	mu      sync.RWMutex
 	healthy map[string]bool
 	all     []ringPoint // every peer's points, sorted once at build
@@ -67,13 +63,9 @@ type Ring struct {
 }
 
 // NewRing builds a ring over the given peer IDs, all initially healthy,
-// with vnodes virtual nodes per peer (<=0 gets the default 64 — enough
-// that a 3-node fleet's ranges stay within a few percent of even).
-func NewRing(peers []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
-	r := &Ring{vnodes: vnodes, healthy: map[string]bool{}}
+// with vnodes virtual nodes per peer.
+func NewRing(peers []string) *Ring {
+	r := &Ring{healthy: map[string]bool{}}
 	for _, p := range peers {
 		if r.healthy[p] {
 			continue // duplicate ID: one set of points

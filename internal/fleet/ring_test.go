@@ -7,8 +7,8 @@ import (
 
 func TestRingDeterministicAndDistinct(t *testing.T) {
 	peers := []string{"a", "b", "c"}
-	r1 := NewRing(peers, 64)
-	r2 := NewRing([]string{"c", "a", "b"}, 64) // order must not matter
+	r1 := NewRing(peers)
+	r2 := NewRing([]string{"c", "a", "b"}) // order must not matter
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("digest-%d", i)
 		o1 := r1.Owners(key, 0)
@@ -32,7 +32,7 @@ func TestRingDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestRingSpreadsKeys(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 64)
+	r := NewRing([]string{"a", "b", "c"})
 	counts := map[string]int{}
 	for i := 0; i < 600; i++ {
 		counts[r.Owner(fmt.Sprintf("digest-%d", i))]++
@@ -47,7 +47,7 @@ func TestRingSpreadsKeys(t *testing.T) {
 // Rebalance must be minimal: killing one peer moves only that peer's
 // keys; every key a survivor owned keeps its owner.
 func TestRingRebalanceIsMinimal(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 64)
+	r := NewRing([]string{"a", "b", "c"})
 	before := map[string]string{}
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("digest-%d", i)
@@ -81,8 +81,8 @@ func TestRingFailoverOrderStableAcrossViews(t *testing.T) {
 	// Two nodes that both saw peer c die must agree on the failover
 	// chain for every key — this is what makes post-failover
 	// singleflight dedup land on one replica.
-	r1 := NewRing([]string{"a", "b", "c"}, 64)
-	r2 := NewRing([]string{"a", "b", "c"}, 64)
+	r1 := NewRing([]string{"a", "b", "c"})
+	r2 := NewRing([]string{"a", "b", "c"})
 	r1.SetHealth("c", false)
 	r2.SetHealth("c", false)
 	for i := 0; i < 100; i++ {
@@ -94,7 +94,7 @@ func TestRingFailoverOrderStableAcrossViews(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing([]string{"a"}, 8)
+	r := NewRing([]string{"a"})
 	r.SetHealth("a", false)
 	if got := r.Owners("k", 0); got != nil {
 		t.Fatalf("empty ring returned owners %v", got)

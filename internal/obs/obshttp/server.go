@@ -98,7 +98,7 @@ type Status struct {
 
 	// Fleet is populated when the replica runs as part of a sharded
 	// fleet (faccd -peers): peer-table health, forwarding and failover
-	// counters, hedged cache reads and per-tenant rate-limit sheds.
+	// counters.
 	Fleet *FleetStatus `json:"fleet,omitempty"`
 
 	// Search is the search observatory's aggregate: funnel totals,
@@ -158,29 +158,20 @@ type ServeStatus struct {
 }
 
 // FleetStatus is the /status block for a replica in a sharded fleet:
-// the ring's live health view plus the forwarding, failover, hedging and
-// rate-limiting counters that describe how much of the node's traffic
-// is remote and how the fleet is coping with peer death and overload.
+// the ring's live health view plus the forwarding and failover counters
+// that describe how much of the node's traffic is remote and how the
+// fleet is coping with peer death.
 type FleetStatus struct {
 	Peers        int64           `json:"peers"`
 	PeersHealthy int64           `json:"peers_healthy"`
 	PeerHealth   map[string]bool `json:"peer_health,omitempty"`
 
-	HandledLocal   int64 `json:"handled_local"`
-	Forwarded      int64 `json:"forwarded"`
-	ForwardedIn    int64 `json:"forwarded_in"`
-	ForwardRetries int64 `json:"forward_retries"`
-	Failovers      int64 `json:"forward_failovers"`
-	DegradedLocal  int64 `json:"degraded_local"`
-	LoopRejected   int64 `json:"loop_rejected"`
-
-	CacheProbeHits int64 `json:"cache_probe_hits"`
-	Hedges         int64 `json:"hedges"`
-	HedgeWins      int64 `json:"hedge_wins"`
-
-	RateLimited          int64   `json:"ratelimited"`
-	RetryBudget          float64 `json:"retry_budget"`
-	RetryBudgetExhausted int64   `json:"retry_budget_exhausted"`
+	HandledLocal  int64 `json:"handled_local"`
+	Forwarded     int64 `json:"forwarded"`
+	ForwardedIn   int64 `json:"forwarded_in"`
+	Failovers     int64 `json:"forward_failovers"`
+	DegradedLocal int64 `json:"degraded_local"`
+	LoopRejected  int64 `json:"loop_rejected"`
 
 	PeerEjections  int64 `json:"peer_ejections"`
 	PeerRecoveries int64 `json:"peer_recoveries"`
@@ -344,23 +335,16 @@ func (s *Server) BuildStatus() Status {
 	}
 	if peers, ok := st.Gauges["fleet.peers"]; ok {
 		st.Fleet = &FleetStatus{
-			Peers:                int64(peers),
-			PeersHealthy:         int64(st.Gauges["fleet.peers_healthy"]),
-			HandledLocal:         st.Counters["fleet.handled_local"],
-			Forwarded:            st.Counters["fleet.forwarded"],
-			ForwardedIn:          st.Counters["fleet.forwarded_in"],
-			ForwardRetries:       st.Counters["fleet.forward_retries"],
-			Failovers:            st.Counters["fleet.forward_failovers"],
-			DegradedLocal:        st.Counters["fleet.degraded_local"],
-			LoopRejected:         st.Counters["fleet.loop_rejected"],
-			CacheProbeHits:       st.Counters["fleet.cache_probe_hits"],
-			Hedges:               st.Counters["fleet.hedges"],
-			HedgeWins:            st.Counters["fleet.hedge_wins"],
-			RateLimited:          st.Counters["fleet.ratelimited"],
-			RetryBudget:          st.Gauges["fleet.retry_budget"],
-			RetryBudgetExhausted: st.Counters["fleet.retry_budget_exhausted"],
-			PeerEjections:        st.Counters["fleet.peer_ejections"],
-			PeerRecoveries:       st.Counters["fleet.peer_recoveries"],
+			Peers:          int64(peers),
+			PeersHealthy:   int64(st.Gauges["fleet.peers_healthy"]),
+			HandledLocal:   st.Counters["fleet.handled_local"],
+			Forwarded:      st.Counters["fleet.forwarded"],
+			ForwardedIn:    st.Counters["fleet.forwarded_in"],
+			Failovers:      st.Counters["fleet.forward_failovers"],
+			DegradedLocal:  st.Counters["fleet.degraded_local"],
+			LoopRejected:   st.Counters["fleet.loop_rejected"],
+			PeerEjections:  st.Counters["fleet.peer_ejections"],
+			PeerRecoveries: st.Counters["fleet.peer_recoveries"],
 		}
 		for name, g := range st.Gauges {
 			if strings.HasPrefix(name, "fleet.peer_healthy.") {

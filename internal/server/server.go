@@ -27,7 +27,6 @@
 //	POST /compile         submit a compile job (JSON facc.CompileRequest);
 //	                      202 + job id, or the finished job with ?wait=1
 //	GET  /jobs/{id}       job status / result
-//	GET  /cache/{digest}  direct adapter-cache lookup (fleet hedged reads)
 //	GET  /healthz         process liveness (200 while the process runs)
 //	GET  /readyz          admission readiness (503 while draining)
 //
@@ -276,7 +275,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/compile", s.handleCompile)
 	mux.HandleFunc("/jobs/", s.handleJob)
-	mux.HandleFunc("/cache/", s.handleCache)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/debug/requests", s.handleDebugRequests)
@@ -303,41 +301,6 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
 		"slowest":        slowest,
 		"failed":         failed,
 	})
-}
-
-// handleCache answers a direct adapter-cache lookup by request digest:
-// 200 with the finished job when the store has the adapter, 404
-// otherwise. It exists for the fleet's hedged cache reads — a replica
-// that does not own a digest can ask the owner (and, hedged, the next
-// replica) whether the fleet has already compiled it, paying one small
-// GET instead of a forwarded compile through the admission queue. A hit
-// is registered as a cached job, so the returned ID resolves at
-// /jobs/{id} like any other.
-func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "GET /cache/{digest}", http.StatusMethodNotAllowed)
-		return
-	}
-	key := strings.TrimPrefix(r.URL.Path, "/cache/")
-	st := s.cfg.Store
-	if key == "" || st == nil {
-		http.Error(w, "no such cache entry", http.StatusNotFound)
-		return
-	}
-	e, ok := st.Get(key)
-	if !ok {
-		http.Error(w, "no such cache entry", http.StatusNotFound)
-		return
-	}
-	trace := r.Header.Get("X-Facc-Trace")
-	if !obs.ValidTraceID(trace) {
-		trace = obs.NewTraceID()
-	}
-	s.reg.Counter("serve.cache_hits").Inc()
-	job := s.registerCached(key, trace, facc.CompileRequest{Target: e.Target}, e)
-	w.Header().Set("X-Facc-Cache", "hit")
-	s.respond(w, r, job)
 }
 
 // handleCompile admits one request: validate → cache → dedup → enqueue,

@@ -404,6 +404,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{facc.CompileRequest{Source: "", Target: "ffta"}, http.StatusBadRequest},
 		{facc.CompileRequest{Source: "void f() {}", Target: "tpu9000"}, http.StatusBadRequest},
 		{facc.CompileRequest{Source: "void f() {}", Target: "ffta", NumTests: -1}, http.StatusBadRequest},
+		{facc.CompileRequest{Source: "void f() {}", Target: "ffta", NumTests: 1000000000}, http.StatusBadRequest},
 	} {
 		resp := post(t, ts, tc.req, "")
 		resp.Body.Close()
