@@ -405,3 +405,31 @@ func TestReport(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileRequestDigestGolden pins CompileRequest.Digest: every stored
+// adapter is keyed by it, so a change to its value turns every existing
+// store into misses. One request sets only source and target; the other
+// sets every field the digest reads, profile, test count and tolerance
+// included. Name is not one of them.
+func TestCompileRequestDigestGolden(t *testing.T) {
+	src := "void fft(double *x, int n) {}\n"
+	for _, tc := range []struct {
+		req  CompileRequest
+		want string
+	}{
+		{CompileRequest{Name: "a.c", Source: src, Target: "ffta"},
+			"13d883b59eae4771b57f6b433a71fc937afa52d2b6e6d1b5ae245003de1717d4"},
+		{CompileRequest{Name: "b.c", Source: src, Target: "fftw", Entry: "fft",
+			ProfileValues: map[string][]int64{"n": {64, 128}, "m": {3}}, NumTests: 7, Tolerance: 1e-4},
+			"6d45da7956a634d20dfccf2f21c0cc67a0c3f14c19dd121988bfcbb2dd343cee"},
+	} {
+		if got := tc.req.Digest(); got != tc.want {
+			t.Errorf("Digest(%+v) = %s, want %s", tc.req, got, tc.want)
+		}
+		renamed := tc.req
+		renamed.Name = "other.c"
+		if got := renamed.Digest(); got != tc.want {
+			t.Errorf("Digest depends on Name: %s under %q, want %s", got, renamed.Name, tc.want)
+		}
+	}
+}

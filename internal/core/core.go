@@ -191,7 +191,7 @@ func CompileSource(ctx context.Context, name, src string, spec *accel.Spec, opts
 	if opts.Synth.Oracle == nil {
 		opts.Synth.Oracle = synth.NewOracleCache()
 	}
-	fsp := opts.Trace.Span("frontend").Str("file", name)
+	fsp := opts.Trace.Span("frontend").SetTrace(obs.TraceIDFrom(ctx)).Str("file", name)
 	f, err := opts.Synth.Oracle.File(name, src, fsp)
 	fsp.End()
 	if err != nil {

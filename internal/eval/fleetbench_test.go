@@ -481,15 +481,23 @@ type driveResult struct {
 }
 
 // clientDrive pushes one compile request to completion: rotate across
-// replicas on transport errors and 503s, back off briefly on 429s, stop
-// on a final answer or when attempts run out. This is the "well-behaved
-// client" the fleet's no-dropped-acks contract is stated against: an ack
-// is a final job state, and anything that dies before one is retried.
+// replicas on transport errors, torn replies and 503s, back off briefly
+// on 429s, stop on a final answer or when attempts run out. This is the
+// "well-behaved client" the fleet's no-dropped-acks contract is stated
+// against: an ack is a final job state, and anything that dies before
+// one is retried.
 func clientDrive(ctx context.Context, client *http.Client, urls []string, startAt int, req facc.CompileRequest, attempts int) driveResult {
 	body, _ := json.Marshal(req)
 	var out driveResult
 	cur := startAt
 	start := time.Now()
+	// next moves to the following replica: what it answered was not an
+	// ack.
+	next := func() {
+		cur++
+		out.retries++
+		sleepCtx(ctx, 5*time.Millisecond)
+	}
 	for attempt := 0; attempt < attempts; attempt++ {
 		if ctx.Err() != nil {
 			break
@@ -502,15 +510,18 @@ func clientDrive(ctx context.Context, client *http.Client, urls []string, startA
 		hreq.Header.Set("Content-Type", "application/json")
 		res, err := client.Do(hreq)
 		if err != nil {
-			// Replica unreachable (killed, or conn torn down mid-flight):
-			// this is NOT an ack — move to the next replica.
-			cur++
-			out.retries++
-			sleepCtx(ctx, 5*time.Millisecond)
+			// Replica unreachable (killed, or conn torn down mid-flight).
+			next()
 			continue
 		}
-		data, _ := io.ReadAll(res.Body)
+		data, err := io.ReadAll(res.Body)
 		res.Body.Close()
+		if err != nil {
+			// The reply was cut off mid-body: the replica died before
+			// its answer arrived.
+			next()
+			continue
+		}
 		switch res.StatusCode {
 		case http.StatusTooManyRequests:
 			out.shed++
@@ -526,9 +537,7 @@ func clientDrive(ctx context.Context, client *http.Client, urls []string, startA
 			sleepCtx(ctx, wait)
 			continue
 		case http.StatusServiceUnavailable, http.StatusLoopDetected:
-			cur++
-			out.retries++
-			sleepCtx(ctx, 5*time.Millisecond)
+			next()
 			continue
 		case http.StatusOK:
 			var v struct {
@@ -536,7 +545,11 @@ func clientDrive(ctx context.Context, client *http.Client, urls []string, startA
 				Key      string `json:"key"`
 				AdapterC string `json:"adapter_c"`
 			}
-			json.Unmarshal(data, &v)
+			if err := json.Unmarshal(data, &v); err != nil {
+				// A 200 whose body does not decode is a torn reply too.
+				next()
+				continue
+			}
 			if v.State == "done" {
 				out.done = true
 				out.key = v.Key

@@ -250,15 +250,21 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxRequestBytes))
 	if err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		server.BadBody(w, err)
 		return
 	}
 	trace := r.Header.Get("X-Facc-Trace")
 	if !obs.ValidTraceID(trace) {
 		trace = obs.NewTraceID()
 	}
+	// What the entry records under the trace (its forward spans) lives
+	// as long as the request here: a relayed request leaves nothing
+	// behind, and one served locally leaves its spans to the local job,
+	// which holds the trace from admission.
+	n.cfg.Tracer.Hold(trace)
+	defer n.cfg.Tracer.Release(trace)
 
 	var req facc.CompileRequest
 	if err := json.Unmarshal(body, &req); err != nil || req.Validate() != nil {

@@ -371,10 +371,33 @@ func TestLoopGuard(t *testing.T) {
 	}
 }
 
+// TestEntryCapsRequestBody: a fleet entry reads at most
+// server.MaxRequestBytes of a request and answers 413 past it, without
+// forwarding or compiling anything.
+func TestEntryCapsRequestBody(t *testing.T) {
+	tr := NewFaultTransport(nil, 1)
+	nodes := newTestFleet(t, 2, tr, nil)
+	for _, tn := range nodes {
+		resp := postCompile(t, tn.url, fleetReq(strings.Repeat("x", server.MaxRequestBytes)), "?wait=1", nil)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized request: status %d, want 413", tn.id, resp.StatusCode)
+		}
+	}
+	for _, tn := range nodes {
+		c := tn.tracer.Metrics().Counters()
+		if c["fleet.forwarded"] != 0 || c["fleet.handled_local"] != 0 || tn.compile.callCount() != 0 {
+			t.Errorf("%s: an oversized request travelled: forwarded %d, handled locally %d, compiled %d",
+				tn.id, c["fleet.forwarded"], c["fleet.handled_local"], tn.compile.callCount())
+		}
+	}
+}
+
 // TestTracePropagationAcrossForward (satellite): one client-supplied
 // trace ID joins the observability streams on BOTH replicas of a
 // forwarded hop — the forward span on the entry node, and the compile
-// span and candidate events on the owner.
+// span and candidate events on the owner — and the entry releases what
+// it recorded for the relayed request.
 func TestTracePropagationAcrossForward(t *testing.T) {
 	tr := NewFaultTransport(nil, 1)
 	nodes := newTestFleet(t, 2, tr, nil)
@@ -390,6 +413,9 @@ func TestTracePropagationAcrossForward(t *testing.T) {
 		}
 	}
 	const trace = "fleet-trace-test-0001"
+	// A reader's hold keeps the entry's forward span past the request,
+	// whose own hold ends when the reply is relayed.
+	entry.tracer.Hold(trace)
 	resp := postCompile(t, entry.url, req, "?wait=1", map[string]string{"X-Facc-Trace": trace})
 	job := decodeWire(t, resp)
 	if resp.StatusCode != http.StatusOK || job.State != "done" {
@@ -416,6 +442,12 @@ func TestTracePropagationAcrossForward(t *testing.T) {
 	}
 	if !foundForward {
 		t.Fatalf("entry node has no fleet.forward span under trace %q (have %d spans)", trace, len(spans))
+	}
+	// With the last hold gone, the relayed request leaves nothing on the
+	// entry.
+	entry.tracer.Release(trace)
+	if spans := entry.tracer.TraceSpans(trace); len(spans) != 0 {
+		t.Errorf("entry kept %d spans of a relayed request", len(spans))
 	}
 	// Events recorded under the trace on the owner join the same
 	// stream: write a fuzz verdict the way the pipeline would, scoped by

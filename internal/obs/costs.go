@@ -45,14 +45,25 @@ type account struct {
 // earlier one. A candidate cut off by a compile cancellation books its
 // work with no verdict ("undecided"), or nothing if it started no case.
 func FoldCosts(evs []Event) (accounts int, sum CostSummary) {
-	accts := map[accountKey]*account{}
+	f := costFold{}
+	f.add(evs)
+	var t costTotals
+	t.book(f)
+	return t.accounts, t.summary()
+}
+
+// costFold is the candidate accounts of a batch of events.
+type costFold map[accountKey]*account
+
+// add folds evs into the batch's accounts.
+func (f costFold) add(evs []Event) {
 	get := func(ev *Event) *account {
 		k := accountKey{trace: ev.Trace, function: ev.Function, target: ev.Target,
 			candidate: ev.Candidate}
-		a := accts[k]
+		a := f[k]
 		if a == nil {
 			a = &account{target: ev.Target}
-			accts[k] = a
+			f[k] = a
 		}
 		return a
 	}
@@ -72,24 +83,57 @@ func FoldCosts(evs []Event) (accounts int, sum CostSummary) {
 			get(ev).verdict = VerdictWinner
 		}
 	}
-	byTarget := map[string]*TargetCost{}
-	sum.Total.Target = "all"
-	for _, a := range accts {
-		tc := byTarget[a.target]
-		if tc == nil {
-			tc = &TargetCost{Target: a.target}
-			byTarget[a.target] = tc
-		}
-		tc.add(a)
-		sum.Total.add(a)
+}
+
+// costTotals rolls booked accounts up per target; the ratios wait for
+// summary. Batches book into one costTotals as accounts of their own.
+type costTotals struct {
+	accounts int
+	targets  map[string]*TargetCost
+}
+
+// target returns the rollup of a target, making it on first use.
+func (t *costTotals) target(name string) *TargetCost {
+	if t.targets == nil {
+		t.targets = map[string]*TargetCost{}
 	}
-	for _, name := range sortedKeys(byTarget) {
-		tc := byTarget[name]
+	tc := t.targets[name]
+	if tc == nil {
+		tc = &TargetCost{Target: name}
+		t.targets[name] = tc
+	}
+	return tc
+}
+
+// book adds every account of f.
+func (t *costTotals) book(f costFold) {
+	for _, a := range f {
+		t.target(a.target).add(a)
+	}
+	t.accounts += len(f)
+}
+
+// merge adds o's rollups.
+func (t *costTotals) merge(o *costTotals) {
+	for name, tc := range o.targets {
+		t.target(name).merge(tc)
+	}
+	t.accounts += o.accounts
+}
+
+// summary renders the rollups, sorted by target, with their grand total
+// and ratios.
+func (t *costTotals) summary() CostSummary {
+	sum := CostSummary{Total: TargetCost{Target: "all"}}
+	for _, name := range sortedKeys(t.targets) {
+		tc := TargetCost{Target: name}
+		tc.merge(t.targets[name])
 		tc.finish()
-		sum.Targets = append(sum.Targets, *tc)
+		sum.Targets = append(sum.Targets, tc)
+		sum.Total.merge(t.targets[name])
 	}
 	sum.Total.finish()
-	return len(accts), sum
+	return sum
 }
 
 // TargetCost aggregates one target's accounts into the useful /
@@ -158,12 +202,29 @@ func (tc *TargetCost) add(a *account) {
 	tc.Verdicts[v]++
 }
 
+// merge adds o's work and verdicts (not its ratios).
+func (tc *TargetCost) merge(o *TargetCost) {
+	tc.UsefulTests += o.UsefulTests
+	tc.UsefulSteps += o.UsefulSteps
+	tc.SpeculativeTests += o.SpeculativeTests
+	tc.SpeculativeSteps += o.SpeculativeSteps
+	tc.OracleHits += o.OracleHits
+	tc.OracleMisses += o.OracleMisses
+	tc.UsefulOracleHits += o.UsefulOracleHits
+	for v, n := range o.Verdicts {
+		if tc.Verdicts == nil {
+			tc.Verdicts = map[string]int{}
+		}
+		tc.Verdicts[v] += n
+	}
+}
+
 // WriteCostReport renders the view's cost ledger — the per-target waste
 // breakdown — as deterministic human-readable text: the body of
 // `facc -costs`.
 func (e *Events) WriteCostReport(out io.Writer) error {
 	w := &errWriter{w: out}
-	n, sum := FoldCosts(e.Snapshot())
+	n, sum, _ := e.Totals()
 	fmt.Fprintf(w, "synthesis cost ledger: %d candidate account(s)\n", n)
 	if len(sum.Targets) == 0 {
 		fmt.Fprintf(w, "  (no work charged)\n")

@@ -113,6 +113,14 @@ func (ev *Event) KillMismatch() string {
 // it records with the ID and reads back only that trace's events, so one
 // process-wide stream serves many concurrent requests while each
 // request's events stay joinable.
+//
+// Events are indexed by trace ID, and a process that serves requests
+// bounds the stream the way it bounds the tracer: it holds a request's
+// trace while the request runs, closes the trace when the request ends,
+// which folds the trace's events into the stream's running cost and
+// search totals, and releases it when no one needs the events any more.
+// A trace nobody holds keeps its events for the stream's lifetime, which
+// is what a CLI run or a library caller keeps.
 type Events struct {
 	trace string
 	s     *eventLog
@@ -123,12 +131,23 @@ type eventLog struct {
 	start time.Time
 
 	mu     sync.Mutex
-	events []Event
+	seq    int64                  // events recorded, released ones included
+	traces map[string]*eventTrace // by trace ID; "" holds unscoped events
+	costs  costTotals             // the closed events' cost ledger
+	search searchFold             // the closed events' search observatory
+}
+
+// eventTrace is one trace's events, how many of them are folded into the
+// running totals, and the holds keeping them.
+type eventTrace struct {
+	events []Event // in record order
+	closed int     // events[:closed] are folded
+	holds  int
 }
 
 // NewEvents returns an empty stream anchored at the current instant.
 func NewEvents() *Events {
-	return &Events{s: &eventLog{start: time.Now()}}
+	return &Events{s: &eventLog{start: time.Now(), traces: map[string]*eventTrace{}}}
 }
 
 // Scoped returns a view of the same stream bound to the given trace ID.
@@ -153,16 +172,18 @@ func (e *Events) Record(ev Event) {
 	s := e.s
 	at := time.Since(s.start)
 	s.mu.Lock()
-	ev.Seq = int64(len(s.events)) + 1
+	s.seq++
+	ev.Seq = s.seq
 	ev.AtUs = float64(at) / float64(time.Microsecond)
-	s.events = append(s.events, ev)
+	et := s.trace(ev.Trace)
+	et.events = append(et.events, ev)
 	s.mu.Unlock()
 }
 
-// Snapshot returns the view's events in record order: every event for
-// an unscoped view, the trace's own for a scoped one. A recorded event
-// never changes, so an unscoped view shares the stream's events instead
-// of copying them; callers must not modify them.
+// Snapshot returns the view's held events in record order: every trace's
+// for an unscoped view, the trace's own for a scoped one. A recorded
+// event never changes, so when the events are one trace's the snapshot
+// shares them instead of copying them; callers must not modify them.
 func (e *Events) Snapshot() []Event {
 	if e == nil {
 		return nil
@@ -170,16 +191,145 @@ func (e *Events) Snapshot() []Event {
 	s := e.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e.trace == "" {
-		return s.events[:len(s.events):len(s.events)]
+	if e.trace != "" {
+		if et := s.traces[e.trace]; et != nil {
+			return et.events[:len(et.events):len(et.events)]
+		}
+		return nil
 	}
 	var out []Event
-	for _, ev := range s.events {
-		if ev.Trace == e.trace {
-			out = append(out, ev)
+	for _, et := range s.traces {
+		if len(s.traces) == 1 {
+			return et.events[:len(et.events):len(et.events)]
+		}
+		out = append(out, et.events...)
+	}
+	// Several traces: merge them back into record order.
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+// Recorded returns the number of events recorded on the stream since it
+// was made, released ones included.
+func (e *Events) Recorded() int64 {
+	if e == nil {
+		return 0
+	}
+	e.s.mu.Lock()
+	defer e.s.mu.Unlock()
+	return e.s.seq
+}
+
+// Hold keeps the events recorded under trace until a matching Release.
+// Nil-safe; an empty trace is never held.
+func (e *Events) Hold(trace string) {
+	if e == nil || trace == "" {
+		return
+	}
+	e.s.mu.Lock()
+	e.s.trace(trace).holds++
+	e.s.mu.Unlock()
+}
+
+// Close folds the events recorded under trace since its last Close into
+// the stream's running cost and search totals, so each event is folded
+// once; they stay readable until the trace is released. Closing a trace
+// that a client reused for requests that overlap folds whatever the
+// requests have recorded so far. Nil-safe.
+func (e *Events) Close(trace string) {
+	if e == nil || trace == "" {
+		return
+	}
+	s := e.s
+	s.mu.Lock()
+	if et := s.traces[trace]; et != nil {
+		s.fold(et)
+	}
+	s.mu.Unlock()
+}
+
+// Release lets go of one hold on trace; when none is left, its events
+// are dropped, after folding any that no Close folded. A trace nobody
+// holds is left alone. Nil-safe.
+func (e *Events) Release(trace string) {
+	if e == nil || trace == "" {
+		return
+	}
+	s := e.s
+	s.mu.Lock()
+	if et := s.traces[trace]; et != nil && et.holds > 0 {
+		if et.holds--; et.holds == 0 {
+			s.fold(et)
+			delete(s.traces, trace)
 		}
 	}
-	return out
+	s.mu.Unlock()
+}
+
+// Totals returns the view's cost ledger — its number of candidate
+// accounts and their per-target rollup — and its search summary (nil
+// when no candidate was seen). For the whole stream that is the running
+// totals of the closed events plus a fold of the open ones, so it
+// covers every event recorded, released ones included, without walking
+// them again; a scoped view folds its trace's held events. Every
+// request's events fold on their own, so when each request has its own
+// trace ID the result equals FoldCosts and FoldSearch over the whole
+// stream. A trace ID reused by requests that do not overlap folds once
+// per request: its candidates count one account per request, where a
+// fold of the whole stream would merge the accounts they share. The work
+// totals (tests, steps, oracle lookups) and the search summary agree
+// either way.
+func (e *Events) Totals() (accounts int, costs CostSummary, search *SearchSummary) {
+	if e == nil || e.trace != "" {
+		evs := e.Snapshot()
+		accounts, costs = FoldCosts(evs)
+		return accounts, costs, FoldSearch(evs)
+	}
+	s := e.s
+	var open [][]Event
+	var ct costTotals
+	var sf searchFold
+	s.mu.Lock()
+	for _, et := range s.traces {
+		if len(et.events) > et.closed {
+			open = append(open, et.events[et.closed:])
+		}
+	}
+	ct.merge(&s.costs)
+	sf.merge(&s.search)
+	s.mu.Unlock()
+	f := costFold{}
+	for _, evs := range open {
+		f.add(evs)
+		sf.add(evs)
+	}
+	ct.book(f)
+	return ct.accounts, ct.summary(), sf.summary()
+}
+
+// trace returns the entry of a trace ID, making it on first use. The
+// caller holds s.mu.
+func (s *eventLog) trace(id string) *eventTrace {
+	et := s.traces[id]
+	if et == nil {
+		et = &eventTrace{}
+		s.traces[id] = et
+	}
+	return et
+}
+
+// fold books et's open events into the running totals. The caller holds
+// s.mu.
+func (s *eventLog) fold(et *eventTrace) {
+	evs := et.events[et.closed:]
+	if len(evs) == 0 {
+		return
+	}
+	f := costFold{}
+	f.add(evs)
+	s.costs.book(f)
+	s.search.add(evs)
+	et.closed = len(et.events)
 }
 
 // WriteJSONL exports the view's events as one JSON object per line.
@@ -287,13 +437,12 @@ func (e *Events) WriteReport(out io.Writer) error {
 }
 
 // WritePrometheus renders the view's cost ledger (the facc_ledger_*
-// families) and search observatory (facc_search_*). Nil-safe: a nil or
-// empty stream writes nothing.
+// families) and search observatory (facc_search_*), from Totals.
+// Nil-safe: a nil or empty stream writes nothing.
 func (e *Events) WritePrometheus(out io.Writer) error {
-	evs := e.Snapshot()
-	_, costs := FoldCosts(evs)
+	_, costs, search := e.Totals()
 	if err := costs.writePrometheus(out); err != nil {
 		return err
 	}
-	return FoldSearch(evs).writePrometheus(out)
+	return search.writePrometheus(out)
 }

@@ -55,22 +55,36 @@ func (a Attr) Value() any {
 // concurrent use: independent goroutines may open and end spans on the
 // same tracer (the evaluation harness fans compilations out across
 // workers against one tracer).
+//
+// Completed spans are indexed by trace ID. A process that serves
+// requests holds a request's trace while it needs the spans and releases
+// it when done: a trace's spans are dropped once its last hold is
+// released. Spans of a trace nobody holds stay for the tracer's
+// lifetime, which is what a CLI run or a library caller keeps.
 type Tracer struct {
 	wall   time.Time // wall-clock anchor; span offsets are monotonic
 	nextID atomic.Int64
 
 	mu     sync.Mutex
-	spans  []*Span         // completed spans, in End order
-	active map[int64]*Span // started but not yet ended
+	ended  int                   // spans ended since New, released ones included
+	traces map[string]*spanTrace // completed spans by trace ID; "" holds untraced ones
+	active map[int64]*Span       // started but not yet ended
 
 	reg *Registry
+}
+
+// spanTrace is one trace's completed spans and the holds keeping them.
+type spanTrace struct {
+	spans []*Span // in End order
+	holds int
 }
 
 // New returns an empty tracer anchored at the current instant. The anchor
 // carries both the wall clock (for absolute timestamps in exports) and
 // the monotonic clock (for durations).
 func New() *Tracer {
-	return &Tracer{wall: time.Now(), reg: NewRegistry(), active: map[int64]*Span{}}
+	return &Tracer{wall: time.Now(), reg: NewRegistry(),
+		traces: map[string]*spanTrace{}, active: map[int64]*Span{}}
 }
 
 // Metrics returns the tracer's metrics registry (nil on a nil tracer, so
@@ -148,25 +162,37 @@ func (t *Tracer) Active() []ActiveSpan {
 	return out
 }
 
-// NumSpans returns the number of completed spans without copying them.
+// NumSpans returns the number of spans ended since the tracer started,
+// released ones included.
 func (t *Tracer) NumSpans() int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.ended
 }
 
-// Spans returns a snapshot of the completed spans in End order.
+// Spans returns a snapshot of the completed spans the tracer holds, in
+// End order.
 func (t *Tracer) Spans() []*Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Span, len(t.spans))
-	copy(out, t.spans)
+	n := 0
+	for _, tc := range t.traces {
+		n += len(tc.spans)
+	}
+	out := make([]*Span, 0, n)
+	for _, tc := range t.traces {
+		out = append(out, tc.spans...)
+	}
+	merged := len(t.traces) > 1
+	t.mu.Unlock()
+	if merged {
+		sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	}
 	return out
 }
 
@@ -176,15 +202,50 @@ func (t *Tracer) TraceSpans(trace string) []*Span {
 	if t == nil || trace == "" {
 		return nil
 	}
-	var out []*Span
 	t.mu.Lock()
-	for _, s := range t.spans {
-		if s.Trace == trace {
-			out = append(out, s)
+	defer t.mu.Unlock()
+	if tc := t.traces[trace]; tc != nil {
+		return append([]*Span(nil), tc.spans...)
+	}
+	return nil
+}
+
+// Hold keeps the spans completed under trace until a matching Release.
+// Nil-safe; an empty trace is never held.
+func (t *Tracer) Hold(trace string) {
+	if t == nil || trace == "" {
+		return
+	}
+	t.mu.Lock()
+	t.trace(trace).holds++
+	t.mu.Unlock()
+}
+
+// Release lets go of one hold on trace; when none is left, the spans
+// completed under it are dropped. A trace nobody holds is left alone.
+// Nil-safe.
+func (t *Tracer) Release(trace string) {
+	if t == nil || trace == "" {
+		return
+	}
+	t.mu.Lock()
+	if tc := t.traces[trace]; tc != nil && tc.holds > 0 {
+		if tc.holds--; tc.holds == 0 {
+			delete(t.traces, trace)
 		}
 	}
 	t.mu.Unlock()
-	return out
+}
+
+// trace returns the entry of a trace ID, making it on first use. The
+// caller holds t.mu.
+func (t *Tracer) trace(id string) *spanTrace {
+	tc := t.traces[id]
+	if tc == nil {
+		tc = &spanTrace{}
+		t.traces[id] = tc
+	}
+	return tc
 }
 
 // Find returns the completed spans with the given name.
@@ -212,6 +273,7 @@ type Span struct {
 	Dur   time.Duration // set by End
 	Attrs []Attr
 	ended bool
+	seq   int // End order across the tracer, set by End
 }
 
 // Child opens a sub-span. Nil-safe: a nil receiver returns a nil span.
@@ -312,13 +374,17 @@ func (s *Span) End() time.Duration {
 	if s.ended {
 		return s.Dur
 	}
+	t := s.tr
 	s.ended = true
-	s.Dur = time.Since(s.tr.wall) - s.Start
-	s.tr.mu.Lock()
-	delete(s.tr.active, s.ID)
-	s.tr.spans = append(s.tr.spans, s)
-	s.tr.mu.Unlock()
-	s.tr.reg.Histogram("stage."+s.Name+".ms", DurationBucketsMs).
+	s.Dur = time.Since(t.wall) - s.Start
+	t.mu.Lock()
+	delete(t.active, s.ID)
+	t.ended++
+	s.seq = t.ended
+	tc := t.trace(s.Trace)
+	tc.spans = append(tc.spans, s)
+	t.mu.Unlock()
+	t.reg.Histogram("stage."+s.Name+".ms", DurationBucketsMs).
 		Observe(float64(s.Dur) / float64(time.Millisecond))
 	return s.Dur
 }

@@ -8,12 +8,15 @@
 //	/metrics        Prometheus text exposition of every counter/gauge/histogram
 //	/status         live JSON: in-flight compilations, current stage,
 //	                candidates tried/pruned, fuzz pass rate, uptime
-//	/trace          Chrome trace_event download of the spans completed so far
+//	/trace          Chrome trace_event download of the completed spans held
 //	/journal        candidate-event stream as JSONL (when a stream is attached)
 //	/debug/pprof/*  net/http/pprof profiling endpoints
 //
 // The server reads only snapshots (obs.Tracer and obs.Events are safe for
 // concurrent use), so scraping never perturbs or blocks the pipeline.
+// /trace and /journal show what the tracer and the stream still hold: in
+// a CLI run everything, in faccd the requests in flight and those its
+// flight recorder keeps.
 package obshttp
 
 import (
@@ -60,9 +63,11 @@ type InFlight struct {
 
 // Status is the /status JSON document.
 type Status struct {
-	UptimeS        float64    `json:"uptime_s"`
-	InFlight       []InFlight `json:"in_flight"`
-	SpansCompleted int        `json:"spans_completed"`
+	UptimeS  float64    `json:"uptime_s"`
+	InFlight []InFlight `json:"in_flight"`
+	// SpansCompleted counts the spans ended since start, released ones
+	// included.
+	SpansCompleted int `json:"spans_completed"`
 
 	CandidatesTested int64   `json:"candidates_tested"`
 	CandidatesPruned int64   `json:"candidates_pruned"`
@@ -84,7 +89,9 @@ type Status struct {
 	OracleHitRate   float64                `json:"oracle_hit_rate"`
 	OraclePerTarget map[string]OracleStats `json:"oracle_per_target,omitempty"`
 
-	EventsRecorded int `json:"journal_events"` // the event stream's length
+	// EventsRecorded counts the events recorded since start, released
+	// ones included.
+	EventsRecorded int64 `json:"journal_events"`
 
 	// Costs is the synthesis cost ledger rolled up per target (useful vs
 	// speculative vs shared work); present when the event stream has
@@ -193,14 +200,16 @@ type StoreStatus struct {
 	QuarantinedFiles int64 `json:"quarantined_files"`
 }
 
-// BuildStatus assembles the live status snapshot served at /status.
+// BuildStatus assembles the live status snapshot served at /status. Its
+// costs and search blocks are the event stream's Totals, so a read folds
+// only the events of traces still open, however long the process has
+// run.
 func (s *Server) BuildStatus() Status {
-	evs := s.Events.Snapshot()
 	st := Status{
 		UptimeS:        time.Since(s.start).Seconds(),
 		InFlight:       []InFlight{},
 		SpansCompleted: s.Tracer.NumSpans(),
-		EventsRecorded: len(evs),
+		EventsRecorded: s.Events.Recorded(),
 	}
 
 	active := s.Tracer.Active()
@@ -288,10 +297,11 @@ func (s *Server) BuildStatus() Status {
 			st.OraclePerTarget[target] = os
 		}
 	}
-	if n, sum := obs.FoldCosts(evs); n > 0 {
-		st.Costs = &sum
+	n, costs, search := s.Events.Totals()
+	if n > 0 {
+		st.Costs = &costs
 	}
-	st.Search = obs.FoldSearch(evs)
+	st.Search = search
 	if cap, ok := st.Gauges["serve.queue_capacity"]; ok {
 		st.Serve = &ServeStatus{
 			QueueDepth:       int64(st.Gauges["serve.queue_depth"]),

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 )
 
@@ -76,36 +77,76 @@ type SearchSummary struct {
 // evs hold no binding, fuzz or accepted event, so JSON embeddings can
 // omit the section.
 func FoldSearch(evs []Event) *SearchSummary {
-	perTarget := make(map[string]*TargetSearch)
-	target := func(name string) *TargetSearch {
-		t := perTarget[name]
-		if t == nil {
-			t = &TargetSearch{Target: name}
-			perTarget[name] = t
-		}
-		return t
+	var f searchFold
+	f.add(evs)
+	return f.summary()
+}
+
+// searchFold accumulates the search observatory over any number of
+// batches of events: every count adds and a case's binding families
+// unite, so the fold of batches equals the fold of their concatenation.
+type searchFold struct {
+	targets  map[string]*TargetSearch // funnel counts; MultiFamilyCases is left to summary
+	mismatch map[string]int64
+	depth    map[int]int64
+	cases    map[caseKey]*caseFold
+}
+
+// caseKey identifies one IO case on one target.
+type caseKey struct {
+	target string
+	sig    string
+}
+
+// caseFold is one IO case's kill record.
+type caseFold struct {
+	kills    int64
+	mismatch map[string]int64
+	families map[string]bool
+}
+
+// target returns the funnel of a target, making it on first use.
+func (f *searchFold) target(name string) *TargetSearch {
+	if f.targets == nil {
+		f.targets = make(map[string]*TargetSearch)
+		f.mismatch = make(map[string]int64)
+		f.depth = make(map[int]int64)
+		f.cases = make(map[caseKey]*caseFold)
 	}
-	type caseKey struct {
-		target string
-		sig    string
+	t := f.targets[name]
+	if t == nil {
+		t = &TargetSearch{Target: name}
+		f.targets[name] = t
 	}
-	sum := &SearchSummary{Mismatch: make(map[string]int64)}
-	depth := make(map[int]int64)
-	cases := make(map[caseKey]*CaseStats)
-	families := make(map[caseKey]map[string]bool)
+	return t
+}
+
+// caseOf returns the kill record of a case, making it on first use; the
+// case's target is already in the fold.
+func (f *searchFold) caseOf(key caseKey) *caseFold {
+	c := f.cases[key]
+	if c == nil {
+		c = &caseFold{mismatch: make(map[string]int64), families: make(map[string]bool)}
+		f.cases[key] = c
+	}
+	return c
+}
+
+// add folds evs.
+func (f *searchFold) add(evs []Event) {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case KindEmitted:
-			target(ev.Target).Generated++
+			f.target(ev.Target).Generated++
 		case KindPruned:
-			t := target(ev.Target)
+			t := f.target(ev.Target)
 			t.Generated++
 			t.PreFiltered++
 		case KindAccepted:
-			target(ev.Target).Winners++
+			f.target(ev.Target).Winners++
 		case KindFuzz:
-			t := target(ev.Target)
+			t := f.target(ev.Target)
 			t.Dispatched++
 			if ev.Outcome == OutcomeSurvived {
 				t.Survived++
@@ -115,38 +156,69 @@ func FoldSearch(evs []Event) *SearchSummary {
 			}
 			t.Killed++
 			mismatch := ev.KillMismatch()
-			depth[ev.Case]++
-			sum.Mismatch[mismatch]++
+			f.depth[ev.Case]++
+			f.mismatch[mismatch]++
 			if ev.Case < 0 || ev.CaseSig == "" {
 				continue
 			}
-			key := caseKey{target: ev.Target, sig: ev.CaseSig}
-			cs := cases[key]
-			if cs == nil {
-				cs = &CaseStats{Target: ev.Target, Sig: ev.CaseSig, Mismatch: make(map[string]int64)}
-				cases[key] = cs
-				families[key] = make(map[string]bool)
-			}
-			cs.Kills++
-			cs.Mismatch[mismatch]++
-			families[key][ev.Family] = true
+			c := f.caseOf(caseKey{target: ev.Target, sig: ev.CaseSig})
+			c.kills++
+			c.mismatch[mismatch]++
+			c.families[ev.Family] = true
 		}
 	}
-	if len(perTarget) == 0 {
+}
+
+// merge folds o in.
+func (f *searchFold) merge(o *searchFold) {
+	for name, ot := range o.targets {
+		t := f.target(name)
+		t.Generated += ot.Generated
+		t.PreFiltered += ot.PreFiltered
+		t.Dispatched += ot.Dispatched
+		t.Killed += ot.Killed
+		t.Survived += ot.Survived
+		t.Winners += ot.Winners
+	}
+	for kind, n := range o.mismatch {
+		f.mismatch[kind] += n
+	}
+	for i, n := range o.depth {
+		f.depth[i] += n
+	}
+	for key, oc := range o.cases {
+		c := f.caseOf(key)
+		c.kills += oc.kills
+		for kind, n := range oc.mismatch {
+			c.mismatch[kind] += n
+		}
+		for family := range oc.families {
+			c.families[family] = true
+		}
+	}
+}
+
+// summary renders the fold; nil when it saw no binding, fuzz or
+// accepted event.
+func (f *searchFold) summary() *SearchSummary {
+	if len(f.targets) == 0 {
 		return nil
 	}
-	for i := range depth {
-		sum.KillDepth = append(sum.KillDepth, KillDepthBucket{CaseIndex: i, Kills: depth[i]})
+	sum := &SearchSummary{Mismatch: maps.Clone(f.mismatch)}
+	for i, n := range f.depth {
+		sum.KillDepth = append(sum.KillDepth, KillDepthBucket{CaseIndex: i, Kills: n})
 	}
 	sort.Slice(sum.KillDepth, func(i, j int) bool {
 		return sum.KillDepth[i].CaseIndex < sum.KillDepth[j].CaseIndex
 	})
-	for key, cs := range cases {
-		cs.Families = len(families[key])
-		sum.Cases = append(sum.Cases, *cs)
+	multi := make(map[string]int)
+	for key, c := range f.cases {
+		cs := CaseStats{Target: key.target, Sig: key.sig, Kills: c.kills,
+			Families: len(c.families), Mismatch: maps.Clone(c.mismatch)}
+		sum.Cases = append(sum.Cases, cs)
 		if cs.Families > 1 {
 			sum.MultiFamilyCases++
-			target(cs.Target).MultiFamilyCases++
+			multi[key.target]++
 		}
 	}
 	sort.Slice(sum.Cases, func(i, j int) bool {
@@ -162,15 +234,16 @@ func FoldSearch(evs []Event) *SearchSummary {
 		}
 		return a.Sig < b.Sig
 	})
-	for _, name := range sortedKeys(perTarget) {
-		t := perTarget[name]
+	for _, name := range sortedKeys(f.targets) {
+		t := *f.targets[name]
+		t.MultiFamilyCases = multi[name]
 		sum.Generated += t.Generated
 		sum.PreFiltered += t.PreFiltered
 		sum.Dispatched += t.Dispatched
 		sum.Killed += t.Killed
 		sum.Survived += t.Survived
 		sum.Winners += t.Winners
-		sum.PerTarget = append(sum.PerTarget, *t)
+		sum.PerTarget = append(sum.PerTarget, t)
 	}
 	return sum
 }
@@ -179,7 +252,7 @@ func FoldSearch(evs []Event) *SearchSummary {
 // kill-depth distribution, and the top-N discriminating inputs.
 // Deterministic for a deterministic run (fixed seed, Workers=1).
 func (e *Events) WriteSearchReport(out io.Writer, topN int) error {
-	sum := FoldSearch(e.Snapshot())
+	_, _, sum := e.Totals()
 	w := &errWriter{w: out}
 	if sum == nil {
 		fmt.Fprintf(w, "search observatory: no events recorded\n")

@@ -3,11 +3,13 @@
 // finishing job offers only its identity and outcome; /debug/requests
 // joins each retained record by trace ID to its span tree and candidate
 // events, with their cost and search folds, when it is read, so the job
-// path never scans the daemon's history. The trace ID also joins a record to
-// the latency exemplars in /metrics.
+// path never scans the daemon's history. A retained record keeps its
+// trace's spans and events held until the recorder evicts it. The trace
+// ID also joins a record to the latency exemplars in /metrics.
 package server
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,29 +71,50 @@ func NewFlightRecorder(n int) *FlightRecorder {
 
 // Observe offers one finished request. Failed requests always enter the
 // failure ring (evicting the oldest); every request competes for the
-// slowest list.
-func (f *FlightRecorder) Observe(rec *RequestRecord) {
+// slowest list. It reports whether the recorder kept rec and which
+// records it dropped from both classes to make room.
+func (f *FlightRecorder) Observe(rec *RequestRecord) (kept bool, evicted []*RequestRecord) {
 	if f == nil || rec == nil {
-		return
+		return false, nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	var out []*RequestRecord
 	if rec.State == string(Failed) {
+		kept = true
 		f.failed = append(f.failed, rec)
 		if len(f.failed) > f.cap {
+			out = append(out, f.failed[0])
 			f.failed = f.failed[1:]
 		}
 	}
-	if len(f.slowest) < f.cap {
+	slow := len(f.slowest) < f.cap
+	if slow {
 		f.slowest = append(f.slowest, rec)
 	} else if last := f.slowest[len(f.slowest)-1]; rec.LatencyMS > last.LatencyMS {
+		slow = true
+		out = append(out, last)
 		f.slowest[len(f.slowest)-1] = rec
-	} else {
-		return
 	}
-	sort.SliceStable(f.slowest, func(i, j int) bool {
-		return f.slowest[i].LatencyMS > f.slowest[j].LatencyMS
-	})
+	if slow {
+		kept = true
+		sort.SliceStable(f.slowest, func(i, j int) bool {
+			return f.slowest[i].LatencyMS > f.slowest[j].LatencyMS
+		})
+	}
+	// A record can leave both classes at once; it is evicted once.
+	for _, r := range out {
+		if !f.holds(r) && !slices.Contains(evicted, r) {
+			evicted = append(evicted, r)
+		}
+	}
+	return kept, evicted
+}
+
+// holds reports whether either class still holds rec. The caller holds
+// f.mu.
+func (f *FlightRecorder) holds(rec *RequestRecord) bool {
+	return slices.Contains(f.slowest, rec) || slices.Contains(f.failed, rec)
 }
 
 // Records snapshots both retention classes.

@@ -176,6 +176,23 @@ type Server struct {
 	nextID   int
 }
 
+// MaxRequestBytes caps a compile request's body, here and at a fleet
+// entry: about 60 times the largest corpus source, so no client can make
+// the daemon buffer an arbitrary upload.
+const MaxRequestBytes = 1 << 20
+
+// BadBody answers a request whose body could not be read or decoded:
+// 413 past MaxRequestBytes, 400 otherwise.
+func BadBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		http.Error(w, fmt.Sprintf("request body over %d bytes", MaxRequestBytes),
+			http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+}
+
 // historyCap bounds how many finished jobs stay queryable at /jobs/{id};
 // older ones are evicted so a long-lived daemon's memory stays flat.
 const historyCap = 1024
@@ -312,8 +329,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req facc.CompileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+		BadBody(w, err)
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -369,10 +386,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		enqueued: time.Now(),
 		done:     make(chan struct{}),
 	}
+	// The job holds its trace from admission until it finishes, so a
+	// fleet entry that relayed nothing leaves its own spans to the job.
+	s.holdTrace(trace)
 	select {
 	case s.queue <- job:
 	default:
 		s.mu.Unlock()
+		s.releaseTrace(trace)
 		s.reg.Counter("serve.jobs_shed").Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		http.Error(w, fmt.Sprintf("queue full (%d jobs): shedding load, retry later",
@@ -449,15 +470,18 @@ func (s *Server) registerCached(key, trace string, req facc.CompileRequest, e st
 	}
 	s.nextID++
 	s.jobs[job.ID] = job
-	s.retire(job.ID)
+	s.retire(job)
 	close(job.done)
 	return job
 }
 
 // retire files a terminal job in the bounded history, evicting the
-// oldest entry past historyCap. Caller holds s.mu.
-func (s *Server) retire(id string) {
-	s.history = append(s.history, id)
+// oldest entry past historyCap. The job keeps only what /jobs/{id} and
+// the flight recorder read: of its request, the target. Caller holds
+// s.mu.
+func (s *Server) retire(job *Job) {
+	job.Req = facc.CompileRequest{Target: job.Req.Target}
+	s.history = append(s.history, job.ID)
 	if len(s.history) > historyCap {
 		delete(s.jobs, s.history[0])
 		s.history = s.history[1:]
@@ -491,6 +515,8 @@ func (s *Server) run(job *Job) {
 	res, err := s.compile(ctx, job.Req)
 	s.observeCompileTime(time.Since(started))
 	cancel()
+	// The compile has recorded everything it will under the trace.
+	s.cfg.Events.Close(job.Trace)
 
 	s.mu.Lock()
 	job.Result = res
@@ -525,7 +551,7 @@ func (s *Server) run(job *Job) {
 	}
 	s.mu.Lock()
 	delete(s.active, job.Key)
-	s.retire(job.ID)
+	s.retire(job)
 	s.mu.Unlock()
 	latMs := float64(time.Since(job.enqueued)) / float64(time.Millisecond)
 	// The request's trace ID rides as the bucket's exemplar: a latency
@@ -556,11 +582,14 @@ func (s *Server) observeSLO(job *Job, state JobState, latMs float64) {
 		s.reg.Gauge("serve.slo_burn_rate").Set(rate / budget)
 	}
 	if s.flight == nil {
+		s.releaseTrace(job.Trace)
 		return
 	}
 	// Only the job's identity and outcome are kept here; join fills the
 	// rest by trace ID when /debug/requests is read, so a job pays
-	// nothing for the daemon's recorded history.
+	// nothing for the daemon's recorded history. A kept record takes
+	// over the job's hold on its trace; an evicted one lets go of its
+	// own.
 	s.mu.Lock()
 	rec := &RequestRecord{
 		Trace:        job.Trace,
@@ -573,15 +602,38 @@ func (s *Server) observeSLO(job *Job, state JobState, latMs float64) {
 		SLOViolation: violation,
 	}
 	s.mu.Unlock()
-	s.flight.Observe(rec)
+	kept, evicted := s.flight.Observe(rec)
+	if !kept {
+		s.releaseTrace(job.Trace)
+	}
+	for _, r := range evicted {
+		s.releaseTrace(r.Trace)
+	}
 	slow, failed := s.flight.Len()
 	s.reg.Gauge("serve.flight_retained").Set(float64(slow + failed))
+}
+
+// holdTrace keeps the spans and events recorded under trace until a
+// matching releaseTrace. A job holds its trace from admission; its
+// flight record, if the recorder keeps one, until eviction.
+func (s *Server) holdTrace(trace string) {
+	s.cfg.Tracer.Hold(trace)
+	s.cfg.Events.Hold(trace)
+}
+
+// releaseTrace lets go of one hold on trace: once none is left, its
+// spans and events are dropped. The events were folded into the
+// stream's running totals when the job closed the trace.
+func (s *Server) releaseTrace(trace string) {
+	s.cfg.Tracer.Release(trace)
+	s.cfg.Events.Release(trace)
 }
 
 // join returns copies of retained records filled with everything the
 // tracer and the event stream hold under each record's trace ID, and the
 // cost and search folds of those events. A trace ID that a client reused
-// shows every event recorded under it up to now.
+// shows every event recorded under it while a request or a record held
+// it.
 func (s *Server) join(recs []*RequestRecord) []*RequestRecord {
 	out := make([]*RequestRecord, len(recs))
 	for i, r := range recs {

@@ -405,11 +405,13 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{facc.CompileRequest{Source: "void f() {}", Target: "tpu9000"}, http.StatusBadRequest},
 		{facc.CompileRequest{Source: "void f() {}", Target: "ffta", NumTests: -1}, http.StatusBadRequest},
 		{facc.CompileRequest{Source: "void f() {}", Target: "ffta", NumTests: 1000000000}, http.StatusBadRequest},
+		{facc.CompileRequest{Source: strings.Repeat("x", MaxRequestBytes), Target: "ffta"}, http.StatusRequestEntityTooLarge},
 	} {
 		resp := post(t, ts, tc.req, "")
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Errorf("POST %+v: status %d, want %d", tc.req, resp.StatusCode, tc.want)
+			t.Errorf("POST %.80q (target %q, tests %d): status %d, want %d",
+				tc.req.Source, tc.req.Target, tc.req.NumTests, resp.StatusCode, tc.want)
 		}
 	}
 	resp, err := ts.Client().Get(ts.URL + "/compile")

@@ -387,11 +387,43 @@ func TestServerFlightRecorderConcurrent(t *testing.T) {
 }
 
 // TestFlightRecorderBounds: eviction keeps both retention classes at the
-// cap, the slowest list stays sorted, and a nil recorder is a no-op.
+// cap, the slowest list stays sorted, every record the recorder holds
+// was reported kept and not yet evicted, a record is evicted once even
+// when it leaves both classes at once, and a nil recorder is a no-op.
 func TestFlightRecorderBounds(t *testing.T) {
 	f := NewFlightRecorder(3)
+	// held counts the holds Observe hands over: one per kept record, given
+	// back by its eviction, as the server holds and releases traces.
+	held := map[*RequestRecord]int{}
+	observe := func(f *FlightRecorder, rec *RequestRecord) {
+		kept, evicted := f.Observe(rec)
+		if kept {
+			held[rec]++
+		}
+		for _, r := range evicted {
+			if held[r]--; held[r] == 0 {
+				delete(held, r)
+			}
+		}
+	}
+	checkHeld := func(f *FlightRecorder) {
+		t.Helper()
+		slowest, failed := f.Records()
+		in := map[*RequestRecord]bool{}
+		for _, r := range append(slowest, failed...) {
+			in[r] = true
+		}
+		for r, n := range held {
+			if n != 1 || !in[r] {
+				t.Errorf("%s: %d holds, retained %v; want 1 hold while retained", r.Trace, n, in[r])
+			}
+		}
+		if len(held) != len(in) {
+			t.Errorf("%d records hold their trace, %d are retained", len(held), len(in))
+		}
+	}
 	for i := 0; i < 10; i++ {
-		f.Observe(&RequestRecord{
+		observe(f, &RequestRecord{
 			Trace:     fmt.Sprintf("t%d", i),
 			LatencyMS: float64(i),
 			State:     string(Done),
@@ -407,12 +439,13 @@ func TestFlightRecorderBounds(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		f.Observe(&RequestRecord{
+		observe(f, &RequestRecord{
 			Trace:     fmt.Sprintf("f%d", i),
 			LatencyMS: 0.1,
 			State:     string(Failed),
 		})
 	}
+	checkHeld(f)
 	_, failed = f.Records()
 	if len(failed) != 3 {
 		t.Fatalf("failure ring holds %d, want 3", len(failed))
@@ -422,8 +455,18 @@ func TestFlightRecorderBounds(t *testing.T) {
 		t.Errorf("failure ring order: %s..%s, want f2..f4", failed[0].Trace, failed[2].Trace)
 	}
 
+	// At cap 1 a failed record is both the oldest failure and the fastest
+	// of the slowest, so a slower failure pushes it out of both at once.
+	clear(held)
+	one := NewFlightRecorder(1)
+	observe(one, &RequestRecord{Trace: "a", LatencyMS: 5, State: string(Failed)})
+	observe(one, &RequestRecord{Trace: "b", LatencyMS: 10, State: string(Failed)})
+	checkHeld(one)
+
 	var nilRec *FlightRecorder
-	nilRec.Observe(&RequestRecord{})
+	if kept, evicted := nilRec.Observe(&RequestRecord{}); kept || evicted != nil {
+		t.Errorf("nil recorder kept %v, evicted %d", kept, len(evicted))
+	}
 	if s, fl := nilRec.Len(); s != 0 || fl != 0 {
 		t.Error("nil recorder retained records")
 	}

@@ -5,7 +5,10 @@
 # a real MiniC FFT over HTTP, SIGTERM while a request is in flight (the
 # drain must finish it), tear the cached adapter on disk like a crash
 # mid-write, restart, and require that the store quarantines the damage,
-# recompiles, serves a byte-identical adapter, and caches it again.
+# recompiles, serves a byte-identical adapter, and caches it again; then
+# join one trace ID across every export, and check that after 100 more
+# fresh compiles /journal holds no more requests than the flight
+# recorder keeps.
 #
 # Needs only POSIX sh + curl + the Go toolchain. Run from the repo root:
 #     ./scripts/serve_smoke.sh
@@ -156,6 +159,24 @@ grep -q "facc_ledger_tests_total" "$TMP/metrics.txt" \
     || { echo "serve-smoke: /metrics missing the cost ledger exposition"; exit 1; }
 grep -q "facc_search_candidates_total" "$TMP/metrics.txt" \
     || { echo "serve-smoke: /metrics missing the search funnel exposition"; exit 1; }
+
+echo "serve-smoke: what a warm daemon keeps is bounded by its flight recorder"
+# 100 fresh digests (tolerance salts, as serve-mixed makes them), each
+# under a trace ID faccd mints. A finished request releases its spans and
+# events unless the flight recorder keeps it, and at the default
+# -flight-recorder 32 its two classes keep at most 64 requests.
+i=1
+while [ "$i" -le 100 ]; do
+    sed "s/\"tests\":3}/\"tests\":3,\"tolerance\":0.002000000$(printf %03d "$i")}/" \
+        "$TMP/req.json" > "$TMP/req_salt.json"
+    curl -fsS -o "$TMP/r_salt" -X POST -H 'Content-Type: application/json' \
+        --data-binary @"$TMP/req_salt.json" "http://$ADDR/compile?wait=1"
+    grep -q '"state": "done"' "$TMP/r_salt" || { echo "serve-smoke: salted compile $i not done:"; cat "$TMP/r_salt"; exit 1; }
+    i=$((i + 1))
+done
+curl -fsS "http://$ADDR/journal" > "$TMP/journal_after.jsonl"
+TRACES=$(grep -o '"trace":"[^"]*"' "$TMP/journal_after.jsonl" | sort -u | wc -l)
+[ "$TRACES" -le 64 ] || { echo "serve-smoke: /journal lists $TRACES trace IDs after 100 fresh compiles, want at most 64"; exit 1; }
 
 kill -TERM "$PID"
 wait "$PID" || { echo "serve-smoke: final drain was not clean"; cat "$TMP/faccd.log"; exit 1; }
