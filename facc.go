@@ -30,6 +30,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -240,17 +241,28 @@ func (r *CompileRequest) Validate() error {
 // a cached or in-flight result can be reused byte for byte.
 func (r *CompileRequest) Digest() string {
 	h := sha256.New()
+	// put hashes a field as its name and value, each after its length as
+	// an int64, little-endian. The prefixes and the name go to the hash
+	// in one write of buf, and the value follows a slice of buf at a
+	// time: the hash has no WriteString, and []byte(val) would copy the
+	// whole source.
+	var buf [512]byte
 	put := func(field, val string) {
-		binary.Write(h, binary.LittleEndian, int64(len(field)))
-		h.Write([]byte(field))
-		binary.Write(h, binary.LittleEndian, int64(len(val)))
-		h.Write([]byte(val))
+		b := binary.LittleEndian.AppendUint64(buf[:0], uint64(len(field)))
+		b = append(b, field...)
+		h.Write(binary.LittleEndian.AppendUint64(b, uint64(len(val))))
+		for len(val) > 0 {
+			n := copy(buf[:], val)
+			h.Write(buf[:n])
+			val = val[n:]
+		}
 	}
 	put("source", r.Source)
 	put("target", r.Target)
 	put("entry", r.Entry)
-	put("tests", fmt.Sprint(r.NumTests))
-	put("tolerance", fmt.Sprint(r.Tolerance))
+	// strconv writes the text fmt.Sprint gives for an int and a float64.
+	put("tests", strconv.Itoa(r.NumTests))
+	put("tolerance", strconv.FormatFloat(r.Tolerance, 'g', -1, 64))
 	keys := make([]string, 0, len(r.ProfileValues))
 	for k := range r.ProfileValues {
 		keys = append(keys, k)

@@ -408,11 +408,13 @@ func TestReport(t *testing.T) {
 
 // TestCompileRequestDigestGolden pins CompileRequest.Digest: every stored
 // adapter is keyed by it, so a change to its value turns every existing
-// store into misses. One request sets only source and target; the other
+// store into misses. One request sets only source and target; the second
 // sets every field the digest reads, profile, test count and tolerance
-// included. Name is not one of them.
+// included; the third has a source and a profile name longer than the
+// digest's 512-byte scratch buffer. Name is not one of them.
 func TestCompileRequestDigestGolden(t *testing.T) {
 	src := "void fft(double *x, int n) {}\n"
+	long := strings.Repeat("void fft(double *x, int n) { x[0] = n; }\n", 33)
 	for _, tc := range []struct {
 		req  CompileRequest
 		want string
@@ -422,6 +424,9 @@ func TestCompileRequestDigestGolden(t *testing.T) {
 		{CompileRequest{Name: "b.c", Source: src, Target: "fftw", Entry: "fft",
 			ProfileValues: map[string][]int64{"n": {64, 128}, "m": {3}}, NumTests: 7, Tolerance: 1e-4},
 			"6d45da7956a634d20dfccf2f21c0cc67a0c3f14c19dd121988bfcbb2dd343cee"},
+		{CompileRequest{Name: "c.c", Source: long, Target: "powerquad",
+			ProfileValues: map[string][]int64{strings.Repeat("k", 600): {1, -2}}, Tolerance: 2e-3 * (1 + 7e-9)},
+			"513b63dba036beb14e2bd88a2822b78c4bdf2daa4e18f96ee6f2f13d4c9ab86a"},
 	} {
 		if got := tc.req.Digest(); got != tc.want {
 			t.Errorf("Digest(%+v) = %s, want %s", tc.req, got, tc.want)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"facc/internal/fft"
@@ -33,10 +34,10 @@ func maxError(a, b []complex128) float64 {
 }
 
 func TestSpecByName(t *testing.T) {
-	for _, name := range []string{"ffta", "powerquad", "fftw"} {
-		s, err := SpecByName(name)
-		if err != nil || s.Name != name {
-			t.Errorf("SpecByName(%q) = %v, %v", name, s, err)
+	for _, want := range Specs() {
+		s, err := SpecByName(want.Name)
+		if err != nil || !reflect.DeepEqual(s, want) {
+			t.Errorf("SpecByName(%q) = %+v, %v, want %+v", want.Name, s, err, want)
 		}
 	}
 	if _, err := SpecByName("tpu"); err == nil {

@@ -370,6 +370,7 @@ func (n *Node) relay(w http.ResponseWriter, resp *http.Response, body []byte, pe
 		}
 	}
 	w.Header().Set(PeerHeader, peer)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(resp.StatusCode)
 	w.Write(body)
 }

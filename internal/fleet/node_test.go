@@ -393,6 +393,59 @@ func TestEntryCapsRequestBody(t *testing.T) {
 	}
 }
 
+// TestEntryRejectsTrailingData: a body holding more than the request
+// object gets a 400 at any entry, and is neither forwarded nor compiled.
+func TestEntryRejectsTrailingData(t *testing.T) {
+	tr := NewFaultTransport(nil, 1)
+	nodes := newTestFleet(t, 3, tr, nil)
+	valid := `{"source":"int f(int x) { return x; }","target":"ffta"}`
+	for _, body := range []string{valid + " trailing junk", valid + valid} {
+		for _, tn := range nodes {
+			resp, err := http.Post(tn.url+"/compile?wait=1", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: POST %q: status %d, want 400", tn.id, body, resp.StatusCode)
+			}
+		}
+	}
+	for _, tn := range nodes {
+		if fwd := tn.tracer.Metrics().Counter("fleet.forwarded").Value(); fwd != 0 || tn.compile.callCount() != 0 {
+			t.Errorf("%s: a request with trailing data travelled: forwarded %d, compiled %d",
+				tn.id, fwd, tn.compile.callCount())
+		}
+	}
+}
+
+// TestRelayedReplyHasContentLength: an entry relays the owner's reply
+// with its Content-Length, even past net/http's 2 KiB buffer, beyond
+// which a reply without a length goes out chunked.
+func TestRelayedReplyHasContentLength(t *testing.T) {
+	nodes := newTestFleet(t, 2, NewFaultTransport(nil, 1), nil)
+	// The test compile echoes the source into the adapter.
+	req := fleetReq("int fft(int x) { return x; }\n" + strings.Repeat("/* padding */\n", 200))
+	owner := nodes[0].node.Ring().Owner(req.Digest())
+	entry := nodes[0]
+	if entry.id == owner {
+		entry = nodes[1]
+	}
+	resp := postCompile(t, entry.url, req, "?wait=1", nil)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(PeerHeader) != owner {
+		t.Fatalf("status %d from %q, want 200 relayed from %s", resp.StatusCode, resp.Header.Get(PeerHeader), owner)
+	}
+	if len(resp.TransferEncoding) > 0 || resp.ContentLength != int64(len(body)) {
+		t.Errorf("relayed reply: transfer encoding %v, Content-Length %d, want none and %d",
+			resp.TransferEncoding, resp.ContentLength, len(body))
+	}
+}
+
 // TestTracePropagationAcrossForward (satellite): one client-supplied
 // trace ID joins the observability streams on BOTH replicas of a
 // forwarded hop — the forward span on the entry node, and the compile

@@ -306,6 +306,7 @@ func BenchmarkServeHit(b *testing.B) {
 	if v, err := postWait(ts, req, "fill"); err != nil || v.State != string(Done) {
 		b.Fatalf("filling the store: %+v %v", v, err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v, err := postWait(ts, req, "hit")
@@ -334,6 +335,7 @@ func BenchmarkServeFreshDigest(b *testing.B) {
 	if _, err := postWait(ts, corpusReq(b, "iterdit", "ffta", 0, 0), "fill"); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := corpusReq(b, "iterdit", "ffta", 0, 2e-3*(1+float64(i+1)*1e-9))

@@ -30,6 +30,10 @@
 //	GET  /healthz         process liveness (200 while the process runs)
 //	GET  /readyz          admission readiness (503 while draining)
 //
+// /compile and /jobs/{id} answer with the job as one line of compact
+// JSON and its Content-Length; data after a request's JSON object is a
+// 400.
+//
 // Metrics: serve.jobs_admitted/_completed/_failed/_shed/_deduped,
 // serve.cache_hits, serve.queue_depth, serve.workers_busy,
 // serve.draining, serve.drain_hard_cancels, serve.oracle_resets (shared
@@ -39,6 +43,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -180,6 +185,35 @@ type Server struct {
 // entry: about 60 times the largest corpus source, so no client can make
 // the daemon buffer an arbitrary upload.
 const MaxRequestBytes = 1 << 20
+
+// bufPool recycles the buffers a compile request is read into and its
+// reply is encoded into, so neither grows a fresh buffer per request. It
+// holds empty buffers: putBuf resets each one it takes back.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBuf caps the buffers returned to bufPool: one large body is
+// not kept resident for the requests after it.
+const maxPooledBuf = 64 << 10
+
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		buf.Reset()
+		bufPool.Put(buf)
+	}
+}
+
+// decodeRequest reads r's body once, up to MaxRequestBytes, and decodes
+// it as one JSON compile request; data after the object is an error.
+func decodeRequest(w http.ResponseWriter, r *http.Request, req *facc.CompileRequest) error {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBytes)); err != nil {
+		return err
+	}
+	// Unmarshal copies every string it decodes, so req keeps nothing of
+	// buf once it returns.
+	return json.Unmarshal(buf.Bytes(), req)
+}
 
 // BadBody answers a request whose body could not be read or decoded:
 // 413 past MaxRequestBytes, 400 otherwise.
@@ -329,7 +363,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req facc.CompileRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		BadBody(w, err)
 		return
 	}
@@ -686,9 +720,10 @@ func (s *Server) jobView(job *Job) jobJSON {
 	}
 }
 
-// respond writes the job's current state; with ?wait=1 it first blocks
-// until the job finishes (or the client goes away, or drain hard-cancel
-// fires — the job itself then reports what happened).
+// respond writes the job's current state as one line of compact JSON
+// with its Content-Length; with ?wait=1 it first blocks until the job
+// finishes (or the client goes away, or drain hard-cancel fires — the
+// job itself then reports what happened).
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, job *Job) {
 	wait := r.URL.Query().Get("wait")
 	if wait == "1" || wait == "true" {
@@ -699,6 +734,11 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, job *Job) {
 		}
 	}
 	view := s.jobView(job)
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	// A job view holds strings, a bool and a finite float: it always
+	// encodes.
+	_ = json.NewEncoder(buf).Encode(view)
 	code := http.StatusOK
 	if view.State == string(Queued) || view.State == string(Running) {
 		code = http.StatusAccepted
@@ -708,10 +748,9 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, job *Job) {
 		w.Header().Set("X-Facc-Trace", view.Trace)
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(view)
+	w.Write(buf.Bytes())
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -397,21 +397,34 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	valid := `{"source":"void f() {}","target":"ffta"}`
 	for _, tc := range []struct {
 		req  facc.CompileRequest
+		raw  string // the body verbatim, in place of req encoded
 		want int
 	}{
-		{facc.CompileRequest{Source: "", Target: "ffta"}, http.StatusBadRequest},
-		{facc.CompileRequest{Source: "void f() {}", Target: "tpu9000"}, http.StatusBadRequest},
-		{facc.CompileRequest{Source: "void f() {}", Target: "ffta", NumTests: -1}, http.StatusBadRequest},
-		{facc.CompileRequest{Source: "void f() {}", Target: "ffta", NumTests: 1000000000}, http.StatusBadRequest},
-		{facc.CompileRequest{Source: strings.Repeat("x", MaxRequestBytes), Target: "ffta"}, http.StatusRequestEntityTooLarge},
+		{req: facc.CompileRequest{Source: "", Target: "ffta"}, want: http.StatusBadRequest},
+		{req: facc.CompileRequest{Source: "void f() {}", Target: "tpu9000"}, want: http.StatusBadRequest},
+		{req: facc.CompileRequest{Source: "void f() {}", Target: "ffta", NumTests: -1}, want: http.StatusBadRequest},
+		{req: facc.CompileRequest{Source: "void f() {}", Target: "ffta", NumTests: 1000000000}, want: http.StatusBadRequest},
+		{req: facc.CompileRequest{Source: strings.Repeat("x", MaxRequestBytes), Target: "ffta"}, want: http.StatusRequestEntityTooLarge},
+		{raw: valid + " trailing junk", want: http.StatusBadRequest},
+		{raw: valid + valid, want: http.StatusBadRequest},
 	} {
-		resp := post(t, ts, tc.req, "")
+		var resp *http.Response
+		if tc.raw == "" {
+			resp = post(t, ts, tc.req, "")
+		} else {
+			var err error
+			resp, err = ts.Client().Post(ts.URL+"/compile", "application/json", strings.NewReader(tc.raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Errorf("POST %.80q (target %q, tests %d): status %d, want %d",
-				tc.req.Source, tc.req.Target, tc.req.NumTests, resp.StatusCode, tc.want)
+			t.Errorf("POST %.80q (target %q, tests %d) %q: status %d, want %d",
+				tc.req.Source, tc.req.Target, tc.req.NumTests, tc.raw, resp.StatusCode, tc.want)
 		}
 	}
 	resp, err := ts.Client().Get(ts.URL + "/compile")

@@ -10,7 +10,7 @@
 # owner — the fleet's "never a wrong adapter" contract, observed from
 # outside the process like an operator would.
 #
-# Needs only POSIX sh + curl + the Go toolchain. Run from the repo root:
+# Needs only POSIX sh + curl + jq + the Go toolchain. Run from the repo root:
 #     ./scripts/fleet_smoke.sh
 set -eu
 
@@ -129,10 +129,10 @@ done
 echo "fleet-smoke: compiling through the fleet"
 curl -fsS -D "$TMP/h1" -o "$TMP/r1" -X POST -H 'Content-Type: application/json' \
     --data-binary @"$TMP/req.json" "$URL0/compile?wait=1"
-grep -q '"state": "done"' "$TMP/r1" || { echo "fleet-smoke: compile not done:"; cat "$TMP/r1"; exit 1; }
-grep '"adapter_c"' "$TMP/r1" > "$TMP/adapter1" && [ -s "$TMP/adapter1" ] \
+grep -q '"state":"done"' "$TMP/r1" || { echo "fleet-smoke: compile not done:"; cat "$TMP/r1"; exit 1; }
+jq -er .adapter_c "$TMP/r1" > "$TMP/adapter1" && [ -s "$TMP/adapter1" ] \
     || { echo "fleet-smoke: no adapter in response"; cat "$TMP/r1"; exit 1; }
-DIGEST=$(grep '"key"' "$TMP/r1" | head -n 1 | sed 's/.*"key": "\([^"]*\)".*/\1/')
+DIGEST=$(sed -n 's/.*"key":"\([^"]*\)".*/\1/p' "$TMP/r1")
 [ -n "$DIGEST" ] || { echo "fleet-smoke: no digest in response"; exit 1; }
 
 OWNER=$(curl -fsS "$URL0/fleet/owners?key=$DIGEST" | tr -d ' \n' \
@@ -155,7 +155,7 @@ OPID=$(pid_of "$OWNER")
 kill -9 "$OPID"
 eval "PID$(echo "$OWNER" | tr -d r)=''"
 wait "$CURL2" || { echo "fleet-smoke: in-flight compile failed after the kill"; cat "$TMP/faccd"*.log; exit 1; }
-grep -q '"state": "done"' "$TMP/r2" || { echo "fleet-smoke: in-flight compile not done:"; cat "$TMP/r2"; exit 1; }
+grep -q '"state":"done"' "$TMP/r2" || { echo "fleet-smoke: in-flight compile not done:"; cat "$TMP/r2"; exit 1; }
 
 echo "fleet-smoke: waiting for the survivors to eject $OWNER from the ring"
 i=0
@@ -174,8 +174,8 @@ done
 echo "fleet-smoke: recompiling the dead owner's digest via a survivor"
 curl -fsS -D "$TMP/h3" -o "$TMP/r3" -X POST -H 'Content-Type: application/json' \
     --data-binary @"$TMP/req.json" "$SURL/compile?wait=1"
-grep -q '"state": "done"' "$TMP/r3" || { echo "fleet-smoke: post-kill compile not done:"; cat "$TMP/r3"; exit 1; }
-grep '"adapter_c"' "$TMP/r3" > "$TMP/adapter3"
+grep -q '"state":"done"' "$TMP/r3" || { echo "fleet-smoke: post-kill compile not done:"; cat "$TMP/r3"; exit 1; }
+jq -er .adapter_c "$TMP/r3" > "$TMP/adapter3"
 cmp -s "$TMP/adapter1" "$TMP/adapter3" \
     || { echo "fleet-smoke: adapter diverged after failover"; exit 1; }
 

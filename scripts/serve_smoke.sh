@@ -10,7 +10,7 @@
 # fresh compiles /journal holds no more requests than the flight
 # recorder keeps.
 #
-# Needs only POSIX sh + curl + the Go toolchain. Run from the repo root:
+# Needs only POSIX sh + curl + jq + the Go toolchain. Run from the repo root:
 #     ./scripts/serve_smoke.sh
 set -eu
 
@@ -85,8 +85,8 @@ compile() { # compile <headers-out> <body-out>
         --data-binary @"$TMP/req.json" "http://$ADDR/compile?wait=1"
 }
 
-adapter_of() { # the adapter_c JSON line is the byte-identity witness
-    grep '"adapter_c"' "$1" > "$2" && [ -s "$2" ] || {
+adapter_of() { # the decoded adapter_c text is the byte-identity witness
+    jq -er .adapter_c "$1" > "$2" && [ -s "$2" ] || {
         echo "serve-smoke: no adapter in response:"; cat "$1"; exit 1; }
 }
 
@@ -102,7 +102,7 @@ sleep 0.2
 kill -TERM "$PID"
 wait "$CURL" || { echo "serve-smoke: in-flight request failed during drain"; cat "$TMP/faccd.log"; exit 1; }
 wait "$PID" || { echo "serve-smoke: drain was not clean"; cat "$TMP/faccd.log"; exit 1; }
-grep -q '"state": "done"' "$TMP/r1" || { echo "serve-smoke: compile not done:"; cat "$TMP/r1"; exit 1; }
+grep -q '"state":"done"' "$TMP/r1" || { echo "serve-smoke: compile not done:"; cat "$TMP/r1"; exit 1; }
 adapter_of "$TMP/r1" "$TMP/adapter1"
 grep -q 'drained cleanly' "$TMP/faccd.log" || { echo "serve-smoke: no clean-drain message"; cat "$TMP/faccd.log"; exit 1; }
 
@@ -145,7 +145,7 @@ curl -fsS -D "$TMP/h4" -o "$TMP/r4" -X POST -H 'Content-Type: application/json' 
     -H "X-Facc-Trace: $TRACE" --data-binary @"$TMP/req_trace.json" \
     "http://$ADDR/compile?wait=1"
 grep -qi "x-facc-trace: $TRACE" "$TMP/h4" || { echo "serve-smoke: trace ID not echoed in the response header"; cat "$TMP/h4"; exit 1; }
-grep -q "\"trace\": \"$TRACE\"" "$TMP/r4" || { echo "serve-smoke: trace ID not in the job JSON"; cat "$TMP/r4"; exit 1; }
+grep -q "\"trace\":\"$TRACE\"" "$TMP/r4" || { echo "serve-smoke: trace ID not in the job JSON"; cat "$TMP/r4"; exit 1; }
 curl -fsS "http://$ADDR/journal" > "$TMP/journal.jsonl"
 grep -q "$TRACE" "$TMP/journal.jsonl" || { echo "serve-smoke: trace ID not in the event export"; exit 1; }
 curl -fsS "http://$ADDR/debug/requests" > "$TMP/flight.json"
@@ -171,7 +171,7 @@ while [ "$i" -le 100 ]; do
         "$TMP/req.json" > "$TMP/req_salt.json"
     curl -fsS -o "$TMP/r_salt" -X POST -H 'Content-Type: application/json' \
         --data-binary @"$TMP/req_salt.json" "http://$ADDR/compile?wait=1"
-    grep -q '"state": "done"' "$TMP/r_salt" || { echo "serve-smoke: salted compile $i not done:"; cat "$TMP/r_salt"; exit 1; }
+    grep -q '"state":"done"' "$TMP/r_salt" || { echo "serve-smoke: salted compile $i not done:"; cat "$TMP/r_salt"; exit 1; }
     i=$((i + 1))
 done
 curl -fsS "http://$ADDR/journal" > "$TMP/journal_after.jsonl"
